@@ -32,8 +32,8 @@ from .decoupling import (
     project_group,
 )
 from .noise import SCENARIO_NAMES, build_scenario, ensemble_coherence
-from .operators import logm_effective, pauli_sum
-from .scenario import Scenario, parse_term
+from .operators import logm_effective
+from .scenario import Scenario, parse_hamiltonian
 from .universality import lie_closure
 from .verify import format_report, run_suite
 
@@ -90,13 +90,9 @@ def _run_logical(sc: Scenario) -> tuple[str, str]:
 def _run_universality(sc: Scenario) -> tuple[str, str]:
     if not sc.generators:
         raise ValidationError("kind 'universality' needs 'generators' (lists of terms)")
-    mats = []
-    for terms in sc.generators:
-        parsed = []
-        for t in terms:
-            item = parse_term(t, sc.n_qubits)
-            parsed.extend(item if isinstance(item, list) else [item])
-        mats.append(1j * pauli_sum(parsed, n=sc.n_qubits).matrix)
+    mats = [
+        1j * parse_hamiltonian({"terms": terms}, sc.n_qubits).matrix for terms in sc.generators
+    ]
     basis = lie_closure(mats)
     payload: dict = {
         "kind": sc.kind,
@@ -244,7 +240,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         sys.stdout.write(list_builtins())
         return 0
-    checks = run_suite(seed=args.seed, ensemble=args.ensemble)
+    try:
+        checks = run_suite(seed=args.seed, ensemble=args.ensemble)
+    except ValidationError as exc:  # e.g. --ensemble 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = format_report(checks, args.seed)
     if args.out:
         Path(args.out).write_text(report)

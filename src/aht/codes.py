@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances, ValidationError
 from .operators import (
+    SIGMA,
     Operator,
     PauliString,
     MatrixLike,
@@ -59,14 +60,6 @@ __all__ = [
 ]
 
 CODE_NAMES = ("ns3", "dfs2", "dfs2x2")
-
-_SIGMA = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class Code:
@@ -134,7 +127,7 @@ class Code:
             raise ValidationError(f"axes {axes!r} needs {self.n_logical} letters")
         m = np.ones((1, 1), dtype=complex)
         for a in axes:
-            factor = _SIGMA["i"] if a == "i" else -1j * _SIGMA[a]
+            factor = SIGMA["I"] if a == "i" else -1j * SIGMA[a.upper()]
             m = np.kron(m, factor)
         return Operator(m, label=f"pi^L[{axes}]")
 
@@ -341,7 +334,7 @@ def _build_ns3() -> Code:
     w = np.column_stack([v_zero, v_one])
     iso = v0 @ np.kron(w, np.eye(2))
 
-    for op, target in ((obs_x, _SIGMA["x"]), (obs_y, _SIGMA["y"]), (obs_z, _SIGMA["z"])):
+    for op, target in ((obs_x, SIGMA["X"]), (obs_y, SIGMA["Y"]), (obs_z, SIGMA["Z"])):
         r = iso.conj().T @ op.matrix @ iso
         if np.max(np.abs(r - np.kron(target, np.eye(2)))) > 1e-12:
             raise AssertionError("ns3 logical basis construction failed")
@@ -383,7 +376,7 @@ def ns3_logical_hamiltonian(omega: float, j12: float, j23: float, j31: float) ->
     del omega  # identity action on the logical factor
     cx = 2 * j12 - j23 - j31
     cy = np.sqrt(3) * (j31 - j23)
-    return Operator(cx * _SIGMA["x"] + cy * _SIGMA["y"])
+    return Operator(cx * SIGMA["X"] + cy * SIGMA["Y"])
 
 
 @dataclass(frozen=True)
@@ -450,11 +443,11 @@ def dfs2x2_logical_hamiltonian(
     jj = _normalize_couplings(j)
     coeffs = hetero_coefficients(jj)
     h = np.pi * (
-        (nu[0] - nu[1]) * np.kron(_SIGMA["z"], _SIGMA["i"])
-        + (nu[2] - nu[3]) * np.kron(_SIGMA["i"], _SIGMA["z"])
-        + jj.get((1, 2), 0.0) * np.kron(_SIGMA["x"], _SIGMA["i"])
-        + jj.get((3, 4), 0.0) * np.kron(_SIGMA["i"], _SIGMA["x"])
-        + 2 * coeffs.d * np.kron(_SIGMA["z"], _SIGMA["z"])
+        (nu[0] - nu[1]) * np.kron(SIGMA["Z"], SIGMA["I"])
+        + (nu[2] - nu[3]) * np.kron(SIGMA["I"], SIGMA["Z"])
+        + jj.get((1, 2), 0.0) * np.kron(SIGMA["X"], SIGMA["I"])
+        + jj.get((3, 4), 0.0) * np.kron(SIGMA["I"], SIGMA["X"])
+        + 2 * coeffs.d * np.kron(SIGMA["Z"], SIGMA["Z"])
     )
     return Operator(h), coeffs
 

@@ -28,6 +28,7 @@ from .config import DEFAULT_TOL, Tolerances, ValidationError
 from .operators import (
     Operator,
     MatrixLike,
+    _unitarity_defect,
     collective,
     expm,
     logm_effective,
@@ -118,7 +119,7 @@ def close_group(
     for g in gens:
         if g.shape != (dim, dim):
             raise ValidationError("generators must share a dimension")
-        if np.max(np.abs(g @ g.conj().T - np.eye(dim))) > 1e-10:
+        if _unitarity_defect(g) > 1e-10:
             raise ValidationError("generators must be unitary")
     key_of = phase_canonical_key if projective else _matrix_key
     eye = np.eye(dim, dtype=complex)
@@ -494,14 +495,9 @@ def builtin_groups() -> dict[str, DecouplingSet]:
     projector laws on every group the package ships.
     """
     from .codes import build_code  # deferred: codes never imports this module
+    from .universality import transformer_generators  # deferred: it imports this module
 
-    sx, sy, sz = (np.array(m) for m in (
-        [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]],
-    ))
-    axis = (sx + sy + sz) / np.sqrt(3)
-    transformer = close_group(
-        [1j * sx, 1j * sy, 1j * sz, expm(axis / 2, 2 * np.pi / 3).matrix], max_order=64
-    )
+    transformer = close_group(transformer_generators(), max_order=64)
 
     dfs2 = build_code("dfs2")
     dfs2x2 = build_code("dfs2x2")

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .codes import Code, build_code
 from .config import DEFAULT_TOL, Tolerances, ValidationError
 from .decoupling import DecouplingScheme, named_sequence
-from .operators import Operator, single_qubit
+from .operators import Operator, _unitarity_defect, single_qubit
 
 __all__ = [
     "DephasingChannel",
@@ -47,12 +47,19 @@ __all__ = [
     "final_error",
 ]
 
-SCENARIO_NAMES = (
-    "hybrid_dephasing",
-    "encoded_spin_boson",
-    "encoded_depolarizing",
-    "four_qubit_blockwise",
+#: Knobs each library scenario reads on top of ``_SHARED_KNOBS`` (see
+#: :func:`build_scenario`); any other knob is rejected.
+_SCENARIO_KNOBS = {
+    "hybrid_dephasing": ("encoded", "fast_amplitude", "slow_amplitude", "omega1", "omega2"),
+    "encoded_spin_boson": ("delta_omega", "j_drift", "slow_amplitude"),
+    "encoded_depolarizing": ("slow_amplitude",),
+    "four_qubit_blockwise": ("fast_amplitude", "slow_amplitude", "omegas"),
+}
+_SHARED_KNOBS = (
+    "cycle_time", "repetitions", "ensemble_size", "seed", "pulses", "max_step", "tau_fast",
+    "tau_slow",
 )
+SCENARIO_NAMES = tuple(_SCENARIO_KNOBS)
 
 CHANNEL_KINDS = ("collective_fast", "independent_slow", "logical")
 
@@ -106,6 +113,8 @@ class NoiseScenario:
         dim = self.h_system.dim
         if self.total_time <= 0:
             raise ValidationError("total_time must be positive")
+        if self.ensemble_size < 1:
+            raise ValidationError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
         if self.schedule is not None:
             expected = self.repetitions * self.schedule.cycle_time
             if abs(expected - self.total_time) > 1e-9 * max(1.0, self.total_time):
@@ -255,21 +264,31 @@ def _build_grid(scenario: NoiseScenario) -> _Grid:
 
 
 def _channel_noise(
-    scenario: NoiseScenario, grid: _Grid, n_traj: int
+    scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]
 ) -> np.ndarray:
-    """Noise values per (channel, trajectory, step), seeded reproducibly."""
+    """Noise values per (channel, trajectory, step) for the given trajectory
+    indices; row ``r`` is the seeded stream of trajectory ``trajectories[r]``."""
     steps = grid.durations.shape[0]
     gaps = np.diff(grid.midpoints)
-    out = np.zeros((len(scenario.channels), n_traj, steps))
+    out = np.zeros((len(scenario.channels), len(trajectories), steps))
     for c, ch in enumerate(scenario.channels):
         if ch.amplitude == 0.0:
             continue
-        draws = np.empty((n_traj, steps))
-        for i in range(n_traj):
+        draws = np.empty((len(trajectories), steps))
+        for row, i in enumerate(trajectories):
             rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, c, i]))
-            draws[i] = rng.standard_normal(steps)
+            draws[row] = rng.standard_normal(steps)
         out[c] = _ou_batch(ch.amplitude, ch.correlation_time, gaps, draws)
     return out
+
+
+def _explicit_noise(scenario: NoiseScenario, grid: _Grid, noise_values) -> np.ndarray:
+    """Caller-supplied samples as ``(channels, 1, steps)``, checked against the grid."""
+    noise = np.asarray(noise_values, dtype=float)
+    shape = (len(scenario.channels), grid.durations.shape[0])
+    if noise.shape != shape:
+        raise ValidationError(f"noise_values must have shape {shape}, got {noise.shape}")
+    return noise[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +359,9 @@ def propagate_trajectory(
     """
     grid = _build_grid(scenario)
     if noise_values is None:
-        full = _channel_noise(scenario, grid, trajectory + 1)
-        noise = full[:, trajectory : trajectory + 1, :]
+        noise = _channel_noise(scenario, grid, [trajectory])
     else:
-        noise = np.asarray(noise_values, dtype=float)
-        if noise.shape != (len(scenario.channels), grid.durations.shape[0]):
-            raise ValidationError(
-                f"noise_values must have shape {(len(scenario.channels), grid.durations.shape[0])}"
-            )
-        noise = noise[:, None, :]
+        noise = _explicit_noise(scenario, grid, noise_values)
     psi = scenario.initial_state[None, :].copy()
     states = _evolve(scenario, noise, psi, grid)
     times = np.array([t for _, t in grid.records])
@@ -360,19 +373,13 @@ def trajectory_propagator(
 ) -> Operator:
     """Exact propagator of one noise realization (pulses included)."""
     grid = _build_grid(scenario)
-    noise = np.asarray(noise_values, dtype=float)
-    if noise.shape != (len(scenario.channels), grid.durations.shape[0]):
-        raise ValidationError("noise_values shape does not match the step grid")
+    noise = _explicit_noise(scenario, grid, noise_values)
     dim = scenario.h_system.dim
-    rows = _evolve(
-        scenario,
-        np.repeat(noise[:, None, :], dim, axis=1),
-        np.eye(dim, dtype=complex),
-        grid,
-    )
+    # one noise row, broadcast by _evolve across the dim basis-vector rows
+    rows = _evolve(scenario, noise, np.eye(dim, dtype=complex), grid)
     # rows holds the image of each basis vector; columns of U are those images
     u = rows[-1].T
-    defect = np.max(np.abs(u @ u.conj().T - np.eye(dim)))
+    defect = _unitarity_defect(u)
     if defect > 1e-10:
         raise ValidationError(f"trajectory propagator lost unitarity ({defect:.2e})")
     return Operator(u)
@@ -409,7 +416,7 @@ def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
     """
     grid = _build_grid(scenario)
     n = scenario.ensemble_size
-    noise = _channel_noise(scenario, grid, n)
+    noise = _channel_noise(scenario, grid, range(n))
     psi = np.tile(scenario.initial_state, (n, 1))
     states = _evolve(scenario, noise, psi, grid)
     obs = scenario.observable.matrix
@@ -442,33 +449,44 @@ def _two_qubit_zeeman(omega1: float, omega2: float) -> Operator:
 def build_scenario(name: str, **params) -> NoiseScenario:
     """Construct one of the library noise scenarios.
 
-    All scenarios share the keyword knobs ``cycle_time``, ``repetitions``,
-    ``ensemble_size``, ``seed``, ``pulses`` (set False for free decay)
-    and ``max_step``; amplitudes are rms couplings in rad/s and
-    correlation times default to ``0.05 * T_c`` (fast) and ``20 * T_c``
-    (slow), placing the fast bath far beyond the decoupling bandwidth.
+    All scenarios share the keyword knobs ``cycle_time`` (default 1),
+    ``repetitions`` (16), ``ensemble_size`` (500, at least 1), ``seed``
+    (2024), ``pulses`` (set False for free decay), ``max_step``,
+    ``tau_fast`` and ``tau_slow``.  Amplitudes are rms couplings in rad/s
+    and the correlation times ``tau_fast`` and ``tau_slow`` default to
+    ``0.05 * T_c`` and ``20 * T_c``, placing the fast bath far beyond the
+    decoupling bandwidth.  Each scenario adds its own knobs, listed below;
+    any other knob raises :class:`ValidationError`.  The scenario's own
+    knobs are echoed in ``params`` (and so in ``describe()``).
 
-    ``hybrid_dephasing``
+    ``hybrid_dephasing`` (``encoded``, ``fast_amplitude``,
+    ``slow_amplitude``, ``omega1``, ``omega2``)
         Two physical qubits with fast collective plus slow independent
         dephasing.  With ``encoded=True`` (default) the qubit lives on
         the dfs2 code and the schedule applies encoded pi_x pulses; with
         ``encoded=False`` the first physical qubit holds the coherence
         and the same physical pulse train acts on both qubits.
-    ``encoded_spin_boson``
+    ``encoded_spin_boson`` (``delta_omega``, ``j_drift``, ``slow_amplitude``)
         dfs2 qubit with a logical drift ``delta_omega sigma_z^L +
         j_drift sigma_x^L`` (the drift realized by an XY exchange term)
         plus slow independent dephasing; encoded pi_x decoupling.
-    ``encoded_depolarizing``
+    ``encoded_depolarizing`` (``slow_amplitude``)
         dfs2 qubit with slow noise on *both* logical axes (z and x);
         paired with the encoded annihilator cycle, which averages both
         error channels to zero at leading order.
-    ``four_qubit_blockwise``
+    ``four_qubit_blockwise`` (``fast_amplitude``, ``slow_amplitude``, ``omegas``)
         Two dfs2 blocks on qubit pairs (1,2) and (3,4) with fast
         block-collective dephasing plus slow per-qubit dephasing;
         encoded collective pi_x decoupling on both logical qubits.
     """
     if name not in SCENARIO_NAMES:
         raise ValidationError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    known = _SHARED_KNOBS + _SCENARIO_KNOBS[name]
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValidationError(
+            f"unknown knobs {unknown} for scenario {name!r}; known: {', '.join(known)}"
+        )
     p = dict(params)
     cycle_time = float(p.pop("cycle_time", 1.0))
     repetitions = int(p.pop("repetitions", 16))
@@ -479,149 +497,73 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     max_step = float(max_step) if max_step is not None else None
     tau_fast = float(p.pop("tau_fast", 0.05 * cycle_time))
     tau_slow = float(p.pop("tau_slow", 20.0 * cycle_time))
-    total_time = repetitions * cycle_time
+    fast_amp = float(p.get("fast_amplitude", 1.0))
+    slow_amp = float(p.get("slow_amplitude", 0.1))
 
-    def slow_pair(n: int) -> list[DephasingChannel]:
-        amp = float(p.get("slow_amplitude", 0.1))
+    def slow_channels(n: int) -> list[DephasingChannel]:
         return [
-            DephasingChannel(single_qubit("Z", q, n), tau_slow, amp, "independent_slow")
+            DephasingChannel(single_qubit("Z", q, n), tau_slow, slow_amp, "independent_slow")
             for q in range(1, n + 1)
         ]
 
-    if name == "hybrid_dephasing":
-        encoded = bool(p.pop("encoded", True))
-        fast_amp = float(p.get("fast_amplitude", 1.0))
-        omega1 = float(p.get("omega1", 1.0))
-        omega2 = float(p.get("omega2", 0.6))
-        code = build_code("dfs2")
-        h = _two_qubit_zeeman(omega1, omega2)
+    def pair_collective(a: int, b: int, n: int, label: str) -> DephasingChannel:
         s_z = Operator(
-            single_qubit("Z", 1, 2).matrix + single_qubit("Z", 2, 2).matrix, label="S_z"
+            single_qubit("Z", a, n).matrix + single_qubit("Z", b, n).matrix, label=label
         )
-        channels = [DephasingChannel(s_z, tau_fast, fast_amp, "collective_fast")]
-        channels += slow_pair(2)
-        schedule = (
-            named_sequence("cp_x", code=code, cycle_time=cycle_time, physical=True)
-            if use_pulses
-            else None
-        )
-        if encoded:
-            initial = code.plus_state()
-            observable = code.observable("x")
-        else:
-            plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-            zero = np.array([1, 0], dtype=complex)
-            initial = np.kron(plus, zero)
-            observable = single_qubit("X", 1, 2)
-        return NoiseScenario(
-            name="hybrid_dephasing",
-            h_system=h,
-            channels=tuple(channels),
-            code=code if encoded else None,
-            schedule=schedule,
-            repetitions=repetitions if schedule else 0,
-            ensemble_size=ensemble_size,
-            total_time=total_time,
-            seed=seed,
-            initial_state=initial,
-            observable=observable,
-            max_step=max_step,
-            params={"encoded": encoded, **{k: v for k, v in p.items()}},
-        )
+        return DephasingChannel(s_z, tau_fast, fast_amp, "collective_fast")
 
-    if name == "encoded_spin_boson":
+    encoded, sequence = True, "cp_x"
+    code = build_code("dfs2x2" if name == "four_qubit_blockwise" else "dfs2")
+    initial, observable = code.plus_state(), code.observable("x")
+    if name == "hybrid_dephasing":
+        encoded = p["encoded"] = bool(p.get("encoded", True))
+        h = _two_qubit_zeeman(float(p.get("omega1", 1.0)), float(p.get("omega2", 0.6)))
+        channels = [pair_collective(1, 2, 2, "S_z"), *slow_channels(2)]
+        if not encoded:
+            plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+            initial = np.kron(plus, np.array([1, 0], dtype=complex))
+            observable = single_qubit("X", 1, 2)
+    elif name == "encoded_spin_boson":
         delta_omega = float(p.get("delta_omega", 0.5))
-        j_drift = float(p.get("j_drift", 0.25))
-        code = build_code("dfs2")
         h = Operator(
             _two_qubit_zeeman(delta_omega, -delta_omega).matrix
-            + j_drift * code.observable("x").matrix
+            + float(p.get("j_drift", 0.25)) * observable.matrix
         )
-        channels = slow_pair(2)
-        schedule = (
-            named_sequence("cp_x", code=code, cycle_time=cycle_time, physical=True)
-            if use_pulses
-            else None
-        )
-        return NoiseScenario(
-            name="encoded_spin_boson",
-            h_system=h,
-            channels=tuple(channels),
-            code=code,
-            schedule=schedule,
-            repetitions=repetitions if schedule else 0,
-            ensemble_size=ensemble_size,
-            total_time=total_time,
-            seed=seed,
-            initial_state=code.plus_state(),
-            observable=code.observable("x"),
-            max_step=max_step,
-            params=dict(p),
-        )
-
-    if name == "encoded_depolarizing":
-        code = build_code("dfs2")
-        amp = float(p.get("slow_amplitude", 0.1))
+        channels = slow_channels(2)
+    elif name == "encoded_depolarizing":
+        h = Operator.zero(4)
         channels = [
-            DephasingChannel(code.observable("z"), tau_slow, amp, "logical"),
-            DephasingChannel(code.observable("x"), tau_slow, amp, "logical"),
+            DephasingChannel(code.observable(axis), tau_slow, slow_amp, "logical")
+            for axis in "zx"
         ]
-        schedule = (
-            named_sequence("gmax_cycle", code=code, cycle_time=cycle_time, physical=True)
-            if use_pulses
-            else None
+        sequence = "gmax_cycle"
+    else:  # four_qubit_blockwise
+        omegas = p["omegas"] = tuple(p.get("omegas", (1.0, 0.7, 0.4, 0.2)))
+        h = Operator(
+            sum(0.5 * w * single_qubit("Z", q, 4).matrix for q, w in enumerate(omegas, start=1))
         )
-        return NoiseScenario(
-            name="encoded_depolarizing",
-            h_system=Operator.zero(4),
-            channels=tuple(channels),
-            code=code,
-            schedule=schedule,
-            repetitions=repetitions if schedule else 0,
-            ensemble_size=ensemble_size,
-            total_time=total_time,
-            seed=seed,
-            initial_state=code.plus_state(),
-            observable=code.observable("x"),
-            max_step=max_step,
-            params=dict(p),
-        )
-
-    # four_qubit_blockwise
-    code = build_code("dfs2x2")
-    fast_amp = float(p.get("fast_amplitude", 1.0))
-    omegas = p.get("omegas", (1.0, 0.7, 0.4, 0.2))
-    h = Operator(
-        sum(0.5 * w * single_qubit("Z", q, 4).matrix for q, w in enumerate(omegas, start=1))
-    )
-    block1 = Operator(
-        single_qubit("Z", 1, 4).matrix + single_qubit("Z", 2, 4).matrix, label="S_z(1,2)"
-    )
-    block2 = Operator(
-        single_qubit("Z", 3, 4).matrix + single_qubit("Z", 4, 4).matrix, label="S_z(3,4)"
-    )
-    channels = [
-        DephasingChannel(block1, tau_fast, fast_amp, "collective_fast"),
-        DephasingChannel(block2, tau_fast, fast_amp, "collective_fast"),
-    ]
-    channels += slow_pair(4)
+        channels = [
+            pair_collective(1, 2, 4, "S_z(1,2)"),
+            pair_collective(3, 4, 4, "S_z(3,4)"),
+            *slow_channels(4),
+        ]
     schedule = (
-        named_sequence("cp_x", code=code, cycle_time=cycle_time, physical=True)
+        named_sequence(sequence, code=code, cycle_time=cycle_time, physical=True)
         if use_pulses
         else None
     )
     return NoiseScenario(
-        name="four_qubit_blockwise",
+        name=name,
         h_system=h,
         channels=tuple(channels),
-        code=code,
+        code=code if encoded else None,
         schedule=schedule,
         repetitions=repetitions if schedule else 0,
         ensemble_size=ensemble_size,
-        total_time=total_time,
+        total_time=repetitions * cycle_time,
         seed=seed,
-        initial_state=code.plus_state(),
-        observable=code.observable("x", 1),
+        initial_state=initial,
+        observable=observable,
         max_step=max_step,
-        params={"omegas": tuple(omegas), **{k: v for k, v in p.items() if k != "omegas"}},
+        params=p,
     )

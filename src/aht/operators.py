@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL, BranchCutError, Tolerances, ValidationError
 
@@ -62,6 +61,11 @@ def _is_power_of_two(k: int) -> bool:
     return k > 0 and (k & (k - 1)) == 0
 
 
+def _unitarity_defect(u: np.ndarray) -> float:
+    """Max-norm distance ``||U U^dag - 1||_max`` of a square matrix from unitarity."""
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+
+
 class Operator:
     """A dense complex square matrix on an n-qubit space.
 
@@ -101,7 +105,7 @@ class Operator:
         if hermitian and np.max(np.abs(m - m.conj().T)) > tol.hermiticity:
             raise ValidationError("matrix is not Hermitian at the configured tolerance")
         if unitary:
-            defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+            defect = _unitarity_defect(m)
             if defect > tol.unitarity:
                 raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
         if traceless and abs(np.trace(m)) > tol.equality * m.shape[0]:
@@ -133,8 +137,7 @@ class Operator:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol.hermiticity)
 
     def is_unitary(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        defect = np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(self.dim)))
-        return bool(defect <= max(tol.unitarity, 1e-10))
+        return _unitarity_defect(self.matrix) <= max(tol.unitarity, 1e-10)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: MatrixLike) -> "Operator":
@@ -256,15 +259,15 @@ def exchange(j: int, k: int, n: int) -> Operator:
 def conjugate(h: MatrixLike, u: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> Operator:
     """Toggling-frame conjugation ``U^dag H U``.
 
-    Preserves spectra and Hermiticity.  ``u`` must be unitary; the check
-    is deliberately looser (1e-10) than the constructor assertion so
-    that long pulse products still pass.
+    Preserves spectra and Hermiticity.  ``u`` must be unitary to within
+    ``tol.equality``, deliberately looser than the constructor assertion
+    (``tol.unitarity``) so that long pulse products still pass.
     """
     hm, um = mat(h), mat(u)
     if hm.shape != um.shape:
         raise ValidationError(f"dimension mismatch: {hm.shape} vs {um.shape}")
-    defect = np.max(np.abs(um @ um.conj().T - np.eye(um.shape[0])))
-    if defect > 1e-10:
+    defect = _unitarity_defect(um)
+    if defect > tol.equality:
         raise ValidationError(f"conjugating operator is not unitary (defect {defect:.2e})")
     return Operator(um.conj().T @ hm @ um)
 
@@ -289,10 +292,12 @@ def logm_effective(u: MatrixLike, t_total: float, tol: Tolerances = DEFAULT_TOL)
     of silently picking a branch, since the effective Hamiltonian is
     only defined modulo ``2 pi / T``.
     """
+    import scipy.linalg  # deferred: slow to import, and only this function needs it
+
     um = mat(u)
     if t_total <= 0:
         raise ValidationError("logm_effective needs T > 0")
-    defect = np.max(np.abs(um @ um.conj().T - np.eye(um.shape[0])))
+    defect = _unitarity_defect(um)
     if defect > 1e-10:
         raise ValidationError(f"logm_effective input is not unitary (defect {defect:.2e})")
     # Schur of a normal matrix is diagonal and comes with an orthonormal frame.

@@ -215,11 +215,7 @@ class Scenario:
         if "pulses" in spec:
             pulses = []
             for p in spec["pulses"]:
-                terms: list[PauliString] = []
-                for t in p.get("terms", []):
-                    parsed = parse_term(t, self.n_qubits)
-                    terms.extend(parsed if isinstance(parsed, list) else [parsed])
-                generator = pauli_sum(terms, n=self.n_qubits)
+                generator = parse_hamiltonian({"terms": p.get("terms", [])}, self.n_qubits)
                 pulses.append(expm(generator, float(p.get("angle", np.pi / 2))))
             durations = tuple(float(x) for x in spec["durations"])
             return DecouplingScheme(

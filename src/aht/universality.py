@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .config import DEFAULT_TOL, Tolerances, ValidationError
 from .decoupling import DecouplingSet, close_group, project_group
-from .operators import Operator, MatrixLike, mat
+from .operators import SIGMA, Operator, MatrixLike, _unitarity_defect, expm, mat
 
 __all__ = [
     "LieBasis",
@@ -140,7 +139,7 @@ def cp_split(h: MatrixLike, pi_pulse: MatrixLike) -> tuple[Operator, Operator]:
     hm, pm = mat(h), mat(pi_pulse)
     if hm.shape != pm.shape:
         raise ValidationError("dimension mismatch in cp_split")
-    if np.max(np.abs(pm @ pm.conj().T - np.eye(pm.shape[0]))) > 1e-10:
+    if _unitarity_defect(pm) > 1e-10:
         raise ValidationError("pi pulse must be unitary")
     square = pm @ pm
     phase = np.trace(square) / pm.shape[0]
@@ -197,6 +196,8 @@ def transformer_reach(
     ]
     rhs = _vectorize(tm) / norm_t
     design = np.column_stack(columns)
+    import scipy.optimize  # deferred: slow to import, and only this function needs it
+
     weights, residual = scipy.optimize.nnls(design, rhs)
     total = float(weights.sum())
     reachable = bool(residual < tol.rank and total > 0)
@@ -231,13 +232,9 @@ def transformer_generators() -> list[Operator]:
     rotation about (1,1,1)/sqrt(3) that cyclically permutes the Pauli
     matrices.
     """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    sx, sy, sz = SIGMA["X"], SIGMA["Y"], SIGMA["Z"]
     axis = (sx + sy + sz) / np.sqrt(3)
-    evals, vecs = np.linalg.eigh(axis / 2)
-    rot = (vecs * np.exp(-1j * evals * 2 * np.pi / 3)) @ vecs.conj().T
-    return [Operator(1j * sx), Operator(1j * sy), Operator(1j * sz), Operator(rot)]
+    return [Operator(1j * sx), Operator(1j * sy), Operator(1j * sz), expm(axis / 2, 2 * np.pi / 3)]
 
 
 def centralizer_consistency(group: DecouplingSet, h: MatrixLike, tol: Tolerances = DEFAULT_TOL):

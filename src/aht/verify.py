@@ -40,7 +40,7 @@ from .operators import (
     random_hermitian,
     random_traceless_hermitian,
 )
-from .universality import lie_closure, transformer_generators, generate_group, transformer_reach
+from .universality import lie_closure, transformer_reach
 
 __all__ = ["VerificationCheck", "run_suite", "format_report"]
 
@@ -162,7 +162,7 @@ def _universality(rng: np.random.Generator) -> VerificationCheck:
     h_l = ns3_logical_hamiltonian(0.0, rng.uniform(0.5, 1.5), rng.uniform(-1.5, -0.5), rng.uniform(0.2, 1.0))
     projected = project_group(h_l, groups["cp_x"])
     dim = lie_closure([1j * h_l.matrix, 1j * projected.matrix]).dimension
-    transformer = generate_group([t.matrix for t in transformer_generators()], max_order=48)
+    transformer = groups["transformer24"]
     reached = 0
     for _ in range(50):
         a = random_traceless_hermitian(1, rng, norm=1.0)

@@ -6,7 +6,10 @@ from aht.codes import build_code
 from aht.config import ValidationError
 from aht.decoupling import named_sequence
 from aht.noise import (
+    SCENARIO_NAMES,
     NoiseScenario,
+    _build_grid,
+    _channel_noise,
     build_scenario,
     ensemble_coherence,
     final_error,
@@ -92,8 +95,6 @@ class TestPropagation:
 
     def test_trajectory_propagator_is_unitary(self):
         sc = slow_only_scenario(pulses=True, ensemble_size=1)
-        from aht.noise import _build_grid  # test hook: sample the exact grid
-
         grid = _build_grid(sc)
         rng = np.random.default_rng(0)
         noise = rng.normal(0, 0.3, size=(len(sc.channels), grid.durations.shape[0]))
@@ -104,6 +105,26 @@ class TestPropagation:
         sc = slow_only_scenario()
         with pytest.raises(ValidationError):
             propagate_trajectory(sc, noise_values=np.zeros((1, 3)))
+        with pytest.raises(ValidationError):
+            trajectory_propagator(sc, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("name", ["hybrid_dephasing", "encoded_spin_boson"])
+    def test_propagator_matches_state_propagation(self, name):
+        # diagonal path (hybrid_dephasing) and eigh path (encoded_spin_boson)
+        sc = build_scenario(name, repetitions=2, ensemble_size=1, seed=3)
+        steps = _build_grid(sc).durations.shape[0]
+        noise = np.random.default_rng(1).normal(0, 0.5, size=(len(sc.channels), steps))
+        u = trajectory_propagator(sc, noise)
+        final = propagate_trajectory(sc, noise_values=noise).final_state
+        assert np.max(np.abs(u.matrix @ sc.initial_state - final)) < 1e-12
+
+    def test_single_trajectory_draws_its_own_stream(self):
+        # trajectory k's noise is row k of the ensemble's, bit for bit
+        sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=5, seed=4)
+        grid = _build_grid(sc)
+        ensemble = _channel_noise(sc, grid, range(5))
+        for k in (0, 3):
+            assert np.array_equal(_channel_noise(sc, grid, [k]), ensemble[:, k : k + 1])
 
 
 class TestEnsemble:
@@ -158,10 +179,85 @@ class TestEnsemble:
         assert len(lines) == 2 + len(curve.times)
 
 
+#: ``describe()`` of every library scenario at its defaults, as recorded
+#: before the four scenario constructors were merged into one.
+LIBRARY_DEFAULTS = {
+    "hybrid_dephasing": {
+        "name": "hybrid_dephasing", "seed": 2024, "ensemble_size": 500, "total_time": 16.0,
+        "repetitions": 16, "schedule": "cp_x", "cycle_time": 1.0, "code": "dfs2",
+        "channels": [
+            {"kind": "collective_fast", "amplitude": 1.0, "correlation_time": 0.05, "coupling": "S_z"},
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*ZI"},
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*IZ"},
+        ],
+        "encoded": True,
+    },
+    "encoded_spin_boson": {
+        "name": "encoded_spin_boson", "seed": 2024, "ensemble_size": 500, "total_time": 16.0,
+        "repetitions": 16, "schedule": "cp_x", "cycle_time": 1.0, "code": "dfs2",
+        "channels": [
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*ZI"},
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*IZ"},
+        ],
+    },
+    "encoded_depolarizing": {
+        "name": "encoded_depolarizing", "seed": 2024, "ensemble_size": 500, "total_time": 16.0,
+        "repetitions": 16, "schedule": "gmax_cycle", "cycle_time": 1.0, "code": "dfs2",
+        "channels": [
+            {"kind": "logical", "amplitude": 0.1, "correlation_time": 20.0, "coupling": None},
+            {"kind": "logical", "amplitude": 0.1, "correlation_time": 20.0, "coupling": None},
+        ],
+    },
+    "four_qubit_blockwise": {
+        "name": "four_qubit_blockwise", "seed": 2024, "ensemble_size": 500, "total_time": 16.0,
+        "repetitions": 16, "schedule": "cp_x", "cycle_time": 1.0, "code": "dfs2x2",
+        "channels": [
+            {"kind": "collective_fast", "amplitude": 1.0, "correlation_time": 0.05, "coupling": "S_z(1,2)"},
+            {"kind": "collective_fast", "amplitude": 1.0, "correlation_time": 0.05, "coupling": "S_z(3,4)"},
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*ZIII"},
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*IZII"},
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*IIZI"},
+            {"kind": "independent_slow", "amplitude": 0.1, "correlation_time": 20.0, "coupling": "1*IIIZ"},
+        ],
+        "omegas": (1.0, 0.7, 0.4, 0.2),
+    },
+}
+
+
 class TestScenarioLibrary:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             build_scenario("telegraph")
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_describe_at_defaults(self, name):
+        assert build_scenario(name).describe() == LIBRARY_DEFAULTS[name]
+
+    @pytest.mark.parametrize(
+        "name,foreign",
+        [
+            ("hybrid_dephasing", "delta_omega"),
+            ("encoded_spin_boson", "fast_amplitude"),
+            ("encoded_depolarizing", "encoded"),
+            ("four_qubit_blockwise", "omega1"),
+        ],
+    )
+    def test_unknown_knobs_rejected(self, name, foreign):
+        # a misspelt shared knob, and a knob that only another scenario reads
+        for knob in ("slow_amplitud", foreign):
+            with pytest.raises(ValidationError, match=knob):
+                build_scenario(name, **{knob: 0.3})
+
+    def test_accepted_knobs_echoed(self):
+        sc = build_scenario("encoded_spin_boson", slow_amplitude=0.2, j_drift=1, tau_slow=5.0)
+        assert sc.params == {"slow_amplitude": 0.2, "j_drift": 1}
+        sc = build_scenario("four_qubit_blockwise", omegas=[1.0, 0.5, 0.25, 0.0])
+        assert sc.params == {"omegas": (1.0, 0.5, 0.25, 0.0)}
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_empty_ensemble(self, size):
+        with pytest.raises(ValidationError, match="ensemble_size"):
+            build_scenario("hybrid_dephasing", ensemble_size=size)
 
     def test_schedule_total_time_consistency_enforced(self):
         code = build_code("dfs2")

@@ -1,10 +1,15 @@
 """Operator-algebra primitives: frozen examples and algebraic properties."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aht.config import BranchCutError, ValidationError
+import aht
+from aht.config import BranchCutError, Tolerances, ValidationError
 from aht.operators import (
     Operator,
     PauliString,
@@ -92,6 +97,13 @@ class TestConjugate:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             conjugate(Z, 2 * np.eye(2))
+
+    def test_unitarity_threshold_read_from_tol(self):
+        # ||U U^dag - 1||_max = 2e-11: inside the default equality (1e-10)
+        near = (1 + 1e-11) * expm(X, 0.3).matrix
+        assert np.allclose(conjugate(Z, near).matrix, conjugate(Z, expm(X, 0.3)).matrix)
+        with pytest.raises(ValidationError):
+            conjugate(Z, near, Tolerances(equality=1e-12))
 
     def test_preserves_spectrum(self):
         rng = np.random.default_rng(5)
@@ -213,3 +225,20 @@ class TestDecomposition:
     def test_collective_and_single(self):
         assert np.allclose(collective("X", 2).matrix, np.kron(X, I2) + np.kron(I2, X))
         assert np.allclose(single_qubit("Y", 2, 2).matrix, np.kron(I2, Y))
+
+
+class TestImport:
+    def test_import_leaves_scipy_linalg_and_optimize_unloaded(self):
+        # scipy.linalg and scipy.optimize are imported inside the two
+        # functions that use them; together they dominate start-up time.
+        # aht.cli pulls in every module of the package.
+        src = str(Path(aht.__file__).resolve().parent.parent)
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import aht.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True,
+            timeout=120,
+        ).stdout
+        assert out.strip() == "[]"

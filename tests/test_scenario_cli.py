@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from aht.cli import list_builtins, run
+from aht.cli import list_builtins, main, run
 from aht.config import ValidationError
 from aht.operators import SIGMA, exchange
 from aht.scenario import Scenario, parse_hamiltonian, parse_term
@@ -173,6 +173,26 @@ class TestRunCommand:
         assert run(str(tmp_path / "missing.json")) == 2
         err = capsys.readouterr().err
         assert all(line.startswith("error:") for line in err.strip().splitlines())
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"ensemble_size": 0}, {"ensemble_size": -3}, {"slow_amplitud": 0.3}],
+    )
+    def test_bad_noise_knobs_exit_2(self, tmp_path, capsys, knobs):
+        path = write_scenario(tmp_path, {
+            "kind": "noise", "output": {"format": "csv"},
+            "noise": {"name": "hybrid_dephasing", "repetitions": 2, **knobs},
+        })
+        assert run(path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_verify_empty_ensemble_exits_2(self, capsys):
+        assert main(["verify", "--ensemble", "0"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_branch_cut_exits_3(self, tmp_path, capsys):
         # a full pi rotation puts the cycle eigenphases exactly on the cut
