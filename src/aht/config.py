@@ -1,4 +1,5 @@
-"""Numerical tolerances and error types shared across the package.
+"""Numerical tolerances, error types and input-value checks shared across
+the package.
 
 All comparisons in the library go through a single tolerance record so
 that the meaning of "equal", "unitary" or "Hermitian" is consistent
@@ -6,6 +7,7 @@ everywhere and can be tightened or relaxed in one place.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -52,3 +54,29 @@ class ToleranceError(ArithmeticError):
 
 class BranchCutError(ToleranceError):
     """A unitary eigenphase sits too close to +/- pi for an unambiguous log."""
+
+
+# Scalar input checks for values read from scenario files: each returns the
+# value as a Python scalar or raises ValidationError naming the field.
+
+def _integer(name: str, value) -> int:
+    """A number with no fractional part (not a boolean), as an int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """A real number (not a boolean), as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _boolean(name: str, value) -> bool:
+    """``True`` or ``False`` and nothing else."""
+    if isinstance(value, bool):
+        return value
+    raise ValidationError(f"{name} must be true or false, got {value!r}")

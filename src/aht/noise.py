@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .codes import Code, build_code
-from .config import DEFAULT_TOL, Tolerances, ValidationError
+from .config import DEFAULT_TOL, Tolerances, ValidationError, _boolean, _integer, _real
 from .decoupling import DecouplingScheme, named_sequence
 from .operators import Operator, _unitarity_defect, single_qubit
 
@@ -47,18 +47,32 @@ __all__ = [
     "final_error",
 ]
 
+
+def _omegas(name: str, value) -> tuple:
+    """Four Zeeman frequencies, echoed as given."""
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise ValidationError(f"{name} must be a list of 4 numbers, got {value!r}")
+    for w in value:
+        _real(f"{name} entry", w)
+    return tuple(value)
+
+
 #: Knobs each library scenario reads on top of ``_SHARED_KNOBS`` (see
-#: :func:`build_scenario`); any other knob is rejected.
+#: :func:`build_scenario`), each with the check that reads its value; any
+#: other knob is rejected.
 _SCENARIO_KNOBS = {
-    "hybrid_dephasing": ("encoded", "fast_amplitude", "slow_amplitude", "omega1", "omega2"),
-    "encoded_spin_boson": ("delta_omega", "j_drift", "slow_amplitude"),
-    "encoded_depolarizing": ("slow_amplitude",),
-    "four_qubit_blockwise": ("fast_amplitude", "slow_amplitude", "omegas"),
+    "hybrid_dephasing": {
+        "encoded": _boolean, "fast_amplitude": _real, "slow_amplitude": _real,
+        "omega1": _real, "omega2": _real,
+    },
+    "encoded_spin_boson": {"delta_omega": _real, "j_drift": _real, "slow_amplitude": _real},
+    "encoded_depolarizing": {"slow_amplitude": _real},
+    "four_qubit_blockwise": {"fast_amplitude": _real, "slow_amplitude": _real, "omegas": _omegas},
 }
-_SHARED_KNOBS = (
-    "cycle_time", "repetitions", "ensemble_size", "seed", "pulses", "max_step", "tau_fast",
-    "tau_slow",
-)
+_SHARED_KNOBS = {
+    "cycle_time": _real, "repetitions": _integer, "ensemble_size": _integer, "seed": _integer,
+    "pulses": _boolean, "max_step": _real, "tau_fast": _real, "tau_slow": _real,
+}
 SCENARIO_NAMES = tuple(_SCENARIO_KNOBS)
 
 CHANNEL_KINDS = ("collective_fast", "independent_slow", "logical")
@@ -371,7 +385,8 @@ def propagate_trajectory(
 def trajectory_propagator(
     scenario: NoiseScenario, noise_values: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> Operator:
-    """Exact propagator of one noise realization (pulses included)."""
+    """Exact propagator of one noise realization (pulses included), checked
+    to be unitary to within ``tol.equality``."""
     grid = _build_grid(scenario)
     noise = _explicit_noise(scenario, grid, noise_values)
     dim = scenario.h_system.dim
@@ -380,7 +395,7 @@ def trajectory_propagator(
     # rows holds the image of each basis vector; columns of U are those images
     u = rows[-1].T
     defect = _unitarity_defect(u)
-    if defect > 1e-10:
+    if defect > tol.equality:
         raise ValidationError(f"trajectory propagator lost unitarity ({defect:.2e})")
     return Operator(u)
 
@@ -459,6 +474,12 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     any other knob raises :class:`ValidationError`.  The scenario's own
     knobs are echoed in ``params`` (and so in ``describe()``).
 
+    Values are type-checked, also raising :class:`ValidationError`:
+    ``repetitions``, ``ensemble_size`` and ``seed`` take whole numbers,
+    ``pulses`` and ``encoded`` take booleans, ``omegas`` takes four
+    numbers and every other knob takes a number.  Booleans and ``None``
+    are not numbers.
+
     ``hybrid_dephasing`` (``encoded``, ``fast_amplitude``,
     ``slow_amplitude``, ``omega1``, ``omega2``)
         Two physical qubits with fast collective plus slow independent
@@ -481,24 +502,27 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     """
     if name not in SCENARIO_NAMES:
         raise ValidationError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    known = _SHARED_KNOBS + _SCENARIO_KNOBS[name]
+    known = {**_SHARED_KNOBS, **_SCENARIO_KNOBS[name]}
     unknown = sorted(set(params) - set(known))
     if unknown:
         raise ValidationError(
             f"unknown knobs {unknown} for scenario {name!r}; known: {', '.join(known)}"
         )
-    p = dict(params)
-    cycle_time = float(p.pop("cycle_time", 1.0))
-    repetitions = int(p.pop("repetitions", 16))
-    ensemble_size = int(p.pop("ensemble_size", 500))
-    seed = int(p.pop("seed", 2024))
-    use_pulses = bool(p.pop("pulses", True))
-    max_step = p.pop("max_step", None)
-    max_step = float(max_step) if max_step is not None else None
-    tau_fast = float(p.pop("tau_fast", 0.05 * cycle_time))
-    tau_slow = float(p.pop("tau_slow", 20.0 * cycle_time))
-    fast_amp = float(p.get("fast_amplitude", 1.0))
-    slow_amp = float(p.get("slow_amplitude", 0.1))
+
+    def knob(key: str, default):
+        return known[key](key, params.get(key, default))
+
+    # shared knobs are consumed here; the scenario's own knobs echo in params
+    p = {k: v for k, v in params.items() if k not in _SHARED_KNOBS}
+    cycle_time = knob("cycle_time", 1.0)
+    repetitions = knob("repetitions", 16)
+    ensemble_size = knob("ensemble_size", 500)
+    seed = knob("seed", 2024)
+    use_pulses = knob("pulses", True)
+    max_step = knob("max_step", None) if "max_step" in params else None
+    tau_fast = knob("tau_fast", 0.05 * cycle_time)
+    tau_slow = knob("tau_slow", 20.0 * cycle_time)
+    slow_amp = knob("slow_amplitude", 0.1)
 
     def slow_channels(n: int) -> list[DephasingChannel]:
         return [
@@ -510,24 +534,24 @@ def build_scenario(name: str, **params) -> NoiseScenario:
         s_z = Operator(
             single_qubit("Z", a, n).matrix + single_qubit("Z", b, n).matrix, label=label
         )
-        return DephasingChannel(s_z, tau_fast, fast_amp, "collective_fast")
+        return DephasingChannel(s_z, tau_fast, knob("fast_amplitude", 1.0), "collective_fast")
 
     encoded, sequence = True, "cp_x"
     code = build_code("dfs2x2" if name == "four_qubit_blockwise" else "dfs2")
     initial, observable = code.plus_state(), code.observable("x")
     if name == "hybrid_dephasing":
-        encoded = p["encoded"] = bool(p.get("encoded", True))
-        h = _two_qubit_zeeman(float(p.get("omega1", 1.0)), float(p.get("omega2", 0.6)))
+        encoded = p["encoded"] = knob("encoded", True)
+        h = _two_qubit_zeeman(knob("omega1", 1.0), knob("omega2", 0.6))
         channels = [pair_collective(1, 2, 2, "S_z"), *slow_channels(2)]
         if not encoded:
             plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
             initial = np.kron(plus, np.array([1, 0], dtype=complex))
             observable = single_qubit("X", 1, 2)
     elif name == "encoded_spin_boson":
-        delta_omega = float(p.get("delta_omega", 0.5))
+        delta_omega = knob("delta_omega", 0.5)
         h = Operator(
             _two_qubit_zeeman(delta_omega, -delta_omega).matrix
-            + float(p.get("j_drift", 0.25)) * observable.matrix
+            + knob("j_drift", 0.25) * observable.matrix
         )
         channels = slow_channels(2)
     elif name == "encoded_depolarizing":
@@ -538,7 +562,7 @@ def build_scenario(name: str, **params) -> NoiseScenario:
         ]
         sequence = "gmax_cycle"
     else:  # four_qubit_blockwise
-        omegas = p["omegas"] = tuple(p.get("omegas", (1.0, 0.7, 0.4, 0.2)))
+        omegas = p["omegas"] = knob("omegas", (1.0, 0.7, 0.4, 0.2))
         h = Operator(
             sum(0.5 * w * single_qubit("Z", q, 4).matrix for q, w in enumerate(omegas, start=1))
         )

@@ -137,7 +137,8 @@ class Operator:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol.hermiticity)
 
     def is_unitary(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return _unitarity_defect(self.matrix) <= max(tol.unitarity, 1e-10)
+        """``||U U^dag - 1||_max <= tol.equality``, looser than ``unitary=True``'s check."""
+        return _unitarity_defect(self.matrix) <= tol.equality
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: MatrixLike) -> "Operator":
@@ -276,9 +277,10 @@ def expm(h: MatrixLike, t: float, tol: Tolerances = DEFAULT_TOL) -> Operator:
     """Unitary ``exp(-i H t)`` of a Hermitian generator.
 
     Uses an eigendecomposition, so the result is unitary to rounding.
+    ``h`` must be Hermitian to within ``tol.equality``.
     """
     hm = mat(h)
-    if np.max(np.abs(hm - hm.conj().T)) > max(tol.hermiticity, 1e-10):
+    if np.max(np.abs(hm - hm.conj().T)) > tol.equality:
         raise ValidationError("expm generator must be Hermitian")
     evals, vecs = np.linalg.eigh(hm)
     return Operator((vecs * np.exp(-1j * evals * t)) @ vecs.conj().T)
@@ -290,7 +292,8 @@ def logm_effective(u: MatrixLike, t_total: float, tol: Tolerances = DEFAULT_TOL)
     Eigenphases are taken in ``(-pi, pi]``; an eigenphase within
     ``tol.branch_cut`` of the cut raises :class:`BranchCutError` instead
     of silently picking a branch, since the effective Hamiltonian is
-    only defined modulo ``2 pi / T``.
+    only defined modulo ``2 pi / T``.  ``u`` must be unitary to within
+    ``tol.equality``.
     """
     import scipy.linalg  # deferred: slow to import, and only this function needs it
 
@@ -298,7 +301,7 @@ def logm_effective(u: MatrixLike, t_total: float, tol: Tolerances = DEFAULT_TOL)
     if t_total <= 0:
         raise ValidationError("logm_effective needs T > 0")
     defect = _unitarity_defect(um)
-    if defect > 1e-10:
+    if defect > tol.equality:
         raise ValidationError(f"logm_effective input is not unitary (defect {defect:.2e})")
     # Schur of a normal matrix is diagonal and comes with an orthonormal frame.
     triangular, frame = scipy.linalg.schur(um, output="complex")

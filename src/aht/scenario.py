@@ -28,7 +28,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .codes import CODE_NAMES, build_code, nmr_hamiltonian, weak_coupling_truncation
-from .config import ValidationError
+from .config import ValidationError, _integer, _real
 from .decoupling import SEQUENCE_NAMES, DecouplingScheme, named_sequence
 from .operators import Operator, PauliString, expm, pauli_sum
 
@@ -103,6 +103,27 @@ def parse_hamiltonian(spec: Mapping[str, Any], n_qubits: int) -> Operator:
     return pauli_sum(terms, n=n_qubits)
 
 
+#: Largest register a scenario may name; dense operators have side ``2**n``.
+_MAX_QUBITS = 5
+
+#: JSON types of the optional scenario fields (``None`` means absent).
+_OPTIONAL_FIELD_TYPES = {
+    "hamiltonian": Mapping,
+    "code": str,
+    "sequence": (str, Mapping),
+    "sweep": (list, tuple),
+    "generators": (list, tuple),
+    "target": str,
+    "noise": Mapping,
+    "output": Mapping,
+}
+
+
+def _positive(name: str, value) -> None:
+    if not _real(name, value) > 0:
+        raise ValidationError(f"{name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One validated scenario file."""
@@ -123,6 +144,18 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}; known: {', '.join(KINDS)}")
+        for key, types in _OPTIONAL_FIELD_TYPES.items():
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, types):
+                raise ValidationError(f"scenario field {key!r} has the wrong type: {value!r}")
+        n_qubits = _integer("n_qubits", self.n_qubits)
+        if not 1 <= n_qubits <= _MAX_QUBITS:
+            raise ValidationError(f"n_qubits must be in 1..{_MAX_QUBITS}, got {n_qubits}")
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        _positive("cycle_time", self.cycle_time)
+        for tc in self.sweep or ():
+            _positive("sweep entry", tc)
         if self.code is not None and self.code not in CODE_NAMES:
             raise ValidationError(f"unknown code {self.code!r}")
         if self.output is not None:

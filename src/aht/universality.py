@@ -73,6 +73,7 @@ def lie_closure(
     counts as a new direction when its Gram-Schmidt residual exceeds
     ``tol.rank``.  The result is independent of generator order and
     invariant under simultaneous unitary conjugation of all generators.
+    Generators must be anti-Hermitian to within ``tol.equality``.
     """
     mats = [mat(g) for g in generators]
     if not mats:
@@ -81,7 +82,7 @@ def lie_closure(
     for g in mats:
         if g.shape != (dim, dim):
             raise ValidationError("generators must share a dimension")
-        if np.max(np.abs(g + g.conj().T)) > 1e-10:
+        if np.max(np.abs(g + g.conj().T)) > tol.equality:
             raise ValidationError("lie_closure expects anti-Hermitian generators (apply i first)")
 
     scale = np.sqrt(dim)  # so unit vectors have Tr(A^dag A)/dim = 1

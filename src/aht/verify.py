@@ -52,7 +52,11 @@ class VerificationCheck:
     detail: str
 
 
-def _projector_laws(rng: np.random.Generator) -> VerificationCheck:
+_Outcome = tuple[bool, str]
+_Check = Callable[[np.random.Generator, int, int], _Outcome]
+
+
+def _projector_laws(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     groups = builtin_groups()
     per_group = -(-200 // len(groups))  # ceil: at least 200 draws overall
     worst_idem = 0.0
@@ -67,22 +71,18 @@ def _projector_laws(rng: np.random.Generator) -> VerificationCheck:
             for u in g.frames:
                 worst_comm = max(worst_comm, float(np.max(np.abs(commutator(p, u).matrix))))
     ok = worst_idem < 1e-10 and worst_comm < 1e-10
-    return VerificationCheck(
-        "projector_laws",
-        ok,
-        f"idempotence {worst_idem:.2e}, commutant {worst_comm:.2e} over {len(groups)} groups",
-    )
+    return ok, f"idempotence {worst_idem:.2e}, commutant {worst_comm:.2e} over {len(groups)} groups"
 
 
-def _whh4_averaging(rng: np.random.Generator) -> VerificationCheck:
+def _whh4_averaging(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     scheme = named_sequence("whh4", n_qubits=2)
     dipolar = 3 * PauliString.from_word("ZZ", [1, 2], 2).to_operator().matrix - exchange(1, 2, 2).matrix
     avg = average_zeroth(dipolar, frames_from_scheme(scheme))
     resid = float(np.max(np.abs(avg.matrix)))
-    return VerificationCheck("whh4_averaging", resid < 1e-10, f"residual {resid:.2e}")
+    return resid < 1e-10, f"residual {resid:.2e}"
 
 
-def _magnus_orders(rng: np.random.Generator) -> VerificationCheck:
+def _magnus_orders(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     h = random_hermitian(2, rng, norm=1.0)
     tc = 0.05
     rows = []
@@ -97,10 +97,10 @@ def _magnus_orders(rng: np.random.Generator) -> VerificationCheck:
         rows.append((ratio, lo <= ratio <= hi))
     ok = all(r[1] for r in rows)
     detail = ", ".join(f"{r[0]:.2f}" for r in rows) + " (asym, sym, asym+1st)"
-    return VerificationCheck("magnus_orders", ok, detail)
+    return ok, detail
 
 
-def _ns_identity(rng: np.random.Generator) -> VerificationCheck:
+def _ns_identity(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     code = build_code("ns3")
     worst = 0.0
     for _ in range(100):
@@ -111,10 +111,10 @@ def _ns_identity(rng: np.random.Generator) -> VerificationCheck:
     sym = logical_action(ns3_hamiltonian(1.3, 0.7, 0.7, 0.7), code)
     sym_norm = float(np.max(np.abs(sym.logical_part.matrix)))
     ok = worst < 1e-10 and sym_norm < 1e-10
-    return VerificationCheck("ns_identity", ok, f"max dev {worst:.2e}, symmetric {sym_norm:.2e}")
+    return ok, f"max dev {worst:.2e}, symmetric {sym_norm:.2e}"
 
 
-def _dfs_identity(rng: np.random.Generator) -> VerificationCheck:
+def _dfs_identity(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     code = build_code("dfs2x2")
     species = ("H", "H", "C", "C")
     pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -128,10 +128,10 @@ def _dfs_identity(rng: np.random.Generator) -> VerificationCheck:
         worst = max(worst, float(np.max(np.abs(brute.logical_part.matrix - closed.matrix))))
     _, coeffs = dfs2x2_logical_hamiltonian([0, 0, 0, 0], {(1, 3): 1.0})
     ok = worst < 1e-10 and coeffs.d == 0.25
-    return VerificationCheck("dfs_identity", ok, f"max dev {worst:.2e}, J13-only d={coeffs.d}")
+    return ok, f"max dev {worst:.2e}, J13-only d={coeffs.d}"
 
 
-def _sequence_selectivity(rng: np.random.Generator) -> VerificationCheck:
+def _sequence_selectivity(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     code = build_code("dfs2x2")
     h, _ = dfs2x2_logical_hamiltonian([2.2, 1.3, 0.8, 0.1], {
         (1, 2): 0.9, (3, 4): 0.7, (1, 3): 0.31, (1, 4): 0.11, (2, 3): 0.05, (2, 4): 0.17,
@@ -145,19 +145,17 @@ def _sequence_selectivity(rng: np.random.Generator) -> VerificationCheck:
         results.append((name, stray, kept))
     ok = all(s < 1e-10 and k > 1e-3 for _, s, k in results)
     detail = ", ".join(f"{n}: stray {s:.1e}" for n, s, _ in results)
-    return VerificationCheck("sequence_selectivity", ok, detail)
+    return ok, detail
 
 
-def _pulse_correspondence(rng: np.random.Generator) -> VerificationCheck:
+def _pulse_correspondence(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     checks = verify_pulse_correspondence(build_code("dfs2x2"))
     worst = min(c.fidelity for c in checks)
     ok = all(c.passed for c in checks)
-    return VerificationCheck(
-        "pulse_correspondence", ok, f"{sum(c.passed for c in checks)}/{len(checks)} pairs, min fidelity 1-{1-worst:.1e}"
-    )
+    return ok, f"{sum(c.passed for c in checks)}/{len(checks)} pairs, min fidelity 1-{1-worst:.1e}"
 
 
-def _universality(rng: np.random.Generator) -> VerificationCheck:
+def _universality(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     groups = builtin_groups()
     h_l = ns3_logical_hamiltonian(0.0, rng.uniform(0.5, 1.5), rng.uniform(-1.5, -0.5), rng.uniform(0.2, 1.0))
     projected = project_group(h_l, groups["cp_x"])
@@ -170,12 +168,10 @@ def _universality(rng: np.random.Generator) -> VerificationCheck:
         r = transformer_reach(transformer, a, t)
         reached += int(r.reachable and r.residual < 1e-8)
     ok = dim == 3 and reached == 50
-    return VerificationCheck(
-        "universality", ok, f"ns3 pair closure dim {dim}, transformer {reached}/50, |G|={len(transformer.frames)}"
-    )
+    return ok, f"ns3 pair closure dim {dim}, transformer {reached}/50, |G|={len(transformer.frames)}"
 
 
-def _noise_suppression(rng: np.random.Generator, seed: int, ensemble: int) -> VerificationCheck:
+def _noise_suppression(rng: np.random.Generator, seed: int, ensemble: int) -> _Outcome:
     # (a) exact collective invariance of the dfs2 code, per trajectory
     invariant = build_scenario(
         "hybrid_dephasing", encoded=True, fast_amplitude=1.0, slow_amplitude=0.0,
@@ -210,28 +206,34 @@ def _noise_suppression(rng: np.random.Generator, seed: int, ensemble: int) -> Ve
         f"invariance dev {max_dev:.1e}, suppression ratio {ratio:.2f}, "
         f"hybrid eps enc {eps_enc:.3f} < phys {eps_phys:.3f}"
     )
-    return VerificationCheck("noise_suppression", ok, detail)
+    return ok, detail
+
+
+#: Every check of the suite, in report order.  A check maps its own generator
+#: (see :func:`_run_check`), the suite seed and the noise ensemble size to
+#: ``(passed, detail)``.
+_CHECKS: tuple[tuple[str, _Check], ...] = (
+    ("projector_laws", _projector_laws),
+    ("whh4_averaging", _whh4_averaging),
+    ("magnus_orders", _magnus_orders),
+    ("ns_identity", _ns_identity),
+    ("dfs_identity", _dfs_identity),
+    ("sequence_selectivity", _sequence_selectivity),
+    ("pulse_correspondence", _pulse_correspondence),
+    ("universality", _universality),
+    ("noise_suppression", _noise_suppression),
+)
+
+
+def _run_check(name: str, fn: _Check, seed: int, ensemble: int) -> VerificationCheck:
+    """Run one entry of :data:`_CHECKS` on a generator seeded by ``seed`` and its name."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, hash_name(name)]))
+    return VerificationCheck(name, *fn(rng, seed, ensemble))
 
 
 def run_suite(seed: int = 2024, ensemble: int = 500) -> list[VerificationCheck]:
     """Run every identity check with randomness derived from ``seed``."""
-    checks: list[VerificationCheck] = []
-    steps: list[tuple[str, Callable[[np.random.Generator], VerificationCheck]]] = [
-        ("projector_laws", _projector_laws),
-        ("whh4_averaging", _whh4_averaging),
-        ("magnus_orders", _magnus_orders),
-        ("ns_identity", _ns_identity),
-        ("dfs_identity", _dfs_identity),
-        ("sequence_selectivity", _sequence_selectivity),
-        ("pulse_correspondence", _pulse_correspondence),
-        ("universality", _universality),
-    ]
-    for name, fn in steps:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, hash_name(name)]))
-        checks.append(fn(rng))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, hash_name("noise_suppression")]))
-    checks.append(_noise_suppression(rng, seed, ensemble))
-    return checks
+    return [_run_check(name, fn, seed, ensemble) for name, fn in _CHECKS]
 
 
 def hash_name(name: str) -> int:

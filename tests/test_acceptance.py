@@ -1,6 +1,10 @@
-"""Acceptance suite: one test per headline criterion, timed where required.
+"""Acceptance suite: one test per headline criterion, each asserting on the
+matching check of ``aht verify``.
 
-Each test prints a single PASS line once its assertions hold, so running
+The suite runs once in-process at a fixed seed (each check timed on its
+own); criteria 1-9 assert that their check passed, and criterion 10 runs
+``aht verify`` in a fresh interpreter and compares its report byte for
+byte.  Each test prints a single PASS line once its assertions hold, so
 ``pytest -s tests/test_acceptance.py`` gives a criterion-by-criterion
 report.
 """
@@ -8,233 +12,77 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from aht.codes import (
-    build_code,
-    dfs2x2_logical_hamiltonian,
-    logical_action,
-    nmr_hamiltonian,
-    ns3_hamiltonian,
-    ns3_logical_hamiltonian,
-    verify_pulse_correspondence,
-    weak_coupling_truncation,
-)
-from aht.decoupling import (
-    average_zeroth,
-    builtin_groups,
-    effective_defect,
-    frames_from_scheme,
-    named_sequence,
-    project_group,
-)
-from aht.noise import build_scenario, ensemble_coherence, final_error, propagate_trajectory
-from aht.operators import (
-    PauliString,
-    commutator,
-    exchange,
-    pauli_decompose,
-    pauli_sum,
-    random_hermitian,
-    random_traceless_hermitian,
-)
-from aht.universality import generate_group, lie_closure, transformer_generators, transformer_reach
+from aht import verify
+
+SEED = 11
+ENSEMBLE = 500  # the aht verify default
 
 
-def report(number: int, text: str):
-    print(f"PASS criterion {number}: {text}")
+@pytest.fixture(scope="module")
+def suite():
+    """``{name: (check, seconds)}`` for one in-process suite run."""
+    results = {}
+    for name, fn in verify._CHECKS:
+        start = time.perf_counter()
+        check = verify._run_check(name, fn, SEED, ENSEMBLE)
+        results[name] = check, time.perf_counter() - start
+    return results
 
 
-def test_criterion_1_projector_laws():
-    start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    groups = builtin_groups()
-    per_group = -(-200 // len(groups))
-    draws = 0
-    for name, group in groups.items():
-        n_qubits = group.dim.bit_length() - 1
-        for _ in range(per_group):
-            draws += 1
-            h = random_hermitian(n_qubits, rng)
-            p = project_group(h, group)
-            assert np.max(np.abs(project_group(p, group).matrix - p.matrix)) < 1e-10, name
-            for u in group.frames:
-                assert np.max(np.abs(commutator(p, u).matrix)) < 1e-10, name
-    elapsed = time.perf_counter() - start
-    assert draws >= 200
-    assert elapsed < 5.0
-    report(1, f"idempotence and commutant laws on {draws} draws across {len(groups)} groups in {elapsed:.1f}s")
+def assert_criterion(suite, number, name, max_seconds=None):
+    check, seconds = suite[name]
+    assert check.passed, check.detail
+    if max_seconds is not None:
+        assert seconds < max_seconds
+    print(f"PASS criterion {number}: {check.detail}")
 
 
-def test_criterion_2_whh4_averaging():
-    dipolar = 3 * PauliString(2, "ZZ").to_operator().matrix - exchange(1, 2, 2).matrix
-    avg = average_zeroth(dipolar, frames_from_scheme(named_sequence("whh4", n_qubits=2)))
-    resid = float(np.max(np.abs(avg.matrix)))
-    assert resid < 1e-10
-    report(2, f"whh4 zeroth-order average annihilates the dipolar pair (residual {resid:.1e})")
+def test_criterion_1_projector_laws(suite):
+    assert_criterion(suite, 1, "projector_laws", max_seconds=5.0)
 
 
-def test_criterion_3_magnus_order_scaling():
-    start = time.perf_counter()
-    rng = np.random.default_rng(303)
-    h = random_hermitian(2, rng, norm=1.0)
-    tc = 0.05
-
-    def ratio(name, corrected):
-        d1 = effective_defect(h, named_sequence(name, n_qubits=2, cycle_time=tc), corrected)
-        d2 = effective_defect(h, named_sequence(name, n_qubits=2, cycle_time=tc / 2), corrected)
-        return d1 / d2
-
-    asym = ratio("cp_x", False)
-    sym = ratio("cp_x_symmetric", False)
-    corrected = ratio("cp_x", True)
-    assert 1.7 <= asym <= 2.3
-    assert 3.4 <= sym <= 4.6
-    assert 3.4 <= corrected <= 4.6  # first-order term buys exactly one order
-    elapsed = time.perf_counter() - start
-    assert elapsed < 10.0
-    report(3, f"defect ratios asym {asym:.2f}, symmetric {sym:.2f}, corrected {corrected:.2f} in {elapsed:.1f}s")
+def test_criterion_2_whh4_averaging(suite):
+    assert_criterion(suite, 2, "whh4_averaging")
 
 
-def test_criterion_4_ns_identity():
-    rng = np.random.default_rng(404)
-    code = build_code("ns3")
-    worst = 0.0
-    for _ in range(100):
-        omega, j12, j23, j31 = rng.uniform(-2, 2, size=4)
-        brute = logical_action(ns3_hamiltonian(omega, j12, j23, j31), code)
-        closed = ns3_logical_hamiltonian(omega, j12, j23, j31)
-        worst = max(worst, float(np.max(np.abs(brute.logical_part.matrix - closed.matrix))))
-    assert worst < 1e-10
-    # fully symmetric couplings: the closed form is identically zero and the
-    # brute-force restriction vanishes at the working tolerance
-    assert np.max(np.abs(ns3_logical_hamiltonian(1.9, 0.8, 0.8, 0.8).matrix)) == 0.0
-    symmetric = logical_action(ns3_hamiltonian(1.9, 0.8, 0.8, 0.8), code)
-    assert np.max(np.abs(symmetric.logical_part.matrix)) < 1e-10
-    report(4, f"closed form matches brute-force restriction on 100 draws (max dev {worst:.1e})")
+def test_criterion_3_magnus_order_scaling(suite):
+    assert_criterion(suite, 3, "magnus_orders", max_seconds=10.0)
 
 
-def test_criterion_5_dfs_identity():
-    rng = np.random.default_rng(505)
-    code = build_code("dfs2x2")
-    species = ("H", "H", "C", "C")
-    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    worst = 0.0
-    for _ in range(100):
-        nu = rng.uniform(-3, 3, size=4)
-        j = {p: rng.uniform(-2, 2) for p in pairs}
-        physical = pauli_sum(weak_coupling_truncation(nmr_hamiltonian(nu, j), species), 4)
-        closed, _ = dfs2x2_logical_hamiltonian(nu, j)
-        brute = logical_action(physical, code)
-        worst = max(worst, float(np.max(np.abs(brute.logical_part.matrix - closed.matrix))))
-    assert worst < 1e-10
-    _, coeffs = dfs2x2_logical_hamiltonian([0, 0, 0, 0], {(1, 3): 1.0})
-    assert coeffs.d == 0.25
-    report(5, f"closed form matches restriction on 100 draws (max dev {worst:.1e}), J13-only d=1/4")
+def test_criterion_4_ns_identity(suite):
+    assert_criterion(suite, 4, "ns_identity")
 
 
-def test_criterion_6_encoded_sequence_selectivity():
-    code = build_code("dfs2x2")
-    h, coeffs = dfs2x2_logical_hamiltonian(
-        (2.2, 1.3, 0.8, 0.1),
-        {(1, 2): 0.9, (3, 4): 0.7, (1, 3): 0.31, (1, 4): 0.11, (2, 3): 0.05, (2, 4): 0.17},
+def test_criterion_5_dfs_identity(suite):
+    assert_criterion(suite, 5, "dfs_identity")
+
+
+def test_criterion_6_encoded_sequence_selectivity(suite):
+    assert_criterion(suite, 6, "sequence_selectivity")
+
+
+def test_criterion_7_pulse_correspondence(suite):
+    assert_criterion(suite, 7, "pulse_correspondence")
+
+
+def test_criterion_8_universality(suite):
+    assert_criterion(suite, 8, "universality")
+
+
+def test_criterion_9_encoded_suppression(suite):
+    assert_criterion(suite, 9, "noise_suppression", max_seconds=120.0)
+
+
+def test_criterion_10_verify_reproducibility(suite):
+    proc = subprocess.run(
+        [sys.executable, "-m", "aht", "verify", "--seed", str(SEED)],
+        capture_output=True,
+        timeout=300,
     )
-    s1 = average_zeroth(h, frames_from_scheme(named_sequence("s1_selective_x1", code=code)))
-    comps = pauli_decompose(s1.matrix)
-    assert abs(comps["XI"]) > 1e-3
-    stray_s1 = max(abs(v) for k, v in comps.items() if k != "XI")
-    assert stray_s1 < 1e-10
-
-    zz = average_zeroth(h, frames_from_scheme(named_sequence("zz_extractor", code=code)))
-    comps_zz = pauli_decompose(zz.matrix)
-    assert comps_zz["ZZ"] == pytest.approx(2 * np.pi * coeffs.d, abs=1e-12)
-    stray_zz = max(abs(v) for k, v in comps_zz.items() if k != "ZZ")
-    assert stray_zz < 1e-10
-    report(6, f"s1 keeps only X1 (stray {stray_s1:.1e}), zz_extractor keeps only ZZ (stray {stray_zz:.1e})")
-
-
-def test_criterion_7_pulse_correspondence():
-    checks = verify_pulse_correspondence(build_code("dfs2x2"))
-    assert len(checks) == 6
-    for c in checks:
-        assert c.preserves_code
-        assert c.fidelity >= 1 - 1e-10
-    report(7, "all six encoded-pi pulse pairs verify at fidelity 1 - 1e-10")
-
-
-def test_criterion_8_universality():
-    groups = builtin_groups()
-    h_l = ns3_logical_hamiltonian(0.0, 1.2, 0.3, -0.4)
-    projected = project_group(h_l, groups["cp_x"])
-    dim = lie_closure([1j * h_l.matrix, 1j * projected.matrix]).dimension
-    assert dim == 3
-
-    transformer = generate_group([t.matrix for t in transformer_generators()], max_order=48)
-    assert len(transformer.frames) == 24
-    rng = np.random.default_rng(808)
-    reached = 0
-    for _ in range(50):
-        a = random_traceless_hermitian(1, rng, norm=1.0)
-        t = random_traceless_hermitian(1, rng, norm=1.0)
-        r = transformer_reach(transformer, a, t)
-        reached += int(r.reachable and r.residual < 1e-8)
-    assert reached == 50
-    report(8, f"ns3 pair closes su(2) (dim {dim}); transformer reached {reached}/50 targets")
-
-
-def test_criterion_9_encoded_suppression():
-    start = time.perf_counter()
-    seed = 909
-
-    # (a) collective-noise invariance, exact per trajectory
-    invariant = build_scenario(
-        "hybrid_dephasing", encoded=True, fast_amplitude=1.5, slow_amplitude=0.0,
-        omega1=0.8, omega2=0.8, repetitions=4, ensemble_size=8, seed=seed, pulses=False,
-    )
-    for k in range(8):
-        res = propagate_trajectory(invariant, trajectory=k)
-        assert np.array_equal(res.final_state, invariant.initial_state)
-
-    # (b) quadratic suppression of slow dephasing under encoded CP
-    common = dict(
-        encoded=True, fast_amplitude=0.0, slow_amplitude=0.3, tau_slow=20.0,
-        omega1=1.0, omega2=0.6, ensemble_size=500, seed=seed, max_step=1.0 / 40,
-    )
-    eps_coarse = final_error(ensemble_coherence(
-        build_scenario("hybrid_dephasing", cycle_time=1.0, repetitions=16, **common)))
-    eps_fine = final_error(ensemble_coherence(
-        build_scenario("hybrid_dephasing", cycle_time=0.5, repetitions=32, **common)))
-    ratio = eps_coarse / eps_fine
-    assert 3.0 <= ratio <= 5.0
-
-    # (c) encoded scheme beats physical decoupling at the slow rate
-    hybrid = dict(
-        cycle_time=1.0, repetitions=16, fast_amplitude=1.0, slow_amplitude=0.3,
-        tau_fast=0.05, tau_slow=20.0, ensemble_size=500, seed=seed,
-    )
-    eps_enc = final_error(ensemble_coherence(build_scenario("hybrid_dephasing", encoded=True, **hybrid)))
-    eps_phys = final_error(ensemble_coherence(build_scenario("hybrid_dephasing", encoded=False, **hybrid)))
-    assert eps_phys > eps_enc
-
-    elapsed = time.perf_counter() - start
-    assert elapsed < 120.0
-    report(9, f"invariance exact, suppression ratio {ratio:.2f}, enc {eps_enc:.3f} < phys {eps_phys:.3f} in {elapsed:.0f}s")
-
-
-def test_criterion_10_verify_reproducibility(tmp_path):
-    def run_verify(out):
-        proc = subprocess.run(
-            [sys.executable, "-m", "aht", "verify", "--seed", "11", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        return out.read_bytes()
-
-    first = run_verify(tmp_path / "report1.txt")
-    second = run_verify(tmp_path / "report2.txt")
-    assert first == second
-    assert b"9/9 checks passed" in first
-    report(10, "aht verify is byte-identical across runs at fixed seed")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    in_process = [check for check, _ in suite.values()]
+    assert proc.stdout == verify.format_report(in_process, SEED).encode()
+    assert b"9/9 checks passed" in proc.stdout
+    print("PASS criterion 10: aht verify in a new interpreter repeats the report byte for byte")

@@ -102,8 +102,9 @@ class TestLogicalAction:
         assert np.allclose(act.logical_part.matrix, 2 * X, atol=1e-12)
 
     def test_symmetric_network_acts_as_identity(self):
-        act = logical_action(ns3_hamiltonian(1.7, 0.9, 0.9, 0.9), build_code("ns3"))
-        assert np.max(np.abs(act.logical_part.matrix)) < 1e-10
+        for omega, j in ((1.7, 0.9), (1.9, 0.8)):
+            act = logical_action(ns3_hamiltonian(omega, j, j, j), build_code("ns3"))
+            assert np.max(np.abs(act.logical_part.matrix)) < 1e-10
 
     def test_zeeman_term_is_pure_syndrome(self):
         act = logical_action(collective("Z", 3), build_code("ns3"))
@@ -163,6 +164,8 @@ class TestNs3ClosedForm:
             ns3_logical_hamiltonian(0.0, 0, 0, 1).matrix, -X + np.sqrt(3) * Y
         )
         assert np.max(np.abs(ns3_logical_hamiltonian(2.3, 1.1, 1.1, 1.1).matrix)) < 1e-14
+        # fully symmetric couplings: the closed form is identically zero
+        assert np.max(np.abs(ns3_logical_hamiltonian(1.9, 0.8, 0.8, 0.8).matrix)) == 0.0
 
     def test_matches_brute_force_restriction(self):
         rng = np.random.default_rng(13)

@@ -30,6 +30,15 @@ from aht.operators import (
 
 I2, X, Y, Z = SIGMA["I"], SIGMA["X"], SIGMA["Y"], SIGMA["Z"]
 
+#: (shifts, couplings) of dfs2x2 NMR networks; the second is the input of
+#: the ``sequence_selectivity`` check in ``aht verify``.
+NETWORKS = [
+    ((1.9, 1.2, 0.7, 0.2),
+     {(1, 2): 0.8, (3, 4): 0.5, (1, 3): 0.3, (1, 4): 0.1, (2, 3): 0.07, (2, 4): 0.21}),
+    ((2.2, 1.3, 0.8, 0.1),
+     {(1, 2): 0.9, (3, 4): 0.7, (1, 3): 0.31, (1, 4): 0.11, (2, 3): 0.05, (2, 4): 0.17}),
+]
+
 
 def dipolar_pair() -> np.ndarray:
     return 3 * PauliString(2, "ZZ").to_operator().matrix - exchange(1, 2, 2).matrix
@@ -209,22 +218,18 @@ class TestNamedSequences:
 
     def test_s1_selects_first_x(self):
         code = build_code("dfs2x2")
-        h, _ = dfs2x2_logical_hamiltonian(
-            (1.9, 1.2, 0.7, 0.2),
-            {(1, 2): 0.8, (3, 4): 0.5, (1, 3): 0.3, (1, 4): 0.1, (2, 3): 0.07, (2, 4): 0.21},
-        )
-        avg = average_zeroth(h, frames_from_scheme(named_sequence("s1_selective_x1", code=code)))
-        comps = pauli_decompose(avg.matrix)
-        assert abs(comps["XI"]) > 1e-3
-        stray = {k: v for k, v in comps.items() if k != "XI" and abs(v) > 1e-10}
-        assert not stray
+        frames = frames_from_scheme(named_sequence("s1_selective_x1", code=code))
+        for nu, j in NETWORKS:
+            h, _ = dfs2x2_logical_hamiltonian(nu, j)
+            avg = average_zeroth(h, frames)
+            comps = pauli_decompose(avg.matrix)
+            assert abs(comps["XI"]) > 1e-3
+            stray = {k: v for k, v in comps.items() if k != "XI" and abs(v) > 1e-10}
+            assert not stray
 
     def test_s1_variant_selects_second_x(self):
         code = build_code("dfs2x2")
-        h, _ = dfs2x2_logical_hamiltonian(
-            (1.9, 1.2, 0.7, 0.2),
-            {(1, 2): 0.8, (3, 4): 0.5, (1, 3): 0.3, (1, 4): 0.1, (2, 3): 0.07, (2, 4): 0.21},
-        )
+        h, _ = dfs2x2_logical_hamiltonian(*NETWORKS[0])
         avg = average_zeroth(h, frames_from_scheme(named_sequence("s1_selective_x2", code=code)))
         comps = pauli_decompose(avg.matrix)
         assert abs(comps["IX"]) > 1e-3
@@ -232,14 +237,13 @@ class TestNamedSequences:
 
     def test_zz_extractor(self):
         code = build_code("dfs2x2")
-        h, coeffs = dfs2x2_logical_hamiltonian(
-            (1.9, 1.2, 0.7, 0.2),
-            {(1, 2): 0.8, (3, 4): 0.5, (1, 3): 0.3, (1, 4): 0.1, (2, 3): 0.07, (2, 4): 0.21},
-        )
-        avg = average_zeroth(h, frames_from_scheme(named_sequence("zz_extractor", code=code)))
-        comps = pauli_decompose(avg.matrix)
-        assert comps["ZZ"] == pytest.approx(2 * np.pi * coeffs.d, abs=1e-12)
-        assert not {k: v for k, v in comps.items() if k != "ZZ" and abs(v) > 1e-10}
+        frames = frames_from_scheme(named_sequence("zz_extractor", code=code))
+        for nu, j in NETWORKS:
+            h, coeffs = dfs2x2_logical_hamiltonian(nu, j)
+            avg = average_zeroth(h, frames)
+            comps = pauli_decompose(avg.matrix)
+            assert comps["ZZ"] == pytest.approx(2 * np.pi * coeffs.d, abs=1e-12)
+            assert not {k: v for k, v in comps.items() if k != "ZZ" and abs(v) > 1e-10}
 
     def test_physical_realization_matches_logical_average(self):
         # averaging the physical four-spin operator over the physical pulse

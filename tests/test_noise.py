@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aht.codes import build_code
-from aht.config import ValidationError
+from aht.config import Tolerances, ValidationError
 from aht.decoupling import named_sequence
 from aht.noise import (
     SCENARIO_NAMES,
@@ -71,12 +71,16 @@ class TestPropagation:
             assert got == pytest.approx(np.cos(2 * delta * t), abs=1e-10)
 
     def test_collective_noise_invariance_is_exact(self):
-        sc = build_scenario(
-            "hybrid_dephasing", encoded=True, fast_amplitude=2.0, slow_amplitude=0.0,
-            omega1=0.9, omega2=0.9, repetitions=4, ensemble_size=1, seed=7, pulses=False,
-        )
-        res = propagate_trajectory(sc, trajectory=0)
-        assert np.array_equal(res.final_state, sc.initial_state)
+        # (fast amplitude, equal Zeeman frequency, trajectories, seed)
+        for amplitude, omega, n_traj, seed in ((2.0, 0.9, 1, 7), (1.5, 0.8, 8, 909)):
+            sc = build_scenario(
+                "hybrid_dephasing", encoded=True, fast_amplitude=amplitude, slow_amplitude=0.0,
+                omega1=omega, omega2=omega, repetitions=4, ensemble_size=n_traj, seed=seed,
+                pulses=False,
+            )
+            for k in range(n_traj):
+                res = propagate_trajectory(sc, trajectory=k)
+                assert np.array_equal(res.final_state, sc.initial_state)
 
     def test_fast_cp_preserves_coherence(self):
         # slow channel with many encoded pulses per correlation time
@@ -100,6 +104,15 @@ class TestPropagation:
         noise = rng.normal(0, 0.3, size=(len(sc.channels), grid.durations.shape[0]))
         u = trajectory_propagator(sc, noise)
         assert u.is_unitary()
+
+    def test_propagator_unitarity_threshold_read_from_tol(self):
+        # rounding leaves a defect of a few 1e-15 over the 1600 steps
+        sc = slow_only_scenario(pulses=True, ensemble_size=1)
+        steps = _build_grid(sc).durations.shape[0]
+        noise = np.random.default_rng(1).normal(0, 0.5, size=(len(sc.channels), steps))
+        assert trajectory_propagator(sc, noise).is_unitary()
+        with pytest.raises(ValidationError, match="unitarity"):
+            trajectory_propagator(sc, noise, Tolerances(equality=0.0))
 
     def test_explicit_noise_shape_checked(self):
         sc = slow_only_scenario()
@@ -253,6 +266,13 @@ class TestScenarioLibrary:
         assert sc.params == {"slow_amplitude": 0.2, "j_drift": 1}
         sc = build_scenario("four_qubit_blockwise", omegas=[1.0, 0.5, 0.25, 0.0])
         assert sc.params == {"omegas": (1.0, 0.5, 0.25, 0.0)}
+
+    @pytest.mark.parametrize(
+        "omegas", [[1.0, 0.5], [1.0, 0.7, 0.4, 0.2, 0.1], "abcd", [1, 2, 3, None]]
+    )
+    def test_omegas_need_four_numbers(self, omegas):
+        with pytest.raises(ValidationError, match="omegas"):
+            build_scenario("four_qubit_blockwise", omegas=omegas)
 
     @pytest.mark.parametrize("size", [0, -3])
     def test_rejects_empty_ensemble(self, size):

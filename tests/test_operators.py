@@ -48,6 +48,12 @@ class TestOperatorType:
         with pytest.raises(ValidationError):
             Operator(I2, traceless=True)
 
+    def test_is_unitary_threshold_read_from_tol(self):
+        # ||U U^dag - 1||_max = 2e-11: inside the default equality (1e-10)
+        near = Operator((1 + 1e-11) * X)
+        assert near.is_unitary()
+        assert not near.is_unitary(Tolerances(equality=1e-12))
+
     def test_matrix_is_frozen(self):
         op = Operator(X)
         with pytest.raises(ValueError):
@@ -130,6 +136,13 @@ class TestExpm:
         with pytest.raises(ValidationError):
             expm(1j * X + Z, 1.0)
 
+    def test_hermiticity_threshold_read_from_tol(self):
+        # ||H - H^dag||_max = 2e-11: inside the default equality (1e-10)
+        near = X + 1e-11j * I2
+        assert np.allclose(expm(near, 0.3).matrix, expm(X, 0.3).matrix)
+        with pytest.raises(ValidationError):
+            expm(near, 0.3, Tolerances(equality=1e-12))
+
     def test_unitary_output(self):
         u = expm(random_hermitian(3, np.random.default_rng(1)), 2.5)
         assert u.is_unitary()
@@ -152,6 +165,13 @@ class TestLogmEffective:
     def test_inverse_of_expm(self):
         got = logm_effective(expm(Z, 0.3).matrix, 1.0)
         assert np.allclose(got.matrix, 0.3 * Z, atol=1e-12)
+
+    def test_unitarity_threshold_read_from_tol(self):
+        # ||U U^dag - 1||_max = 2e-11: inside the default equality (1e-10)
+        near = (1 + 1e-11) * expm(Z, 0.3).matrix
+        assert np.allclose(logm_effective(near, 1.0).matrix, 0.3 * Z, atol=1e-10)
+        with pytest.raises(ValidationError):
+            logm_effective(near, 1.0, Tolerances(equality=1e-12))
 
     def test_bch_third_order(self):
         # oracle: Baker-Campbell-Hausdorff series through third order for

@@ -1,8 +1,12 @@
 """Scenario files and the command-line front end."""
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aht.cli import list_builtins, main, run
 from aht.config import ValidationError
@@ -79,11 +83,25 @@ class TestScenarioRoundTrip:
         with pytest.raises(ValidationError):
             Scenario.from_dict({"kind": "teleport"})
 
+    def test_register_size_bounded(self):
+        # parsing alone must refuse a register the dense operators cannot hold
+        assert Scenario.from_dict({"kind": "project", "n_qubits": 5}).n_qubits == 5
+        for n in (0, 6, 40):
+            with pytest.raises(ValidationError, match="n_qubits"):
+                Scenario.from_dict({"kind": "project", "n_qubits": n})
+
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestRunCommand:
@@ -176,7 +194,11 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "knobs",
-        [{"ensemble_size": 0}, {"ensemble_size": -3}, {"slow_amplitud": 0.3}],
+        [
+            {"ensemble_size": 0}, {"ensemble_size": -3}, {"slow_amplitud": 0.3},
+            {"ensemble_size": "many"}, {"omega1": None}, {"repetitions": 2.7},
+            {"ensemble_size": True}, {"pulses": "no"}, {"encoded": 0},
+        ],
     )
     def test_bad_noise_knobs_exit_2(self, tmp_path, capsys, knobs):
         path = write_scenario(tmp_path, {
@@ -184,15 +206,23 @@ class TestRunCommand:
             "noise": {"name": "hybrid_dephasing", "repetitions": 2, **knobs},
         })
         assert run(path) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "field", [{"n_qubits": "2"}, {"seed": "x"}, {"sweep": ["a"]}, {"cycle_time": 0}],
+    )
+    def test_bad_scenario_fields_exit_2(self, tmp_path, capsys, field):
+        path = write_scenario(tmp_path, {
+            "kind": "scan", "n_qubits": 1, "target": "magnus_defect",
+            "hamiltonian": {"terms": ["1.0 Z 1"]}, "sequence": {"name": "cp_x"},
+            "sweep": [0.1], **field,
+        })
+        assert run(path) == 2
+        assert_one_error_line(capsys)
 
     def test_verify_empty_ensemble_exits_2(self, capsys):
         assert main(["verify", "--ensemble", "0"]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert_one_error_line(capsys)
 
     def test_branch_cut_exits_3(self, tmp_path, capsys):
         # a full pi rotation puts the cycle eigenphases exactly on the cut
@@ -203,6 +233,60 @@ class TestRunCommand:
         })
         assert run(path) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+#: One strategy per JSON value type; a "fraction" is a number that is not whole.
+JSON_TYPES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-10**6, 10**6),
+    "fraction": st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+    "string": st.text(max_size=8),
+    "array": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+NUMBER = {"integer", "fraction"}
+#: The JSON types each scenario field accepts.
+FIELD_TYPES = {
+    "kind": {"string"}, "n_qubits": {"integer"}, "hamiltonian": {"object", "null"},
+    "code": {"string", "null"}, "sequence": {"string", "object", "null"}, "cycle_time": NUMBER,
+    "sweep": {"array", "null"}, "generators": {"array", "null"}, "target": {"string", "null"},
+    "noise": {"object"}, "seed": {"integer"}, "output": {"object", "null"},
+}
+#: The JSON types each key of a hybrid_dephasing noise block accepts.
+KNOB_TYPES = {
+    "name": {"string"}, "repetitions": {"integer"}, "ensemble_size": {"integer"},
+    "seed": {"integer"}, "pulses": {"boolean"}, "encoded": {"boolean"},
+    **{k: NUMBER for k in ("cycle_time", "max_step", "tau_fast", "tau_slow",
+                           "fast_amplitude", "slow_amplitude", "omega1", "omega2")},
+}
+
+
+@st.composite
+def wrong_type_edits(draw):
+    """``(where, key, value)``: one field or knob given a value of a type it rejects."""
+    where = draw(st.sampled_from(["field", "knob"]))
+    accepted = FIELD_TYPES if where == "field" else KNOB_TYPES
+    key = draw(st.sampled_from(sorted(accepted)))
+    wrong = draw(st.sampled_from(sorted(set(JSON_TYPES) - accepted[key])))
+    return where, key, draw(JSON_TYPES[wrong])
+
+
+class TestMalformedInput:
+    @given(edit=wrong_type_edits())
+    @settings(max_examples=40, deadline=None)
+    def test_wrong_json_type_exits_2(self, tmp_path_factory, edit):
+        where, key, value = edit
+        doc = {"kind": "noise", "noise": {"name": "hybrid_dephasing", "repetitions": 2,
+                                          "ensemble_size": 4}}
+        (doc if where == "field" else doc["noise"])[key] = value
+        path = write_scenario(tmp_path_factory.mktemp("malformed"), doc)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(path)
+        lines = err.getvalue().splitlines()
+        assert (code, out.getvalue()) == (2, ""), edit
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 class TestListCommand:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aht.codes import ns3_logical_hamiltonian
-from aht.config import ValidationError
+from aht.config import Tolerances, ValidationError
 from aht.decoupling import builtin_groups, project_group
 from aht.operators import (
     SIGMA,
@@ -41,6 +41,13 @@ class TestLieClosure:
         h_l = ns3_logical_hamiltonian(0.0, 1.2, 0.3, -0.4)
         projected = project_group(h_l, builtin_groups()["cp_x"])
         assert lie_closure([1j * h_l.matrix, 1j * projected.matrix]).dimension == 3
+
+    def test_antihermiticity_threshold_read_from_tol(self):
+        # ||G + G^dag||_max = 2e-11: inside the default equality (1e-10)
+        near = [1j * X + 1e-11 * Z, 1j * Y]
+        assert lie_closure(near).dimension == 3
+        with pytest.raises(ValidationError):
+            lie_closure(near, tol=Tolerances(equality=1e-12))
 
     def test_rejects_hermitian_input(self):
         with pytest.raises(ValidationError):
