@@ -349,7 +349,7 @@ def _build_ns3() -> Code:
 def build_code(name: str) -> Code:
     """Construct one of the named codes: ``ns3``, ``dfs2`` or ``dfs2x2``."""
     builders = {"ns3": _build_ns3, "dfs2": _build_dfs2, "dfs2x2": _build_dfs2x2}
-    if name not in builders:
+    if name not in CODE_NAMES:  # a tuple, so an unhashable name compares unequal
         raise ValidationError(f"unknown code {name!r}; known: {', '.join(CODE_NAMES)}")
     return builders[name]()
 

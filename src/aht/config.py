@@ -1,13 +1,20 @@
 """Numerical tolerances, error types and input-value checks shared across
 the package.
 
-All comparisons in the library go through a single tolerance record so
-that the meaning of "equal", "unitary" or "Hermitian" is consistent
-everywhere and can be tightened or relaxed in one place.
+Operator comparisons -- equality, also up to a global phase, unitarity,
+Hermiticity, the log branch cut and rank decisions -- read one tolerance
+record, :data:`DEFAULT_TOL` unless a caller passes its own, so "equal" or
+"unitary" means the same everywhere.  A few fixed thresholds stay literal
+where they are used: the checks that weights and durations sum to one
+(1e-12), the equal-weight test of a decoupling group (1e-9), zero-norm
+guards, the internal consistency checks of the ns3 basis construction
+(1e-12), and the pass thresholds of the ``aht verify`` checks, which are
+part of the claims those checks state.
 """
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 
@@ -69,10 +76,13 @@ def _integer(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    """A real number (not a boolean), as a float."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    """A finite real number (not a boolean), as a float."""
+    # the range test fails for NaN, +-Infinity and integers too large for a float
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        -sys.float_info.max <= value <= sys.float_info.max
+    ):
         return float(value)
-    raise ValidationError(f"{name} must be a number, got {value!r}")
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 def _boolean(name: str, value) -> bool:

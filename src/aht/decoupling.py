@@ -20,6 +20,7 @@ agree to one order in the cycle time better than the average alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -30,10 +31,10 @@ from .operators import (
     MatrixLike,
     _unitarity_defect,
     collective,
+    equal_up_to_phase,
     expm,
     logm_effective,
     mat,
-    phase_insensitive_fidelity,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,51 +67,20 @@ SEQUENCE_NAMES = (
 )
 
 
-def phase_canonical_key(u: MatrixLike, decimals: int = 8) -> bytes:
-    """Hashable key identifying a unitary modulo global phase.
-
-    The phase is fixed by rotating the determinant to one, which leaves
-    a residual ambiguity of exactly the dim-th roots of unity; among
-    those candidates the lexicographically smallest rounded byte string
-    is taken.  Unlike pivot-entry normalization this has no unstable
-    tie-breaks, so projectively equal matrices computed along different
-    product paths hash identically (e.g. a pi pulse
-    ``exp(-i pi sigma_x / 2) = -i sigma_x`` hashes like ``sigma_x``).
-    """
-    m = mat(u)
-    d = m.shape[0]
-    det = np.linalg.det(m)
-    if abs(det) < 0.5:
-        raise ValidationError("cannot phase-normalize a non-unitary matrix")
-    base = m / det ** (1.0 / d)
-    best: bytes | None = None
-    for k in range(d):
-        cand = np.round(base * np.exp(2j * np.pi * k / d), decimals)
-        blob = ((cand.real + 0.0) + 1j * (cand.imag + 0.0)).tobytes()  # flush -0.0
-        if best is None or blob < best:
-            best = blob
-    assert best is not None
-    return best
-
-
-def _matrix_key(m: np.ndarray, decimals: int = 8) -> bytes:
-    r = np.round(m, decimals)
+def _matrix_key(m: np.ndarray) -> bytes:
+    r = np.round(m, 8)
     return ((r.real + 0.0) + 1j * (r.imag + 0.0)).tobytes()  # flush -0.0
 
 
-def close_group(
-    generators: Iterable[MatrixLike],
-    max_order: int = 256,
-    projective: bool = False,
-) -> list[Operator]:
+def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[Operator]:
     """Close a set of unitaries under multiplication.
 
-    With ``projective=False`` elements are counted as distinct matrices
-    (so pi pulses ``-i sigma_a`` generate their -1 and produce e.g. the
-    24-element closure of the single-qubit transformer generators); with
-    ``projective=True`` elements are identified modulo global phase.
-    Identity first in the result; raises if closure is not reached
-    within ``max_order`` elements.
+    Elements are counted as distinct matrices, so pi pulses
+    ``-i sigma_a`` generate their -1 and the single-qubit transformer
+    generators close at 24 elements; :attr:`DecouplingSet.is_group`
+    identifies them modulo global phase afterwards.  Identity first in
+    the result; raises if closure is not reached within ``max_order``
+    elements.
     """
     gens = [mat(g) for g in generators]
     if not gens:
@@ -119,18 +89,17 @@ def close_group(
     for g in gens:
         if g.shape != (dim, dim):
             raise ValidationError("generators must share a dimension")
-        if _unitarity_defect(g) > 1e-10:
+        if _unitarity_defect(g) > DEFAULT_TOL.equality:
             raise ValidationError("generators must be unitary")
-    key_of = phase_canonical_key if projective else _matrix_key
     eye = np.eye(dim, dtype=complex)
-    elements: dict[bytes, np.ndarray] = {key_of(eye): eye}
+    elements: dict[bytes, np.ndarray] = {_matrix_key(eye): eye}
     frontier = [eye]
     while frontier:
         fresh = []
         for a in frontier:
             for g in gens:
                 for prod in (g @ a, a @ g):
-                    key = key_of(prod)
+                    key = _matrix_key(prod)
                     if key not in elements:
                         if len(elements) >= max_order:
                             raise ValidationError(
@@ -139,10 +108,7 @@ def close_group(
                         elements[key] = prod
                         fresh.append(prod)
         frontier = fresh
-    identity_key = key_of(eye)
-    out = [Operator(eye)]
-    out += [Operator(m) for key, m in elements.items() if key != identity_key]
-    return out
+    return [Operator(m) for m in elements.values()]
 
 
 @dataclass(frozen=True)
@@ -181,7 +147,7 @@ class DecouplingScheme:
         total = np.eye(self.dim, dtype=complex)
         for p in self.pulses:
             total = p.matrix @ total
-        if phase_insensitive_fidelity(total, np.eye(self.dim)) < 1 - 1e-10:
+        if not equal_up_to_phase(total, np.eye(self.dim)):
             raise ValidationError("pulse cycle does not close to the identity (up to phase)")
 
     @property
@@ -213,14 +179,14 @@ class DecouplingScheme:
 class DecouplingSet:
     """Weighted set of composite rotations (toggling frames).
 
-    ``is_group`` asserts that, modulo global phase, the distinct frames
-    form a group with equal total weight per element; that is validated
-    at construction.
+    :attr:`is_group` tells whether, modulo global phase, the distinct
+    frames form a group with equal total weight per element; it is
+    computed on first read.  :meth:`group` builds a uniformly weighted
+    set and rejects one that is not a group.
     """
 
     frames: tuple[Operator, ...]
     weights: tuple[float, ...]
-    is_group: bool = False
 
     def __post_init__(self):
         if len(self.frames) != len(self.weights):
@@ -234,52 +200,50 @@ class DecouplingSet:
         dims = {f.dim for f in self.frames}
         if len(dims) > 1:
             raise ValidationError("frames must share a dimension")
-        if self.is_group and not _is_group(self.frames, self.weights):
-            raise ValidationError("frame set is not a uniformly weighted group (mod phase)")
 
     @property
     def dim(self) -> int:
         return self.frames[0].dim
 
+    @cached_property
+    def is_group(self) -> bool:
+        """Whether the phase classes of the frames form a uniformly weighted group.
+
+        Frames equal up to phase (:func:`~aht.operators.equal_up_to_phase`)
+        merge into one class and add their weights.  The classes must
+        contain every product of two of them, and so, being finitely
+        many, the identity; and they must carry equal total weight.
+        Products are formed one left factor at a time, so memory stays
+        linear in the number of classes.
+        """
+        reps: list[np.ndarray] = []
+        totals: list[float] = []
+        for f, w in zip(self.frames, self.weights):
+            k = _phase_class(f.matrix, reps)
+            if k is None:
+                reps.append(f.matrix)
+                totals.append(w)
+            else:
+                totals[k] += w
+        stacked = np.stack(reps)
+        for a in reps:
+            if any(_phase_class(prod, reps) is None for prod in a @ stacked):
+                return False
+        return all(abs(t - 1.0 / len(reps)) < 1e-9 for t in totals)
+
     @classmethod
     def group(cls, elements: Sequence[MatrixLike]) -> "DecouplingSet":
         ops = tuple(Operator(mat(e)) for e in elements)
         w = 1.0 / len(ops)
-        return cls(ops, (w,) * len(ops), is_group=True)
-
-    @classmethod
-    def from_frames(
-        cls, frames: Sequence[Operator], weights: Sequence[float]
-    ) -> "DecouplingSet":
-        frames = tuple(frames)
-        weights = tuple(float(w) for w in weights)
-        return cls(frames, weights, is_group=_is_group(frames, weights))
+        s = cls(ops, (w,) * len(ops))
+        if not s.is_group:
+            raise ValidationError("frame set is not a uniformly weighted group (mod phase)")
+        return s
 
 
-def _phase_classes(frames: Sequence[Operator], weights: Sequence[float]):
-    classes: dict[bytes, tuple[np.ndarray, float]] = {}
-    for f, w in zip(frames, weights):
-        key = phase_canonical_key(f.matrix)
-        if key in classes:
-            rep, total = classes[key]
-            classes[key] = (rep, total + w)
-        else:
-            classes[key] = (f.matrix, w)
-    return classes
-
-
-def _is_group(frames: Sequence[Operator], weights: Sequence[float]) -> bool:
-    classes = _phase_classes(frames, weights)
-    keys = set(classes)
-    if phase_canonical_key(np.eye(frames[0].dim)) not in keys:
-        return False
-    reps = [rep for rep, _ in classes.values()]
-    for a in reps:
-        for b in reps:
-            if phase_canonical_key(a @ b) not in keys:
-                return False
-    target = 1.0 / len(classes)
-    return all(abs(w - target) < 1e-9 for _, w in classes.values())
+def _phase_class(m: np.ndarray, reps: Sequence[np.ndarray]) -> int | None:
+    """Index of the first of ``reps`` equal to ``m`` up to global phase, else ``None``."""
+    return next((k for k, r in enumerate(reps) if equal_up_to_phase(m, r)), None)
 
 
 def frames_from_scheme(scheme: DecouplingScheme) -> DecouplingSet:
@@ -297,7 +261,7 @@ def frames_from_scheme(scheme: DecouplingScheme) -> DecouplingSet:
         acc = p.matrix @ acc
         frames.append(Operator(acc))
     frames = frames[: len(scheme.durations)]
-    return DecouplingSet.from_frames(frames, scheme.durations)
+    return DecouplingSet(tuple(frames), tuple(float(w) for w in scheme.durations))
 
 
 def average_zeroth(h: MatrixLike, frames: DecouplingSet) -> Operator:
@@ -495,9 +459,7 @@ def builtin_groups() -> dict[str, DecouplingSet]:
     projector laws on every group the package ships.
     """
     from .codes import build_code  # deferred: codes never imports this module
-    from .universality import transformer_generators  # deferred: it imports this module
-
-    transformer = close_group(transformer_generators(), max_order=64)
+    from .universality import generate_group, transformer_generators  # deferred: it imports this module
 
     dfs2 = build_code("dfs2")
     dfs2x2 = build_code("dfs2x2")
@@ -513,7 +475,7 @@ def builtin_groups() -> dict[str, DecouplingSet]:
         "cp_x": scheme_group(named_sequence("cp_x")),
         "cp_y": scheme_group(named_sequence("cp_y")),
         "gmax": scheme_group(named_sequence("gmax_cycle")),
-        "transformer24": DecouplingSet.group([t.matrix for t in transformer]),
+        "transformer24": generate_group(transformer_generators(), max_order=64),
         "cp_xx_2q": scheme_group(named_sequence("cp_x", n_qubits=2)),
         "dfs2_gmax_physical": scheme_group(named_sequence("gmax_cycle", code=dfs2, physical=True)),
         "ns3_cp_x_physical": scheme_group(named_sequence("cp_x", code=ns3, physical=True)),

@@ -28,7 +28,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .codes import CODE_NAMES, build_code, nmr_hamiltonian, weak_coupling_truncation
-from .config import ValidationError, _integer, _real
+from .config import ValidationError, _boolean, _integer, _real
 from .decoupling import SEQUENCE_NAMES, DecouplingScheme, named_sequence
 from .operators import Operator, PauliString, expm, pauli_sum
 
@@ -83,11 +83,14 @@ def parse_hamiltonian(spec: Mapping[str, Any], n_qubits: int) -> Operator:
     """Build the operator described by a scenario ``hamiltonian`` block."""
     if "nmr" in spec:
         block = spec["nmr"]
+        if not isinstance(block, Mapping):
+            raise ValidationError(f"nmr block must be an object, got {block!r}")
         nu = block.get("nu")
-        if nu is None:
-            raise ValidationError("nmr block needs chemical shifts 'nu'")
+        if not isinstance(nu, (list, tuple)):
+            raise ValidationError(f"nmr block needs a list of chemical shifts 'nu', got {nu!r}")
+        nu = [_real("nmr shift", v) for v in nu]
         terms = nmr_hamiltonian(nu, block.get("j", {}), n=len(nu))
-        if block.get("weak_coupling", False):
+        if _boolean("nmr weak_coupling", block.get("weak_coupling", False)):
             species = block.get("species")
             if species is None:
                 raise ValidationError("weak_coupling truncation needs per-qubit 'species' labels")
@@ -96,6 +99,8 @@ def parse_hamiltonian(spec: Mapping[str, Any], n_qubits: int) -> Operator:
     term_strings = spec.get("terms")
     if term_strings is None:
         raise ValidationError("hamiltonian block needs 'terms' or 'nmr'")
+    if not isinstance(term_strings, (list, tuple)) or not all(isinstance(t, str) for t in term_strings):
+        raise ValidationError(f"Hamiltonian terms must be a list of strings, got {term_strings!r}")
     terms: list[PauliString] = []
     for t in term_strings:
         parsed = parse_term(t, n_qubits)
@@ -119,9 +124,12 @@ _OPTIONAL_FIELD_TYPES = {
 }
 
 
-def _positive(name: str, value) -> None:
-    if not _real(name, value) > 0:
+def _positive(name: str, value) -> float:
+    """A positive finite number, as a float."""
+    x = _real(name, value)
+    if not x > 0:
         raise ValidationError(f"{name} must be positive, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -226,6 +234,7 @@ class Scenario:
         spec = self.sequence
         if isinstance(spec, str):
             spec = {"name": spec}
+        cycle_time = _positive("sequence cycle_time", spec.get("cycle_time", self.cycle_time))
         if "name" in spec:
             name = spec["name"]
             if name not in SEQUENCE_NAMES:
@@ -242,17 +251,19 @@ class Scenario:
                 name,
                 n_qubits=self.n_qubits,
                 code=code,
-                cycle_time=float(spec.get("cycle_time", self.cycle_time)),
-                physical=bool(spec.get("physical", False)),
+                cycle_time=cycle_time,
+                physical=_boolean("sequence physical", spec.get("physical", False)),
             )
         if "pulses" in spec:
+            pulse_specs, durations = spec["pulses"], spec.get("durations", ())
+            if not isinstance(pulse_specs, (list, tuple)) or not isinstance(durations, (list, tuple)):
+                raise ValidationError("explicit 'pulses' and 'durations' must be lists")
             pulses = []
-            for p in spec["pulses"]:
+            for p in pulse_specs:
+                if not isinstance(p, Mapping):
+                    raise ValidationError(f"an explicit pulse must be an object, got {p!r}")
                 generator = parse_hamiltonian({"terms": p.get("terms", [])}, self.n_qubits)
-                pulses.append(expm(generator, float(p.get("angle", np.pi / 2))))
-            durations = tuple(float(x) for x in spec["durations"])
-            return DecouplingScheme(
-                tuple(pulses), durations, float(spec.get("cycle_time", self.cycle_time)),
-                label="explicit",
-            )
+                pulses.append(expm(generator, _real("pulse angle", p.get("angle", np.pi / 2))))
+            durations = tuple(_real("sequence duration", x) for x in durations)
+            return DecouplingScheme(tuple(pulses), durations, cycle_time, label="explicit")
         raise ValidationError("sequence block needs a 'name' or explicit 'pulses'")

@@ -140,11 +140,12 @@ def cp_split(h: MatrixLike, pi_pulse: MatrixLike) -> tuple[Operator, Operator]:
     hm, pm = mat(h), mat(pi_pulse)
     if hm.shape != pm.shape:
         raise ValidationError("dimension mismatch in cp_split")
-    if _unitarity_defect(pm) > 1e-10:
+    eps = DEFAULT_TOL.equality
+    if _unitarity_defect(pm) > eps:
         raise ValidationError("pi pulse must be unitary")
     square = pm @ pm
     phase = np.trace(square) / pm.shape[0]
-    if abs(abs(phase) - 1) > 1e-10 or np.max(np.abs(square - phase * np.eye(pm.shape[0]))) > 1e-10:
+    if abs(abs(phase) - 1) > eps or np.max(np.abs(square - phase * np.eye(pm.shape[0]))) > eps:
         raise ValidationError("pulse is not involutive up to a global phase")
     conj = pm.conj().T @ hm @ pm
     return Operator((hm + conj) / 2), Operator((hm - conj) / 2)

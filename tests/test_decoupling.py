@@ -7,6 +7,7 @@ from aht.config import ValidationError
 from aht.decoupling import (
     DecouplingScheme,
     DecouplingSet,
+    SEQUENCE_NAMES,
     average_zeroth,
     builtin_groups,
     cycle_propagator,
@@ -14,11 +15,11 @@ from aht.decoupling import (
     first_order_correction,
     frames_from_scheme,
     named_sequence,
-    phase_canonical_key,
     project_group,
 )
 from aht.operators import (
     SIGMA,
+    Operator,
     PauliString,
     exchange,
     expm,
@@ -277,18 +278,65 @@ class TestSerialization:
             assert np.allclose(p.matrix, q.matrix)
 
 
+#: ``is_group`` of ``frames_from_scheme(named_sequence(...))`` per sequence,
+#: recorded before the group test moved to ``equal_up_to_phase``.  Columns:
+#: 1, 2, 3 physical qubits; dfs2 logical, physical; dfs2x2 logical, physical;
+#: ns3 logical, physical.  ``T`` group, ``F`` not a group, ``-`` the
+#: configuration is rejected with ``ValidationError``.
+SEQUENCE_IS_GROUP = {
+    "cp_x": "TTT TT TT TT",
+    "cp_x_symmetric": "TTT TT TT TT",
+    "cp_y": "TTT TT TT T-",
+    "whh4": "FFF -- -- --",
+    "gmax_cycle": "TTT TT TT T-",
+    "s1_selective_x1": "--- -- TT --",
+    "s1_selective_x2": "--- -- TT --",
+    "zz_extractor": "--- -- TT --",
+}
+SEQUENCE_CONFIGS = [(1, None, False), (2, None, False), (3, None, False)] + [
+    (1, code, physical) for code in ("dfs2", "dfs2x2", "ns3") for physical in (False, True)
+]
+BUILTIN_IS_GROUP = {
+    "cp_x": True, "cp_y": True, "gmax": True, "transformer24": True, "cp_xx_2q": True,
+    "dfs2_gmax_physical": True, "ns3_cp_x_physical": True, "dfs2x2_cp_x_logical": True,
+    "s1_logical": True, "zz_logical": True, "s1_physical_4q": True,
+}
+
+
 class TestGroupMachinery:
-    def test_projective_pi_pulse_group(self):
+    def test_pi_pulse_group_modulo_phase(self):
         # {1, exp(-i pi X/2)} must count as a group despite the -1 square
-        frames = DecouplingSet.from_frames(
-            [expm(np.zeros((2, 2)), 0.0), expm(X, np.pi / 2)], [0.5, 0.5]
-        )
+        frames = DecouplingSet((expm(np.zeros((2, 2)), 0.0), expm(X, np.pi / 2)), (0.5, 0.5))
         assert frames.is_group
 
-    def test_phase_canonical_key_identifies_phases(self):
+    def test_is_group_identifies_phases(self):
         for phase in (1.0, -1.0, 1j, np.exp(0.7j)):
-            assert phase_canonical_key(phase * X) == phase_canonical_key(X)
-        assert phase_canonical_key(X) != phase_canonical_key(Y)
+            frames = DecouplingSet((Operator(I2), Operator(phase * X)), (0.5, 0.5))
+            assert "is_group" not in vars(frames)  # computed on first read only
+            assert frames.is_group
+        merged = DecouplingSet(tuple(Operator(m) for m in (I2, -I2, X, 1j * X)), (0.25,) * 4)
+        assert merged.is_group  # two classes of weight 1/2 each
+        assert not DecouplingSet((Operator(I2), Operator(X)), (0.25, 0.75)).is_group
+        assert not DecouplingSet(tuple(Operator(m) for m in (I2, X, Y)), (1 / 3,) * 3).is_group
+        with pytest.raises(ValidationError):
+            DecouplingSet.group([I2, X, Y])
+
+    @pytest.mark.parametrize("name", SEQUENCE_NAMES)
+    def test_sequence_verdicts_pinned(self, name):
+        got = ""
+        for n_qubits, code, physical in SEQUENCE_CONFIGS:
+            try:
+                scheme = named_sequence(
+                    name, n_qubits, code=build_code(code) if code else None, physical=physical
+                )
+            except ValidationError:
+                got += "-"
+                continue
+            got += "T" if frames_from_scheme(scheme).is_group else "F"
+        assert got == SEQUENCE_IS_GROUP[name].replace(" ", "")
+
+    def test_builtin_verdicts_pinned(self):
+        assert {k: g.is_group for k, g in builtin_groups().items()} == BUILTIN_IS_GROUP
 
     def test_builtin_groups_cover_one_to_four_qubits(self):
         dims = {g.dim for g in builtin_groups().values()}

@@ -198,6 +198,7 @@ class TestRunCommand:
             {"ensemble_size": 0}, {"ensemble_size": -3}, {"slow_amplitud": 0.3},
             {"ensemble_size": "many"}, {"omega1": None}, {"repetitions": 2.7},
             {"ensemble_size": True}, {"pulses": "no"}, {"encoded": 0},
+            {"slow_amplitude": float("nan")}, {"cycle_time": float("inf")}, {"omega1": 10**400},
         ],
     )
     def test_bad_noise_knobs_exit_2(self, tmp_path, capsys, knobs):
@@ -209,7 +210,22 @@ class TestRunCommand:
         assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(
-        "field", [{"n_qubits": "2"}, {"seed": "x"}, {"sweep": ["a"]}, {"cycle_time": 0}],
+        "field",
+        [
+            {"n_qubits": "2"}, {"seed": "x"}, {"sweep": ["a"]}, {"cycle_time": 0},
+            {"hamiltonian": {"terms": [5]}},
+            {"sequence": {"name": "cp_x", "cycle_time": "x"}},
+            {"sequence": {"pulses": [{"terms": ["1.0 X 1"], "angle": "a"}], "durations": [1.0]}},
+            {"hamiltonian": {"nmr": {"nu": "abcd"}}},
+            {"kind": "universality", "generators": [["1.0 X 1"], 5]},
+            {"sequence": {"name": "cp_x", "physical": "no"}},
+            {"sequence": {"name": "cp_x", "code": ["dfs2"]}},
+            {"sequence": {"pulses": 5, "durations": [1.0]}},
+            {"sequence": {"pulses": [5], "durations": [1.0]}},
+            {"hamiltonian": {"nmr": 5}},
+            {"n_qubits": 4, "hamiltonian": {"nmr": {
+                "nu": [1, 2, 3, 4], "species": ["H", "H", "C", "C"], "weak_coupling": "no"}}},
+        ],
     )
     def test_bad_scenario_fields_exit_2(self, tmp_path, capsys, field):
         path = write_scenario(tmp_path, {
@@ -235,7 +251,8 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
-#: One strategy per JSON value type; a "fraction" is a number that is not whole.
+#: One strategy per JSON value type; a "fraction" is a number that is not
+#: whole, and a "nonfinite" one is NaN or +-Infinity (Python's ``json`` reads both).
 JSON_TYPES = {
     "null": st.none(),
     "boolean": st.booleans(),
@@ -244,6 +261,7 @@ JSON_TYPES = {
     "string": st.text(max_size=8),
     "array": st.lists(st.integers(), max_size=3),
     "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "nonfinite": st.sampled_from([float("nan"), float("inf"), float("-inf")]),
 }
 NUMBER = {"integer", "fraction"}
 #: The JSON types each scenario field accepts.
@@ -260,13 +278,26 @@ KNOB_TYPES = {
     **{k: NUMBER for k in ("cycle_time", "max_step", "tau_fast", "tau_slow",
                            "fast_amplitude", "slow_amplitude", "omega1", "omega2")},
 }
+#: The JSON types each key of a named sequence block accepts.
+SEQUENCE_TYPES = {"cycle_time": NUMBER, "physical": {"boolean"}}
+NOISE_DOC = {"kind": "noise", "noise": {"name": "hybrid_dephasing", "repetitions": 2,
+                                         "ensemble_size": 4}}
+AVERAGE_DOC = {"kind": "average", "hamiltonian": {"terms": ["1.0 Z 1"]},
+               "sequence": {"name": "cp_x"}}
+#: What an edit may target: (accepted types per key, a valid document that
+#: reads them, the block of that document holding the keys or None for the top level).
+EDITABLE = {
+    "field": (FIELD_TYPES, NOISE_DOC, None),
+    "knob": (KNOB_TYPES, NOISE_DOC, "noise"),
+    "sequence": (SEQUENCE_TYPES, AVERAGE_DOC, "sequence"),
+}
 
 
 @st.composite
 def wrong_type_edits(draw):
-    """``(where, key, value)``: one field or knob given a value of a type it rejects."""
-    where = draw(st.sampled_from(["field", "knob"]))
-    accepted = FIELD_TYPES if where == "field" else KNOB_TYPES
+    """``(where, key, value)``: one field, knob or sequence key given a value of a type it rejects."""
+    where = draw(st.sampled_from(sorted(EDITABLE)))
+    accepted = EDITABLE[where][0]
     key = draw(st.sampled_from(sorted(accepted)))
     wrong = draw(st.sampled_from(sorted(set(JSON_TYPES) - accepted[key])))
     return where, key, draw(JSON_TYPES[wrong])
@@ -274,12 +305,12 @@ def wrong_type_edits(draw):
 
 class TestMalformedInput:
     @given(edit=wrong_type_edits())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_wrong_json_type_exits_2(self, tmp_path_factory, edit):
         where, key, value = edit
-        doc = {"kind": "noise", "noise": {"name": "hybrid_dephasing", "repetitions": 2,
-                                          "ensemble_size": 4}}
-        (doc if where == "field" else doc["noise"])[key] = value
+        _, base, block = EDITABLE[where]
+        doc = json.loads(json.dumps(base))
+        (doc if block is None else doc[block])[key] = value
         path = write_scenario(tmp_path_factory.mktemp("malformed"), doc)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
