@@ -68,7 +68,6 @@ from .noise import (
     build_scenario,
     ensemble_coherence,
     final_error,
-    ou_trajectory,
     propagate_trajectory,
     trajectory_propagator,
 )

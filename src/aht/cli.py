@@ -48,22 +48,22 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
 
 
-def _run_average(sc: Scenario) -> tuple[str, str]:
+def _run_average(sc: Scenario) -> str:
     h = sc.resolve_hamiltonian()
     frames = frames_from_scheme(sc.resolve_sequence())
     avg = average_zeroth(h, frames)
     payload = {"kind": sc.kind, "average": _matrix_payload(avg.matrix), "is_group": frames.is_group}
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _run_project(sc: Scenario) -> tuple[str, str]:
+def _run_project(sc: Scenario) -> str:
     h = sc.resolve_hamiltonian()
     frames = frames_from_scheme(sc.resolve_sequence())
     proj = project_group(h, frames)
-    return _dump_json({"kind": sc.kind, "average": _matrix_payload(proj.matrix)}), "json"
+    return _dump_json({"kind": sc.kind, "average": _matrix_payload(proj.matrix)})
 
 
-def _run_propagate(sc: Scenario) -> tuple[str, str]:
+def _run_propagate(sc: Scenario) -> str:
     h = sc.resolve_hamiltonian()
     scheme = sc.resolve_sequence()
     u = cycle_propagator(h, scheme)
@@ -74,20 +74,20 @@ def _run_propagate(sc: Scenario) -> tuple[str, str]:
         "propagator": _matrix_payload(u.matrix),
         "effective_hamiltonian": _matrix_payload(h_eff.matrix),
     }
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _run_logical(sc: Scenario) -> tuple[str, str]:
+def _run_logical(sc: Scenario) -> str:
     if sc.code is None:
         raise ValidationError("kind 'logical' needs a code")
     code = build_code(sc.code)
     h = sc.resolve_hamiltonian()
     action = logical_action(h, code)
     payload = {"kind": sc.kind, "code": sc.code, "action": action.to_dict()}
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _run_universality(sc: Scenario) -> tuple[str, str]:
+def _run_universality(sc: Scenario) -> str:
     if not sc.generators:
         raise ValidationError("kind 'universality' needs 'generators' (lists of terms)")
     mats = [
@@ -100,10 +100,10 @@ def _run_universality(sc: Scenario) -> tuple[str, str]:
         "truncated": basis.truncated,
         "n_generators": len(mats),
     }
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _run_noise(sc: Scenario) -> tuple[str, str]:
+def _run_noise(sc: Scenario) -> str:
     if sc.noise is None:
         raise ValidationError("kind 'noise' needs a 'noise' block with a scenario name")
     block = dict(sc.noise)
@@ -114,7 +114,7 @@ def _run_noise(sc: Scenario) -> tuple[str, str]:
     scenario = build_scenario(name, **block)
     curve = ensemble_coherence(scenario)
     if sc.output_format == "csv":
-        return curve.to_csv(scenario.describe()), "csv"
+        return curve.to_csv(scenario.describe())
     payload = {
         "kind": sc.kind,
         "scenario": scenario.describe(),
@@ -123,10 +123,10 @@ def _run_noise(sc: Scenario) -> tuple[str, str]:
         "std_error": curve.std_error.tolist(),
         "n_traj": curve.n_traj,
     }
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _run_scan(sc: Scenario) -> tuple[str, str]:
+def _run_scan(sc: Scenario) -> str:
     if sc.target != "magnus_defect":
         raise ValidationError("kind 'scan' currently supports target 'magnus_defect'")
     if not sc.sweep:
@@ -138,7 +138,7 @@ def _run_scan(sc: Scenario) -> tuple[str, str]:
         d0 = effective_defect(h, scheme, include_first_order=False)
         d1 = effective_defect(h, scheme, include_first_order=True)
         rows.append(f"{tc:.12g},{d0:.12g},{d1:.12g}")
-    return "\n".join(rows) + "\n", "csv"
+    return "\n".join(rows) + "\n"
 
 
 _DISPATCH = {
@@ -167,7 +167,7 @@ def run(path: str, seed: int | None = None, out: str | None = None, fmt: str | N
             merged = dict(sc.output or {})
             merged["format"] = fmt
             sc = dataclasses.replace(sc, output=merged)
-        payload, _ext = _DISPATCH[sc.kind](sc)
+        payload = _DISPATCH[sc.kind](sc)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, ValidationError
+from .config import DEFAULT_TOL, Tolerances, ValidationError, _integer, _real
 from .operators import (
     SIGMA,
     Operator,
@@ -395,15 +395,18 @@ class HeteroCoefficients:
 
 
 def _normalize_couplings(j: Mapping) -> dict[tuple[int, int], float]:
+    """Couplings keyed ``"13"`` or ``(1, 3)`` as ``{(1, 3): J}``, checked."""
+    if not isinstance(j, Mapping):
+        raise ValidationError(f"couplings 'j' must be an object, got {j!r}")
     out: dict[tuple[int, int], float] = {}
     for key, val in j.items():
-        if isinstance(key, str):
-            pair = tuple(int(ch) for ch in key)
-        else:
-            pair = tuple(int(q) for q in key)
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise ValidationError(f"bad coupling key {key!r}")
-        out[tuple(sorted(pair))] = float(val)
+        qubits = [int(ch) for ch in key] if isinstance(key, str) and key.isdecimal() else key
+        if not isinstance(qubits, (list, tuple)) or len(qubits) != 2:
+            raise ValidationError(f"coupling key {key!r} must name two qubits")
+        pair = tuple(sorted(_integer(f"coupling key {key!r} qubit", q) for q in qubits))
+        if pair[0] == pair[1]:
+            raise ValidationError(f"coupling key {key!r} must name two distinct qubits")
+        out[pair] = _real(f"coupling {key!r}", val)
     return out
 
 
@@ -459,7 +462,7 @@ def nmr_hamiltonian(nu: Sequence[float], j: Mapping, n: int = 4) -> list[PauliSt
     with frequencies in Hz (the pi factors convert to rad/s).
     """
     if len(nu) != n:
-        raise ValidationError(f"need {n} chemical shifts")
+        raise ValidationError(f"need {n} chemical shifts 'nu', got {len(nu)}")
     terms = [
         PauliString.from_word("Z", [q], n, coefficient=np.pi * nu[q - 1])
         for q in range(1, n + 1)

@@ -15,16 +15,17 @@ batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
 fixed by the implementation.
 
-Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20)`` and always
-align with interval boundaries; the noise is held constant across each
-step at its midpoint value, and the per-step propagator is the exact
-exponential of the frozen Hamiltonian.
+Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
+where ``T_c`` is the pulse cycle time (the whole run without pulses),
+and always align with interval boundaries; the noise is held constant
+across each step at its midpoint value, and the per-step propagator is
+the exact exponential of the frozen Hamiltonian.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "DecayCurve",
     "TrajectoryResult",
     "SCENARIO_NAMES",
-    "ou_trajectory",
     "propagate_trajectory",
     "trajectory_propagator",
     "ensemble_coherence",
@@ -120,7 +120,8 @@ class NoiseScenario:
     initial_state: np.ndarray
     observable: Operator
     max_step: float | None = None
-    record_points: int = 20
+    #: evenly spaced record times of a run without pulses
+    record_points: ClassVar[int] = 20
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -175,43 +176,14 @@ class NoiseScenario:
 # Ornstein-Uhlenbeck sampling
 # ---------------------------------------------------------------------------
 
-def ou_trajectory(
-    tau_c: float, amplitude: float, dt: float, steps: int, seed
-) -> np.ndarray:
-    """Stationary OU samples with autocorrelation ``amp^2 exp(-|dt|/tau)``.
-
-    Uses the exact discretization ``x' = rho x + amp sqrt(1-rho^2) xi``
-    with ``rho = exp(-dt/tau_c)``, so there is no integrator bias at any
-    step size; the precondition ``dt <= tau_c / 10`` guards callers that
-    go on to treat the noise as constant within a step.
-    """
-    if tau_c <= 0:
-        raise ValidationError("tau_c must be positive")
-    if dt > tau_c / 10 + 1e-15:
-        raise ValidationError(f"dt={dt} too coarse for tau_c={tau_c} (need dt <= tau_c/10)")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = rng.standard_normal(steps)
-    out = np.empty(steps)
-    if steps == 0:
-        return out
-    rho = math.exp(-dt / tau_c)
-    kick = amplitude * math.sqrt(1 - rho * rho)
-    out[0] = amplitude * draws[0]
-    for k in range(1, steps):
-        out[k] = rho * out[k - 1] + kick * draws[k]
-    return out
-
-
-def _ou_batch(
-    amplitude: float,
-    tau_c: float,
-    gaps: np.ndarray,
-    draws: np.ndarray,
-) -> np.ndarray:
-    """Exact OU recursion on a (possibly non-uniform) grid.
+def _ou_batch(amplitude: float, tau_c: float, gaps: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Stationary OU samples with autocorrelation ``amp^2 exp(-|dt|/tau_c)``
+    on a (possibly non-uniform) grid.
 
     ``draws`` is ``(n_traj, steps)`` standard normal; gap ``k`` separates
-    samples ``k`` and ``k+1``.  Vectorized across trajectories.
+    samples ``k`` and ``k+1``.  The exact discretization
+    ``x' = rho x + amp sqrt(1 - rho^2) xi`` with ``rho = exp(-gap/tau_c)``
+    has no integrator bias at any gap.  Vectorized across trajectories.
     """
     n_traj, steps = draws.shape
     out = np.empty((n_traj, steps))
@@ -229,19 +201,16 @@ def _ou_batch(
 
 @dataclass(frozen=True)
 class _Grid:
-    durations: np.ndarray                     # (S,) step lengths
-    midpoints: np.ndarray                     # (S,) noise sample times
-    pulses_after: tuple[tuple[int, np.ndarray], ...]  # pulse fires after step index
-    records: tuple[tuple[int, float], ...]    # (steps completed, time)
+    durations: np.ndarray             # (S,) step lengths
+    midpoints: np.ndarray             # (S,) noise sample times
+    pulses: dict[int, np.ndarray]     # steps completed -> pulse fired then
+    record_steps: frozenset[int]      # steps completed at each record
+    times: np.ndarray                 # (R,) record times, starting at 0
 
 
 def _build_grid(scenario: NoiseScenario) -> _Grid:
-    taus = [ch.correlation_time for ch in scenario.channels]
-    dt_cap = min(taus) / 20 if taus else scenario.total_time
-    if scenario.schedule is not None:
-        dt_cap = min(dt_cap, scenario.schedule.cycle_time / 20)
-    else:
-        dt_cap = min(dt_cap, scenario.total_time / 20)
+    cycle = scenario.schedule.cycle_time if scenario.schedule else scenario.total_time
+    dt_cap = min([cycle, *(ch.correlation_time for ch in scenario.channels)]) / 20
     if scenario.max_step is not None:
         dt_cap = min(dt_cap, scenario.max_step)
 
@@ -259,22 +228,22 @@ def _build_grid(scenario: NoiseScenario) -> _Grid:
                 segments.append((tau * sch.cycle_time, pulse, last))
 
     durations: list[float] = []
-    pulses_after: list[tuple[int, np.ndarray]] = []
-    records: list[tuple[int, float]] = [(0, 0.0)]
+    pulses: dict[int, np.ndarray] = {}
+    record_steps, times = [0], [0.0]
     t = 0.0
     for length, pulse, record in segments:
         n = max(1, math.ceil(length / dt_cap - 1e-12))
-        step = length / n
-        durations.extend([step] * n)
+        durations.extend([length / n] * n)
         t += length
         if pulse is not None:
-            pulses_after.append((len(durations), pulse))
+            pulses[len(durations)] = pulse
         if record:
-            records.append((len(durations), t))
+            record_steps.append(len(durations))
+            times.append(t)
     durations_arr = np.asarray(durations)
     edges = np.concatenate([[0.0], np.cumsum(durations_arr)])
     midpoints = edges[:-1] + durations_arr / 2
-    return _Grid(durations_arr, midpoints, tuple(pulses_after), tuple(records))
+    return _Grid(durations_arr, midpoints, pulses, frozenset(record_steps), np.array(times))
 
 
 def _channel_noise(
@@ -321,20 +290,16 @@ def _evolve(
     couplings = [ch.coupling.matrix for ch in scenario.channels]
     diag_path = _is_diagonal(h0) and all(_is_diagonal(c) for c in couplings)
     n_traj, dim = psi.shape
-    pulses = dict(grid.pulses_after)
-    record_at = dict(grid.records)  # steps completed -> time
-    out = np.empty((len(grid.records), n_traj, dim), dtype=complex)
-    rec = 0
-    if 0 in record_at:
-        out[rec] = psi
-        rec += 1
+    out = np.empty((len(grid.times), n_traj, dim), dtype=complex)
+    out[0] = psi
+    rec = 1
 
     if diag_path:
         d0 = np.diag(h0).real
-        dc = np.array([np.diag(c).real for c in couplings]) if couplings else np.zeros((0, dim))
+        dc = [np.diag(c).real for c in couplings]
     for k, dt in enumerate(grid.durations):
         if diag_path:
-            phase = d0[None, :] * np.ones((n_traj, 1))
+            phase = d0
             for c in range(len(couplings)):
                 phase = phase + noise[c, :, k, None] * dc[c][None, :]
             psi = psi * np.exp(-1j * dt * phase)
@@ -347,9 +312,9 @@ def _evolve(
             amp *= np.exp(-1j * evals * dt)
             psi = np.einsum("tij,tj->ti", vecs, amp)
         done = k + 1
-        if done in pulses:
-            psi = psi @ pulses[done].T
-        if done in record_at:
+        if done in grid.pulses:
+            psi = psi @ grid.pulses[done].T
+        if done in grid.record_steps:
             out[rec] = psi
             rec += 1
     return out
@@ -359,7 +324,10 @@ def _evolve(
 class TrajectoryResult:
     times: np.ndarray
     states: np.ndarray          # (n_records, dim)
-    final_state: np.ndarray
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.states[-1]
 
 
 def propagate_trajectory(
@@ -378,8 +346,7 @@ def propagate_trajectory(
         noise = _explicit_noise(scenario, grid, noise_values)
     psi = scenario.initial_state[None, :].copy()
     states = _evolve(scenario, noise, psi, grid)
-    times = np.array([t for _, t in grid.records])
-    return TrajectoryResult(times, states[:, 0, :], states[-1, 0, :])
+    return TrajectoryResult(grid.times, states[:, 0, :])
 
 
 def trajectory_propagator(
@@ -441,8 +408,7 @@ def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
         stderr = expect.std(axis=1, ddof=1) / math.sqrt(n)
     else:
         stderr = np.zeros_like(mean)
-    times = np.array([t for _, t in grid.records])
-    return DecayCurve(times, mean, stderr, n)
+    return DecayCurve(grid.times, mean, stderr, n)
 
 
 def final_error(curve: DecayCurve) -> float:

@@ -55,6 +55,7 @@ def parse_term(text: str, n_qubits: int) -> PauliString | list[PauliString]:
         tokens = tokens[1:]
     except ValueError:
         pass
+    coeff = _real(f"term {text!r} coefficient", coeff)
     if not tokens:
         raise ValidationError(f"term {text!r} has no operator part")
 
@@ -63,20 +64,22 @@ def parse_term(text: str, n_qubits: int) -> PauliString | list[PauliString]:
     if fused:
         head, digits = fused.group(1), fused.group(2)
         rest = list(digits) + rest
+    if not all(r.isdecimal() for r in rest):
+        raise ValidationError(f"term {text!r}: qubit indices must be whole numbers")
+    qubits = [int(r) for r in rest]
 
     if head.lower() == "s":
-        if len(rest) != 2:
+        if len(qubits) != 2:
             raise ValidationError(f"exchange term {text!r} needs two qubit indices")
-        j, k = (int(r) for r in rest)
         return [
-            PauliString.from_word(a + a, [j, k], n_qubits, coefficient=coeff) for a in "XYZ"
+            PauliString.from_word(a + a, qubits, n_qubits, coefficient=coeff) for a in "XYZ"
         ]
     word = head.upper()
     if set(word) - set("IXYZ"):
         raise ValidationError(f"unknown operator {head!r} in term {text!r}")
-    if len(rest) != len(word):
+    if len(qubits) != len(word):
         raise ValidationError(f"term {text!r}: word {word!r} needs {len(word)} qubit indices")
-    return PauliString.from_word(word, [int(r) for r in rest], n_qubits, coefficient=coeff)
+    return PauliString.from_word(word, qubits, n_qubits, coefficient=coeff)
 
 
 def parse_hamiltonian(spec: Mapping[str, Any], n_qubits: int) -> Operator:
@@ -89,13 +92,16 @@ def parse_hamiltonian(spec: Mapping[str, Any], n_qubits: int) -> Operator:
         if not isinstance(nu, (list, tuple)):
             raise ValidationError(f"nmr block needs a list of chemical shifts 'nu', got {nu!r}")
         nu = [_real("nmr shift", v) for v in nu]
-        terms = nmr_hamiltonian(nu, block.get("j", {}), n=len(nu))
+        terms = nmr_hamiltonian(nu, block.get("j", {}), n=n_qubits)
         if _boolean("nmr weak_coupling", block.get("weak_coupling", False)):
             species = block.get("species")
-            if species is None:
-                raise ValidationError("weak_coupling truncation needs per-qubit 'species' labels")
+            labels = species if isinstance(species, (list, tuple)) else ()
+            if len(labels) != n_qubits or not all(isinstance(s, str) for s in labels):
+                raise ValidationError(
+                    f"weak_coupling truncation needs {n_qubits} 'species' labels, got {species!r}"
+                )
             terms = weak_coupling_truncation(terms, species)
-        return pauli_sum(terms, n=len(nu))
+        return pauli_sum(terms, n=n_qubits)
     term_strings = spec.get("terms")
     if term_strings is None:
         raise ValidationError("hamiltonian block needs 'terms' or 'nmr'")

@@ -10,40 +10,82 @@ from aht.noise import (
     NoiseScenario,
     _build_grid,
     _channel_noise,
+    _ou_batch,
     build_scenario,
     ensemble_coherence,
     final_error,
-    ou_trajectory,
     propagate_trajectory,
     trajectory_propagator,
 )
 from aht.operators import Operator, single_qubit
 
 
+#: (gaps between OU samples, steps spanning one correlation time
+#: tau_c = 1): a uniform grid and one whose gaps alternate 0.05 / 0.15.
+OU_GRIDS = {
+    "uniform": (np.full(399, 0.1), 10),
+    "alternating": (np.resize([0.05, 0.15], 399), 10),
+}
+
+
+def ou_samples(gaps, amplitude, seed, n_traj=2000):
+    """``_ou_batch`` at tau_c = 1 on seeded standard-normal draws."""
+    draws = np.random.default_rng(seed).standard_normal((n_traj, len(gaps) + 1))
+    return _ou_batch(amplitude, 1.0, gaps, draws)
+
+
 class TestOuTrajectory:
     def test_zero_amplitude(self):
-        assert np.array_equal(ou_trajectory(1.0, 0.0, 0.05, 100, seed=1), np.zeros(100))
+        for gaps, _ in OU_GRIDS.values():
+            assert np.array_equal(ou_samples(gaps, 0.0, seed=1, n_traj=10), np.zeros((10, 400)))
 
     def test_deterministic_for_seed(self):
-        a = ou_trajectory(2.0, 0.5, 0.1, 1000, seed=42)
-        b = ou_trajectory(2.0, 0.5, 0.1, 1000, seed=42)
-        assert np.array_equal(a, b)
+        for gaps, _ in OU_GRIDS.values():
+            assert np.array_equal(ou_samples(gaps, 0.5, seed=42), ou_samples(gaps, 0.5, seed=42))
 
     def test_autocorrelation_at_one_correlation_time(self):
-        # oracle: closed-form OU autocorrelation amp^2 exp(-lag/tau)
-        amp, tau, dt = 0.7, 1.0, 0.1
-        x = ou_trajectory(tau, amp, dt, 1_000_000, seed=11)
-        lag = int(tau / dt)
-        estimate = float(np.mean(x[:-lag] * x[lag:]))
-        assert estimate == pytest.approx(amp**2 / np.e, rel=0.05)
+        # oracle: closed-form OU autocorrelation amp^2 exp(-lag/tau_c),
+        # pooled over 2000 trajectories; every window of `lag` gaps spans 1.0
+        amp = 0.7
+        for gaps, lag in OU_GRIDS.values():
+            assert np.sum(gaps[:lag]) == pytest.approx(1.0, abs=1e-12)
+            x = ou_samples(gaps, amp, seed=11)
+            estimate = float(np.mean(x[:, :-lag] * x[:, lag:]))
+            assert estimate == pytest.approx(amp**2 / np.e, rel=0.05)
 
     def test_stationary_variance(self):
-        x = ou_trajectory(1.0, 0.5, 0.1, 500_000, seed=3)
-        assert float(np.var(x)) == pytest.approx(0.25, rel=0.05)
+        for gaps, _ in OU_GRIDS.values():
+            x = ou_samples(gaps, 0.5, seed=3)
+            assert float(np.var(x)) == pytest.approx(0.25, rel=0.05)
 
-    def test_rejects_coarse_step(self):
-        with pytest.raises(ValidationError):
-            ou_trajectory(1.0, 0.5, 0.2, 10, seed=0)
+
+class TestStepGrid:
+    @pytest.mark.parametrize(
+        "knobs", [{}, {"pulses": False}, {"max_step": 0.004}], ids=["pulsed", "free", "max_step"]
+    )
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_steps_follow_the_rule(self, name, knobs):
+        # module docstring: dt <= min(tau_c / 20, T_c / 20, max_step), with T_c
+        # the whole run without pulses; pulses fire at the schedule boundaries
+        sc = build_scenario(name, repetitions=3, **knobs)
+        grid = _build_grid(sc)
+        sch = sc.schedule
+        caps = [ch.correlation_time / 20 for ch in sc.channels]
+        caps.append((sch.cycle_time if sch else sc.total_time) / 20)
+        caps.append(knobs.get("max_step", np.inf))
+        assert np.max(grid.durations) <= min(caps) * (1 + 1e-12)
+        elapsed = np.concatenate([[0.0], np.cumsum(grid.durations)])
+        assert elapsed[-1] == pytest.approx(sc.total_time, abs=1e-12)
+        assert np.allclose(elapsed[sorted(grid.record_steps)], grid.times, rtol=0, atol=1e-12)
+        fired = sorted(grid.pulses)
+        expected = [] if sch is None else [
+            ((rep + sum(sch.durations[: i + 1])) * sch.cycle_time, pulse.matrix)
+            for rep in range(sc.repetitions) for i, pulse in enumerate(sch.pulses)
+        ]
+        assert len(fired) == len(expected)
+        for done, (boundary, matrix) in zip(fired, expected):
+            assert elapsed[done] == pytest.approx(boundary, abs=1e-12)
+            assert np.array_equal(grid.pulses[done], matrix)
 
 
 def slow_only_scenario(**over):

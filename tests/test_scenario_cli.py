@@ -37,7 +37,8 @@ class TestTermGrammar:
             assert np.allclose(total, exchange(1, 2, 2).matrix)
 
     def test_rejects_garbage(self):
-        for text in ("", "Q1", "ZZ 1", "1.0 s 1", "Z 9"):
+        for text in ("", "Q1", "ZZ 1", "1.0 s 1", "Z 9", "1.0 Z a", "1.0 Z 1.5", "1.0 s 1 a",
+                     "nan Z 1", "1e400 Z 1"):
             with pytest.raises(ValidationError):
                 parse_term(text, 2)
 
@@ -89,6 +90,13 @@ class TestScenarioRoundTrip:
         for n in (0, 6, 40):
             with pytest.raises(ValidationError, match="n_qubits"):
                 Scenario.from_dict({"kind": "project", "n_qubits": n})
+
+
+def logical_nmr(**block):
+    """A 4-qubit ``logical`` run on the dfs2x2 code reading an nmr block
+    with four shifts, updated by ``block``."""
+    return {"kind": "logical", "code": "dfs2x2", "n_qubits": 4,
+            "hamiltonian": {"nmr": {"nu": [1.0, 0.5, 0.2, 0.1], **block}}}
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -225,6 +233,12 @@ class TestRunCommand:
             {"hamiltonian": {"nmr": 5}},
             {"n_qubits": 4, "hamiltonian": {"nmr": {
                 "nu": [1, 2, 3, 4], "species": ["H", "H", "C", "C"], "weak_coupling": "no"}}},
+            logical_nmr(j={"12": "x"}),
+            logical_nmr(j={"ab": 1.0}),
+            logical_nmr(j=[1, 2]),
+            {"hamiltonian": {"terms": ["1.0 Z a"]}},
+            logical_nmr(nu=[1.0, 0.5, 0.2]),
+            logical_nmr(species=["H"], weak_coupling=True),
         ],
     )
     def test_bad_scenario_fields_exit_2(self, tmp_path, capsys, field):
@@ -280,22 +294,27 @@ KNOB_TYPES = {
 }
 #: The JSON types each key of a named sequence block accepts.
 SEQUENCE_TYPES = {"cycle_time": NUMBER, "physical": {"boolean"}}
+#: The JSON types each key of an nmr block accepts.
+NMR_TYPES = {"nu": {"array"}, "j": {"object"}, "species": {"array"}, "weak_coupling": {"boolean"}}
 NOISE_DOC = {"kind": "noise", "noise": {"name": "hybrid_dephasing", "repetitions": 2,
                                          "ensemble_size": 4}}
 AVERAGE_DOC = {"kind": "average", "hamiltonian": {"terms": ["1.0 Z 1"]},
                "sequence": {"name": "cp_x"}}
+NMR_DOC = logical_nmr(j={"13": 1.0}, species=["H", "H", "C", "C"], weak_coupling=True)
 #: What an edit may target: (accepted types per key, a valid document that
-#: reads them, the block of that document holding the keys or None for the top level).
+#: reads them, the path of keys to the block holding them, empty for the top level).
 EDITABLE = {
-    "field": (FIELD_TYPES, NOISE_DOC, None),
-    "knob": (KNOB_TYPES, NOISE_DOC, "noise"),
-    "sequence": (SEQUENCE_TYPES, AVERAGE_DOC, "sequence"),
+    "field": (FIELD_TYPES, NOISE_DOC, ()),
+    "knob": (KNOB_TYPES, NOISE_DOC, ("noise",)),
+    "sequence": (SEQUENCE_TYPES, AVERAGE_DOC, ("sequence",)),
+    "nmr": (NMR_TYPES, NMR_DOC, ("hamiltonian", "nmr")),
 }
 
 
 @st.composite
 def wrong_type_edits(draw):
-    """``(where, key, value)``: one field, knob or sequence key given a value of a type it rejects."""
+    """``(where, key, value)``: one field, knob, sequence or nmr key given a
+    value of a type it rejects."""
     where = draw(st.sampled_from(sorted(EDITABLE)))
     accepted = EDITABLE[where][0]
     key = draw(st.sampled_from(sorted(accepted)))
@@ -310,7 +329,10 @@ class TestMalformedInput:
         where, key, value = edit
         _, base, block = EDITABLE[where]
         doc = json.loads(json.dumps(base))
-        (doc if block is None else doc[block])[key] = value
+        target = doc
+        for step in block:
+            target = target[step]
+        target[key] = value
         path = write_scenario(tmp_path_factory.mktemp("malformed"), doc)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
