@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, ValidationError, _integer, _real
+from .config import DEFAULT_TOL, ValidationError, _integer, _real
 from .operators import (
     SIGMA,
     Operator,
@@ -81,7 +81,7 @@ class Code:
     def __post_init__(self):
         v = self.isometry
         gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(gram.shape[0]))) > DEFAULT_TOL.unitarity:
+        if not np.max(np.abs(gram - np.eye(gram.shape[0]))) <= DEFAULT_TOL.unitarity:
             raise ValidationError(f"code {self.name}: isometry columns are not orthonormal")
         if v.shape != (2**self.n_physical, self.logical_dim * self.syndrome_dim):
             raise ValidationError(f"code {self.name}: isometry shape {v.shape} inconsistent")
@@ -197,7 +197,7 @@ class LogicalAction:
         return d
 
 
-def logical_action(h: MatrixLike, code: Code, tol: Tolerances = DEFAULT_TOL) -> LogicalAction:
+def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     """Compute the action of a physical operator on a code.
 
     For subspace codes (``syndrome_dim == 1``) the split is simply
@@ -214,7 +214,7 @@ def logical_action(h: MatrixLike, code: Code, tol: Tolerances = DEFAULT_TOL) -> 
 
     if dz == 1:
         return LogicalAction(
-            preserves_code=leak < tol.equality,
+            preserves_code=leak < DEFAULT_TOL.equality,
             logical_part=Operator(r0),
             identity_offset=float(c.real),
             leakage_norm=leak,
@@ -226,15 +226,16 @@ def logical_action(h: MatrixLike, code: Code, tol: Tolerances = DEFAULT_TOL) -> 
     realigned = blocks.transpose(0, 2, 1, 3).reshape(nl * nl, dz * dz)
     svals = np.linalg.svd(realigned, compute_uv=False)
     scale = max(svals[0], 1.0)
-    rank = int(np.sum(svals > tol.rank * scale))
+    rank = int(np.sum(svals > DEFAULT_TOL.rank * scale))
 
     logical = np.einsum("izjz->ij", blocks) / dz
     syndrome = np.einsum("iziw->zw", blocks) / nl
     rebuilt = np.kron(logical, np.eye(dz)) + np.kron(np.eye(nl), syndrome)
-    factorizable = rank <= 2 and np.max(np.abs(rebuilt - r0)) < max(tol.equality, tol.rank * scale)
-    syndrome_nontrivial = (not factorizable) or np.max(np.abs(syndrome)) > tol.equality
+    misfit = np.max(np.abs(rebuilt - r0))
+    factorizable = rank <= 2 and misfit < max(DEFAULT_TOL.equality, DEFAULT_TOL.rank * scale)
+    syndrome_nontrivial = (not factorizable) or np.max(np.abs(syndrome)) > DEFAULT_TOL.equality
     return LogicalAction(
-        preserves_code=leak < tol.equality,
+        preserves_code=leak < DEFAULT_TOL.equality,
         logical_part=Operator(logical),
         identity_offset=float(c.real),
         leakage_norm=leak,
@@ -469,6 +470,8 @@ def nmr_hamiltonian(nu: Sequence[float], j: Mapping, n: int = 4) -> list[PauliSt
         if nu[q - 1] != 0.0
     ]
     for (a, b), val in sorted(_normalize_couplings(j).items()):
+        if not 1 <= a < b <= n:  # checked before a zero coupling is skipped
+            raise ValidationError(f"coupling ({a}, {b}) names a qubit outside 1..{n}")
         if val == 0.0:
             continue
         for letter in "XYZ":
@@ -531,7 +534,7 @@ DFS2X2_PULSE_TABLE = (
 
 
 def verify_pulse_correspondence(
-    code: Code | None = None, tol: Tolerances = DEFAULT_TOL
+    code: Code | None = None,
 ) -> list[CorrespondenceCheck]:
     """Check the encoded-pi pulse table against direct restriction.
 
@@ -552,14 +555,14 @@ def verify_pulse_correspondence(
             blocks = restricted.reshape(code.logical_dim, code.syndrome_dim, code.logical_dim, code.syndrome_dim)
             restricted = np.einsum("izjz->ij", blocks) / code.syndrome_dim
         fid = phase_insensitive_fidelity(target.matrix, restricted)
-        preserves = leak < tol.equality
+        preserves = leak < DEFAULT_TOL.equality
         checks.append(
             CorrespondenceCheck(
                 axes=axes,
                 physical_label=label,
                 preserves_code=preserves,
                 fidelity=fid,
-                passed=preserves and fid >= 1 - tol.equality,
+                passed=preserves and fid >= 1 - DEFAULT_TOL.equality,
             )
         )
     return checks

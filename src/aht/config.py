@@ -2,9 +2,11 @@
 the package.
 
 Operator comparisons -- equality, also up to a global phase, unitarity,
-Hermiticity, the log branch cut and rank decisions -- read one tolerance
-record, :data:`DEFAULT_TOL` unless a caller passes its own, so "equal" or
-"unitary" means the same everywhere.  A few fixed thresholds stay literal
+Hermiticity, the log branch cut and rank decisions -- read the one fixed
+tolerance record :data:`DEFAULT_TOL` directly; no function takes its own,
+so "equal" or "unitary" means the same everywhere.  Each of these checks
+is written so that a NaN defect fails it (``not defect <= limit``), since
+``defect > limit`` is false for NaN.  A few fixed thresholds stay literal
 where they are used: the checks that weights and durations sum to one
 (1e-12), the equal-weight test of a decoupling group (1e-9), zero-norm
 guards, the internal consistency checks of the ns3 basis construction
@@ -20,15 +22,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central numerical tolerance configuration.
+    """The package's numerical tolerances, fixed in :data:`DEFAULT_TOL`.
 
     Attributes
     ----------
     equality : float
         Max-norm tolerance for operator equality checks.
     unitarity : float
-        Max-norm tolerance on ``U @ U.conj().T - 1`` for constructors
-        that assert unitarity.
+        Max-norm tolerance on ``V^dag V - 1`` for the isometry of a
+        built-in code.
     hermiticity : float
         Max-norm tolerance on ``H - H.conj().T``.
     branch_cut : float
@@ -47,7 +49,7 @@ class Tolerances:
     rank: float = 1e-8
 
 
-#: Default tolerances used by every module unless an explicit record is passed.
+#: The tolerances every module reads.
 DEFAULT_TOL = Tolerances()
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, ValidationError
+from .config import DEFAULT_TOL, ValidationError
 from .operators import (
     Operator,
     MatrixLike,
@@ -89,7 +89,7 @@ def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[
     for g in gens:
         if g.shape != (dim, dim):
             raise ValidationError("generators must share a dimension")
-        if _unitarity_defect(g) > DEFAULT_TOL.equality:
+        if not _unitarity_defect(g) <= DEFAULT_TOL.equality:
             raise ValidationError("generators must be unitary")
     eye = np.eye(dim, dtype=complex)
     elements: dict[bytes, np.ndarray] = {_matrix_key(eye): eye}
@@ -339,7 +339,6 @@ def effective_defect(
     h: MatrixLike,
     scheme: DecouplingScheme,
     include_first_order: bool = False,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Spectral-norm distance between the cycle's true effective
     Hamiltonian and its zeroth-order (optionally first-order corrected)
@@ -363,7 +362,7 @@ def effective_defect(
             "the cycle time is too large for a defect comparison"
         )
     aligned = u.matrix * (overlap.conjugate() / abs(overlap))
-    h_eff = logm_effective(aligned, scheme.cycle_time, tol)
+    h_eff = logm_effective(aligned, scheme.cycle_time)
     diff = h_eff.matrix - approx
     diff = diff - np.trace(diff) / diff.shape[0] * np.eye(diff.shape[0])
     return float(np.linalg.norm(diff, 2))

@@ -30,7 +30,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from .codes import Code, build_code
-from .config import DEFAULT_TOL, Tolerances, ValidationError, _boolean, _integer, _real
+from .config import DEFAULT_TOL, ValidationError, _boolean, _integer, _real
 from .decoupling import DecouplingScheme, named_sequence
 from .operators import Operator, _unitarity_defect, single_qubit
 
@@ -349,11 +349,9 @@ def propagate_trajectory(
     return TrajectoryResult(grid.times, states[:, 0, :])
 
 
-def trajectory_propagator(
-    scenario: NoiseScenario, noise_values: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> Operator:
+def trajectory_propagator(scenario: NoiseScenario, noise_values: np.ndarray) -> Operator:
     """Exact propagator of one noise realization (pulses included), checked
-    to be unitary to within ``tol.equality``."""
+    to be unitary to within ``DEFAULT_TOL.equality``, 1e-10."""
     grid = _build_grid(scenario)
     noise = _explicit_noise(scenario, grid, noise_values)
     dim = scenario.h_system.dim
@@ -362,7 +360,7 @@ def trajectory_propagator(
     # rows holds the image of each basis vector; columns of U are those images
     u = rows[-1].T
     defect = _unitarity_defect(u)
-    if defect > tol.equality:
+    if not defect <= DEFAULT_TOL.equality:
         raise ValidationError(f"trajectory propagator lost unitarity ({defect:.2e})")
     return Operator(u)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOL, BranchCutError, Tolerances, ValidationError
+from .config import DEFAULT_TOL, BranchCutError, ValidationError
 
 __all__ = [
     "Operator",
@@ -79,37 +79,16 @@ class Operator:
         Square complex matrix whose side length is a power of two.
     label : str, optional
         Human-readable name carried through for reporting.
-    hermitian, unitary, traceless : bool
-        Optional assertions checked at construction time against the
-        configured tolerances.  They are constructor options, not
-        standing invariants of the type.
     """
 
     __slots__ = ("matrix", "label")
 
-    def __init__(
-        self,
-        matrix: MatrixLike,
-        label: str | None = None,
-        *,
-        hermitian: bool = False,
-        unitary: bool = False,
-        traceless: bool = False,
-        tol: Tolerances = DEFAULT_TOL,
-    ):
+    def __init__(self, matrix: MatrixLike, label: str | None = None):
         m = np.array(mat(matrix), dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"operator matrix must be square, got shape {m.shape}")
         if not _is_power_of_two(m.shape[0]):
             raise ValidationError(f"operator dimension {m.shape[0]} is not a power of two")
-        if hermitian and np.max(np.abs(m - m.conj().T)) > tol.hermiticity:
-            raise ValidationError("matrix is not Hermitian at the configured tolerance")
-        if unitary:
-            defect = _unitarity_defect(m)
-            if defect > tol.unitarity:
-                raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
-        if traceless and abs(np.trace(m)) > tol.equality * m.shape[0]:
-            raise ValidationError("matrix is not traceless")
         m.setflags(write=False)
         self.matrix = m
         self.label = label
@@ -123,9 +102,6 @@ class Operator:
     def n_qubits(self) -> int:
         return int(self.dim).bit_length() - 1
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -133,12 +109,13 @@ class Operator:
         """Spectral (largest singular value) norm."""
         return float(np.linalg.norm(self.matrix, 2))
 
-    def is_hermitian(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol.hermiticity)
+    def is_hermitian(self) -> bool:
+        """``||H - H^dag||_max <= DEFAULT_TOL.hermiticity``, 1e-12."""
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= DEFAULT_TOL.hermiticity)
 
-    def is_unitary(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """``||U U^dag - 1||_max <= tol.equality``, looser than ``unitary=True``'s check."""
-        return _unitarity_defect(self.matrix) <= tol.equality
+    def is_unitary(self) -> bool:
+        """``||U U^dag - 1||_max <= DEFAULT_TOL.equality``, 1e-10."""
+        return _unitarity_defect(self.matrix) <= DEFAULT_TOL.equality
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: MatrixLike) -> "Operator":
@@ -257,56 +234,56 @@ def exchange(j: int, k: int, n: int) -> Operator:
     return pauli_sum([PauliString.from_word(a + a, [j, k], n) for a in "XYZ"])
 
 
-def conjugate(h: MatrixLike, u: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> Operator:
+def conjugate(h: MatrixLike, u: MatrixLike) -> Operator:
     """Toggling-frame conjugation ``U^dag H U``.
 
     Preserves spectra and Hermiticity.  ``u`` must be unitary to within
-    ``tol.equality``, deliberately looser than the constructor assertion
-    (``tol.unitarity``) so that long pulse products still pass.
+    ``DEFAULT_TOL.equality``, 1e-10, loose enough that long pulse
+    products still pass.
     """
     hm, um = mat(h), mat(u)
     if hm.shape != um.shape:
         raise ValidationError(f"dimension mismatch: {hm.shape} vs {um.shape}")
     defect = _unitarity_defect(um)
-    if defect > tol.equality:
+    if not defect <= DEFAULT_TOL.equality:
         raise ValidationError(f"conjugating operator is not unitary (defect {defect:.2e})")
     return Operator(um.conj().T @ hm @ um)
 
 
-def expm(h: MatrixLike, t: float, tol: Tolerances = DEFAULT_TOL) -> Operator:
+def expm(h: MatrixLike, t: float) -> Operator:
     """Unitary ``exp(-i H t)`` of a Hermitian generator.
 
     Uses an eigendecomposition, so the result is unitary to rounding.
-    ``h`` must be Hermitian to within ``tol.equality``.
+    ``h`` must be Hermitian to within ``DEFAULT_TOL.equality``, 1e-10.
     """
     hm = mat(h)
-    if np.max(np.abs(hm - hm.conj().T)) > tol.equality:
+    if not np.max(np.abs(hm - hm.conj().T)) <= DEFAULT_TOL.equality:
         raise ValidationError("expm generator must be Hermitian")
     evals, vecs = np.linalg.eigh(hm)
     return Operator((vecs * np.exp(-1j * evals * t)) @ vecs.conj().T)
 
 
-def logm_effective(u: MatrixLike, t_total: float, tol: Tolerances = DEFAULT_TOL) -> Operator:
+def logm_effective(u: MatrixLike, t_total: float) -> Operator:
     """Hermitian ``H_eff`` with ``exp(-i H_eff T) = U``, principal branch.
 
     Eigenphases are taken in ``(-pi, pi]``; an eigenphase within
-    ``tol.branch_cut`` of the cut raises :class:`BranchCutError` instead
-    of silently picking a branch, since the effective Hamiltonian is
-    only defined modulo ``2 pi / T``.  ``u`` must be unitary to within
-    ``tol.equality``.
+    ``DEFAULT_TOL.branch_cut``, 1e-8, of the cut raises
+    :class:`BranchCutError` instead of silently picking a branch, since
+    the effective Hamiltonian is only defined modulo ``2 pi / T``.
+    ``u`` must be unitary to within ``DEFAULT_TOL.equality``, 1e-10.
     """
     import scipy.linalg  # deferred: slow to import, and only this function needs it
 
     um = mat(u)
-    if t_total <= 0:
+    if not t_total > 0:
         raise ValidationError("logm_effective needs T > 0")
     defect = _unitarity_defect(um)
-    if defect > tol.equality:
+    if not defect <= DEFAULT_TOL.equality:
         raise ValidationError(f"logm_effective input is not unitary (defect {defect:.2e})")
     # Schur of a normal matrix is diagonal and comes with an orthonormal frame.
     triangular, frame = scipy.linalg.schur(um, output="complex")
     phases = np.angle(np.diag(triangular))
-    if np.any(np.pi - np.abs(phases) < tol.branch_cut):
+    if np.any(np.pi - np.abs(phases) < DEFAULT_TOL.branch_cut):
         raise BranchCutError(
             "eigenphase within branch tolerance of +/- pi; effective Hamiltonian ambiguous"
         )
@@ -378,6 +355,6 @@ def phase_insensitive_fidelity(a: MatrixLike, b: MatrixLike) -> float:
     return float(abs(np.trace(am.conj().T @ bm)) / am.shape[0])
 
 
-def equal_up_to_phase(a: MatrixLike, b: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Unitary equality modulo a global phase, at the equality tolerance."""
-    return phase_insensitive_fidelity(a, b) >= 1.0 - tol.equality
+def equal_up_to_phase(a: MatrixLike, b: MatrixLike) -> bool:
+    """Unitary equality modulo a global phase, to within ``DEFAULT_TOL.equality``, 1e-10."""
+    return phase_insensitive_fidelity(a, b) >= 1.0 - DEFAULT_TOL.equality

@@ -225,9 +225,6 @@ class Scenario:
             raise ValidationError("scenario file must hold a JSON object")
         return cls.from_dict(d)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
     # -- resolution ------------------------------------------------------
     def resolve_hamiltonian(self) -> Operator:
         if self.hamiltonian is None:

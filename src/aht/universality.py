@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, ValidationError
-from .decoupling import DecouplingSet, close_group, project_group
+from .config import DEFAULT_TOL, ValidationError
+from .decoupling import DecouplingSet, close_group
 from .operators import SIGMA, Operator, MatrixLike, _unitarity_defect, expm, mat
 
 __all__ = [
@@ -65,15 +65,15 @@ def _gram_schmidt_residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarr
 def lie_closure(
     generators: Sequence[MatrixLike],
     max_dim: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> LieBasis:
     """Close a set of anti-Hermitian generators under commutation.
 
     Grows an orthonormal basis (normalized trace pairing); a commutator
     counts as a new direction when its Gram-Schmidt residual exceeds
-    ``tol.rank``.  The result is independent of generator order and
-    invariant under simultaneous unitary conjugation of all generators.
-    Generators must be anti-Hermitian to within ``tol.equality``.
+    ``DEFAULT_TOL.rank``, 1e-8.  The result is independent of generator
+    order and invariant under simultaneous unitary conjugation of all
+    generators.  Generators must be anti-Hermitian to within
+    ``DEFAULT_TOL.equality``, 1e-10.
     """
     mats = [mat(g) for g in generators]
     if not mats:
@@ -82,7 +82,7 @@ def lie_closure(
     for g in mats:
         if g.shape != (dim, dim):
             raise ValidationError("generators must share a dimension")
-        if np.max(np.abs(g + g.conj().T)) > tol.equality:
+        if not np.max(np.abs(g + g.conj().T)) <= DEFAULT_TOL.equality:
             raise ValidationError("lie_closure expects anti-Hermitian generators (apply i first)")
 
     scale = np.sqrt(dim)  # so unit vectors have Tr(A^dag A)/dim = 1
@@ -95,7 +95,7 @@ def lie_closure(
         v = _vectorize(m) / scale
         v = _gram_schmidt_residual(v, basis_vecs)
         r = np.linalg.norm(v)
-        if r <= tol.rank:
+        if not r > DEFAULT_TOL.rank:
             return False
         if len(basis_vecs) >= max_dim:
             truncated = True
@@ -141,11 +141,12 @@ def cp_split(h: MatrixLike, pi_pulse: MatrixLike) -> tuple[Operator, Operator]:
     if hm.shape != pm.shape:
         raise ValidationError("dimension mismatch in cp_split")
     eps = DEFAULT_TOL.equality
-    if _unitarity_defect(pm) > eps:
+    if not _unitarity_defect(pm) <= eps:
         raise ValidationError("pi pulse must be unitary")
     square = pm @ pm
     phase = np.trace(square) / pm.shape[0]
-    if abs(abs(phase) - 1) > eps or np.max(np.abs(square - phase * np.eye(pm.shape[0]))) > eps:
+    if not (abs(abs(phase) - 1) <= eps
+            and np.max(np.abs(square - phase * np.eye(pm.shape[0]))) <= eps):
         raise ValidationError("pulse is not involutive up to a global phase")
     conj = pm.conj().T @ hm @ pm
     return Operator((hm + conj) / 2), Operator((hm - conj) / 2)
@@ -171,7 +172,6 @@ def transformer_reach(
     group: DecouplingSet,
     a: MatrixLike,
     target: MatrixLike,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ReachabilityResult:
     """Decide whether weighted conjugation averages of ``a`` reach ``target``.
 
@@ -179,7 +179,7 @@ def transformer_reach(
     nonnegative ``tau`` summing to one and free positive scale
     ``lambda``, as a plain nonnegative least-squares problem (the sum
     constraint is absorbed into ``lambda``).  Reachability means the
-    residual falls below ``tol.rank`` in Frobenius norm.
+    residual falls below ``DEFAULT_TOL.rank``, 1e-8, in Frobenius norm.
     """
     if not group.is_group:
         raise ValidationError("transformer_reach expects a decoupling group")
@@ -202,7 +202,7 @@ def transformer_reach(
 
     weights, residual = scipy.optimize.nnls(design, rhs)
     total = float(weights.sum())
-    reachable = bool(residual < tol.rank and total > 0)
+    reachable = bool(residual < DEFAULT_TOL.rank and total > 0)
     if reachable:
         tau = tuple(float(w) / total for w in weights)
         lam = 1.0 / total
@@ -237,12 +237,3 @@ def transformer_generators() -> list[Operator]:
     sx, sy, sz = SIGMA["X"], SIGMA["Y"], SIGMA["Z"]
     axis = (sx + sy + sz) / np.sqrt(3)
     return [Operator(1j * sx), Operator(1j * sy), Operator(1j * sz), expm(axis / 2, 2 * np.pi / 3)]
-
-
-def centralizer_consistency(group: DecouplingSet, h: MatrixLike, tol: Tolerances = DEFAULT_TOL):
-    """Cross-check: the group projection of ``h`` lies in the cone probed
-    by :func:`transformer_reach` (uniform weights, scale one)."""
-    projected = project_group(h, group)
-    if np.linalg.norm(projected.matrix) < 1e-12:
-        return None
-    return transformer_reach(group, h, projected.matrix, tol)

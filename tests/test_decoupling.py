@@ -10,6 +10,7 @@ from aht.decoupling import (
     SEQUENCE_NAMES,
     average_zeroth,
     builtin_groups,
+    close_group,
     cycle_propagator,
     effective_defect,
     first_order_correction,
@@ -320,6 +321,10 @@ class TestGroupMachinery:
         assert not DecouplingSet(tuple(Operator(m) for m in (I2, X, Y)), (1 / 3,) * 3).is_group
         with pytest.raises(ValidationError):
             DecouplingSet.group([I2, X, Y])
+
+    def test_close_group_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            close_group([X, np.array([[0.0, 1.0], [1.0, np.nan]])])
 
     @pytest.mark.parametrize("name", SEQUENCE_NAMES)
     def test_sequence_verdicts_pinned(self, name):

@@ -73,7 +73,7 @@ class TestScenarioRoundTrip:
     def test_json_round_trip(self):
         sc = Scenario(kind="logical", n_qubits=3, code="ns3",
                       hamiltonian={"terms": ["1.0 s12"]})
-        again = Scenario.from_json(sc.to_json())
+        again = Scenario.from_json(json.dumps(sc.to_dict()))
         assert again == sc
 
     def test_unknown_fields_rejected(self):
@@ -239,6 +239,7 @@ class TestRunCommand:
             {"hamiltonian": {"terms": ["1.0 Z a"]}},
             logical_nmr(nu=[1.0, 0.5, 0.2]),
             logical_nmr(species=["H"], weak_coupling=True),
+            logical_nmr(j={"19": 0.0}),
         ],
     )
     def test_bad_scenario_fields_exit_2(self, tmp_path, capsys, field):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aht.codes import ns3_logical_hamiltonian
-from aht.config import Tolerances, ValidationError
+from aht.config import ValidationError
 from aht.decoupling import builtin_groups, project_group
 from aht.operators import (
     SIGMA,
@@ -13,7 +13,6 @@ from aht.operators import (
     random_traceless_hermitian,
 )
 from aht.universality import (
-    centralizer_consistency,
     cp_split,
     generate_group,
     lie_closure,
@@ -43,11 +42,14 @@ class TestLieClosure:
         assert lie_closure([1j * h_l.matrix, 1j * projected.matrix]).dimension == 3
 
     def test_antihermiticity_threshold_read_from_tol(self):
-        # ||G + G^dag||_max = 2e-11: inside the default equality (1e-10)
-        near = [1j * X + 1e-11 * Z, 1j * Y]
-        assert lie_closure(near).dimension == 3
+        # ||G + G^dag||_max = 2e-11 passes and 2e-9 fails DEFAULT_TOL.equality (1e-10)
+        assert lie_closure([1j * X + 1e-11 * Z, 1j * Y]).dimension == 3
         with pytest.raises(ValidationError):
-            lie_closure(near, tol=Tolerances(equality=1e-12))
+            lie_closure([1j * X + 1e-9 * Z, 1j * Y])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            lie_closure([1j * np.full((2, 2), np.nan)])
 
     def test_rejects_hermitian_input(self):
         with pytest.raises(ValidationError):
@@ -172,9 +174,10 @@ class TestTransformerReach:
         rng = np.random.default_rng(61)
         for name, group in builtin_groups().items():
             h = random_traceless_hermitian(group.dim.bit_length() - 1, rng)
-            result = centralizer_consistency(group, h)
-            if result is not None:
-                assert result.reachable, name
+            projected = project_group(h, group)
+            if np.linalg.norm(projected.matrix) < 1e-12:
+                continue
+            assert transformer_reach(group, h, projected.matrix).reachable, name
 
 
 class TestGenerateGroup:
