@@ -395,8 +395,9 @@ class HeteroCoefficients:
     d: float
 
 
-def _normalize_couplings(j: Mapping) -> dict[tuple[int, int], float]:
-    """Couplings keyed ``"13"`` or ``(1, 3)`` as ``{(1, 3): J}``, checked."""
+def _normalize_couplings(j: Mapping, n: int = 4) -> dict[tuple[int, int], float]:
+    """Couplings keyed ``"13"`` or ``(1, 3)`` as ``{(1, 3): J}``, checked to
+    name two distinct qubits in ``1..n``."""
     if not isinstance(j, Mapping):
         raise ValidationError(f"couplings 'j' must be an object, got {j!r}")
     out: dict[tuple[int, int], float] = {}
@@ -407,6 +408,8 @@ def _normalize_couplings(j: Mapping) -> dict[tuple[int, int], float]:
         pair = tuple(sorted(_integer(f"coupling key {key!r} qubit", q) for q in qubits))
         if pair[0] == pair[1]:
             raise ValidationError(f"coupling key {key!r} must name two distinct qubits")
+        if not 1 <= pair[0] < pair[1] <= n:
+            raise ValidationError(f"coupling {pair} names a qubit outside 1..{n}")
         out[pair] = _real(f"coupling {key!r}", val)
     return out
 
@@ -469,9 +472,7 @@ def nmr_hamiltonian(nu: Sequence[float], j: Mapping, n: int = 4) -> list[PauliSt
         for q in range(1, n + 1)
         if nu[q - 1] != 0.0
     ]
-    for (a, b), val in sorted(_normalize_couplings(j).items()):
-        if not 1 <= a < b <= n:  # checked before a zero coupling is skipped
-            raise ValidationError(f"coupling ({a}, {b}) names a qubit outside 1..{n}")
+    for (a, b), val in sorted(_normalize_couplings(j, n).items()):
         if val == 0.0:
             continue
         for letter in "XYZ":

@@ -20,6 +20,11 @@ where ``T_c`` is the pulse cycle time (the whole run without pulses),
 and always align with interval boundaries; the noise is held constant
 across each step at its midpoint value, and the per-step propagator is
 the exact exponential of the frozen Hamiltonian.
+
+Propagation runs in the code space: only the basis block reachable from
+the initial state through the drift, couplings and pulses is evolved, and
+every amplitude outside it stays exactly zero.  ``trajectory_propagator``
+starts from every basis vector and so covers the full space.
 """
 from __future__ import annotations
 
@@ -282,16 +287,35 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return bool(np.all(m == np.diag(np.diag(m))))
 
 
+def _reachable_block(psi: np.ndarray, generators: Sequence[np.ndarray]) -> np.ndarray:
+    """Sorted basis indices reachable from the nonzero entries of the rows
+    ``psi`` through a nonzero entry of any generator, in either direction."""
+    linked = np.zeros((psi.shape[1],) * 2, dtype=bool)
+    for m in generators:
+        linked |= (m != 0) | (m != 0).T
+    reached = frontier = np.any(psi != 0, axis=0)
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    return np.flatnonzero(reached)
+
+
 def _evolve(
     scenario: NoiseScenario, noise: np.ndarray, psi: np.ndarray, grid: _Grid
 ) -> np.ndarray:
-    """Evolve state rows through the grid; returns (n_records, n_traj, dim)."""
-    h0 = scenario.h_system.matrix
+    """Evolve state rows through the grid; returns (n_records, n_traj, dim),
+    zero outside the block reachable from ``psi``, the only one propagated."""
     couplings = [ch.coupling.matrix for ch in scenario.channels]
+    block = _reachable_block(psi, [scenario.h_system.matrix, *couplings, *grid.pulses.values()])
+    cut = np.ix_(block, block)
+    h0 = scenario.h_system.matrix[cut]
+    couplings = [c[cut] for c in couplings]
+    pulses = {done: p[cut].T for done, p in grid.pulses.items()}
     diag_path = _is_diagonal(h0) and all(_is_diagonal(c) for c in couplings)
-    n_traj, dim = psi.shape
-    out = np.empty((len(grid.times), n_traj, dim), dtype=complex)
+    out = np.zeros((len(grid.times), *psi.shape), dtype=complex)
     out[0] = psi
+    psi = psi[:, block]
+    n_traj, dim = psi.shape
     rec = 1
 
     if diag_path:
@@ -312,10 +336,10 @@ def _evolve(
             amp *= np.exp(-1j * evals * dt)
             psi = np.einsum("tij,tj->ti", vecs, amp)
         done = k + 1
-        if done in grid.pulses:
-            psi = psi @ grid.pulses[done].T
+        if done in pulses:
+            psi = psi @ pulses[done]
         if done in grid.record_steps:
-            out[rec] = psi
+            out[rec][:, block] = psi
             rec += 1
     return out
 

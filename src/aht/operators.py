@@ -237,13 +237,15 @@ def exchange(j: int, k: int, n: int) -> Operator:
 def conjugate(h: MatrixLike, u: MatrixLike) -> Operator:
     """Toggling-frame conjugation ``U^dag H U``.
 
-    Preserves spectra and Hermiticity.  ``u`` must be unitary to within
-    ``DEFAULT_TOL.equality``, 1e-10, loose enough that long pulse
-    products still pass.
+    Preserves spectra and Hermiticity.  ``h`` must be finite and ``u``
+    unitary to within ``DEFAULT_TOL.equality``, 1e-10, loose enough that
+    long pulse products still pass.
     """
     hm, um = mat(h), mat(u)
     if hm.shape != um.shape:
         raise ValidationError(f"dimension mismatch: {hm.shape} vs {um.shape}")
+    if not np.max(np.abs(hm)) < np.inf:
+        raise ValidationError("conjugated operator must be finite")
     defect = _unitarity_defect(um)
     if not defect <= DEFAULT_TOL.equality:
         raise ValidationError(f"conjugating operator is not unitary (defect {defect:.2e})")
@@ -254,11 +256,14 @@ def expm(h: MatrixLike, t: float) -> Operator:
     """Unitary ``exp(-i H t)`` of a Hermitian generator.
 
     Uses an eigendecomposition, so the result is unitary to rounding.
-    ``h`` must be Hermitian to within ``DEFAULT_TOL.equality``, 1e-10.
+    ``h`` must be Hermitian to within ``DEFAULT_TOL.equality``, 1e-10,
+    and ``t`` finite.
     """
     hm = mat(h)
     if not np.max(np.abs(hm - hm.conj().T)) <= DEFAULT_TOL.equality:
         raise ValidationError("expm generator must be Hermitian")
+    if not abs(t) < np.inf:
+        raise ValidationError(f"expm time must be finite, got {t!r}")
     evals, vecs = np.linalg.eigh(hm)
     return Operator((vecs * np.exp(-1j * evals * t)) @ vecs.conj().T)
 

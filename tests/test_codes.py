@@ -216,6 +216,13 @@ class TestDfs2x2ClosedForm:
         assert co.c == pytest.approx((1 + 2 - 3 - 4) / 4)
         assert co.d == pytest.approx((1 - 2 - 3 + 4) / 4)
 
+    @pytest.mark.parametrize("pair", [(1, 9), (0, 2), (4, 5), "15"])
+    def test_rejects_qubits_outside_the_four(self, pair):
+        with pytest.raises(ValidationError, match="outside 1..4"):
+            dfs2x2_logical_hamiltonian([1, 0.5, 0.2, 0.1], {pair: 1.0})
+        with pytest.raises(ValidationError, match="outside 1..4"):
+            hetero_coefficients({pair: 1.0})
+
 
 class TestWeakCoupling:
     def test_drops_only_hetero_transverse_terms(self):

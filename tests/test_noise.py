@@ -1,4 +1,6 @@
 """Stochastic dephasing engine: OU statistics, propagation, ensembles."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from aht.noise import (
     _build_grid,
     _channel_noise,
     _ou_batch,
+    _reachable_block,
     build_scenario,
     ensemble_coherence,
     final_error,
@@ -32,6 +35,45 @@ def ou_samples(gaps, amplitude, seed, n_traj=2000):
     """``_ou_batch`` at tau_c = 1 on seeded standard-normal draws."""
     draws = np.random.default_rng(seed).standard_normal((n_traj, len(gaps) + 1))
     return _ou_batch(amplitude, 1.0, gaps, draws)
+
+
+#: every library scenario with pulses on and off, plus physical hybrid_dephasing
+CONFIGS = {
+    **{name: (name, {}) for name in SCENARIO_NAMES},
+    **{f"{name}-free": (name, {"pulses": False}) for name in SCENARIO_NAMES},
+    "hybrid_dephasing-physical": ("hybrid_dephasing", {"encoded": False}),
+    "hybrid_dephasing-physical-free": ("hybrid_dephasing", {"encoded": False, "pulses": False}),
+}
+
+#: basis indices each configuration propagates: the encoded states live on
+#: |01>, |10> (and their products); the physical pulse train flips |+>|0>
+#: onto all four basis states
+CODE_BLOCKS = {
+    "hybrid_dephasing": [1, 2],
+    "encoded_spin_boson": [1, 2],
+    "encoded_depolarizing": [1, 2],
+    "four_qubit_blockwise": [5, 6, 9, 10],
+    "hybrid_dephasing-physical": [0, 1, 2, 3],
+}
+
+#: sha256 of ``ensemble_coherence`` mean and std-error bytes at
+#: ``repetitions=2, ensemble_size=16, seed=29``, recorded with the
+#: full-space propagation (numpy 2.4, OpenBLAS, x86-64); a change that
+#: moves them says so and re-records them
+PINNED_DIGESTS = {
+    "hybrid_dephasing": "3de0c306569f8856c91cb8467eee879bb929580d5b9aaab2648411862d1b14f8",
+    "hybrid_dephasing-physical": "f587f454a6c212cdc3452c4fc99cae055198c2683035a8d3cb12f25d0d662b6d",
+    "encoded_spin_boson": "506fb7f5215bfd2d5d00a43ca1701c075a29ed1f39d9e2fbe1ffe2fac80f5098",
+    "encoded_depolarizing": "bf76186402cca051720164b8a3718fb627423a493b857492da79d7f9e9033ac4",
+    "four_qubit_blockwise": "70b09b2a6c27334d2890fa5bb7e347b4e353f02a60e3b4d043ba4f2ea5d77f9a",
+}
+
+
+def code_block(sc):
+    """The basis indices ``_evolve`` propagates for the scenario's initial state."""
+    generators = [sc.h_system.matrix, *(ch.coupling.matrix for ch in sc.channels)]
+    generators += _build_grid(sc).pulses.values()
+    return _reachable_block(sc.initial_state[None, :], generators)
 
 
 class TestOuTrajectory:
@@ -164,15 +206,37 @@ class TestPropagation:
         with pytest.raises(ValidationError):
             trajectory_propagator(sc, np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("name", ["hybrid_dephasing", "encoded_spin_boson"])
-    def test_propagator_matches_state_propagation(self, name):
-        # diagonal path (hybrid_dephasing) and eigh path (encoded_spin_boson)
-        sc = build_scenario(name, repetitions=2, ensemble_size=1, seed=3)
+    @pytest.mark.parametrize("name,knobs", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_propagator_matches_state_propagation(self, name, knobs):
+        # oracle: the propagator of the identity rows, which reach every
+        # index and so run on the full space; the state runs on its block
+        sc = build_scenario(name, repetitions=2, ensemble_size=1, seed=3, **knobs)
         steps = _build_grid(sc).durations.shape[0]
         noise = np.random.default_rng(1).normal(0, 0.5, size=(len(sc.channels), steps))
         u = trajectory_propagator(sc, noise)
         final = propagate_trajectory(sc, noise_values=noise).final_state
         assert np.max(np.abs(u.matrix @ sc.initial_state - final)) < 1e-12
+
+    @pytest.mark.parametrize("config", CODE_BLOCKS)
+    def test_code_block(self, config):
+        name, knobs = CONFIGS[config]
+        assert code_block(build_scenario(name, **knobs)).tolist() == CODE_BLOCKS[config]
+
+    def test_block_links_either_direction(self):
+        # |2> -> |0> through an entry above the diagonal, then |0> -> |3>
+        # through one below it; |1> stays unreachable
+        up, down = np.zeros((4, 4)), np.zeros((4, 4))
+        up[0, 2] = down[3, 0] = 1.0
+        psi = np.array([[0, 0, 1j, 0]])
+        assert _reachable_block(psi, [up, down]).tolist() == [0, 2, 3]
+        assert _reachable_block(psi, [down]).tolist() == [2]
+
+    @pytest.mark.parametrize("name,knobs", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_states_vanish_outside_the_block(self, name, knobs):
+        sc = build_scenario(name, repetitions=2, ensemble_size=1, seed=3, **knobs)
+        outside = np.setdiff1d(np.arange(sc.h_system.dim), code_block(sc))
+        states = propagate_trajectory(sc).states
+        assert np.array_equal(states[:, outside], np.zeros((len(states), len(outside))))
 
     def test_single_trajectory_draws_its_own_stream(self):
         # trajectory k's noise is row k of the ensemble's, bit for bit
@@ -224,6 +288,14 @@ class TestEnsemble:
         assert np.allclose(rho, rho.conj().T, atol=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+
+    @pytest.mark.parametrize("config", PINNED_DIGESTS)
+    def test_pinned_bytes(self, config):
+        name, knobs = CONFIGS[config]
+        sc = build_scenario(name, repetitions=2, ensemble_size=16, seed=29, **knobs)
+        curve = ensemble_coherence(sc)
+        digest = hashlib.sha256(curve.mean.tobytes() + curve.std_error.tobytes()).hexdigest()
+        assert digest == PINNED_DIGESTS[config]
 
     def test_csv_emission(self):
         sc = slow_only_scenario(ensemble_size=10)

@@ -104,6 +104,8 @@ class TestConjugate:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             conjugate(I2, np.full((2, 2), np.nan))
+        with pytest.raises(ValidationError):
+            conjugate(np.full((2, 2), np.nan), I2)
 
     def test_preserves_spectrum(self):
         rng = np.random.default_rng(5)
@@ -140,6 +142,8 @@ class TestExpm:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             expm(np.array([[0.0, 1.0], [1.0, np.nan]]), 0.3)
+        with pytest.raises(ValidationError):
+            expm(X, np.nan)
 
     def test_unitary_output(self):
         u = expm(random_hermitian(3, np.random.default_rng(1)), 2.5)
