@@ -18,8 +18,11 @@ fixed by the implementation.
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
 and always align with interval boundaries; the noise is held constant
-across each step at its midpoint value, and the per-step propagator is
-the exact exponential of the frozen Hamiltonian.
+across each step at its midpoint value.  Between two events (a pulse
+or a record), diagonal drift and couplings commute, so the state takes
+one phase update from the noise integrated over the interval; otherwise
+each step applies the exact exponential of its frozen Hamiltonian.  The
+step grid and the noise samples are the same either way.
 
 Propagation runs in the code space: only the basis block reachable from
 the initial state through the drift, couplings and pulses is evolved, and
@@ -151,6 +154,8 @@ class NoiseScenario:
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != dim:
             raise ValidationError("initial state dimension does not match the system")
+        if not abs(np.linalg.norm(psi) - 1) <= DEFAULT_TOL.equality:
+            raise ValidationError(f"initial state must have norm 1, got {np.linalg.norm(psi)}")
         object.__setattr__(self, "initial_state", psi)
 
     def describe(self) -> dict:
@@ -303,8 +308,9 @@ def _reachable_block(psi: np.ndarray, generators: Sequence[np.ndarray]) -> np.nd
 def _evolve(
     scenario: NoiseScenario, noise: np.ndarray, psi: np.ndarray, grid: _Grid
 ) -> np.ndarray:
-    """Evolve state rows through the grid; returns (n_records, n_traj, dim),
-    zero outside the block reachable from ``psi``, the only one propagated."""
+    """Evolve state rows through the grid, one event interval at a time;
+    returns (n_records, n_traj, dim), zero outside the block reachable
+    from ``psi``, the only one propagated."""
     couplings = [ch.coupling.matrix for ch in scenario.channels]
     block = _reachable_block(psi, [scenario.h_system.matrix, *couplings, *grid.pulses.values()])
     cut = np.ix_(block, block)
@@ -316,31 +322,31 @@ def _evolve(
     out[0] = psi
     psi = psi[:, block]
     n_traj, dim = psi.shape
-    rec = 1
-
-    if diag_path:
-        d0 = np.diag(h0).real
-        dc = [np.diag(c).real for c in couplings]
-    for k, dt in enumerate(grid.durations):
+    d0, dc = np.diag(h0).real, [np.diag(c).real for c in couplings]
+    start, rec = 0, 1
+    for done in sorted((set(pulses) | grid.record_steps) - {0}):  # steps at each event
         if diag_path:
-            phase = d0
+            dt = grid.durations[start:done]
+            phase = dt.sum() * d0
             for c in range(len(couplings)):
-                phase = phase + noise[c, :, k, None] * dc[c][None, :]
-            psi = psi * np.exp(-1j * dt * phase)
+                # row sums, not a BLAS product: a row's bytes must not depend on the batch
+                phase = phase + (noise[c, :, start:done] * dt).sum(axis=1)[:, None] * dc[c]
+            psi = psi * np.exp(-1j * phase)
         else:
-            h = np.broadcast_to(h0, (n_traj, dim, dim)).copy()
-            for c in range(len(couplings)):
-                h += noise[c, :, k, None, None] * couplings[c][None, :, :]
-            evals, vecs = np.linalg.eigh(h)
-            amp = np.einsum("tji,tj->ti", vecs.conj(), psi)
-            amp *= np.exp(-1j * evals * dt)
-            psi = np.einsum("tij,tj->ti", vecs, amp)
-        done = k + 1
+            for k in range(start, done):
+                h = np.broadcast_to(h0, (n_traj, dim, dim)).copy()
+                for c in range(len(couplings)):
+                    h += noise[c, :, k, None, None] * couplings[c][None, :, :]
+                evals, vecs = np.linalg.eigh(h)
+                amp = np.einsum("tji,tj->ti", vecs.conj(), psi)
+                amp *= np.exp(-1j * evals * grid.durations[k])
+                psi = np.einsum("tij,tj->ti", vecs, amp)
         if done in pulses:
             psi = psi @ pulses[done]
         if done in grid.record_steps:
             out[rec][:, block] = psi
             rec += 1
+        start = done
     return out
 
 
@@ -401,10 +407,7 @@ class DecayCurve:
     def to_csv(self, params: Mapping[str, object] | None = None) -> str:
         import json
 
-        lines = []
-        if params is not None:
-            payload = json.dumps(params, sort_keys=True, default=str)
-            lines.append(f"# {payload}")
+        lines = [] if params is None else [f"# {json.dumps(params, sort_keys=True, default=str)}"]
         lines.append("time_s,mean_coherence,std_error,n_traj")
         for t, m, s in zip(self.times, self.mean, self.std_error):
             lines.append(f"{t:.12g},{m:.12g},{s:.12g},{self.n_traj}")
@@ -426,10 +429,7 @@ def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
     obs = scenario.observable.matrix
     expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
     mean = expect.mean(axis=1)
-    if n > 1:
-        stderr = expect.std(axis=1, ddof=1) / math.sqrt(n)
-    else:
-        stderr = np.zeros_like(mean)
+    stderr = expect.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return DecayCurve(grid.times, mean, stderr, n)
 
 
