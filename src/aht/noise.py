@@ -111,9 +111,9 @@ class NoiseScenario:
     """Full description of one stochastic run.
 
     ``total_time`` must equal ``repetitions * schedule.cycle_time``
-    whenever a pulse schedule is attached.  ``max_step`` optionally caps
-    the integration step below the default ``min(tau_c, T_c) / 20`` --
-    useful for comparing runs on a common grid.
+    whenever a pulse schedule is attached.  ``max_step``, if given, must be
+    positive; it caps the step below the default ``min(tau_c, T_c) / 20``,
+    to compare runs on a common grid.  The observable must be Hermitian.
     """
 
     name: str
@@ -151,6 +151,10 @@ class NoiseScenario:
                 raise ValidationError("channel coupling dimension does not match the system")
         if self.observable.dim != dim:
             raise ValidationError("observable dimension does not match the system")
+        if not self.observable.is_hermitian():
+            raise ValidationError("observable must be Hermitian")
+        if self.max_step is not None and not self.max_step > 0:
+            raise ValidationError(f"max_step must be positive, got {self.max_step}")
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != dim:
             raise ValidationError("initial state dimension does not match the system")

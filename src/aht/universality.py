@@ -54,26 +54,24 @@ def _vectorize(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
-def _gram_schmidt_residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    # two passes: commutator towers lose ~2 digits per level in double
-    for _ in range(2):
-        for b in basis:
-            vec = vec - (b @ vec) * b
-    return vec
-
-
 def lie_closure(
     generators: Sequence[MatrixLike],
     max_dim: int = 256,
 ) -> LieBasis:
     """Close a set of anti-Hermitian generators under commutation.
 
-    Grows an orthonormal basis (normalized trace pairing); a commutator
-    counts as a new direction when its Gram-Schmidt residual exceeds
-    ``DEFAULT_TOL.rank``, 1e-8.  The result is independent of generator
-    order and invariant under simultaneous unitary conjugation of all
-    generators.  Generators must be anti-Hermitian to within
-    ``DEFAULT_TOL.equality``, 1e-10.
+    Grows an orthonormal basis (normalized trace pairing) row by row: row
+    ``i`` stacks the commutators of basis element ``i`` with every element
+    present when the row starts and projects out the basis twice, with two
+    matrix products each time.  A commutator is a new direction when its
+    residual exceeds ``DEFAULT_TOL.rank``, 1e-8; survivors are admitted in
+    ascending order, each projected again against the basis as it then
+    stands: the (i, j) order of a sequential Gram-Schmidt, so ``max_dim``
+    truncation keeps the same elements.  Growth stops once the basis spans
+    u(d), or su(d) when every generator is traceless to
+    ``DEFAULT_TOL.equality``.  The result is independent of generator order
+    and invariant under simultaneous unitary conjugation of all generators,
+    which must be anti-Hermitian to ``DEFAULT_TOL.equality``, 1e-10.
     """
     mats = [mat(g) for g in generators]
     if not mats:
@@ -85,47 +83,49 @@ def lie_closure(
         if not np.max(np.abs(g + g.conj().T)) <= DEFAULT_TOL.equality:
             raise ValidationError("lie_closure expects anti-Hermitian generators (apply i first)")
 
-    scale = np.sqrt(dim)  # so unit vectors have Tr(A^dag A)/dim = 1
-    basis_vecs: list[np.ndarray] = []
-    basis_ops: list[np.ndarray] = []
+    # Commutators are traceless, so traceless generators stay in su(d).  At
+    # `ceiling` orthonormal rows the basis spans the space and any further
+    # residual is rounding (far below DEFAULT_TOL.rank): stopping loses nothing.
+    traceless = all(abs(np.trace(g)) / dim <= DEFAULT_TOL.equality for g in mats)
+    ceiling = dim * dim - traceless
+    scale = np.sqrt(dim)  # so unit rows have Tr(A^dag A)/dim = 1
+    # real coordinates (interleaved re, im), and the same rows as matrices / scale
+    B = np.zeros((max(0, min(max_dim, ceiling)), 2 * dim * dim))
+    ops = B.view(complex).reshape(-1, dim, dim)
+    k = 0
     truncated = False
 
-    def try_add(m: np.ndarray) -> bool:
-        nonlocal truncated
-        v = _vectorize(m) / scale
-        v = _gram_schmidt_residual(v, basis_vecs)
-        r = np.linalg.norm(v)
-        if not r > DEFAULT_TOL.rank:
-            return False
-        if len(basis_vecs) >= max_dim:
-            truncated = True
-            return False
-        v /= r
-        basis_vecs.append(v)
-        half = dim * dim
-        rebuilt = (v[:half] + 1j * v[half:]).reshape(dim, dim) * scale
-        basis_ops.append(rebuilt)
-        return True
+    def project(v: np.ndarray) -> np.ndarray:
+        # two passes: commutator towers lose ~2 digits per level in double
+        for _ in range(2):
+            v = v - (v @ B[:k].T) @ B[:k]
+        return v
 
-    for g in mats:
-        try_add(g)
-    frontier = list(range(len(basis_ops)))
-    while frontier and not truncated:
-        fresh = []
-        for i in frontier:
-            for j in range(len(basis_ops)):
-                if truncated:
-                    break
-                c = basis_ops[i] @ basis_ops[j] - basis_ops[j] @ basis_ops[i]
-                before = len(basis_ops)
-                if try_add(c) and len(basis_ops) > before:
-                    fresh.append(len(basis_ops) - 1)
-        frontier = fresh
+    def grow(rows: np.ndarray) -> None:
+        nonlocal k, truncated
+        for v in rows:
+            v = project(v)
+            r = np.linalg.norm(v)
+            if k == ceiling or not r > DEFAULT_TOL.rank:
+                continue
+            if k >= max_dim:
+                truncated = True
+                return
+            B[k] = v / r
+            k += 1
+
+    grow(np.stack([g.ravel().view(float) for g in mats]) / scale)
+    i = 0
+    while i < k < ceiling and not truncated:
+        # [basis_i, basis_j] / scale for every j < k, as real rows
+        rows = project((scale * (ops[i] @ ops[:k] - ops[:k] @ ops[i])).reshape(k, -1).view(float))
+        grow(rows[np.linalg.norm(rows, axis=1) > DEFAULT_TOL.rank])
+        i += 1
 
     return LieBasis(
         generators=tuple(Operator(g) for g in mats),
-        basis=tuple(Operator(b) for b in basis_ops),
-        dimension=len(basis_ops),
+        basis=tuple(Operator(scale * b) for b in ops[:k]),
+        dimension=k,
         truncated=truncated,
     )
 

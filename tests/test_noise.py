@@ -516,6 +516,16 @@ class TestScenarioLibrary:
         with pytest.raises(ValidationError, match="ensemble_size"):
             build_scenario("hybrid_dephasing", ensemble_size=size)
 
+    @pytest.mark.parametrize("step", [0, -1.0])
+    def test_rejects_nonpositive_max_step(self, step):
+        with pytest.raises(ValidationError, match="max_step"):
+            build_scenario("hybrid_dephasing", max_step=step)
+
+    def test_rejects_non_hermitian_observable(self):
+        sc = build_scenario("hybrid_dephasing", ensemble_size=1)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            dataclasses.replace(sc, observable=Operator(np.diag(np.ones(3), 1)))
+
     def test_rejects_initial_state_without_unit_norm(self):
         sc = build_scenario("hybrid_dephasing", ensemble_size=1)
         for state in (np.zeros(4), [np.nan, 0, 0, 0], [2, 0, 0, 0]):

@@ -207,6 +207,7 @@ class TestRunCommand:
             {"ensemble_size": "many"}, {"omega1": None}, {"repetitions": 2.7},
             {"ensemble_size": True}, {"pulses": "no"}, {"encoded": 0},
             {"slow_amplitude": float("nan")}, {"cycle_time": float("inf")}, {"omega1": 10**400},
+            {"max_step": 0}, {"max_step": -1},
         ],
     )
     def test_bad_noise_knobs_exit_2(self, tmp_path, capsys, knobs):

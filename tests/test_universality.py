@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aht.codes import ns3_logical_hamiltonian
-from aht.config import ValidationError
+from aht.config import DEFAULT_TOL, ValidationError
 from aht.decoupling import builtin_groups, project_group
 from aht.operators import (
     SIGMA,
@@ -25,6 +25,45 @@ I2, X, Y, Z = SIGMA["I"], SIGMA["X"], SIGMA["Y"], SIGMA["Z"]
 
 def transformer24():
     return generate_group([t.matrix for t in transformer_generators()], max_order=48)
+
+
+def sequential_closure(gens, max_dim):
+    """Reference closure: one commutator at a time, modified Gram-Schmidt twice."""
+    vecs, ops, truncated = [], [], False
+
+    def try_add(m):
+        nonlocal truncated
+        v = np.concatenate([m.real.ravel(), m.imag.ravel()]) / np.sqrt(len(m))
+        for b in vecs + vecs:
+            v = v - (b @ v) * b
+        r = np.linalg.norm(v)
+        truncated |= bool(r > DEFAULT_TOL.rank and len(vecs) >= max_dim)
+        if r > DEFAULT_TOL.rank and not truncated:
+            vecs.append(v / r)
+            ops.append((v[: m.size] + 1j * v[m.size:]).reshape(m.shape) * np.sqrt(len(m)) / r)
+
+    for g in gens:
+        try_add(g)
+    frontier = range(len(ops))
+    while frontier and not truncated:
+        start = len(ops)
+        for i in frontier:
+            for j in range(len(ops)):
+                try_add(ops[i] @ ops[j] - ops[j] @ ops[i])
+        frontier = range(start, len(ops))
+    return ops, truncated
+
+
+def random_generators(n_qubits, seed, traceless=True):
+    rng = np.random.default_rng(seed)
+    draw = random_traceless_hermitian if traceless else random_hermitian
+    return [1j * draw(n_qubits, rng).matrix for _ in range(2)]
+
+
+def parity_generators(seed):
+    """Two traceless 3-qubit generators commuting with Z Z Z: su(4) + su(4) + u(1), dim 31."""
+    parity = np.kron(Z, np.kron(Z, Z))
+    return [(g + parity @ g @ parity) / 2 for g in random_generators(3, seed)]
 
 
 class TestLieClosure:
@@ -78,6 +117,44 @@ class TestLieClosure:
                 for e in ops:
                     residual -= inner_product(e, c) * e
                 assert np.max(np.abs(residual)) < 1e-7
+
+    @pytest.mark.parametrize("traceless,expected", [(True, 255), (False, 256)])
+    def test_four_qubit_closure(self, traceless, expected):
+        basis = lie_closure(random_generators(4, 5, traceless))
+        assert (basis.dimension, basis.truncated) == (expected, False)
+
+    @pytest.mark.parametrize(
+        "gens,max_dims,full",
+        [
+            (random_generators(2, 8), (2, 3, 7, 15, 256), 15),
+            (random_generators(2, 9, traceless=False), (5, 16), 16),
+            (random_generators(3, 10), (4, 20, 41), 63),
+            (parity_generators(11), (12, 30, 31, 256), 31),
+        ],
+        ids=["su4", "u4", "su8", "su4+su4+u1"],
+    )
+    def test_matches_sequential_gram_schmidt(self, gens, max_dims, full):
+        assert lie_closure(gens).dimension == full
+        for max_dim in max_dims:
+            basis = lie_closure(gens, max_dim=max_dim)
+            ops, truncated = sequential_closure(gens, max_dim)
+            assert (basis.dimension, basis.truncated) == (len(ops), truncated)
+            for got, want in zip(basis.basis, ops):
+                assert np.max(np.abs(got.matrix - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "gens", [parity_generators(12), random_generators(4, 13)], ids=["su4+su4+u1", "su16"]
+    )
+    def test_commutators_stay_in_span(self, gens):
+        basis = lie_closure(gens)
+        ops = np.stack([b.matrix for b in basis.basis])
+        dim = ops.shape[1]
+        rng = np.random.default_rng(14)
+        for i, j in rng.integers(basis.dimension, size=(30, 2)):
+            c = ops[i] @ ops[j] - ops[j] @ ops[i]
+            coeffs = np.einsum("kab,ab->k", ops.conj(), c) / dim
+            residual = c - np.einsum("k,kab->ab", coeffs, ops)
+            assert np.sqrt(np.vdot(residual, residual).real / dim) <= DEFAULT_TOL.rank
 
     def test_invariance_under_order_and_conjugation(self):
         rng = np.random.default_rng(34)
