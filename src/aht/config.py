@@ -1,5 +1,5 @@
-"""Numerical tolerances, error types and input-value checks shared across
-the package.
+"""Numerical tolerances, error types, input-value checks and the noise-run
+size limit shared across the package.
 
 Operator comparisons -- equality, also up to a global phase, unitarity,
 Hermiticity, the log branch cut and rank decisions -- read the one fixed
@@ -51,6 +51,11 @@ class Tolerances:
 
 #: The tolerances every module reads.
 DEFAULT_TOL = Tolerances()
+
+#: Largest noise-sample tensor (channels x trajectories x steps x 8 bytes)
+#: a noise scenario may ask for, checked before any of it is allocated;
+#: ``aht verify`` at its default ensemble of 500 needs about 154 MB.
+_MAX_NOISE_BYTES = 2 * 1024**3
 
 
 class ValidationError(ValueError):

@@ -21,8 +21,10 @@ and always align with interval boundaries; the noise is held constant
 across each step at its midpoint value.  Between two events (a pulse
 or a record), diagonal drift and couplings commute, so the state takes
 one phase update from the noise integrated over the interval; otherwise
-each step applies the exact exponential of its frozen Hamiltonian.  The
-step grid and the noise samples are the same either way.
+each step applies the exact exponential of its frozen Hamiltonian, in
+closed form on a 2-dim block and by a batched ``eigh`` on a larger one,
+``_BATCH_STEPS`` steps at a time.  The step grid and the noise samples
+are the same either way.
 
 Propagation runs in the code space: only the basis block reachable from
 the initial state through the drift, couplings and pulses is evolved, and
@@ -38,7 +40,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from .codes import Code, build_code
-from .config import DEFAULT_TOL, ValidationError, _boolean, _integer, _real
+from .config import _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _real
 from .decoupling import DecouplingScheme, named_sequence
 from .operators import Operator, _unitarity_defect, single_qubit
 
@@ -96,10 +98,10 @@ class DephasingChannel:
     kind: str
 
     def __post_init__(self):
-        if self.correlation_time <= 0:
+        if not self.correlation_time > 0:
             raise ValidationError("correlation_time must be positive")
-        if self.amplitude < 0:
-            raise ValidationError("amplitude must be nonnegative")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValidationError("amplitude must be finite and nonnegative")
         if self.kind not in CHANNEL_KINDS:
             raise ValidationError(f"unknown channel kind {self.kind!r}")
         if not self.coupling.is_hermitian():
@@ -114,6 +116,7 @@ class NoiseScenario:
     whenever a pulse schedule is attached.  ``max_step``, if given, must be
     positive; it caps the step below the default ``min(tau_c, T_c) / 20``,
     to compare runs on a common grid.  The observable must be Hermitian.
+    A run needing more than ``config._MAX_NOISE_BYTES`` of noise is refused.
     """
 
     name: str
@@ -134,7 +137,7 @@ class NoiseScenario:
 
     def __post_init__(self):
         dim = self.h_system.dim
-        if self.total_time <= 0:
+        if not self.total_time > 0:
             raise ValidationError("total_time must be positive")
         if self.ensemble_size < 1:
             raise ValidationError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
@@ -155,6 +158,10 @@ class NoiseScenario:
             raise ValidationError("observable must be Hermitian")
         if self.max_step is not None and not self.max_step > 0:
             raise ValidationError(f"max_step must be positive, got {self.max_step}")
+        _, steps, cycles = _intervals(self)
+        size = max(1, len(self.channels)) * self.ensemble_size * cycles * sum(steps) * 8
+        if size > _MAX_NOISE_BYTES:  # exact integers; with no channels, the grid alone
+            raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != dim:
             raise ValidationError("initial state dimension does not match the system")
@@ -222,42 +229,36 @@ class _Grid:
     times: np.ndarray                 # (R,) record times, starting at 0
 
 
-def _build_grid(scenario: NoiseScenario) -> _Grid:
-    cycle = scenario.schedule.cycle_time if scenario.schedule else scenario.total_time
+def _intervals(scenario: NoiseScenario) -> tuple[list[float], list[int], int]:
+    """Interval lengths of one cycle, their step counts and the cycle count;
+    without pulses, one cycle of ``record_points`` equal intervals spans the
+    run.  Counts stop at 2**62, far past any grid the size limit admits."""
+    sch, points = scenario.schedule, scenario.record_points
+    cycle = sch.cycle_time if sch else scenario.total_time
     dt_cap = min([cycle, *(ch.correlation_time for ch in scenario.channels)]) / 20
     if scenario.max_step is not None:
         dt_cap = min(dt_cap, scenario.max_step)
+    per = scenario.total_time / points
+    lengths = [per] * points if sch is None else [tau * cycle for tau in sch.durations]
+    steps = [max(1, math.ceil(min(length / dt_cap, 2.0**62) - 1e-12)) for length in lengths]
+    return lengths, steps, 1 if sch is None else scenario.repetitions
 
-    # (interval length, pulse after it or None, record after it or None)
-    segments: list[tuple[float, np.ndarray | None, bool]] = []
-    if scenario.schedule is None:
-        per = scenario.total_time / scenario.record_points
-        segments = [(per, None, True)] * scenario.record_points
-    else:
-        sch = scenario.schedule
-        for rep in range(scenario.repetitions):
-            for i, tau in enumerate(sch.durations):
-                pulse = sch.pulses[i].matrix if i < len(sch.pulses) else None
-                last = i == len(sch.durations) - 1
-                segments.append((tau * sch.cycle_time, pulse, last))
 
-    durations: list[float] = []
-    pulses: dict[int, np.ndarray] = {}
-    record_steps, times = [0], [0.0]
-    t = 0.0
-    for length, pulse, record in segments:
-        n = max(1, math.ceil(length / dt_cap - 1e-12))
-        durations.extend([length / n] * n)
-        t += length
-        if pulse is not None:
-            pulses[len(durations)] = pulse
-        if record:
-            record_steps.append(len(durations))
-            times.append(t)
-    durations_arr = np.asarray(durations)
-    edges = np.concatenate([[0.0], np.cumsum(durations_arr)])
-    midpoints = edges[:-1] + durations_arr / 2
-    return _Grid(durations_arr, midpoints, pulses, frozenset(record_steps), np.array(times))
+def _build_grid(scenario: NoiseScenario) -> _Grid:
+    lengths, steps, cycles = _intervals(scenario)
+    n = np.array(steps)
+    durations = np.tile(np.repeat(np.divide(lengths, n), n), cycles)
+    ends = np.cumsum(np.tile(n, cycles)).tolist()  # steps completed after each interval
+    elapsed = np.cumsum(np.tile(lengths, cycles))  # time at the end of each interval
+    sch, k = scenario.schedule, len(lengths)
+    # pulse i fires after interval i of a cycle; records end cycles (every interval if unpulsed)
+    pulses = {} if sch is None else {
+        ends[r * k + i]: pulse.matrix for r in range(cycles) for i, pulse in enumerate(sch.pulses)
+    }
+    last = slice(None) if sch is None else slice(k - 1, None, k)
+    midpoints = np.concatenate([[0.0], np.cumsum(durations)])[:-1] + durations / 2
+    times = np.concatenate([[0.0], elapsed[last]])
+    return _Grid(durations, midpoints, pulses, frozenset([0, *ends[last]]), times)
 
 
 def _channel_noise(
@@ -309,6 +310,25 @@ def _reachable_block(psi: np.ndarray, generators: Sequence[np.ndarray]) -> np.nd
     return np.flatnonzero(reached)
 
 
+_BATCH_STEPS = 64  #: steps per propagator build; temporaries are O(64 * rows * dim^2)
+
+
+def _step_propagators(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """``exp(-i h dt)`` for a stack of Hermitian ``h`` and ``dt`` broadcast against
+    ``h.shape[:-2]``, each matrix on its own; ``np.sinc`` needs no 0/0 at ``W = 0``."""
+    if h.shape[-1] != 2:
+        evals, vecs = np.linalg.eigh(h)
+        phases = np.exp(-1j * evals * dt[..., None])
+        return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    # eigenvalues m +- W: exp(-i h dt) = e^{-i m dt} [cos(W dt) - i dt sinc(W dt / pi) (h - m)]
+    m = (h[..., 0, 0].real + h[..., 1, 1].real) / 2
+    z, x = (h[..., 0, 0].real - h[..., 1, 1].real) / 2, h[..., 1, 0]
+    w = np.sqrt(z * z + x.real * x.real + x.imag * x.imag) * dt
+    cos, s = np.cos(w), -1j * dt * np.sinc(w / np.pi)
+    u = np.stack([cos + s * z, s * x.conj(), s * x, cos - s * z], axis=-1)
+    return (np.exp(-1j * m * dt)[..., None] * u).reshape(h.shape)
+
+
 def _evolve(
     scenario: NoiseScenario, noise: np.ndarray, psi: np.ndarray, grid: _Grid
 ) -> np.ndarray:
@@ -325,7 +345,7 @@ def _evolve(
     out = np.zeros((len(grid.times), *psi.shape), dtype=complex)
     out[0] = psi
     psi = psi[:, block]
-    n_traj, dim = psi.shape
+    dim = psi.shape[1]
     d0, dc = np.diag(h0).real, [np.diag(c).real for c in couplings]
     start, rec = 0, 1
     for done in sorted((set(pulses) | grid.record_steps) - {0}):  # steps at each event
@@ -337,14 +357,14 @@ def _evolve(
                 phase = phase + (noise[c, :, start:done] * dt).sum(axis=1)[:, None] * dc[c]
             psi = psi * np.exp(-1j * phase)
         else:
-            for k in range(start, done):
-                h = np.broadcast_to(h0, (n_traj, dim, dim)).copy()
+            for a in range(start, done, _BATCH_STEPS):
+                b = min(a + _BATCH_STEPS, done)
+                # (steps, noise rows, dim, dim) frozen Hamiltonians
+                h = np.broadcast_to(h0, (b - a, noise.shape[1], dim, dim)).copy()
                 for c in range(len(couplings)):
-                    h += noise[c, :, k, None, None] * couplings[c][None, :, :]
-                evals, vecs = np.linalg.eigh(h)
-                amp = np.einsum("tji,tj->ti", vecs.conj(), psi)
-                amp *= np.exp(-1j * evals * grid.durations[k])
-                psi = np.einsum("tij,tj->ti", vecs, amp)
+                    h += noise[c, :, a:b].T[:, :, None, None] * couplings[c]
+                for u in _step_propagators(h, grid.durations[a:b, None]):
+                    psi = np.einsum("tij,tj->ti", u, psi)
         if done in pulses:
             psi = psi @ pulses[done]
         if done in grid.record_steps:

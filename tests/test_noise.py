@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from aht.codes import build_code
-from aht.config import ValidationError
+from aht.config import _MAX_NOISE_BYTES, ValidationError
 from aht.decoupling import named_sequence
 from aht.noise import (
+    _BATCH_STEPS,
     SCENARIO_NAMES,
     NoiseScenario,
     _build_grid,
@@ -16,6 +17,7 @@ from aht.noise import (
     _evolve,
     _ou_batch,
     _reachable_block,
+    _step_propagators,
     build_scenario,
     ensemble_coherence,
     final_error,
@@ -60,15 +62,16 @@ CODE_BLOCKS = {
 
 #: sha256 of ``ensemble_coherence`` mean and std-error bytes at
 #: ``repetitions=2, ensemble_size=16, seed=29`` (numpy 2.4, OpenBLAS,
-#: x86-64): the two ``eigh``-path ones recorded with the full-space
-#: propagation, the three diagonal-path ones re-recorded with the one
-#: phase update per event interval; a change that moves them says so and
-#: re-records them
+#: x86-64): the three diagonal-path ones recorded with the one phase
+#: update per event interval, the two non-diagonal ones re-recorded with
+#: the closed-form 2x2 step propagators, which moved their states by
+#: rounding only (see ``test_batched_steps_match_per_step_eigh``); a change
+#: that moves them says so and re-records them
 PINNED_DIGESTS = {
     "hybrid_dephasing": "fd8bf71828e51321e64dc64d4d196332a04527d79974e20f00e96a730ccac335",
     "hybrid_dephasing-physical": "542e5a15f396697b8d3a769dd147cd87893a0649e5041decbcc49ee859663d5a",
-    "encoded_spin_boson": "506fb7f5215bfd2d5d00a43ca1701c075a29ed1f39d9e2fbe1ffe2fac80f5098",
-    "encoded_depolarizing": "bf76186402cca051720164b8a3718fb627423a493b857492da79d7f9e9033ac4",
+    "encoded_spin_boson": "6acb7e6206516082ab59bb5631589f5fa0f0e209fcc94b1d9a54ef0c8fba303b",
+    "encoded_depolarizing": "35591e4d63cae88f916f571fddebb3151bf5607422df748d2de0013676cd91da",
     "four_qubit_blockwise": "fdde1296522d6d5b2c3f2cab59a0ae0ea3450bb5c4a4a01150f4e30a239e980b",
 }
 
@@ -79,6 +82,8 @@ DIAGONAL_CONFIGS = [
     config for config, (name, _) in CONFIGS.items()
     if name in ("hybrid_dephasing", "four_qubit_blockwise")
 ]
+#: the others, whose steps take the exponential of a frozen Hamiltonian
+EIGH_CONFIGS = [config for config in CONFIGS if config not in DIAGONAL_CONFIGS]
 
 
 def code_block(sc):
@@ -100,6 +105,26 @@ def per_step_reference(sc, noise):
         psi = np.exp(-1j * dt * (d0 + sum(x[k] * d for x, d in zip(noise, dc)))) * psi
         if k + 1 in grid.pulses:
             psi = grid.pulses[k + 1] @ psi
+        if k + 1 in grid.record_steps:
+            states.append(psi)
+    return np.array(states)
+
+
+def per_step_eigh_reference(sc, noise):
+    """The non-diagonal path one step at a time on the full space: per step,
+    one batched ``eigh`` of ``h0 + sum_c x_c coupling_c`` over the noise
+    rows of ``noise`` ``(channels, rows, steps)``; returns ``(records, rows, dim)``."""
+    grid = _build_grid(sc)
+    couplings = [ch.coupling.matrix for ch in sc.channels]
+    psi = np.tile(sc.initial_state, (noise.shape[1], 1))
+    states = [psi]
+    for k, dt in enumerate(grid.durations):
+        h = sc.h_system.matrix + sum(x[:, k, None, None] * c for x, c in zip(noise, couplings))
+        evals, vecs = np.linalg.eigh(h)
+        amp = np.einsum("tji,tj->ti", vecs.conj(), psi) * np.exp(-1j * evals * dt)
+        psi = np.einsum("tij,tj->ti", vecs, amp)
+        if k + 1 in grid.pulses:
+            psi = psi @ grid.pulses[k + 1].T
         if k + 1 in grid.record_steps:
             states.append(psi)
     return np.array(states)
@@ -358,6 +383,51 @@ class TestPropagation:
         states = propagate_trajectory(sc, noise_values=noise).states
         assert np.max(np.abs(states - per_step_reference(sc, noise))) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_step_propagators_match_expm(self, dim):
+        # oracle: scipy's Pade expm, matrix by matrix; the stack holds random
+        # Hermitian matrices, a multiple of the identity (Omega = 0, with
+        # Omega half the eigenvalue spread), Omega = 1e-9 and Omega * dt > pi
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(4, 6, dim, dim)) + 1j * rng.normal(size=(4, 6, dim, dim))
+        h = (a + a.conj().swapaxes(-1, -2)) / 2
+        h[0, 0] = 0.7 * np.eye(dim)
+        h[0, 1] = -2.5 * np.eye(dim) + 1e-9 * np.diag(np.resize([1.0, -1.0], dim))
+        h[1] *= 8.0
+        dt = np.array([[0.3], [1.1], [0.05], [2.0]])
+        u = _step_propagators(h, dt)
+        assert u.shape == h.shape
+        width = np.ptp(np.linalg.eigvalsh(h), axis=-1) * dt
+        assert width[0, 0] == 0 and 0 < width[0, 1] < 1e-8 and width[1].min() / 2 > np.pi
+        for i, j in np.ndindex(h.shape[:2]):
+            assert np.max(np.abs(u[i, j] - expm(-1j * dt[i, 0] * h[i, j]))) < 1e-13
+
+    @pytest.mark.parametrize("config", EIGH_CONFIGS)
+    def test_batched_steps_match_per_step_eigh(self, config):
+        # the closed-form steps, built per event interval, against the
+        # per-step eigh loop, on 6 trajectories of strong random noise
+        name, knobs = CONFIGS[config]
+        sc = build_scenario(name, repetitions=2, ensemble_size=6, seed=3, **knobs)
+        grid = _build_grid(sc)
+        noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), 6, len(grid.durations)))
+        states = _evolve(sc, noise, np.tile(sc.initial_state, (6, 1)), grid)
+        assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
+
+    @pytest.mark.parametrize("name", ["encoded_spin_boson", "encoded_depolarizing"])
+    def test_interval_longer_than_a_batch(self, name):
+        # without pulses each of the 20 record intervals spans 200 steps,
+        # more than three batches
+        sc = build_scenario(
+            name, repetitions=2, ensemble_size=3, seed=6, pulses=False, max_step=5e-4
+        )
+        grid = _build_grid(sc)
+        assert len(grid.durations) // sc.record_points > 3 * _BATCH_STEPS
+        noise = _channel_noise(sc, grid, range(3))
+        states = _evolve(sc, noise, np.tile(sc.initial_state, (3, 1)), grid)
+        assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
+
 
 class TestEnsemble:
     def test_flat_curve_without_noise(self):
@@ -520,6 +590,47 @@ class TestScenarioLibrary:
     def test_rejects_nonpositive_max_step(self, step):
         with pytest.raises(ValidationError, match="max_step"):
             build_scenario("hybrid_dephasing", max_step=step)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("correlation_time", float("nan")), ("amplitude", float("nan")), ("amplitude", np.inf)],
+    )
+    def test_channel_rejects_nonfinite(self, field, value):
+        ch = build_scenario("hybrid_dephasing", ensemble_size=1).channels[0]
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(ch, **{field: value})
+
+    def test_rejects_nan_total_time(self):
+        sc = build_scenario("hybrid_dephasing", ensemble_size=1, pulses=False)
+        with pytest.raises(ValidationError, match="total_time"):
+            dataclasses.replace(sc, total_time=float("nan"))
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"pulses": False}, {"max_step": 0.0013}, {"repetitions": 3, "cycle_time": 0.37}],
+        ids=["pulsed", "free", "max_step", "short_cycles"],
+    )
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_noise_size_bound(self, name, knobs):
+        # the bound counts channels x trajectories x grid steps x 8 bytes:
+        # the largest ensemble under the limit is accepted, one more is not;
+        # neither allocates anything
+        sc = build_scenario(name, ensemble_size=1, **knobs)
+        per_trajectory = len(sc.channels) * len(_build_grid(sc).durations) * 8
+        fits = _MAX_NOISE_BYTES // per_trajectory
+        assert build_scenario(name, ensemble_size=fits, **knobs).ensemble_size == fits
+        with pytest.raises(ValidationError, match="bytes of noise"):
+            build_scenario(name, ensemble_size=fits + 1, **knobs)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"repetitions": 10**9}, {"max_step": 1e-300}, {"max_step": 5e-324},
+         {"ensemble_size": 10**15}, {"ensemble_size": 10**400}, {"tau_fast": 1e-300}],
+    )
+    def test_oversized_runs_rejected_before_allocation(self, knobs):
+        # step counts past any grid, also where a float count would overflow
+        with pytest.raises(ValidationError, match="bytes of noise"):
+            build_scenario("hybrid_dephasing", **knobs)
 
     def test_rejects_non_hermitian_observable(self):
         sc = build_scenario("hybrid_dephasing", ensemble_size=1)

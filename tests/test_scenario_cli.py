@@ -208,6 +208,8 @@ class TestRunCommand:
             {"ensemble_size": True}, {"pulses": "no"}, {"encoded": 0},
             {"slow_amplitude": float("nan")}, {"cycle_time": float("inf")}, {"omega1": 10**400},
             {"max_step": 0}, {"max_step": -1},
+            # over the noise-size limit; allocating them would fail at once anyway
+            {"ensemble_size": 10**12}, {"max_step": 1e-15},
         ],
     )
     def test_bad_noise_knobs_exit_2(self, tmp_path, capsys, knobs):
@@ -254,6 +256,11 @@ class TestRunCommand:
 
     def test_verify_empty_ensemble_exits_2(self, capsys):
         assert main(["verify", "--ensemble", "0"]) == 2
+        assert_one_error_line(capsys)
+
+    def test_verify_oversized_ensemble_exits_2(self, capsys):
+        # over the noise-size limit; allocating it would fail at once anyway
+        assert main(["verify", "--ensemble", str(10**12)]) == 2
         assert_one_error_line(capsys)
 
     def test_branch_cut_exits_3(self, tmp_path, capsys):
