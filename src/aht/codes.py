@@ -16,10 +16,15 @@ decomposition of the error algebra:
     total-spin-1/2 doublets and carries a two-dimensional syndrome
     co-factor.
 
-Every code records its logical observables as *physical* operators that
-preserve the code space, plus a table of physical pulse realizations for
-the encoded pi rotations (products of one- and two-qubit Pauli
-operators, each an involution so that pulse cycles close exactly).
+All three go through one path.  A code is an isometry onto a logical (x)
+syndrome space; a decoherence-free subspace such as ``dfs2`` is simply
+the case of a one-dimensional syndrome factor, over which the partial
+trace is the identity.  Every code records its logical observables as
+*physical* operators that preserve the code space, physical pulse
+realizations of the encoded pi rotations (products of one- and two-qubit
+Pauli operators, each an involution so that pulse cycles close exactly)
+and the table of ``(axes, physical label)`` pairs that
+:func:`verify_pulse_correspondence` checks.
 """
 from __future__ import annotations
 
@@ -67,7 +72,9 @@ class Code:
 
     ``isometry`` has shape ``(2**n_physical, logical_dim * syndrome_dim)``
     with orthonormal columns ordered logical-major, i.e. column
-    ``l * syndrome_dim + z`` carries ``|l>_L (x) |z>_Z``.
+    ``l * syndrome_dim + z`` carries ``|l>_L (x) |z>_Z``.  ``pulse_table``
+    lists the ``(axes, physical label)`` pairs whose encoded pi rotations
+    :func:`verify_pulse_correspondence` checks.
     """
 
     name: str
@@ -77,6 +84,7 @@ class Code:
     isometry: np.ndarray
     logical_observables: Mapping[tuple[str, int], Operator]
     pulse_realizations: Mapping[tuple[str, int], Operator]
+    pulse_table: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         v = self.isometry
@@ -125,11 +133,8 @@ class Code:
         axes = axes.lower()
         if len(axes) != self.n_logical:
             raise ValidationError(f"axes {axes!r} needs {self.n_logical} letters")
-        m = np.ones((1, 1), dtype=complex)
-        for a in axes:
-            factor = SIGMA["I"] if a == "i" else -1j * SIGMA[a.upper()]
-            m = np.kron(m, factor)
-        return Operator(m, label=f"pi^L[{axes}]")
+        pauli = PauliString(self.n_logical, axes.upper(), (-1j) ** sum(a != "i" for a in axes))
+        return Operator(pauli.to_operator().matrix, label=f"pi^L[{axes}]")
 
     def physical_pi(self, axes: str) -> Operator:
         """Physical realization of :meth:`logical_pi` from the pulse table."""
@@ -146,13 +151,13 @@ class Code:
             m = self.pulse_realizations[key].matrix @ m
         return Operator(m, label=f"{self.name}:pi[{axes}]")
 
-    def encode(self, logical_state: np.ndarray, syndrome_index: int = 0) -> np.ndarray:
-        """Embed a logical state vector, with the syndrome factor in a basis state."""
+    def encode(self, logical_state: np.ndarray) -> np.ndarray:
+        """Embed a logical state vector, with the syndrome factor in its first basis state."""
         psi = np.asarray(logical_state, dtype=complex).reshape(-1)
         if psi.shape[0] != self.logical_dim:
             raise ValidationError(f"logical state has dim {psi.shape[0]}, need {self.logical_dim}")
         chi = np.zeros(self.syndrome_dim, dtype=complex)
-        chi[syndrome_index] = 1.0
+        chi[0] = 1.0
         return self.isometry @ np.kron(psi, chi)
 
     def plus_state(self) -> np.ndarray:
@@ -197,14 +202,21 @@ class LogicalAction:
         return d
 
 
+def _trace_syndrome(r: np.ndarray, syndrome_dim: int) -> np.ndarray:
+    """Normalized partial trace over the syndrome factor of a logical-major
+    operator, ``Tr_Z(R) / d_Z``; the identity map when ``d_Z = 1``."""
+    nl = r.shape[0] // syndrome_dim
+    return np.einsum("izjz->ij", r.reshape(nl, syndrome_dim, nl, syndrome_dim)) / syndrome_dim
+
+
 def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     """Compute the action of a physical operator on a code.
 
-    For subspace codes (``syndrome_dim == 1``) the split is simply
-    ``R = L + c 1``.  For subsystem codes the factorization
-    ``R - c 1 = L (x) 1 + 1 (x) M`` is detected via the rank of the
-    realigned matrix (rank <= 2 iff such a split exists) and then read
-    off from partial traces.
+    The factorization ``R - c 1 = L (x) 1 + 1 (x) M`` is detected via the
+    rank of the realigned matrix (rank <= 2 iff such a split exists) and
+    then read off from partial traces.  A subspace code is the case of a
+    one-dimensional syndrome, where the split is always ``R = L + c 1`` and
+    no syndrome part is reported.
     """
     nl, dz = code.logical_dim, code.syndrome_dim
     leak = code.leakage(h)
@@ -212,28 +224,21 @@ def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     c = np.trace(r) / (nl * dz)
     r0 = r - c * np.eye(nl * dz)
 
-    if dz == 1:
-        return LogicalAction(
-            preserves_code=leak < DEFAULT_TOL.equality,
-            logical_part=Operator(r0),
-            identity_offset=float(c.real),
-            leakage_norm=leak,
-            syndrome_nontrivial=False,
-            factorizable=True,
-        )
-
     blocks = r0.reshape(nl, dz, nl, dz)
     realigned = blocks.transpose(0, 2, 1, 3).reshape(nl * nl, dz * dz)
     svals = np.linalg.svd(realigned, compute_uv=False)
     scale = max(svals[0], 1.0)
     rank = int(np.sum(svals > DEFAULT_TOL.rank * scale))
 
-    logical = np.einsum("izjz->ij", blocks) / dz
+    logical = _trace_syndrome(r0, dz)
     syndrome = np.einsum("iziw->zw", blocks) / nl
-    rebuilt = np.kron(logical, np.eye(dz)) + np.kron(np.eye(nl), syndrome)
+    # the scalar part of the syndrome action is rounding left over from c
+    # (exactly all of it when d_Z = 1): a scalar syndrome action is trivial
+    traceless = syndrome - np.trace(syndrome) / dz * np.eye(dz)
+    rebuilt = np.kron(logical, np.eye(dz)) + np.kron(np.eye(nl), traceless)
     misfit = np.max(np.abs(rebuilt - r0))
     factorizable = rank <= 2 and misfit < max(DEFAULT_TOL.equality, DEFAULT_TOL.rank * scale)
-    syndrome_nontrivial = (not factorizable) or np.max(np.abs(syndrome)) > DEFAULT_TOL.equality
+    syndrome_nontrivial = (not factorizable) or np.max(np.abs(traceless)) > DEFAULT_TOL.equality
     return LogicalAction(
         preserves_code=leak < DEFAULT_TOL.equality,
         logical_part=Operator(logical),
@@ -241,7 +246,7 @@ def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
         leakage_norm=leak,
         syndrome_nontrivial=bool(syndrome_nontrivial),
         factorizable=bool(factorizable),
-        syndrome_part=Operator(syndrome),
+        syndrome_part=Operator(syndrome) if dz > 1 else None,
     )
 
 
@@ -257,25 +262,20 @@ def _basis_ket(bits: str) -> np.ndarray:
 
 def _build_dfs2() -> Code:
     iso = np.column_stack([_basis_ket("01"), _basis_ket("10")])
+    def word(letters: str, coefficient: float = 1.0) -> PauliString:
+        return PauliString.from_word(letters, [1, 2], 2, coefficient)
+
     z = 0.5 * (single_qubit("Z", 1, 2) - single_qubit("Z", 2, 2))
-    x = 0.5 * (
-        pauli_sum([PauliString.from_word("XX", [1, 2], 2), PauliString.from_word("YY", [1, 2], 2)])
-    )
-    y = 0.5 * (
-        pauli_sum(
-            [
-                PauliString.from_word("YX", [1, 2], 2),
-                PauliString.from_word("XY", [1, 2], 2, coefficient=-1),
-            ]
-        )
-    )
+    x = 0.5 * pauli_sum([word("XX"), word("YY")])
+    y = 0.5 * pauli_sum([word("YX"), word("XY", -1)])
     observables = {("x", 1): x, ("y", 1): y, ("z", 1): z}
     realizations = {
-        ("x", 1): PauliString.from_word("XX", [1, 2], 2).to_operator(),
-        ("y", 1): PauliString.from_word("XY", [1, 2], 2).to_operator(),
+        ("x", 1): word("XX").to_operator(),
+        ("y", 1): word("XY").to_operator(),
         ("z", 1): single_qubit("Z", 2, 2),
     }
-    return Code("dfs2", 2, 2, 1, iso, observables, realizations)
+    table = (("x", "X1 X2"), ("y", "X1 Y2"), ("z", "Z2"))
+    return Code("dfs2", 2, 2, 1, iso, observables, realizations, table)
 
 
 def _build_dfs2x2() -> Code:
@@ -289,7 +289,9 @@ def _build_dfs2x2() -> Code:
         observables[(a, 2)] = Operator(np.kron(eye4, block.observable(a).matrix))
         realizations[(a, 1)] = Operator(np.kron(block.pulse_realizations[(a, 1)].matrix, eye4))
         realizations[(a, 2)] = Operator(np.kron(eye4, block.pulse_realizations[(a, 1)].matrix))
-    return Code("dfs2x2", 4, 4, 1, iso, observables, realizations)
+    table = (("xi", "X1 X2"), ("ix", "X3 X4"), ("xx", "X1 X2 X3 X4"),
+             ("xz", "X1 X2 Z4"), ("zx", "Z2 X3 X4"), ("zz", "Z2 Z4"))
+    return Code("dfs2x2", 4, 4, 1, iso, observables, realizations, table)
 
 
 def _build_ns3() -> Code:
@@ -317,8 +319,7 @@ def _build_ns3() -> Code:
 
     def multiplicity_block(op: Operator) -> np.ndarray:
         r = v0.conj().T @ op.matrix @ v0
-        blk = r.reshape(2, 2, 2, 2)
-        lam_part = np.einsum("izjz->ij", blk) / 2
+        lam_part = _trace_syndrome(r, 2)
         if np.max(np.abs(r - np.kron(lam_part, np.eye(2)))) > 1e-12:
             raise AssertionError("ns3 observable does not act trivially on the syndrome factor")
         return lam_part
@@ -344,7 +345,7 @@ def _build_ns3() -> Code:
     # The encoded pi_x rotation coincides (up to phase) with swapping
     # qubits 1 and 2, which is itself an involutive unitary.
     realizations = {("x", 1): Operator((np.eye(8) + s12.matrix) / 2, label="swap12")}
-    return Code("ns3", 3, 2, 2, iso, observables, realizations)
+    return Code("ns3", 3, 2, 2, iso, observables, realizations, (("x", "swap12"),))
 
 
 def build_code(name: str) -> Code:
@@ -524,39 +525,20 @@ class CorrespondenceCheck:
         }
 
 
-DFS2X2_PULSE_TABLE = (
-    ("xi", "X1 X2"),
-    ("ix", "X3 X4"),
-    ("xx", "X1 X2 X3 X4"),
-    ("xz", "X1 X2 Z4"),
-    ("zx", "Z2 X3 X4"),
-    ("zz", "Z2 Z4"),
-)
+def verify_pulse_correspondence(code: Code) -> list[CorrespondenceCheck]:
+    """Check a code's encoded-pi pulse table against direct restriction.
 
-
-def verify_pulse_correspondence(
-    code: Code | None = None,
-) -> list[CorrespondenceCheck]:
-    """Check the encoded-pi pulse table against direct restriction.
-
-    For each tabulated pair the physical product operator must preserve
-    the code space and restrict, up to a global phase, to the encoded pi
-    rotation; the fidelity reported is ``|Tr(A^dag B)| / N_L``.
+    For each pair in ``code.pulse_table`` the physical product operator
+    must preserve the code space and, with the syndrome traced out,
+    restrict up to a global phase to the encoded pi rotation; the fidelity
+    reported is ``|Tr(A^dag B)| / N_L``.
     """
-    if code is None:
-        code = build_code("dfs2x2")
     checks = []
-    for axes, label in DFS2X2_PULSE_TABLE if code.name == "dfs2x2" else _single_code_table(code):
+    for axes, label in code.pulse_table:
         physical = code.physical_pi(axes)
-        target = code.logical_pi(axes)
-        leak = code.leakage(physical)
-        restricted = code.restrict(physical)
-        if code.syndrome_dim > 1:
-            # compare on the logical factor only: contract the syndrome
-            blocks = restricted.reshape(code.logical_dim, code.syndrome_dim, code.logical_dim, code.syndrome_dim)
-            restricted = np.einsum("izjz->ij", blocks) / code.syndrome_dim
-        fid = phase_insensitive_fidelity(target.matrix, restricted)
-        preserves = leak < DEFAULT_TOL.equality
+        restricted = _trace_syndrome(code.restrict(physical), code.syndrome_dim)
+        fid = phase_insensitive_fidelity(code.logical_pi(axes).matrix, restricted)
+        preserves = code.leakage(physical) < DEFAULT_TOL.equality
         checks.append(
             CorrespondenceCheck(
                 axes=axes,
@@ -567,8 +549,3 @@ def verify_pulse_correspondence(
             )
         )
     return checks
-
-
-def _single_code_table(code: Code):
-    for (a, ell), op in sorted(code.pulse_realizations.items()):
-        yield a * code.n_logical, op.label or f"{a}{ell}"

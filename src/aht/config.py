@@ -8,16 +8,21 @@ so "equal" or "unitary" means the same everywhere.  Each of these checks
 is written so that a NaN defect fails it (``not defect <= limit``), since
 ``defect > limit`` is false for NaN.  A few fixed thresholds stay literal
 where they are used: the checks that weights and durations sum to one
-(1e-12), the equal-weight test of a decoupling group (1e-9), zero-norm
-guards, the internal consistency checks of the ns3 basis construction
-(1e-12), and the pass thresholds of the ``aht verify`` checks, which are
-part of the claims those checks state.
+(1e-12), the equal-weight test of a decoupling group (1e-9), the match of
+a noise run's ``total_time`` to repetitions x cycle time (1e-9, relative),
+the guard that keeps a whole step count from rounding up (1e-12, in
+``noise._intervals``), the overlap below which ``effective_defect`` gives
+up (1e-6 per dimension), zero-norm guards (1e-14), the internal
+consistency checks of the ns3 basis construction (1e-12), and the pass
+thresholds of the ``aht verify`` checks, which are part of the claims
+those checks state.
 """
 from __future__ import annotations
 
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,14 @@ def _integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(name: str, value) -> int:
+    """A whole number >= 0, as ``numpy.random.SeedSequence`` requires."""
+    seed = _integer(name, value)
+    if seed < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _real(name: str, value) -> float:
     """A finite real number (not a boolean), as a float."""
     # the range test fails for NaN, +-Infinity and integers too large for a float
@@ -97,3 +110,10 @@ def _boolean(name: str, value) -> bool:
     if isinstance(value, bool):
         return value
     raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
+def _known_keys(what: str, block: Mapping, known: Iterable[str]) -> None:
+    """Reject a key of ``block`` that is not in ``known``, naming it."""
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown {what} {unknown}; known: {', '.join(known)}")

@@ -67,19 +67,15 @@ SEQUENCE_NAMES = (
 )
 
 
-def _matrix_key(m: np.ndarray) -> bytes:
-    r = np.round(m, 8)
-    return ((r.real + 0.0) + 1j * (r.imag + 0.0)).tobytes()  # flush -0.0
-
-
 def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[Operator]:
     """Close a set of unitaries under multiplication.
 
-    Elements are counted as distinct matrices, so pi pulses
-    ``-i sigma_a`` generate their -1 and the single-qubit transformer
-    generators close at 24 elements; :attr:`DecouplingSet.is_group`
-    identifies them modulo global phase afterwards.  Identity first in
-    the result; raises if closure is not reached within ``max_order``
+    Elements are counted as distinct matrices, equal when they agree to
+    ``DEFAULT_TOL.equality`` in max norm, so pi pulses ``-i sigma_a``
+    generate their -1 and the single-qubit transformer generators close at
+    24 elements; :attr:`DecouplingSet.is_group` identifies them modulo
+    global phase afterwards.  Elements come in breadth-first order,
+    identity first; raises if closure is not reached within ``max_order``
     elements.
     """
     gens = [mat(g) for g in generators]
@@ -91,24 +87,29 @@ def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[
             raise ValidationError("generators must share a dimension")
         if not _unitarity_defect(g) <= DEFAULT_TOL.equality:
             raise ValidationError("generators must be unitary")
-    eye = np.eye(dim, dtype=complex)
-    elements: dict[bytes, np.ndarray] = {_matrix_key(eye): eye}
-    frontier = [eye]
+    found = np.empty((16, dim, dim), dtype=complex)  # doubled when full
+    found[0] = np.eye(dim)
+    count = 1
+    frontier = [found[0]]
     while frontier:
         fresh = []
         for a in frontier:
             for g in gens:
                 for prod in (g @ a, a @ g):
-                    key = _matrix_key(prod)
-                    if key not in elements:
-                        if len(elements) >= max_order:
-                            raise ValidationError(
-                                f"group closure not reached within {max_order} elements"
-                            )
-                        elements[key] = prod
-                        fresh.append(prod)
+                    distance = np.max(np.abs(found[:count] - prod), axis=(1, 2))
+                    if np.any(distance <= DEFAULT_TOL.equality):
+                        continue
+                    if count >= max_order:
+                        raise ValidationError(
+                            f"group closure not reached within {max_order} elements"
+                        )
+                    if count == len(found):
+                        found = np.concatenate([found, np.empty_like(found)])
+                    found[count] = prod
+                    count += 1
+                    fresh.append(prod)
         frontier = fresh
-    return [Operator(m) for m in elements.values()]
+    return [Operator(m) for m in found[:count]]
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,11 @@ class DecouplingScheme:
                 f"{len(self.pulses)} pulses take {len(self.pulses)} or "
                 f"{len(self.pulses) + 1} durations, got {len(self.durations)}"
             )
-        if self.cycle_time <= 0:
+        if not self.cycle_time > 0:
             raise ValidationError("cycle_time must be positive")
-        if any(t <= 0 for t in self.durations):
+        if not all(t > 0 for t in self.durations):
             raise ValidationError("all durations must be positive")
-        if abs(sum(self.durations) - 1.0) > 1e-12:
+        if not abs(sum(self.durations) - 1.0) <= 1e-12:
             raise ValidationError(f"durations sum to {sum(self.durations)!r}, expected 1")
         dims = {p.dim for p in self.pulses}
         if len(dims) > 1:
@@ -193,9 +194,9 @@ class DecouplingSet:
             raise ValidationError("frames and weights must align")
         if not self.frames:
             raise ValidationError("empty decoupling set")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0 for w in self.weights):
             raise ValidationError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValidationError("weights must sum to 1")
         dims = {f.dim for f in self.frames}
         if len(dims) > 1:
@@ -405,16 +406,18 @@ def named_sequence(
     if name not in SEQUENCE_NAMES:
         raise ValidationError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCE_NAMES)}")
 
-    def encoded_pulse(axes: str) -> Operator:
-        assert code is not None
+    def pi_pulse(axes: str) -> Operator:
+        """The collective pi pulse about ``axes`` without a code; with one, the
+        encoded pi rotation on ``axes`` (one letter per logical qubit, or
+        one letter for all of them)."""
+        if code is None:
+            return _pi_pulse(axes.upper(), n_qubits)
+        if len(axes) == 1:
+            axes *= code.n_logical
         return code.physical_pi(axes) if physical else code.logical_pi(axes)
 
     if name in ("cp_x", "cp_y", "cp_x_symmetric"):
-        letter = "Y" if name == "cp_y" else "X"
-        if code is not None:
-            pulse = encoded_pulse(letter.lower() * code.n_logical)
-        else:
-            pulse = _pi_pulse(letter, n_qubits)
+        pulse = pi_pulse("y" if name == "cp_y" else "x")
         durations = (0.25, 0.5, 0.25) if name == "cp_x_symmetric" else (0.5, 0.5)
         return DecouplingScheme((pulse, pulse), durations, cycle_time, label=name)
 
@@ -432,11 +435,7 @@ def named_sequence(
         )
 
     if name == "gmax_cycle":
-        if code is None:
-            x, z = _pi_pulse("X", n_qubits), _pi_pulse("Z", n_qubits)
-        else:
-            x = encoded_pulse("x" * code.n_logical)
-            z = encoded_pulse("z" * code.n_logical)
+        x, z = pi_pulse("x"), pi_pulse("z")
         return DecouplingScheme((x, z, x, z), (0.25,) * 4, cycle_time, label=name)
 
     # encoded two-logical-qubit cycles
@@ -446,7 +445,7 @@ def named_sequence(
         raise ValidationError(f"sequence {name!r} needs a two-logical-qubit code")
     second = {"s1_selective_x1": "xz", "s1_selective_x2": "zx", "zz_extractor": "zz"}[name]
     first = "xx"
-    pulses = tuple(encoded_pulse(a) for a in (first, second, first, second))
+    pulses = tuple(pi_pulse(a) for a in (first, second, first, second))
     return DecouplingScheme(pulses, (0.25,) * 4, cycle_time, label=name)
 
 

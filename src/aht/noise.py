@@ -40,7 +40,9 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from .codes import Code, build_code
-from .config import _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _real
+from .config import (
+    _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _known_keys, _real, _seed,
+)
 from .decoupling import DecouplingScheme, named_sequence
 from .operators import Operator, _unitarity_defect, single_qubit
 
@@ -80,7 +82,7 @@ _SCENARIO_KNOBS = {
     "four_qubit_blockwise": {"fast_amplitude": _real, "slow_amplitude": _real, "omegas": _omegas},
 }
 _SHARED_KNOBS = {
-    "cycle_time": _real, "repetitions": _integer, "ensemble_size": _integer, "seed": _integer,
+    "cycle_time": _real, "repetitions": _integer, "ensemble_size": _integer, "seed": _seed,
     "pulses": _boolean, "max_step": _real, "tau_fast": _real, "tau_slow": _real,
 }
 SCENARIO_NAMES = tuple(_SCENARIO_KNOBS)
@@ -487,10 +489,12 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     knobs are echoed in ``params`` (and so in ``describe()``).
 
     Values are type-checked, also raising :class:`ValidationError`:
-    ``repetitions``, ``ensemble_size`` and ``seed`` take whole numbers,
-    ``pulses`` and ``encoded`` take booleans, ``omegas`` takes four
-    numbers and every other knob takes a number.  Booleans and ``None``
-    are not numbers.
+    ``repetitions``, ``ensemble_size`` and ``seed`` take whole numbers
+    (``seed`` at least 0, ``repetitions`` at most ``_MAX_NOISE_BYTES //
+    8``: each cycle needs one 8-byte sample, and without pulses only the
+    product with ``cycle_time`` counts), ``pulses`` and ``encoded`` take
+    booleans, ``omegas`` takes four numbers and every other knob takes a
+    number.  Booleans and ``None`` are not numbers.
 
     ``hybrid_dephasing`` (``encoded``, ``fast_amplitude``,
     ``slow_amplitude``, ``omega1``, ``omega2``)
@@ -515,11 +519,7 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     if name not in SCENARIO_NAMES:
         raise ValidationError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
     known = {**_SHARED_KNOBS, **_SCENARIO_KNOBS[name]}
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        raise ValidationError(
-            f"unknown knobs {unknown} for scenario {name!r}; known: {', '.join(known)}"
-        )
+    _known_keys(f"knobs for scenario {name!r}:", params, known)
 
     def knob(key: str, default):
         return known[key](key, params.get(key, default))
@@ -528,6 +528,9 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     p = {k: v for k, v in params.items() if k not in _SHARED_KNOBS}
     cycle_time = knob("cycle_time", 1.0)
     repetitions = knob("repetitions", 16)
+    # each cycle needs an 8-byte sample; compared as integers, before a float product
+    if repetitions > _MAX_NOISE_BYTES // 8:
+        raise ValidationError(f"over {_MAX_NOISE_BYTES // 8} repetitions need too many bytes of noise")
     ensemble_size = knob("ensemble_size", 500)
     seed = knob("seed", 2024)
     use_pulses = knob("pulses", True)

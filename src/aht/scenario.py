@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .codes import CODE_NAMES, build_code, nmr_hamiltonian, weak_coupling_truncation
-from .config import ValidationError, _boolean, _integer, _real
+from .config import ValidationError, _boolean, _integer, _known_keys, _real, _seed
 from .decoupling import SEQUENCE_NAMES, DecouplingScheme, named_sequence
 from .operators import Operator, PauliString, expm, pauli_sum
 
@@ -84,10 +84,12 @@ def parse_term(text: str, n_qubits: int) -> PauliString | list[PauliString]:
 
 def parse_hamiltonian(spec: Mapping[str, Any], n_qubits: int) -> Operator:
     """Build the operator described by a scenario ``hamiltonian`` block."""
+    _known_keys("hamiltonian keys", spec, ("nmr",) if "nmr" in spec else ("terms",))
     if "nmr" in spec:
         block = spec["nmr"]
         if not isinstance(block, Mapping):
             raise ValidationError(f"nmr block must be an object, got {block!r}")
+        _known_keys("nmr keys", block, ("nu", "j", "species", "weak_coupling"))
         nu = block.get("nu")
         if not isinstance(nu, (list, tuple)):
             raise ValidationError(f"nmr block needs a list of chemical shifts 'nu', got {nu!r}")
@@ -166,16 +168,13 @@ class Scenario:
         if not 1 <= n_qubits <= _MAX_QUBITS:
             raise ValidationError(f"n_qubits must be in 1..{_MAX_QUBITS}, got {n_qubits}")
         object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
         _positive("cycle_time", self.cycle_time)
         for tc in self.sweep or ():
             _positive("sweep entry", tc)
         if self.code is not None and self.code not in CODE_NAMES:
             raise ValidationError(f"unknown code {self.code!r}")
-        if self.output is not None:
-            unknown = set(self.output) - {"path", "format"}
-            if unknown:
-                raise ValidationError(f"unknown output fields: {sorted(unknown)}")
+        _known_keys("output fields", self.output or {}, ("path", "format"))
         if self.output_format not in ("json", "csv"):
             raise ValidationError(f"unknown output format {self.output_format!r}")
 
@@ -194,13 +193,7 @@ class Scenario:
     # -- serialization ---------------------------------------------------
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Scenario":
-        known = {
-            "kind", "n_qubits", "hamiltonian", "code", "sequence", "cycle_time",
-            "sweep", "generators", "target", "noise", "seed", "output",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
+        _known_keys("scenario fields", d, [f.name for f in fields(cls)])
         if "kind" not in d:
             raise ValidationError("scenario needs a 'kind'")
         return cls(**{k: d[k] for k in d})
@@ -239,6 +232,7 @@ class Scenario:
             spec = {"name": spec}
         cycle_time = _positive("sequence cycle_time", spec.get("cycle_time", self.cycle_time))
         if "name" in spec:
+            _known_keys("named sequence keys", spec, ("name", "cycle_time", "code", "physical"))
             name = spec["name"]
             if name not in SEQUENCE_NAMES:
                 raise ValidationError(f"unknown sequence {name!r}")
@@ -258,6 +252,7 @@ class Scenario:
                 physical=_boolean("sequence physical", spec.get("physical", False)),
             )
         if "pulses" in spec:
+            _known_keys("explicit sequence keys", spec, ("pulses", "durations", "cycle_time"))
             pulse_specs, durations = spec["pulses"], spec.get("durations", ())
             if not isinstance(pulse_specs, (list, tuple)) or not isinstance(durations, (list, tuple)):
                 raise ValidationError("explicit 'pulses' and 'durations' must be lists")
@@ -265,6 +260,7 @@ class Scenario:
             for p in pulse_specs:
                 if not isinstance(p, Mapping):
                     raise ValidationError(f"an explicit pulse must be an object, got {p!r}")
+                _known_keys("pulse keys", p, ("terms", "angle"))
                 generator = parse_hamiltonian({"terms": p.get("terms", [])}, self.n_qubits)
                 pulses.append(expm(generator, _real("pulse angle", p.get("angle", np.pi / 2))))
             durations = tuple(_real("sequence duration", x) for x in durations)

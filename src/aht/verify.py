@@ -22,6 +22,7 @@ from .codes import (
     verify_pulse_correspondence,
     weak_coupling_truncation,
 )
+from .config import _seed
 from .decoupling import (
     average_zeroth,
     builtin_groups,
@@ -232,7 +233,8 @@ def _run_check(name: str, fn: _Check, seed: int, ensemble: int) -> VerificationC
 
 
 def run_suite(seed: int = 2024, ensemble: int = 500) -> list[VerificationCheck]:
-    """Run every identity check with randomness derived from ``seed``."""
+    """Run every identity check with randomness derived from ``seed`` (at least 0)."""
+    seed = _seed("seed", seed)
     return [_run_check(name, fn, seed, ensemble) for name, fn in _CHECKS]
 
 

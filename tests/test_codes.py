@@ -1,4 +1,6 @@
 """Code constructions, logical actions, closed-form identities."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from aht.operators import (
     exchange,
     pauli_sum,
     phase_insensitive_fidelity,
+    random_hermitian,
     single_qubit,
 )
 
@@ -157,6 +160,25 @@ class TestLogicalAction:
             assert np.allclose(act.logical_part.matrix, abstract, atol=1e-10)
 
 
+    @pytest.mark.parametrize("name", ["dfs2", "dfs2x2"])
+    @pytest.mark.parametrize("offset", [0.0, 1e9, 1e12])
+    def test_subspace_codes_split_as_restriction_minus_offset(self, name, offset):
+        # a one-dimensional syndrome: the general path must give R - c 1 exactly,
+        # with no syndrome part, also where c leaves rounding in the trace
+        rng = np.random.default_rng(5)
+        code = build_code(name)
+        dim = 2**code.n_physical
+        for _ in range(10):
+            h = random_hermitian(code.n_physical, rng).matrix + offset * np.eye(dim)
+            act = logical_action(h, code)
+            r = code.restrict(h)
+            c = np.trace(r) / code.logical_dim
+            assert act.logical_part.matrix.tobytes() == (r - c * np.eye(code.logical_dim)).tobytes()
+            assert act.identity_offset == float(c.real)
+            assert act.syndrome_part is None and "syndrome_part_real" not in act.to_dict()
+            assert act.factorizable and not act.syndrome_nontrivial
+
+
 class TestNs3ClosedForm:
     def test_direct_substitutions(self):
         assert np.allclose(ns3_logical_hamiltonian(0.0, 1, 0, 0).matrix, 2 * X)
@@ -241,14 +263,34 @@ class TestWeakCoupling:
         assert by_word["XXII"] == pytest.approx(1.5 * np.pi)
 
 
+#: Each code's pulse table: (axes, physical label) of every encoded pi rotation.
+PULSE_TABLES = {
+    "dfs2": [("x", "X1 X2"), ("y", "X1 Y2"), ("z", "Z2")],
+    "dfs2x2": [("xi", "X1 X2"), ("ix", "X3 X4"), ("xx", "X1 X2 X3 X4"),
+               ("xz", "X1 X2 Z4"), ("zx", "Z2 X3 X4"), ("zz", "Z2 Z4")],
+    "ns3": [("x", "swap12")],
+}
+
+
 class TestPulseCorrespondence:
-    def test_all_tabulated_pairs_pass(self):
-        checks = verify_pulse_correspondence(build_code("dfs2x2"))
-        assert len(checks) == 6
+    @pytest.mark.parametrize("name", sorted(PULSE_TABLES))
+    def test_all_tabulated_pairs_pass(self, name):
+        checks = verify_pulse_correspondence(build_code(name))
+        assert [(c.axes, c.physical_label) for c in checks] == PULSE_TABLES[name]
         for c in checks:
             assert c.preserves_code
             assert c.fidelity == pytest.approx(1.0, abs=1e-10)
             assert c.passed
+
+    @pytest.mark.parametrize("name", sorted(PULSE_TABLES))
+    def test_logical_pi_is_the_product_of_pi_rotations(self, name):
+        code = build_code(name)
+        factors = {"i": I2, "x": -1j * X, "y": -1j * Y, "z": -1j * Z}
+        for word in itertools.product("ixyz", repeat=code.n_logical):
+            expected = np.ones((1, 1))
+            for a in word:
+                expected = np.kron(expected, factors[a])
+            assert np.array_equal(code.logical_pi("".join(word)).matrix, expected)
 
     def test_hard_pulse_row(self):
         code = build_code("dfs2x2")

@@ -62,6 +62,24 @@ class TestSchemeValidation:
         with pytest.raises(ValidationError):
             DecouplingScheme((px, px), (1.0, 0.0))
 
+    # NaN fails every comparison, so each check must be written to fail on it
+    def test_rejects_nan_cycle_time(self):
+        px = expm(X, np.pi / 2)
+        with pytest.raises(ValidationError, match="cycle_time"):
+            DecouplingScheme((px, px), (0.5, 0.5), cycle_time=float("nan"))
+
+    def test_rejects_nan_durations(self):
+        px = expm(X, np.pi / 2)
+        with pytest.raises(ValidationError, match="durations"):
+            DecouplingScheme((px, px), (float("nan"), float("nan")))
+
+    def test_rejects_nan_weights(self):
+        frames = (Operator(I2), Operator(X))
+        with pytest.raises(ValidationError, match="weights"):
+            DecouplingSet(frames, (float("nan"), float("nan")))
+        with pytest.raises(ValidationError, match="weights"):
+            DecouplingSet(frames, (float("nan"), 1.0))
+
 
 class TestFrames:
     def test_cp_frames(self):
@@ -325,6 +343,25 @@ class TestGroupMachinery:
     def test_close_group_rejects_nan(self):
         with pytest.raises(ValidationError):
             close_group([X, np.array([[0.0, 1.0], [1.0, np.nan]])])
+
+    def test_close_group_merges_across_a_rounding_boundary(self):
+        # g and g2 agree to 1e-11 but sit either side of the boundary 0.123456785
+        # (entry (0, 0), real part), where rounding to 8 decimals tells them apart
+        alpha = np.arccos(np.sqrt(0.123456785 + 4e-12))
+        v = np.array([[np.cos(alpha), -np.sin(alpha)], [np.sin(alpha), np.cos(alpha)]])
+        g = v @ np.diag([1, 1j]) @ v.T
+        g2 = v @ np.diag([1, 1j * np.exp(1e-11j)]) @ v.T
+        assert g[0, 0].real > 0.123456785 > g2[0, 0].real
+        elements = close_group([g, g2])
+        assert len(elements) == 4
+        assert all(np.array_equal(e.matrix, m) for e, m in zip(elements, (I2, g, g @ g, g @ (g @ g))))
+
+    def test_close_group_keeps_breadth_first_order(self):
+        elements = close_group([expm(X, np.pi / 2), expm(Z, np.pi / 2)])
+        assert len(elements) == 8
+        assert np.array_equal(elements[0].matrix, np.eye(2))
+        assert np.array_equal(elements[1].matrix, expm(X, np.pi / 2).matrix)
+        assert np.array_equal(elements[2].matrix, expm(Z, np.pi / 2).matrix)
 
     @pytest.mark.parametrize("name", SEQUENCE_NAMES)
     def test_sequence_verdicts_pinned(self, name):

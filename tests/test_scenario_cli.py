@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aht.cli import list_builtins, main, run
@@ -210,6 +210,8 @@ class TestRunCommand:
             {"max_step": 0}, {"max_step": -1},
             # over the noise-size limit; allocating them would fail at once anyway
             {"ensemble_size": 10**12}, {"max_step": 1e-15},
+            {"seed": -1},
+            {"repetitions": 10**330},  # too large for a float
         ],
     )
     def test_bad_noise_knobs_exit_2(self, tmp_path, capsys, knobs):
@@ -243,6 +245,18 @@ class TestRunCommand:
             logical_nmr(nu=[1.0, 0.5, 0.2]),
             logical_nmr(species=["H"], weak_coupling=True),
             logical_nmr(j={"19": 0.0}),
+            {"seed": -1},
+            # a key no block reads
+            {"hamiltonian": {"terms": ["1.0 Z 1"], "trems": ["1.0 X 1"]}},
+            {"hamiltonian": {"terms": ["1.0 Z 1"], "nmr": {"nu": [1.0]}}},
+            logical_nmr(specie=["H", "H", "C", "C"]),
+            {"sequence": {"name": "cp_x", "cycel_time": 0.5}},
+            {"sequence": {"name": "cp_x", "durations": [0.25, 0.75]}},
+            {"sequence": {"name": "cp_x", "pulses": []}},
+            {"sequence": {"pulses": [{"terms": ["1.0 X 1"], "angel": 1.0}] * 2,
+                          "durations": [0.5, 0.5]}},
+            {"sequence": {"pulses": [{"terms": ["1.0 X 1"]}] * 2, "durations": [0.5, 0.5],
+                          "physical": True}},
         ],
     )
     def test_bad_scenario_fields_exit_2(self, tmp_path, capsys, field):
@@ -256,6 +270,10 @@ class TestRunCommand:
 
     def test_verify_empty_ensemble_exits_2(self, capsys):
         assert main(["verify", "--ensemble", "0"]) == 2
+        assert_one_error_line(capsys)
+
+    def test_verify_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
         assert_one_error_line(capsys)
 
     def test_verify_oversized_ensemble_exits_2(self, capsys):
@@ -287,12 +305,14 @@ JSON_TYPES = {
     "nonfinite": st.sampled_from([float("nan"), float("inf"), float("-inf")]),
 }
 NUMBER = {"integer", "fraction"}
+#: A key that no block reads, so no JSON type is accepted for it.
+UNREAD = {"unread": set()}
 #: The JSON types each scenario field accepts.
 FIELD_TYPES = {
     "kind": {"string"}, "n_qubits": {"integer"}, "hamiltonian": {"object", "null"},
     "code": {"string", "null"}, "sequence": {"string", "object", "null"}, "cycle_time": NUMBER,
     "sweep": {"array", "null"}, "generators": {"array", "null"}, "target": {"string", "null"},
-    "noise": {"object"}, "seed": {"integer"}, "output": {"object", "null"},
+    "noise": {"object"}, "seed": {"integer"}, "output": {"object", "null"}, **UNREAD,
 }
 #: The JSON types each key of a hybrid_dephasing noise block accepts.
 KNOB_TYPES = {
@@ -300,16 +320,24 @@ KNOB_TYPES = {
     "seed": {"integer"}, "pulses": {"boolean"}, "encoded": {"boolean"},
     **{k: NUMBER for k in ("cycle_time", "max_step", "tau_fast", "tau_slow",
                            "fast_amplitude", "slow_amplitude", "omega1", "omega2")},
+    **UNREAD,
 }
 #: The JSON types each key of a named sequence block accepts.
-SEQUENCE_TYPES = {"cycle_time": NUMBER, "physical": {"boolean"}}
+SEQUENCE_TYPES = {"cycle_time": NUMBER, "physical": {"boolean"}, **UNREAD}
 #: The JSON types each key of an nmr block accepts.
-NMR_TYPES = {"nu": {"array"}, "j": {"object"}, "species": {"array"}, "weak_coupling": {"boolean"}}
+NMR_TYPES = {"nu": {"array"}, "j": {"object"}, "species": {"array"}, "weak_coupling": {"boolean"},
+             **UNREAD}
+#: The JSON types each key of a terms Hamiltonian block and of an explicit pulse accept.
+HAMILTONIAN_TYPES = {"terms": {"array"}, **UNREAD}
+PULSE_TYPES = {"terms": {"array"}, "angle": NUMBER, **UNREAD}
 NOISE_DOC = {"kind": "noise", "noise": {"name": "hybrid_dephasing", "repetitions": 2,
                                          "ensemble_size": 4}}
 AVERAGE_DOC = {"kind": "average", "hamiltonian": {"terms": ["1.0 Z 1"]},
                "sequence": {"name": "cp_x"}}
 NMR_DOC = logical_nmr(j={"13": 1.0}, species=["H", "H", "C", "C"], weak_coupling=True)
+PULSE_DOC = {"kind": "average", "hamiltonian": {"terms": ["1.0 Z 1"]},
+             "sequence": {"pulses": [{"terms": ["1.0 X 1"], "angle": 1.5707963267948966}] * 2,
+                          "durations": [0.5, 0.5]}}
 #: What an edit may target: (accepted types per key, a valid document that
 #: reads them, the path of keys to the block holding them, empty for the top level).
 EDITABLE = {
@@ -317,13 +345,16 @@ EDITABLE = {
     "knob": (KNOB_TYPES, NOISE_DOC, ("noise",)),
     "sequence": (SEQUENCE_TYPES, AVERAGE_DOC, ("sequence",)),
     "nmr": (NMR_TYPES, NMR_DOC, ("hamiltonian", "nmr")),
+    "hamiltonian": (HAMILTONIAN_TYPES, AVERAGE_DOC, ("hamiltonian",)),
+    "pulse": (PULSE_TYPES, PULSE_DOC, ("sequence", "pulses", 0)),
 }
 
 
 @st.composite
 def wrong_type_edits(draw):
-    """``(where, key, value)``: one field, knob, sequence or nmr key given a
-    value of a type it rejects."""
+    """``(where, key, value)``: one key of a field, knob, sequence, nmr,
+    Hamiltonian or pulse block given a value of a type it rejects; the
+    ``unread`` key rejects every value."""
     where = draw(st.sampled_from(sorted(EDITABLE)))
     accepted = EDITABLE[where][0]
     key = draw(st.sampled_from(sorted(accepted)))
@@ -331,9 +362,17 @@ def wrong_type_edits(draw):
     return where, key, draw(JSON_TYPES[wrong])
 
 
+def with_unread_key_examples(test):
+    """Also try the ``unread`` key of every block, whatever the draws."""
+    for where in EDITABLE:
+        test = example(edit=(where, "unread", 0))(test)
+    return test
+
+
 class TestMalformedInput:
     @given(edit=wrong_type_edits())
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @with_unread_key_examples
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_wrong_json_type_exits_2(self, tmp_path_factory, edit):
         where, key, value = edit
         _, base, block = EDITABLE[where]
