@@ -11,8 +11,9 @@ Subpackages by concern:
   transformer-group reachability;
 - :mod:`aht.noise` -- stochastic dephasing ensembles with classical
   Ornstein-Uhlenbeck noise;
-- :mod:`aht.cli` -- the ``aht`` command (scenario runner, catalog,
-  verification suite).
+- :mod:`aht.scenario` -- scenario files and the table of kinds that
+  checks and runs them;
+- :mod:`aht.cli` -- the ``aht`` command line (``run``, ``list``, ``verify``).
 """
 from .config import DEFAULT_TOL, BranchCutError, Tolerances, ToleranceError, ValidationError
 from .operators import (

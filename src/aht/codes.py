@@ -515,15 +515,6 @@ class CorrespondenceCheck:
     fidelity: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "axes": self.axes,
-            "physical": self.physical_label,
-            "preserves_code": self.preserves_code,
-            "fidelity": self.fidelity,
-            "passed": self.passed,
-        }
-
 
 def verify_pulse_correspondence(code: Code) -> list[CorrespondenceCheck]:
     """Check a code's encoded-pi pulse table against direct restriction.

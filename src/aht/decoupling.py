@@ -155,26 +155,6 @@ class DecouplingScheme:
     def dim(self) -> int:
         return self.pulses[0].dim
 
-    def with_cycle_time(self, cycle_time: float) -> "DecouplingScheme":
-        return DecouplingScheme(self.pulses, self.durations, cycle_time, self.label)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "cycle_time": self.cycle_time,
-            "durations": list(self.durations),
-            "pulses_real": [p.matrix.real.tolist() for p in self.pulses],
-            "pulses_imag": [p.matrix.imag.tolist() for p in self.pulses],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecouplingScheme":
-        pulses = tuple(
-            Operator(np.array(re) + 1j * np.array(im))
-            for re, im in zip(d["pulses_real"], d["pulses_imag"])
-        )
-        return cls(pulses, tuple(d["durations"]), d.get("cycle_time", 1.0), d.get("label"))
-
 
 @dataclass(frozen=True)
 class DecouplingSet:

@@ -141,6 +141,7 @@ class NoiseScenario:
         dim = self.h_system.dim
         if not self.total_time > 0:
             raise ValidationError("total_time must be positive")
+        _seed("seed", self.seed)
         if self.ensemble_size < 1:
             raise ValidationError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
         if self.schedule is not None:

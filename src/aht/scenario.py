@@ -1,13 +1,18 @@
 """Scenario files: a small JSON schema driving reproducible runs.
 
 A scenario names one computation (``kind``), the operators it acts on,
-and where results go.  Hamiltonians are written as coefficient + Pauli
-word + 1-based qubit indices (``"0.5 ZZ 1 2"``) or exchange couplings
-(``"1.0 s12"``); coefficients are angular frequencies in rad/s.
-NMR-style inputs use the explicit ``nmr`` block instead, whose ``nu``
-and ``j`` fields are in Hz with the conventional pi factors applied
-internally -- the two spellings are kept separate so no 2 pi ambiguity
-can creep in.
+and where results go.  :data:`KINDS` is the one table of kinds: the
+function that runs each, the fields it needs, the other fields it reads
+and the output formats it writes (the first is the default); every kind
+also takes ``kind``, ``seed`` and ``output``.  Any other field, a needed
+field missing or empty, or another format is a :class:`ValidationError`.
+
+Hamiltonians are written as coefficient + Pauli word + 1-based qubit
+indices (``"0.5 ZZ 1 2"``) or exchange couplings (``"1.0 s12"``);
+coefficients are angular frequencies in rad/s.  NMR-style inputs use the
+explicit ``nmr`` block instead, whose ``nu`` and ``j`` fields are in Hz
+with the conventional pi factors applied internally -- the two spellings
+are kept separate so no 2 pi ambiguity can creep in.
 
 Example::
 
@@ -15,26 +20,27 @@ Example::
      "hamiltonian": {"terms": ["1.0 Z 1"]},
      "sequence": {"name": "cp_x"},
      "seed": 0}
-
-Parsed scenarios round-trip unchanged through ``to_dict``/``from_dict``.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .codes import CODE_NAMES, build_code, nmr_hamiltonian, weak_coupling_truncation
+from .codes import CODE_NAMES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
 from .config import ValidationError, _boolean, _integer, _known_keys, _real, _seed
-from .decoupling import SEQUENCE_NAMES, DecouplingScheme, named_sequence
-from .operators import Operator, PauliString, expm, pauli_sum
+from .decoupling import (
+    SEQUENCE_NAMES, DecouplingScheme, average_zeroth, cycle_propagator, effective_defect,
+    frames_from_scheme, named_sequence, project_group,
+)
+from .noise import build_scenario, ensemble_coherence
+from .operators import Operator, PauliString, expm, logm_effective, pauli_sum
+from .universality import lie_closure
 
 __all__ = ["Scenario", "parse_term", "parse_hamiltonian", "KINDS"]
-
-KINDS = ("average", "project", "propagate", "logical", "universality", "noise", "scan")
 
 _FUSED = re.compile(r"^([A-Za-z]+?)(\d+)$")
 
@@ -121,14 +127,8 @@ _MAX_QUBITS = 5
 
 #: JSON types of the optional scenario fields (``None`` means absent).
 _OPTIONAL_FIELD_TYPES = {
-    "hamiltonian": Mapping,
-    "code": str,
-    "sequence": (str, Mapping),
-    "sweep": (list, tuple),
-    "generators": (list, tuple),
-    "target": str,
-    "noise": Mapping,
-    "output": Mapping,
+    "hamiltonian": Mapping, "code": str, "sequence": (str, Mapping), "sweep": (list, tuple),
+    "generators": (list, tuple), "target": str, "noise": Mapping, "output": Mapping,
 }
 
 
@@ -158,8 +158,7 @@ class Scenario:
     output: Mapping[str, Any] | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown scenario kind {self.kind!r}; known: {', '.join(KINDS)}")
+        row = _row(self.kind)
         for key, types in _OPTIONAL_FIELD_TYPES.items():
             value = getattr(self, key)
             if value is not None and not isinstance(value, types):
@@ -175,14 +174,19 @@ class Scenario:
         if self.code is not None and self.code not in CODE_NAMES:
             raise ValidationError(f"unknown code {self.code!r}")
         _known_keys("output fields", self.output or {}, ("path", "format"))
-        if self.output_format not in ("json", "csv"):
-            raise ValidationError(f"unknown output format {self.output_format!r}")
+        if self.output_format not in row.formats:
+            raise ValidationError(
+                f"kind {self.kind!r} writes {' or '.join(row.formats)}, not {self.output_format!r}"
+            )
+        missing = [key for key in row.needs if not getattr(self, key)]
+        if missing:
+            raise ValidationError(f"kind {self.kind!r} needs {', '.join(missing)}")
 
     @property
     def output_format(self) -> str:
         if self.output and "format" in self.output:
             return str(self.output["format"])
-        return "json"
+        return KINDS[self.kind].formats[0]
 
     @property
     def output_path(self) -> str | None:
@@ -190,23 +194,21 @@ class Scenario:
             return str(self.output["path"])
         return None
 
-    # -- serialization ---------------------------------------------------
+    def run(self) -> str:
+        """Run the scenario; returns the text it writes in its output format."""
+        result = KINDS[self.kind].run(self)
+        if isinstance(result, str):
+            return result
+        return json.dumps({"kind": self.kind, **result}, sort_keys=True, indent=2, default=str) + "\n"
+
+    # -- parsing ---------------------------------------------------------
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Scenario":
-        _known_keys("scenario fields", d, [f.name for f in fields(cls)])
         if "kind" not in d:
             raise ValidationError("scenario needs a 'kind'")
-        return cls(**{k: d[k] for k in d})
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind, "n_qubits": self.n_qubits, "seed": self.seed,
-                               "cycle_time": self.cycle_time}
-        for key in ("hamiltonian", "code", "sequence", "sweep", "generators", "target",
-                    "noise", "output"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        row = _row(d["kind"])
+        _known_keys(f"fields for kind {d['kind']!r}", d, ("kind", "seed", "output", *row.needs, *row.reads))
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -220,13 +222,9 @@ class Scenario:
 
     # -- resolution ------------------------------------------------------
     def resolve_hamiltonian(self) -> Operator:
-        if self.hamiltonian is None:
-            raise ValidationError(f"kind {self.kind!r} needs a hamiltonian block")
         return parse_hamiltonian(self.hamiltonian, self.n_qubits)
 
     def resolve_sequence(self) -> DecouplingScheme:
-        if self.sequence is None:
-            raise ValidationError(f"kind {self.kind!r} needs a sequence")
         spec = self.sequence
         if isinstance(spec, str):
             spec = {"name": spec}
@@ -266,3 +264,98 @@ class Scenario:
             durations = tuple(_real("sequence duration", x) for x in durations)
             return DecouplingScheme(tuple(pulses), durations, cycle_time, label="explicit")
         raise ValidationError("sequence block needs a 'name' or explicit 'pulses'")
+
+
+# ---------------------------------------------------------------------------
+# the kinds: each runner returns the text it writes, or a JSON payload
+# ---------------------------------------------------------------------------
+
+def _matrix_payload(m: np.ndarray) -> dict:
+    return {"real": m.real.tolist(), "imag": m.imag.tolist()}
+
+
+def _run_average(sc: Scenario) -> dict:
+    h = sc.resolve_hamiltonian()
+    frames = frames_from_scheme(sc.resolve_sequence())
+    return {"average": _matrix_payload(average_zeroth(h, frames).matrix), "is_group": frames.is_group}
+
+
+def _run_project(sc: Scenario) -> dict:
+    h = sc.resolve_hamiltonian()
+    frames = frames_from_scheme(sc.resolve_sequence())
+    return {"average": _matrix_payload(project_group(h, frames).matrix)}
+
+
+def _run_propagate(sc: Scenario) -> dict:
+    h = sc.resolve_hamiltonian()
+    scheme = sc.resolve_sequence()
+    u = cycle_propagator(h, scheme).matrix
+    h_eff = logm_effective(u, scheme.cycle_time).matrix
+    return {"cycle_time": scheme.cycle_time, "propagator": _matrix_payload(u),
+            "effective_hamiltonian": _matrix_payload(h_eff)}
+
+
+def _run_logical(sc: Scenario) -> dict:
+    code = build_code(sc.code)
+    return {"code": sc.code, "action": logical_action(sc.resolve_hamiltonian(), code).to_dict()}
+
+
+def _run_universality(sc: Scenario) -> dict:
+    mats = [1j * parse_hamiltonian({"terms": t}, sc.n_qubits).matrix for t in sc.generators]
+    basis = lie_closure(mats)
+    return {"dimension": basis.dimension, "truncated": basis.truncated, "n_generators": len(mats)}
+
+
+def _run_noise(sc: Scenario) -> dict | str:
+    block = dict(sc.noise)
+    block.setdefault("seed", sc.seed)
+    scenario = build_scenario(block.pop("name", None), **block)
+    curve = ensemble_coherence(scenario)
+    if sc.output_format == "csv":
+        return curve.to_csv(scenario.describe())
+    return {"scenario": scenario.describe(), "times": curve.times.tolist(), "n_traj": curve.n_traj,
+            "mean_coherence": curve.mean.tolist(), "std_error": curve.std_error.tolist()}
+
+
+def _run_scan(sc: Scenario) -> str:
+    if sc.target != "magnus_defect":
+        raise ValidationError("kind 'scan' currently supports target 'magnus_defect'")
+    h = sc.resolve_hamiltonian()
+    scheme = sc.resolve_sequence()
+    rows = ["cycle_time,defect,defect_with_first_order"]
+    for tc in sc.sweep:
+        at = replace(scheme, cycle_time=float(tc))
+        d0 = effective_defect(h, at, include_first_order=False)
+        d1 = effective_defect(h, at, include_first_order=True)
+        rows.append(f"{tc:.12g},{d0:.12g},{d1:.12g}")
+    return "\n".join(rows) + "\n"
+
+
+class _Kind(NamedTuple):
+    run: Callable[[Scenario], dict | str]
+    needs: tuple[str, ...]   # fields that must be given and not empty
+    reads: tuple[str, ...]   # the other fields it reads, besides kind, seed, output
+    formats: tuple[str, ...]  # output formats it writes; the first is the default
+
+
+_SEQUENCE_KIND = (("hamiltonian", "sequence"), ("n_qubits", "code", "cycle_time"), ("json",))
+
+#: The scenario kinds, in catalog order.
+KINDS = {
+    "average": _Kind(_run_average, *_SEQUENCE_KIND),
+    "project": _Kind(_run_project, *_SEQUENCE_KIND),
+    "propagate": _Kind(_run_propagate, *_SEQUENCE_KIND),
+    "logical": _Kind(_run_logical, ("hamiltonian", "code"), ("n_qubits",), ("json",)),
+    "universality": _Kind(_run_universality, ("generators",), ("n_qubits",), ("json",)),
+    "noise": _Kind(_run_noise, ("noise",), (), ("json", "csv")),
+    "scan": _Kind(
+        _run_scan, ("hamiltonian", "sequence", "sweep", "target"), ("n_qubits", "code"), ("csv",)
+    ),
+}
+
+
+def _row(kind) -> _Kind:
+    """The table row of ``kind``, or a ValidationError naming the known kinds."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValidationError(f"unknown scenario kind {kind!r}; known: {', '.join(KINDS)}")
+    return KINDS[kind]

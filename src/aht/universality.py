@@ -159,14 +159,6 @@ class ReachabilityResult:
     scale: float
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "reachable": self.reachable,
-            "weights": list(self.weights),
-            "scale": self.scale,
-            "residual": self.residual,
-        }
-
 
 def transformer_reach(
     group: DecouplingSet,

@@ -286,17 +286,6 @@ class TestNamedSequences:
         assert np.allclose(logical_of_avg.matrix, log_avg.matrix, atol=1e-10)
 
 
-class TestSerialization:
-    def test_scheme_round_trip(self):
-        scheme = named_sequence("whh4", n_qubits=2, cycle_time=0.3)
-        again = DecouplingScheme.from_dict(scheme.to_dict())
-        assert again.durations == scheme.durations
-        assert again.cycle_time == scheme.cycle_time
-        assert again.label == scheme.label
-        for p, q in zip(scheme.pulses, again.pulses):
-            assert np.allclose(p.matrix, q.matrix)
-
-
 #: ``is_group`` of ``frames_from_scheme(named_sequence(...))`` per sequence,
 #: recorded before the group test moved to ``equal_up_to_phase``.  Columns:
 #: 1, 2, 3 physical qubits; dfs2 logical, physical; dfs2x2 logical, physical;

@@ -632,6 +632,13 @@ class TestScenarioLibrary:
         with pytest.raises(ValidationError, match="bytes of noise"):
             build_scenario("hybrid_dephasing", **knobs)
 
+    def test_rejects_negative_seed_when_built_directly(self):
+        # build_scenario checks its seed knob; a replaced seed is checked too
+        sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=4)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValidationError, match="seed"):
+                dataclasses.replace(sc, seed=seed)
+
     def test_rejects_non_hermitian_observable(self):
         sc = build_scenario("hybrid_dephasing", ensemble_size=1)
         with pytest.raises(ValidationError, match="Hermitian"):

@@ -2,6 +2,8 @@
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,25 +58,19 @@ class TestTermGrammar:
 
 
 class TestScenarioRoundTrip:
-    def test_dict_round_trip_unchanged(self):
-        doc = {
-            "kind": "project",
-            "n_qubits": 1,
-            "seed": 3,
-            "cycle_time": 1.0,
-            "hamiltonian": {"terms": ["1.0 Z 1"]},
-            "sequence": {"name": "cp_x"},
-            "output": {"format": "json"},
-        }
+    @pytest.mark.parametrize("doc", [
+        {"kind": "project", "n_qubits": 1, "seed": 3, "cycle_time": 0.5, "code": "dfs2",
+         "hamiltonian": {"terms": ["1.0 Z 1"]}, "sequence": {"name": "cp_x"},
+         "output": {"format": "json"}},
+        {"kind": "logical", "n_qubits": 3, "code": "ns3", "hamiltonian": {"terms": ["1.0 s12"]}},
+        {"kind": "scan", "target": "magnus_defect", "sweep": [0.1, 0.05],
+         "hamiltonian": {"terms": ["Z1"]}, "sequence": "cp_x", "output": {"format": "csv"}},
+        {"kind": "universality", "n_qubits": 2, "generators": [["X1"], ["Y2"]]},
+        {"kind": "noise", "seed": 12, "noise": {"name": "hybrid_dephasing"}},
+    ], ids=lambda doc: doc["kind"])
+    def test_from_dict_keeps_every_field(self, doc):
         sc = Scenario.from_dict(doc)
-        assert sc.to_dict() == doc
-        assert Scenario.from_dict(sc.to_dict()).to_dict() == doc
-
-    def test_json_round_trip(self):
-        sc = Scenario(kind="logical", n_qubits=3, code="ns3",
-                      hamiltonian={"terms": ["1.0 s12"]})
-        again = Scenario.from_json(json.dumps(sc.to_dict()))
-        assert again == sc
+        assert {key: getattr(sc, key) for key in doc} == doc
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,10 +82,11 @@ class TestScenarioRoundTrip:
 
     def test_register_size_bounded(self):
         # parsing alone must refuse a register the dense operators cannot hold
-        assert Scenario.from_dict({"kind": "project", "n_qubits": 5}).n_qubits == 5
+        doc = {"kind": "project", "hamiltonian": {"terms": ["Z1"]}, "sequence": "cp_x"}
+        assert Scenario.from_dict({**doc, "n_qubits": 5}).n_qubits == 5
         for n in (0, 6, 40):
             with pytest.raises(ValidationError, match="n_qubits"):
-                Scenario.from_dict({"kind": "project", "n_qubits": n})
+                Scenario.from_dict({**doc, "n_qubits": n})
 
 
 def logical_nmr(**block):
@@ -99,6 +96,22 @@ def logical_nmr(**block):
             "hamiltonian": {"nmr": {"nu": [1.0, 0.5, 0.2, 0.1], **block}}}
 
 
+#: The top-level fields each kind reads besides ``kind``, ``seed`` and
+#: ``output``: a document naming any other field must exit 2.
+READS = {
+    **dict.fromkeys(("average", "project", "propagate"),
+                    {"hamiltonian", "sequence", "n_qubits", "code", "cycle_time"}),
+    "logical": {"hamiltonian", "code", "n_qubits"},
+    "universality": {"generators", "n_qubits"},
+    "noise": {"noise"},
+    "scan": {"hamiltonian", "sequence", "sweep", "target", "n_qubits", "code"},
+}
+#: The fields of the run itself, which every kind takes.
+RUN_FIELDS = {"kind", "seed", "output"}
+PROJECT_DOC = {"kind": "project", "n_qubits": 1, "hamiltonian": {"terms": ["1.0 Z 1"]},
+               "sequence": {"name": "cp_x"}}
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -106,10 +119,12 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
 
 
 def assert_one_error_line(capsys):
+    """Check that stdout is empty and stderr one ``error:`` line; return it."""
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
 
 
 class TestRunCommand:
@@ -200,6 +215,12 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert all(line.startswith("error:") for line in err.strip().splitlines())
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe")
+        assert run(str(path)) == 2
+        assert_one_error_line(capsys)
+
     @pytest.mark.parametrize(
         "knobs",
         [
@@ -225,7 +246,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "field",
         [
-            {"n_qubits": "2"}, {"seed": "x"}, {"sweep": ["a"]}, {"cycle_time": 0},
+            {"n_qubits": "2"}, {"seed": "x"}, {"sweep": ["a"]}, {"kind": "average", "cycle_time": 0},
             {"hamiltonian": {"terms": [5]}},
             {"sequence": {"name": "cp_x", "cycle_time": "x"}},
             {"sequence": {"pulses": [{"terms": ["1.0 X 1"], "angle": "a"}], "durations": [1.0]}},
@@ -257,15 +278,45 @@ class TestRunCommand:
                           "durations": [0.5, 0.5]}},
             {"sequence": {"pulses": [{"terms": ["1.0 X 1"]}] * 2, "durations": [0.5, 0.5],
                           "physical": True}},
+            # a format the kind does not write
+            {"output": {"format": "json"}},
         ],
     )
     def test_bad_scenario_fields_exit_2(self, tmp_path, capsys, field):
-        path = write_scenario(tmp_path, {
-            "kind": "scan", "n_qubits": 1, "target": "magnus_defect",
-            "hamiltonian": {"terms": ["1.0 Z 1"]}, "sequence": {"name": "cp_x"},
-            "sweep": [0.1], **field,
-        })
-        assert run(path) == 2
+        doc = {"kind": "scan", "n_qubits": 1, "target": "magnus_defect",
+               "hamiltonian": {"terms": ["1.0 Z 1"]}, "sequence": {"name": "cp_x"},
+               "sweep": [0.1], **field}
+        # keep only what the case's kind reads, so each case meets the check it names
+        doc = {key: value for key, value in doc.items() if key in READS[doc["kind"]] | RUN_FIELDS}
+        assert run(write_scenario(tmp_path, doc)) == 2
+        assert "fields for kind" not in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("doc,named", [
+        ({**PROJECT_DOC, "sweep": [0.1], "target": "magnus_defect",
+          "generators": [["1.0 X 1"]], "noise": {"name": "nothing"}}, "generators"),
+        ({"kind": "noise", "cycle_time": 5, "n_qubits": 3, "hamiltonian": {"terms": ["Z1"]},
+          "noise": {"name": "hybrid_dephasing", "repetitions": 2, "ensemble_size": 4}},
+         "cycle_time"),
+    ], ids=["project", "noise"])
+    def test_field_the_kind_does_not_read_exits_2(self, tmp_path, capsys, doc, named):
+        assert run(write_scenario(tmp_path, doc)) == 2
+        assert named in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "logical", "n_qubits": 3, "hamiltonian": {"terms": ["1.0 s12"]}},
+        {"kind": "universality", "generators": []},
+        {"kind": "noise"},
+        {"kind": "scan", "target": "magnus_defect", "hamiltonian": {"terms": ["Z1"]},
+         "sequence": "cp_x", "sweep": []},
+        {**PROJECT_DOC, "sequence": None},
+    ], ids=["logical", "universality", "noise", "scan", "project"])
+    def test_missing_or_empty_needed_field_exits_2(self, tmp_path, capsys, doc):
+        assert run(write_scenario(tmp_path, doc)) == 2
+        assert "needs" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("fmt", ["csv", "xml"])
+    def test_project_format_other_than_json_exits_2(self, tmp_path, capsys, fmt):
+        assert main(["run", write_scenario(tmp_path, PROJECT_DOC), "--format", fmt]) == 2
         assert_one_error_line(capsys)
 
     def test_verify_empty_ensemble_exits_2(self, capsys):
@@ -307,12 +358,15 @@ JSON_TYPES = {
 NUMBER = {"integer", "fraction"}
 #: A key that no block reads, so no JSON type is accepted for it.
 UNREAD = {"unread": set()}
-#: The JSON types each scenario field accepts.
+#: The JSON types each scenario field accepts, split by the kind of the
+#: valid document below that reads it; a field the kind needs takes no null.
 FIELD_TYPES = {
-    "kind": {"string"}, "n_qubits": {"integer"}, "hamiltonian": {"object", "null"},
-    "code": {"string", "null"}, "sequence": {"string", "object", "null"}, "cycle_time": NUMBER,
-    "sweep": {"array", "null"}, "generators": {"array", "null"}, "target": {"string", "null"},
-    "noise": {"object"}, "seed": {"integer"}, "output": {"object", "null"}, **UNREAD,
+    "noise": {"kind": {"string"}, "noise": {"object"}, "seed": {"integer"},
+              "output": {"object", "null"}, **UNREAD},
+    "scan": {"n_qubits": {"integer"}, "hamiltonian": {"object"}, "code": {"string", "null"},
+             "sequence": {"string", "object"}, "sweep": {"array"}, "target": {"string"}, **UNREAD},
+    "average": {"cycle_time": NUMBER, **UNREAD},
+    "universality": {"generators": {"array"}, **UNREAD},
 }
 #: The JSON types each key of a hybrid_dephasing noise block accepts.
 KNOB_TYPES = {
@@ -335,13 +389,19 @@ NOISE_DOC = {"kind": "noise", "noise": {"name": "hybrid_dephasing", "repetitions
 AVERAGE_DOC = {"kind": "average", "hamiltonian": {"terms": ["1.0 Z 1"]},
                "sequence": {"name": "cp_x"}}
 NMR_DOC = logical_nmr(j={"13": 1.0}, species=["H", "H", "C", "C"], weak_coupling=True)
+SCAN_DOC = {"kind": "scan", "target": "magnus_defect", "hamiltonian": {"terms": ["1.0 Z 1"]},
+            "sequence": {"name": "cp_x"}, "sweep": [0.1]}
+UNIVERSALITY_DOC = {"kind": "universality", "generators": [["1.0 X 1"], ["1.0 Y 1"]]}
 PULSE_DOC = {"kind": "average", "hamiltonian": {"terms": ["1.0 Z 1"]},
              "sequence": {"pulses": [{"terms": ["1.0 X 1"], "angle": 1.5707963267948966}] * 2,
                           "durations": [0.5, 0.5]}}
 #: What an edit may target: (accepted types per key, a valid document that
 #: reads them, the path of keys to the block holding them, empty for the top level).
 EDITABLE = {
-    "field": (FIELD_TYPES, NOISE_DOC, ()),
+    "noise field": (FIELD_TYPES["noise"], NOISE_DOC, ()),
+    "scan field": (FIELD_TYPES["scan"], SCAN_DOC, ()),
+    "average field": (FIELD_TYPES["average"], AVERAGE_DOC, ()),
+    "universality field": (FIELD_TYPES["universality"], UNIVERSALITY_DOC, ()),
     "knob": (KNOB_TYPES, NOISE_DOC, ("noise",)),
     "sequence": (SEQUENCE_TYPES, AVERAGE_DOC, ("sequence",)),
     "nmr": (NMR_TYPES, NMR_DOC, ("hamiltonian", "nmr")),
@@ -388,6 +448,66 @@ class TestMalformedInput:
         lines = err.getvalue().splitlines()
         assert (code, out.getvalue()) == (2, ""), edit
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+#: Valid documents of every kind, and the values their fields take.
+VALID_DOCS = [NOISE_DOC, AVERAGE_DOC, SCAN_DOC, UNIVERSALITY_DOC, NMR_DOC, PULSE_DOC,
+              PROJECT_DOC, {**AVERAGE_DOC, "kind": "propagate"}]
+TOP_LEVEL = sorted(RUN_FIELDS.union(*READS.values(), ["unread"]))
+VALID_VALUES = {key: [doc[key] for doc in VALID_DOCS if key in doc] for key in TOP_LEVEL}
+VALID_VALUES["kind"].append("teleport")
+#: Any JSON value, with integers small enough that no run or closure grows large.
+SMALL_JSON = st.one_of(*{
+    **JSON_TYPES, "integer": st.integers(-8, 8), "array": st.lists(st.integers(-8, 8), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-8, 8), max_size=2),
+}.values())
+
+
+@st.composite
+def documents(draw):
+    """A whole scenario document: a valid one or an empty one, with some
+    fields dropped and some set to any JSON value or to a value valid in
+    some other document."""
+    base = draw(st.sampled_from([*VALID_DOCS, {}]))
+    dropped = draw(st.sets(st.sampled_from(sorted(base) or ["kind"]), max_size=1))
+    doc = {key: value for key, value in base.items() if key not in dropped}
+    for key in draw(st.sets(st.sampled_from(TOP_LEVEL), max_size=3)):
+        doc[key] = draw(st.sampled_from(VALID_VALUES[key] or [0]) | SMALL_JSON)
+    return doc
+
+
+class TestWholeDocuments:
+    @given(doc=documents())
+    @example(doc={**PROJECT_DOC, "sweep": [0.1], "target": "magnus_defect",
+                  "generators": [["1.0 X 1"]], "noise": {"name": "nothing"}})
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_any_document_exits_0_2_or_3_cleanly(self, tmp_path_factory, doc):
+        directory = tmp_path_factory.mktemp("document")
+        path = write_scenario(directory, doc)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(path, out=str(directory / "result"))
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3) and out.getvalue() == "", doc
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        else:
+            assert lines == [], lines
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in READS or set(doc) - READS[kind] - RUN_FIELDS:
+            assert code == 2, doc
+
+
+#: Every fenced JSON scenario in the README.
+README_EXAMPLES = re.findall(r"```json\n(.*?)```",
+                             (Path(__file__).parent.parent / "README.md").read_text(), re.S)
+
+
+@pytest.mark.parametrize("text", README_EXAMPLES, ids=lambda t: json.loads(t)["kind"])
+def test_readme_example_runs(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert run(str(path), out=str(tmp_path / "result")) == 0
 
 
 class TestListCommand:
