@@ -13,7 +13,9 @@ output format) and runs it; ``aht verify`` runs the suite of
 :mod:`aht.verify`.
 
 Exit codes: 0 success, 2 validation error (malformed file, unknown
-names, unread fields, unsupported formats, dimension mismatches), 3
+names, unread fields, unsupported formats, dimension mismatches, an
+output file that cannot be written -- its directory is checked before
+the run), 3
 numerical-tolerance failure (e.g. a branch-cut ambiguity in the
 effective Hamiltonian log).  Every error path emits a single
 machine-parsable ``error: ...`` line on stderr.
@@ -45,18 +47,36 @@ def run(path: str, seed: int | None = None, out: str | None = None, fmt: str | N
     try:
         sc = Scenario.from_json(text)
         if seed is not None:
-            sc = dataclasses.replace(sc, seed=seed)
+            # the flag wins over a noise block's own seed too
+            noise = sc.noise and {k: v for k, v in sc.noise.items() if k != "seed"}
+            sc = dataclasses.replace(sc, seed=seed, noise=noise)
         if fmt is not None:
             sc = dataclasses.replace(sc, output={**(sc.output or {}), "format": fmt})
+        destination = out or sc.output_path
+        _check_destination(destination)
         payload = sc.run()
     except (ValidationError, ToleranceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
-    destination = out or sc.output_path
-    if destination:
-        Path(destination).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    return _write(destination, payload)
+
+
+def _check_destination(destination: str | None) -> None:
+    """Refuse, before any computation, a file whose directory does not exist."""
+    if destination and not Path(destination).parent.is_dir():
+        raise ValidationError(f"output directory {str(Path(destination).parent)!r} does not exist")
+
+
+def _write(destination: str | None, text: str) -> int:
+    """Write ``text`` to ``destination`` (stdout if none); 0, or 2 if it cannot."""
+    if not destination:
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(destination).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -120,16 +140,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(list_builtins())
         return 0
     try:
+        _check_destination(args.out)
         checks = run_suite(seed=args.seed, ensemble=args.ensemble)
     except ValidationError as exc:  # e.g. --ensemble 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = format_report(checks, args.seed)
-    if args.out:
-        Path(args.out).write_text(report)
-    else:
-        sys.stdout.write(report)
-    return 0 if all(c.passed for c in checks) else 1
+    failed = _write(args.out, format_report(checks, args.seed))
+    return failed or (0 if all(c.passed for c in checks) else 1)
 
 
 if __name__ == "__main__":

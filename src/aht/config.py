@@ -58,8 +58,10 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 #: Largest noise-sample tensor (channels x trajectories x steps x 8 bytes)
-#: a noise scenario may ask for, checked before any of it is allocated;
-#: ``aht verify`` at its default ensemble of 500 needs about 154 MB.
+#: a noise scenario may ask for, checked before any of it is allocated; the
+#: tensor is the whole noise allocation (the draws land in it and the OU
+#: recursion runs in place), and ``aht verify`` at its default ensemble of
+#: 500 needs about 154 MB.
 _MAX_NOISE_BYTES = 2 * 1024**3
 
 

@@ -13,7 +13,11 @@ the scenario (including its seed).  Per-trajectory noise is drawn from
 ``SeedSequence(seed, channel_index, trajectory_index)``, so serial,
 batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
-fixed by the implementation.
+fixed by the implementation.  Each stream is drawn straight into its row
+of the ``(channels, trajectories, steps)`` noise tensor, the whole noise
+allocation, and the OU recursion overwrites the draws in place,
+``_OU_BLOCK`` steps at a time on a contiguous transposed copy, with the
+products and sums of the column-by-column recursion: the same samples.
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -118,7 +122,9 @@ class NoiseScenario:
     whenever a pulse schedule is attached.  ``max_step``, if given, must be
     positive; it caps the step below the default ``min(tau_c, T_c) / 20``,
     to compare runs on a common grid.  The observable must be Hermitian.
-    A run needing more than ``config._MAX_NOISE_BYTES`` of noise is refused.
+    A run needing more than ``config._MAX_NOISE_BYTES`` of noise is refused:
+    the ``channels x trajectories x steps`` samples of the noise tensor,
+    which is all that drawing the noise allocates, checked before it is.
     """
 
     name: str
@@ -200,23 +206,31 @@ class NoiseScenario:
 # Ornstein-Uhlenbeck sampling
 # ---------------------------------------------------------------------------
 
-def _ou_batch(amplitude: float, tau_c: float, gaps: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Stationary OU samples with autocorrelation ``amp^2 exp(-|dt|/tau_c)``
-    on a (possibly non-uniform) grid.
+_OU_BLOCK = 256  #: steps per transposed block of the in-place OU recursion
 
-    ``draws`` is ``(n_traj, steps)`` standard normal; gap ``k`` separates
+
+def _ou_in_place(x: np.ndarray, amplitude: float, tau_c: float, gaps: np.ndarray) -> None:
+    """Overwrite the standard-normal draws ``x`` ``(n_traj, steps)`` with stationary
+    OU samples of autocorrelation ``amp^2 exp(-|dt|/tau_c)``; gap ``k`` separates
     samples ``k`` and ``k+1``.  The exact discretization
-    ``x' = rho x + amp sqrt(1 - rho^2) xi`` with ``rho = exp(-gap/tau_c)``
-    has no integrator bias at any gap.  Vectorized across trajectories.
+    ``x' = rho x + amp sqrt(1 - rho^2) xi`` with ``rho = exp(-gap/tau_c)`` has no
+    integrator bias at any gap.  Each block of ``_OU_BLOCK`` steps is walked as
+    contiguous rows of a transposed copy, three ufuncs per step; the products and
+    sum are the ones of the column-by-column recursion, so every sample is too.
     """
-    n_traj, steps = draws.shape
-    out = np.empty((n_traj, steps))
-    out[:, 0] = amplitude * draws[:, 0]
     rho = np.exp(-gaps / tau_c)
     kick = amplitude * np.sqrt(1 - rho * rho)
-    for k in range(1, steps):
-        out[:, k] = rho[k - 1] * out[:, k - 1] + kick[k - 1] * draws[:, k]
-    return out
+    rho, kick = rho.tolist(), kick.tolist()
+    x[:, 0] *= amplitude
+    tmp = np.empty(x.shape[0])
+    for a in range(1, x.shape[1], _OU_BLOCK):
+        b = min(a + _OU_BLOCK, x.shape[1])
+        buf = x[:, a - 1:b].T.copy()  # row 0: the sample before the block, already done
+        for prev, row, r, q in zip(buf, buf[1:], rho[a - 1:b - 1], kick[a - 1:b - 1]):
+            np.multiply(r, prev, out=tmp)
+            row *= q
+            np.add(tmp, row, out=row)
+        x[:, a:b] = buf[1:].T
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +289,10 @@ def _channel_noise(
     for c, ch in enumerate(scenario.channels):
         if ch.amplitude == 0.0:
             continue
-        draws = np.empty((len(trajectories), steps))
         for row, i in enumerate(trajectories):
             rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, c, i]))
-            draws[row] = rng.standard_normal(steps)
-        out[c] = _ou_batch(ch.amplitude, ch.correlation_time, gaps, draws)
+            rng.standard_normal(out=out[c, row])
+        _ou_in_place(out[c], ch.amplitude, ch.correlation_time, gaps)
     return out
 
 

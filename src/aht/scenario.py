@@ -174,6 +174,10 @@ class Scenario:
         if self.code is not None and self.code not in CODE_NAMES:
             raise ValidationError(f"unknown code {self.code!r}")
         _known_keys("output fields", self.output or {}, ("path", "format"))
+        if self.output and "path" in self.output:
+            path = self.output["path"]
+            if not isinstance(path, str) or not path:
+                raise ValidationError(f"output path must be a non-empty string, got {path!r}")
         if self.output_format not in row.formats:
             raise ValidationError(
                 f"kind {self.kind!r} writes {' or '.join(row.formats)}, not {self.output_format!r}"
@@ -190,9 +194,7 @@ class Scenario:
 
     @property
     def output_path(self) -> str | None:
-        if self.output and "path" in self.output:
-            return str(self.output["path"])
-        return None
+        return (self.output or {}).get("path")
 
     def run(self) -> str:
         """Run the scenario; returns the text it writes in its output format."""

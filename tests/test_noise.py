@@ -1,6 +1,7 @@
 """Stochastic dephasing engine: OU statistics, propagation, ensembles."""
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from aht.config import _MAX_NOISE_BYTES, ValidationError
 from aht.decoupling import named_sequence
 from aht.noise import (
     _BATCH_STEPS,
+    _OU_BLOCK,
     SCENARIO_NAMES,
     NoiseScenario,
     _build_grid,
     _channel_noise,
     _evolve,
-    _ou_batch,
+    _ou_in_place,
     _reachable_block,
     _step_propagators,
     build_scenario,
@@ -36,9 +38,10 @@ OU_GRIDS = {
 
 
 def ou_samples(gaps, amplitude, seed, n_traj=2000):
-    """``_ou_batch`` at tau_c = 1 on seeded standard-normal draws."""
-    draws = np.random.default_rng(seed).standard_normal((n_traj, len(gaps) + 1))
-    return _ou_batch(amplitude, 1.0, gaps, draws)
+    """``_ou_in_place`` at tau_c = 1 on seeded standard-normal draws."""
+    x = np.random.default_rng(seed).standard_normal((n_traj, len(gaps) + 1))
+    _ou_in_place(x, amplitude, 1.0, gaps)
+    return x
 
 
 #: every library scenario with pulses on and off, plus physical hybrid_dephasing
@@ -108,6 +111,18 @@ def per_step_reference(sc, noise):
         if k + 1 in grid.record_steps:
             states.append(psi)
     return np.array(states)
+
+
+def ou_reference(amplitude, tau_c, gaps, draws):
+    """The OU recursion one column at a time into a second array:
+    ``x_0 = amp xi_0``, ``x_k = rho x_{k-1} + amp sqrt(1 - rho^2) xi_k``."""
+    out = np.empty(draws.shape)
+    out[:, 0] = amplitude * draws[:, 0]
+    rho = np.exp(-gaps / tau_c)
+    kick = amplitude * np.sqrt(1 - rho * rho)
+    for k in range(1, draws.shape[1]):
+        out[:, k] = rho[k - 1] * out[:, k - 1] + kick[k - 1] * draws[:, k]
+    return out
 
 
 def per_step_eigh_reference(sc, noise):
@@ -206,6 +221,22 @@ class TestOuTrajectory:
         for gaps, _ in OU_GRIDS.values():
             x = ou_samples(gaps, 0.5, seed=3)
             assert float(np.var(x)) == pytest.approx(0.25, rel=0.05)
+
+    @pytest.mark.parametrize("steps", [1, 2, _OU_BLOCK - 1, _OU_BLOCK, _OU_BLOCK + 1, 2 * _OU_BLOCK + 3])
+    @pytest.mark.parametrize("rows", [1, 7, 500])
+    def test_block_walk_matches_column_recursion(self, steps, rows):
+        # every block edge of the in-place walk, bit for bit against the plain loop
+        rng = np.random.default_rng([steps, rows])
+        grids = {
+            "uniform": np.full(steps - 1, 0.01),
+            "alternating": np.resize([0.05, 0.15], steps - 1),
+            "random": rng.uniform(1e-3, 0.5, steps - 1),
+        }
+        for gaps in grids.values():
+            draws = rng.standard_normal((rows, steps))
+            x = draws.copy()
+            _ou_in_place(x, 0.7, 0.3, gaps)
+            assert np.array_equal(x, ou_reference(0.7, 0.3, gaps, draws))
 
 
 class TestStepGrid:
@@ -631,6 +662,20 @@ class TestScenarioLibrary:
         # step counts past any grid, also where a float count would overflow
         with pytest.raises(ValidationError, match="bytes of noise"):
             build_scenario("hybrid_dephasing", **knobs)
+
+    def test_noise_allocation_is_the_counted_tensor(self):
+        # the bytes the size limit counts are all the noise draw allocates:
+        # draws land in the tensor and the OU recursion runs in place
+        sc = build_scenario("hybrid_dephasing", encoded=False, ensemble_size=200, repetitions=16)
+        grid = _build_grid(sc)
+        counted = len(sc.channels) * sc.ensemble_size * len(grid.durations) * 8
+        tracemalloc.start()
+        try:
+            _channel_noise(sc, grid, range(sc.ensemble_size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * counted
 
     def test_rejects_negative_seed_when_built_directly(self):
         # build_scenario checks its seed knob; a replaced seed is checked too

@@ -14,6 +14,7 @@ from aht.cli import list_builtins, main, run
 from aht.config import ValidationError
 from aht.operators import SIGMA, exchange
 from aht.scenario import Scenario, parse_hamiltonian, parse_term
+from aht.verify import VerificationCheck
 
 
 class TestTermGrammar:
@@ -331,6 +332,51 @@ class TestRunCommand:
         # over the noise-size limit; allocating it would fail at once anyway
         assert main(["verify", "--ensemble", str(10**12)]) == 2
         assert_one_error_line(capsys)
+
+    def test_seed_flag_wins_over_noise_block_seed(self, tmp_path, capsys):
+        doc = {"kind": "noise", "noise": {**NOISE_DOC["noise"], "seed": 3}}
+        path = write_scenario(tmp_path, doc)
+        outputs = {}
+        for seed in (7, 8):
+            assert main(["run", path, "--seed", str(seed)]) == 0
+            outputs[seed] = capsys.readouterr().out
+            assert json.loads(outputs[seed])["scenario"]["seed"] == seed
+        assert outputs[7] != outputs[8]
+
+    @pytest.mark.parametrize("path", [5, "", None, ["x.json"]])
+    def test_output_path_not_a_nonempty_string_exits_2(self, tmp_path, capsys, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        doc = {**PROJECT_DOC, "output": {"path": path}}
+        with pytest.raises(ValidationError, match="output path"):
+            Scenario.from_dict(doc)
+        assert run(write_scenario(tmp_path, doc)) == 2
+        assert "output path" in assert_one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_missing_output_directory_exits_2_before_running(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.setattr(Scenario, "run", lambda sc: pytest.fail("ran before checking --out"))
+        destination = str(tmp_path / "missing" / "x.json")
+        doc = {**PROJECT_DOC, "output": {"path": destination}} if where == "file" else PROJECT_DOC
+        path = write_scenario(tmp_path, doc)
+        assert run(path, out=destination if where == "flag" else None) == 2
+        assert "does not exist" in assert_one_error_line(capsys)
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # the destination's directory exists, but the destination is a directory
+        assert run(write_scenario(tmp_path, PROJECT_DOC), out=str(tmp_path)) == 2
+        assert "cannot write" in assert_one_error_line(capsys)
+
+    def test_verify_missing_output_directory_exits_2_before_running(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setattr("aht.cli.run_suite", lambda **kw: pytest.fail("ran before checking --out"))
+        assert main(["verify", "--out", str(tmp_path / "missing" / "report.txt")]) == 2
+        assert "does not exist" in assert_one_error_line(capsys)
+
+    def test_verify_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("aht.cli.run_suite", lambda **kw: [VerificationCheck("stub", True, "")])
+        assert main(["verify", "--out", str(tmp_path)]) == 2
+        assert "cannot write" in assert_one_error_line(capsys)
 
     def test_branch_cut_exits_3(self, tmp_path, capsys):
         # a full pi rotation puts the cycle eigenphases exactly on the cut
