@@ -14,8 +14,8 @@ output format) and runs it; ``aht verify`` runs the suite of
 
 Exit codes: 0 success, 2 validation error (malformed file, unknown
 names, unread fields, unsupported formats, dimension mismatches, an
-output file that cannot be written -- its directory is checked before
-the run), 3
+output file that cannot be written -- an empty path, a directory or a
+missing directory is refused before the run), 3
 numerical-tolerance failure (e.g. a branch-cut ambiguity in the
 effective Hamiltonian log).  Every error path emits a single
 machine-parsable ``error: ...`` line on stderr.
@@ -52,7 +52,7 @@ def run(path: str, seed: int | None = None, out: str | None = None, fmt: str | N
             sc = dataclasses.replace(sc, seed=seed, noise=noise)
         if fmt is not None:
             sc = dataclasses.replace(sc, output={**(sc.output or {}), "format": fmt})
-        destination = out or sc.output_path
+        destination = sc.output_path if out is None else out
         _check_destination(destination)
         payload = sc.run()
     except (ValidationError, ToleranceError) as exc:
@@ -62,14 +62,21 @@ def run(path: str, seed: int | None = None, out: str | None = None, fmt: str | N
 
 
 def _check_destination(destination: str | None) -> None:
-    """Refuse, before any computation, a file whose directory does not exist."""
-    if destination and not Path(destination).parent.is_dir():
+    """Refuse, before any computation, an empty path, a directory, or a file
+    whose directory does not exist; ``None`` means stdout."""
+    if destination is None:
+        return
+    if not destination:
+        raise ValidationError("output path must not be empty")
+    if Path(destination).is_dir():
+        raise ValidationError(f"output path {destination!r} is a directory")
+    if not Path(destination).parent.is_dir():
         raise ValidationError(f"output directory {str(Path(destination).parent)!r} does not exist")
 
 
 def _write(destination: str | None, text: str) -> int:
-    """Write ``text`` to ``destination`` (stdout if none); 0, or 2 if it cannot."""
-    if not destination:
+    """Write ``text`` to ``destination`` (stdout if None); 0, or 2 if it cannot."""
+    if destination is None:
         sys.stdout.write(text)
         return 0
     try:

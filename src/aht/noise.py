@@ -13,11 +13,11 @@ the scenario (including its seed).  Per-trajectory noise is drawn from
 ``SeedSequence(seed, channel_index, trajectory_index)``, so serial,
 batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
-fixed by the implementation.  Each stream is drawn straight into its row
-of the ``(channels, trajectories, steps)`` noise tensor, the whole noise
-allocation, and the OU recursion overwrites the draws in place,
-``_OU_BLOCK`` steps at a time on a contiguous transposed copy, with the
-products and sums of the column-by-column recursion: the same samples.
+fixed by the implementation.  Off the diagonal path the draws land in
+the ``(channels, trajectories, steps)`` tensor and the OU recursion
+overwrites them in place; on it, the same draws are reduced straight to
+the interval integrals the state reads (below) by the same recursion's
+weights, with no per-step sample, which moves states by rounding only.
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -38,6 +38,7 @@ starts from every basis vector and so covers the full space.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence
 
@@ -122,9 +123,11 @@ class NoiseScenario:
     whenever a pulse schedule is attached.  ``max_step``, if given, must be
     positive; it caps the step below the default ``min(tau_c, T_c) / 20``,
     to compare runs on a common grid.  The observable must be Hermitian.
-    A run needing more than ``config._MAX_NOISE_BYTES`` of noise is refused:
-    the ``channels x trajectories x steps`` samples of the noise tensor,
-    which is all that drawing the noise allocates, checked before it is.
+    A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
+    refused before anything is allocated.  The count is the larger of the two
+    samplers' allocations: the per-step samples, or the interval sums plus a
+    draw buffer of up to ``_SUM_ROWS`` trajectories, as large a product and 10
+    step-length weights or temporaries.
     """
 
     name: str
@@ -167,9 +170,12 @@ class NoiseScenario:
             raise ValidationError("observable must be Hermitian")
         if self.max_step is not None and not self.max_step > 0:
             raise ValidationError(f"max_step must be positive, got {self.max_step}")
+        # exact integers: the per-step samples, or the interval sums and sampler work space
         _, steps, cycles = _intervals(self)
-        size = max(1, len(self.channels)) * self.ensemble_size * cycles * sum(steps) * 8
-        if size > _MAX_NOISE_BYTES:  # exact integers; with no channels, the grid alone
+        n, rows = cycles * sum(steps), max(1, len(self.channels)) * self.ensemble_size
+        work = (2 * min(self.ensemble_size, _SUM_ROWS) + 10) * n  # draws, a product, weights
+        size = 8 * max(rows * n, rows * cycles * len(steps) + work)  # no channels: the grid
+        if size > _MAX_NOISE_BYTES:
             raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != dim:
@@ -207,6 +213,13 @@ class NoiseScenario:
 # ---------------------------------------------------------------------------
 
 _OU_BLOCK = 256  #: steps per transposed block of the in-place OU recursion
+_SUM_ROWS = 64  #: trajectories per draw buffer of the interval sampler
+
+
+def _draw(out: np.ndarray, seed: int, channel: int, trajectories: Sequence[int]) -> None:
+    """Row ``r`` of ``out``: the standard normals both samplers read for ``trajectories[r]``."""
+    for row, i in zip(out, trajectories):
+        np.random.default_rng(np.random.SeedSequence([seed, channel, i])).standard_normal(out=row)
 
 
 def _ou_in_place(x: np.ndarray, amplitude: float, tau_c: float, gaps: np.ndarray) -> None:
@@ -239,11 +252,12 @@ def _ou_in_place(x: np.ndarray, amplitude: float, tau_c: float, gaps: np.ndarray
 
 @dataclass(frozen=True)
 class _Grid:
-    durations: np.ndarray             # (S,) step lengths
+    durations: np.ndarray             # (S,) step lengths, uniform within an interval
     midpoints: np.ndarray             # (S,) noise sample times
     pulses: dict[int, np.ndarray]     # steps completed -> pulse fired then
     record_steps: frozenset[int]      # steps completed at each record
     times: np.ndarray                 # (R,) record times, starting at 0
+    ends: list[int]                   # steps completed after each interval, each an event
 
 
 def _intervals(scenario: NoiseScenario) -> tuple[list[float], list[int], int]:
@@ -268,50 +282,65 @@ def _build_grid(scenario: NoiseScenario) -> _Grid:
     ends = np.cumsum(np.tile(n, cycles)).tolist()  # steps completed after each interval
     elapsed = np.cumsum(np.tile(lengths, cycles))  # time at the end of each interval
     sch, k = scenario.schedule, len(lengths)
-    # pulse i fires after interval i of a cycle; records end cycles (every interval if unpulsed)
+    # pulse i ends interval i of a cycle (all but the last, at most); records end cycles
     pulses = {} if sch is None else {
         ends[r * k + i]: pulse.matrix for r in range(cycles) for i, pulse in enumerate(sch.pulses)
     }
     last = slice(None) if sch is None else slice(k - 1, None, k)
     midpoints = np.concatenate([[0.0], np.cumsum(durations)])[:-1] + durations / 2
     times = np.concatenate([[0.0], elapsed[last]])
-    return _Grid(durations, midpoints, pulses, frozenset([0, *ends[last]]), times)
+    return _Grid(durations, midpoints, pulses, frozenset([0, *ends[last]]), times, ends)
 
 
-def _channel_noise(
-    scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]
-) -> np.ndarray:
+def _channel_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]) -> np.ndarray:
     """Noise values per (channel, trajectory, step) for the given trajectory
     indices; row ``r`` is the seeded stream of trajectory ``trajectories[r]``."""
-    steps = grid.durations.shape[0]
-    gaps = np.diff(grid.midpoints)
-    out = np.zeros((len(scenario.channels), len(trajectories), steps))
+    out = np.zeros((len(scenario.channels), len(trajectories), len(grid.durations)))
     for c, ch in enumerate(scenario.channels):
         if ch.amplitude == 0.0:
             continue
-        for row, i in enumerate(trajectories):
-            rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, c, i]))
-            rng.standard_normal(out=out[c, row])
-        _ou_in_place(out[c], ch.amplitude, ch.correlation_time, gaps)
+        _draw(out[c], scenario.seed, c, trajectories)
+        _ou_in_place(out[c], ch.amplitude, ch.correlation_time, np.diff(grid.midpoints))
     return out
 
 
-def _explicit_noise(scenario: NoiseScenario, grid: _Grid, noise_values) -> np.ndarray:
-    """Caller-supplied samples as ``(channels, 1, steps)``, checked against the grid."""
-    noise = np.asarray(noise_values, dtype=float)
-    shape = (len(scenario.channels), grid.durations.shape[0])
-    if noise.shape != shape:
-        raise ValidationError(f"noise_values must have shape {shape}, got {noise.shape}")
-    return noise[:, None, :]
+def _interval_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]) -> np.ndarray:
+    """``(channels, trajectories, intervals)`` sums ``sum_k x(m_k) dt_k`` of the samples
+    ``_channel_noise`` gives, from its draws ``xi``.  Sample ``j`` of an interval of ``n``
+    steps of ``dt`` is ``rho^j rho_b x_b + sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the
+    sample before it, ``rho = exp(-dt/tau_c)``; so its sum weighs ``xi_l`` by ``dt (1 -
+    rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l) kick_l``."""
+    dt, starts, ends = grid.durations, np.array([0, *grid.ends[:-1]]), np.array(grid.ends)
+    left = np.repeat(ends, ends - starts) - np.arange(1.0, len(dt) + 1)  # steps after each
+    gap = np.diff(grid.midpoints, prepend=-np.inf)  # to the sample before; none before the first
+    out = np.zeros((len(scenario.channels), len(trajectories), len(starts)))
+    buf = np.empty((min(len(trajectories), _SUM_ROWS), len(dt)))
+    for c, ch in enumerate(scenario.channels):
+        if ch.amplitude == 0.0:
+            continue
+        rho_in = np.exp(-gap / ch.correlation_time)
+        rate = dt / ch.correlation_time
+        w_last = np.exp(-left * rate)
+        w_sum = dt * np.expm1(-(left + 1) * rate) / np.expm1(-rate)
+        carry_sum, carry_last = w_sum[starts] * rho_in[starts], w_last[starts] * rho_in[starts]
+        kick = ch.amplitude * np.sqrt(1 - rho_in * rho_in)  # the first sample's: amp
+        w_sum *= kick
+        w_last *= kick
+        for a in range(0, len(trajectories), _SUM_ROWS):
+            rows = trajectories[a:a + _SUM_ROWS]
+            x = buf[:len(rows)]
+            _draw(x, scenario.seed, c, rows)
+            last = np.zeros(len(rows))
+            for j, (s, e) in enumerate(zip(starts, ends)):
+                # row sums, not a BLAS product: a row's bytes must not depend on the batch
+                out[c, a:a + len(rows), j] = (x[:, s:e] * w_sum[s:e]).sum(axis=1) + carry_sum[j] * last
+                last = (x[:, s:e] * w_last[s:e]).sum(axis=1) + carry_last[j] * last
+    return out
 
 
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
-
-def _is_diagonal(m: np.ndarray) -> bool:
-    return bool(np.all(m == np.diag(np.diag(m))))
-
 
 def _reachable_block(psi: np.ndarray, generators: Sequence[np.ndarray]) -> np.ndarray:
     """Sorted basis indices reachable from the nonzero entries of the rows
@@ -324,6 +353,20 @@ def _reachable_block(psi: np.ndarray, generators: Sequence[np.ndarray]) -> np.nd
         frontier = linked[frontier].any(axis=0) & ~reached
         reached = reached | frontier
     return np.flatnonzero(reached)
+
+
+#: what ``_evolve`` propagates from given rows: the block they reach, the drift,
+#: couplings and pulses (transposed) sliced to it, and whether its path is diagonal
+_Plan = namedtuple("_Plan", "block h0 couplings pulses diagonal")
+
+
+def _plan(scenario: NoiseScenario, grid: _Grid, psi: np.ndarray) -> _Plan:
+    couplings = [ch.coupling.matrix for ch in scenario.channels]
+    block = _reachable_block(psi, [scenario.h_system.matrix, *couplings, *grid.pulses.values()])
+    cut = np.ix_(block, block)
+    h0, couplings = scenario.h_system.matrix[cut], [c[cut] for c in couplings]
+    diagonal = all(np.array_equal(m, np.diag(np.diag(m))) for m in [h0, *couplings])
+    return _Plan(block, h0, couplings, {done: p[cut].T for done, p in grid.pulses.items()}, diagonal)
 
 
 _BATCH_STEPS = 64  #: steps per propagator build; temporaries are O(64 * rows * dim^2)
@@ -345,49 +388,58 @@ def _step_propagators(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return (np.exp(-1j * m * dt)[..., None] * u).reshape(h.shape)
 
 
-def _evolve(
-    scenario: NoiseScenario, noise: np.ndarray, psi: np.ndarray, grid: _Grid
-) -> np.ndarray:
-    """Evolve state rows through the grid, one event interval at a time;
-    returns (n_records, n_traj, dim), zero outside the block reachable
-    from ``psi``, the only one propagated."""
-    couplings = [ch.coupling.matrix for ch in scenario.channels]
-    block = _reachable_block(psi, [scenario.h_system.matrix, *couplings, *grid.pulses.values()])
-    cut = np.ix_(block, block)
-    h0 = scenario.h_system.matrix[cut]
-    couplings = [c[cut] for c in couplings]
-    pulses = {done: p[cut].T for done, p in grid.pulses.items()}
-    diag_path = _is_diagonal(h0) and all(_is_diagonal(c) for c in couplings)
+def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Evolve state rows through the grid, one interval at a time, reading interval
+    sums of the noise on the diagonal path and samples otherwise; returns
+    (n_records, n_traj, dim), zero outside the plan's block, the only one propagated."""
     out = np.zeros((len(grid.times), *psi.shape), dtype=complex)
     out[0] = psi
-    psi = psi[:, block]
+    psi = psi[:, plan.block]
     dim = psi.shape[1]
-    d0, dc = np.diag(h0).real, [np.diag(c).real for c in couplings]
+    d0, dc = np.diag(plan.h0).real, [np.diag(c).real for c in plan.couplings]
     start, rec = 0, 1
-    for done in sorted((set(pulses) | grid.record_steps) - {0}):  # steps at each event
-        if diag_path:
-            dt = grid.durations[start:done]
-            phase = dt.sum() * d0
-            for c in range(len(couplings)):
-                # row sums, not a BLAS product: a row's bytes must not depend on the batch
-                phase = phase + (noise[c, :, start:done] * dt).sum(axis=1)[:, None] * dc[c]
+    for j, done in enumerate(grid.ends):
+        if plan.diagonal:
+            phase = grid.durations[start:done].sum() * d0
+            for c in range(len(dc)):
+                phase = phase + noise[c, :, j, None] * dc[c]
             psi = psi * np.exp(-1j * phase)
         else:
             for a in range(start, done, _BATCH_STEPS):
                 b = min(a + _BATCH_STEPS, done)
                 # (steps, noise rows, dim, dim) frozen Hamiltonians
-                h = np.broadcast_to(h0, (b - a, noise.shape[1], dim, dim)).copy()
-                for c in range(len(couplings)):
-                    h += noise[c, :, a:b].T[:, :, None, None] * couplings[c]
+                h = np.broadcast_to(plan.h0, (b - a, noise.shape[1], dim, dim)).copy()
+                for c, coupling in enumerate(plan.couplings):
+                    h += noise[c, :, a:b].T[:, :, None, None] * coupling
                 for u in _step_propagators(h, grid.durations[a:b, None]):
                     psi = np.einsum("tij,tj->ti", u, psi)
-        if done in pulses:
-            psi = psi @ pulses[done]
+        if done in plan.pulses:
+            psi = psi @ plan.pulses[done]
         if done in grid.record_steps:
-            out[rec][:, block] = psi
+            out[rec][:, plan.block] = psi
             rec += 1
         start = done
     return out
+
+
+def _run(scenario: NoiseScenario, psi: np.ndarray, trajectories: Sequence[int] = (),
+         noise_values=None) -> tuple[_Grid, np.ndarray]:
+    """The grid, and the states of the rows ``psi`` under the seeded noise of
+    ``trajectories`` or, shared by every row, the samples ``noise_values``."""
+    grid = _build_grid(scenario)
+    plan = _plan(scenario, grid, psi)
+    if noise_values is None:
+        noise = (_interval_noise if plan.diagonal else _channel_noise)(scenario, grid, trajectories)
+    else:
+        noise = np.asarray(noise_values, dtype=float)
+        shape = (len(scenario.channels), grid.durations.shape[0])
+        if noise.shape != shape:
+            raise ValidationError(f"noise_values must have shape {shape}, got {noise.shape}")
+        noise = noise[:, None, :]
+        if plan.diagonal:  # the diagonal path reads the sums over each interval
+            noise = np.stack([(noise[..., a:b] * grid.durations[a:b]).sum(axis=-1)
+                              for a, b in zip([0, *grid.ends], grid.ends)], axis=-1)
+    return grid, _evolve(plan, noise, psi, grid)
 
 
 @dataclass(frozen=True)
@@ -409,24 +461,15 @@ def propagate_trajectory(
     ``(n_channels, n_steps)`` on the scenario's step grid; by default the
     trajectory's own seeded noise is used.
     """
-    grid = _build_grid(scenario)
-    if noise_values is None:
-        noise = _channel_noise(scenario, grid, [trajectory])
-    else:
-        noise = _explicit_noise(scenario, grid, noise_values)
-    psi = scenario.initial_state[None, :].copy()
-    states = _evolve(scenario, noise, psi, grid)
+    grid, states = _run(scenario, scenario.initial_state[None, :].copy(), [trajectory], noise_values)
     return TrajectoryResult(grid.times, states[:, 0, :])
 
 
 def trajectory_propagator(scenario: NoiseScenario, noise_values: np.ndarray) -> Operator:
     """Exact propagator of one noise realization (pulses included), checked
     to be unitary to within ``DEFAULT_TOL.equality``, 1e-10."""
-    grid = _build_grid(scenario)
-    noise = _explicit_noise(scenario, grid, noise_values)
-    dim = scenario.h_system.dim
     # one noise row, broadcast by _evolve across the dim basis-vector rows
-    rows = _evolve(scenario, noise, np.eye(dim, dtype=complex), grid)
+    _, rows = _run(scenario, np.eye(scenario.h_system.dim, dtype=complex), noise_values=noise_values)
     # rows holds the image of each basis vector; columns of U are those images
     u = rows[-1].T
     defect = _unitarity_defect(u)
@@ -461,11 +504,8 @@ def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
     Hermitian); reported are its ensemble mean and the standard error of
     that mean at each record time.
     """
-    grid = _build_grid(scenario)
     n = scenario.ensemble_size
-    noise = _channel_noise(scenario, grid, range(n))
-    psi = np.tile(scenario.initial_state, (n, 1))
-    states = _evolve(scenario, noise, psi, grid)
+    grid, states = _run(scenario, np.tile(scenario.initial_state, (n, 1)), range(n))
     obs = scenario.observable.matrix
     expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
     mean = expect.mean(axis=1)

@@ -12,13 +12,17 @@ from aht.decoupling import named_sequence
 from aht.noise import (
     _BATCH_STEPS,
     _OU_BLOCK,
+    _SUM_ROWS,
     SCENARIO_NAMES,
     NoiseScenario,
     _build_grid,
     _channel_noise,
     _evolve,
+    _interval_noise,
     _ou_in_place,
+    _plan,
     _reachable_block,
+    _run,
     _step_propagators,
     build_scenario,
     ensemble_coherence,
@@ -65,17 +69,19 @@ CODE_BLOCKS = {
 
 #: sha256 of ``ensemble_coherence`` mean and std-error bytes at
 #: ``repetitions=2, ensemble_size=16, seed=29`` (numpy 2.4, OpenBLAS,
-#: x86-64): the three diagonal-path ones recorded with the one phase
-#: update per event interval, the two non-diagonal ones re-recorded with
-#: the closed-form 2x2 step propagators, which moved their states by
-#: rounding only (see ``test_batched_steps_match_per_step_eigh``); a change
-#: that moves them says so and re-records them
+#: x86-64): the three diagonal-path ones re-recorded with the interval
+#: sampler, which reduces the draws straight to interval sums and moved
+#: their states by rounding only (see
+#: ``test_interval_sampler_matches_per_step_samples``), the two
+#: non-diagonal ones recorded with the closed-form 2x2 step propagators
+#: (see ``test_batched_steps_match_per_step_eigh``); a change that moves
+#: them says so and re-records them
 PINNED_DIGESTS = {
-    "hybrid_dephasing": "fd8bf71828e51321e64dc64d4d196332a04527d79974e20f00e96a730ccac335",
-    "hybrid_dephasing-physical": "542e5a15f396697b8d3a769dd147cd87893a0649e5041decbcc49ee859663d5a",
+    "hybrid_dephasing": "b3832edd66c65e7064e2f537e7710eb5836420c38546aa3fa78a0efe6804f05e",
+    "hybrid_dephasing-physical": "8187be6d40361fb8b277ea6ee1eb810cf8a7fd345bb987b02ad694e987fdbb34",
     "encoded_spin_boson": "6acb7e6206516082ab59bb5631589f5fa0f0e209fcc94b1d9a54ef0c8fba303b",
     "encoded_depolarizing": "35591e4d63cae88f916f571fddebb3151bf5607422df748d2de0013676cd91da",
-    "four_qubit_blockwise": "fdde1296522d6d5b2c3f2cab59a0ae0ea3450bb5c4a4a01150f4e30a239e980b",
+    "four_qubit_blockwise": "014768038afd30188eca67e69e192f0ca59e3a8c5ac19287646319031cdcae8a",
 }
 
 
@@ -87,6 +93,38 @@ DIAGONAL_CONFIGS = [
 ]
 #: the others, whose steps take the exponential of a frozen Hamiltonian
 EIGH_CONFIGS = [config for config in CONFIGS if config not in DIAGONAL_CONFIGS]
+
+
+#: diagonal configurations whose intervals differ in length: cp_x_symmetric
+#: (1/4, 1/2, 1/4 of a cycle) on its default grid, and with a max_step that
+#: splits the intervals into steps of different lengths
+UNEQUAL_INTERVALS = {"cp_x_symmetric": {}, "cp_x_symmetric-max_step": {"max_step": 0.0013}}
+
+
+def diagonal_scenario(config, ensemble_size=1):
+    """A diagonal configuration at ``repetitions=2, seed=3``."""
+    if config in UNEQUAL_INTERVALS:
+        sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=ensemble_size,
+                            seed=3, **UNEQUAL_INTERVALS[config])
+        schedule = named_sequence("cp_x_symmetric", code=sc.code, cycle_time=1.0, physical=True)
+        return dataclasses.replace(sc, schedule=schedule)
+    name, knobs = CONFIGS[config]
+    return build_scenario(name, repetitions=2, ensemble_size=ensemble_size, seed=3, **knobs)
+
+
+def interval_sums(grid, noise):
+    """Per-step samples ``(channels, rows, steps)`` summed over each interval of
+    the grid, weighted by the step lengths: what the diagonal path reads."""
+    bounds = [0, *grid.ends]
+    return np.stack([
+        np.sum(noise[:, :, a:b] * grid.durations[a:b], axis=-1) for a, b in zip(bounds, bounds[1:])
+    ], axis=-1)
+
+
+def evolve(sc, noise, rows):
+    """``_evolve`` of ``rows`` copies of the initial state under ``noise``."""
+    psi = np.tile(sc.initial_state, (rows, 1))
+    return _evolve(_plan(sc, _build_grid(sc), psi), noise, psi, _build_grid(sc))
 
 
 def code_block(sc):
@@ -378,30 +416,57 @@ class TestPropagation:
         assert np.array_equal(states[:, outside], np.zeros((len(states), len(outside))))
 
     def test_single_trajectory_draws_its_own_stream(self):
-        # trajectory k's noise is row k of the ensemble's, bit for bit
+        # trajectory k's noise is row k of the ensemble's, bit for bit, from either sampler
         sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=5, seed=4)
         grid = _build_grid(sc)
-        ensemble = _channel_noise(sc, grid, range(5))
-        for k in (0, 3):
-            assert np.array_equal(_channel_noise(sc, grid, [k]), ensemble[:, k : k + 1])
+        for sampler in (_channel_noise, _interval_noise):
+            ensemble = sampler(sc, grid, range(5))
+            for k in (0, 3):
+                assert np.array_equal(sampler(sc, grid, [k]), ensemble[:, k : k + 1])
 
+    @pytest.mark.parametrize("n", [1, _SUM_ROWS - 1, _SUM_ROWS + 1, 2 * _SUM_ROWS + 3])
     @pytest.mark.parametrize("name,knobs", CONFIGS.values(), ids=CONFIGS.keys())
-    def test_results_do_not_depend_on_batching(self, name, knobs):
-        # each ensemble row is the lone trajectory's run, and batches of 5
-        # trajectories reproduce the whole ensemble, bit for bit
-        n = 12
+    def test_results_do_not_depend_on_batching(self, name, knobs, n):
+        # through _run, which ensemble_coherence and propagate_trajectory share:
+        # an ensemble row is the lone trajectory's run, and batches of 5
+        # trajectories, which cut the sampler's draw buffer elsewhere,
+        # reproduce the whole ensemble, bit for bit
         sc = build_scenario(name, repetitions=2, ensemble_size=n, seed=8, **knobs)
-        grid = _build_grid(sc)
 
-        def evolve(trajectories):
-            psi = np.tile(sc.initial_state, (len(trajectories), 1))
-            return _evolve(sc, _channel_noise(sc, grid, trajectories), psi, grid)
+        def states(trajectories):
+            return _run(sc, np.tile(sc.initial_state, (len(trajectories), 1)), trajectories)[1]
 
-        full = evolve(range(n))
-        for k in range(n):
+        full = states(range(n))
+        for k in sorted({0, min(_SUM_ROWS, n - 1), n - 1}):
             assert np.array_equal(full[:, k], propagate_trajectory(sc, trajectory=k).states)
-        batches = [evolve(range(a, min(a + 5, n))) for a in range(0, n, 5)]
+        batches = [states(range(a, min(a + 5, n))) for a in range(0, n, 5)]
         assert np.array_equal(np.concatenate(batches, axis=1), full)
+
+    @pytest.mark.parametrize("config", [*DIAGONAL_CONFIGS, *UNEQUAL_INTERVALS])
+    def test_interval_sampler_matches_per_step_samples(self, config):
+        # the interval sums drawn directly against the per-step samples of the
+        # same draws, summed over each interval: states move by rounding only
+        sc = diagonal_scenario(config, ensemble_size=20)
+        grid = _build_grid(sc)
+        direct = evolve(sc, _interval_noise(sc, grid, range(20)), 20)
+        per_step = evolve(sc, interval_sums(grid, _channel_noise(sc, grid, range(20))), 20)
+        assert np.max(np.abs(direct - per_step)) < 1e-12
+
+    def test_unequal_intervals_split_unevenly(self):
+        # the extra configurations above cover boundaries between steps of
+        # different lengths: the sampler's boundary gap and kick
+        for config in UNEQUAL_INTERVALS:
+            grid = _build_grid(diagonal_scenario(config))
+            assert len(set(np.diff([0, *grid.ends]).tolist())) > 1
+        grid = _build_grid(diagonal_scenario("cp_x_symmetric-max_step"))
+        assert len(np.unique(grid.durations)) > 1
+
+    def test_diagonal_path_draws_no_per_step_samples(self, monkeypatch):
+        monkeypatch.setattr("aht.noise._channel_noise", lambda *a: pytest.fail("per-step draw"))
+        monkeypatch.setattr("aht.noise._ou_in_place", lambda *a: pytest.fail("OU recursion"))
+        for config in DIAGONAL_CONFIGS:
+            curve = ensemble_coherence(diagonal_scenario(config, ensemble_size=4))
+            assert np.all(np.isfinite(curve.mean))
 
     @pytest.mark.parametrize("config", DIAGONAL_CONFIGS)
     def test_interval_update_matches_per_step_loop(self, config):
@@ -443,7 +508,7 @@ class TestPropagation:
         sc = build_scenario(name, repetitions=2, ensemble_size=6, seed=3, **knobs)
         grid = _build_grid(sc)
         noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), 6, len(grid.durations)))
-        states = _evolve(sc, noise, np.tile(sc.initial_state, (6, 1)), grid)
+        states = evolve(sc, noise, 6)
         assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
 
     @pytest.mark.parametrize("name", ["encoded_spin_boson", "encoded_depolarizing"])
@@ -456,7 +521,7 @@ class TestPropagation:
         grid = _build_grid(sc)
         assert len(grid.durations) // sc.record_points > 3 * _BATCH_STEPS
         noise = _channel_noise(sc, grid, range(3))
-        states = _evolve(sc, noise, np.tile(sc.initial_state, (3, 1)), grid)
+        states = evolve(sc, noise, 3)
         assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
 
 
@@ -643,15 +708,29 @@ class TestScenarioLibrary:
     )
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_noise_size_bound(self, name, knobs):
-        # the bound counts channels x trajectories x grid steps x 8 bytes:
-        # the largest ensemble under the limit is accepted, one more is not;
-        # neither allocates anything
+        # the bound counts the larger sampler's bytes: channels x trajectories x
+        # grid steps samples, or channels x trajectories x intervals sums plus
+        # (2 _SUM_ROWS + 10) step-length vectors; the largest ensemble under the
+        # limit is accepted, one more is not; neither allocates anything
         sc = build_scenario(name, ensemble_size=1, **knobs)
-        per_trajectory = len(sc.channels) * len(_build_grid(sc).durations) * 8
-        fits = _MAX_NOISE_BYTES // per_trajectory
+        grid = _build_grid(sc)
+        steps, values = len(grid.durations), _MAX_NOISE_BYTES // 8
+        fits = min(values // (len(sc.channels) * steps),
+                   (values - (2 * _SUM_ROWS + 10) * steps) // (len(sc.channels) * len(grid.ends)))
+        assert fits >= _SUM_ROWS
         assert build_scenario(name, ensemble_size=fits, **knobs).ensemble_size == fits
         with pytest.raises(ValidationError, match="bytes of noise"):
             build_scenario(name, ensemble_size=fits + 1, **knobs)
+
+    def test_small_ensembles_count_the_interval_sampler(self):
+        # one trajectory on 40 million steps: its 3 channels' samples take
+        # 0.96 GB, under the limit, but the interval sampler's buffer, product
+        # and weights take 12 step-length vectors, 3.84 GB, so it is refused
+        knobs = {"ensemble_size": 1, "pulses": False, "max_step": 4e-7}
+        with pytest.raises(ValidationError, match="bytes of noise"):
+            build_scenario("hybrid_dephasing", **knobs)
+        coarse = build_scenario("hybrid_dephasing", **{**knobs, "max_step": 4e-5})
+        assert coarse.ensemble_size == 1  # the same run on a coarser grid is accepted
 
     @pytest.mark.parametrize(
         "knobs",
@@ -676,6 +755,27 @@ class TestScenarioLibrary:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * counted
+
+    def test_interval_sampler_allocation_is_counted(self):
+        # the interval sampler's peak stays under what the size limit counts
+        # for it, and grows with the ensemble only by its (channels,
+        # trajectories, intervals) sums, not by the steps
+        peaks, sums = {}, {}
+        for n in (1, _SUM_ROWS, 2 * _SUM_ROWS + 3):
+            sc = build_scenario("hybrid_dephasing", pulses=False, ensemble_size=n)
+            grid = _build_grid(sc)
+            sums[n] = len(sc.channels) * n * len(grid.ends) * 8
+            counted = sums[n] + (2 * min(n, _SUM_ROWS) + 10) * len(grid.durations) * 8
+            _interval_noise(sc, grid, range(1))  # numpy's first-call allocations
+            tracemalloc.start()
+            try:
+                _interval_noise(sc, grid, range(n))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[n] <= 1.1 * counted
+        big = 2 * _SUM_ROWS + 3
+        assert peaks[big] - peaks[_SUM_ROWS] <= 1.1 * (sums[big] - sums[_SUM_ROWS])
 
     def test_rejects_negative_seed_when_built_directly(self):
         # build_scenario checks its seed knob; a replaced seed is checked too

@@ -119,6 +119,11 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def refuse_write(*args, **kwargs):
+    """Stands in for ``Path.write_text`` on a destination that cannot be written."""
+    raise PermissionError(13, "Permission denied")
+
+
 def assert_one_error_line(capsys):
     """Check that stdout is empty and stderr one ``error:`` line; return it."""
     captured = capsys.readouterr()
@@ -362,10 +367,35 @@ class TestRunCommand:
         assert run(path, out=destination if where == "flag" else None) == 2
         assert "does not exist" in assert_one_error_line(capsys)
 
-    def test_unwritable_output_exits_2(self, tmp_path, capsys):
-        # the destination's directory exists, but the destination is a directory
-        assert run(write_scenario(tmp_path, PROJECT_DOC), out=str(tmp_path)) == 2
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the destination passes the checks before the run, but the write fails
+        path = write_scenario(tmp_path, PROJECT_DOC)
+        monkeypatch.setattr(Path, "write_text", refuse_write)
+        assert run(path, out=str(tmp_path / "x.json")) == 2
         assert "cannot write" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_output_directory_exits_2_before_running(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.setattr(Scenario, "run", lambda sc: pytest.fail("ran before checking --out"))
+        doc = {**PROJECT_DOC, "output": {"path": str(tmp_path)}} if where == "file" else PROJECT_DOC
+        path = write_scenario(tmp_path, doc)
+        assert run(path, out=str(tmp_path) if where == "flag" else None) == 2
+        assert "is a directory" in assert_one_error_line(capsys)
+
+    def test_empty_out_flag_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        # an empty --out neither falls back to stdout nor to the file's output.path
+        monkeypatch.setattr(Scenario, "run", lambda sc: pytest.fail("ran before checking --out"))
+        for doc in (PROJECT_DOC, {**PROJECT_DOC, "output": {"path": str(tmp_path / "x.json")}}):
+            assert main(["run", write_scenario(tmp_path, doc), "--out", ""]) == 2
+            assert "must not be empty" in assert_one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    @pytest.mark.parametrize("out,message", [("", "must not be empty"), (".", "is a directory")])
+    def test_verify_bad_out_exits_2_before_running(self, tmp_path, capsys, monkeypatch, out, message):
+        monkeypatch.setattr("aht.cli.run_suite", lambda **kw: pytest.fail("ran before checking --out"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--out", out]) == 2
+        assert message in assert_one_error_line(capsys)
 
     def test_verify_missing_output_directory_exits_2_before_running(self, tmp_path, capsys,
                                                                      monkeypatch):
@@ -375,7 +405,8 @@ class TestRunCommand:
 
     def test_verify_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("aht.cli.run_suite", lambda **kw: [VerificationCheck("stub", True, "")])
-        assert main(["verify", "--out", str(tmp_path)]) == 2
+        monkeypatch.setattr(Path, "write_text", refuse_write)
+        assert main(["verify", "--out", str(tmp_path / "report.txt")]) == 2
         assert "cannot write" in assert_one_error_line(capsys)
 
     def test_branch_cut_exits_3(self, tmp_path, capsys):
