@@ -122,7 +122,7 @@ def list_builtins() -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aht", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -139,8 +139,15 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--seed", type=int, default=2024)
     p_verify.add_argument("--ensemble", type=int, default=500, help="trajectories per noise check")
     p_verify.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+#: built once; parsing keeps its state in the namespace it returns
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     if args.command == "run":
         return run(args.scenario, seed=args.seed, out=args.out, fmt=args.fmt)
     if args.command == "list":

@@ -216,7 +216,10 @@ def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     rank of the realigned matrix (rank <= 2 iff such a split exists) and
     then read off from partial traces.  A subspace code is the case of a
     one-dimensional syndrome, where the split is always ``R = L + c 1`` and
-    no syndrome part is reported.
+    no syndrome part is reported.  The split's misfit and the syndrome
+    action are compared to ``DEFAULT_TOL.equality`` times
+    ``max(1, max |R|)``: rounding in ``R - c 1`` grows with ``c``, so a
+    syndrome action below that is not counted.
     """
     nl, dz = code.logical_dim, code.syndrome_dim
     leak = code.leakage(h)
@@ -237,8 +240,11 @@ def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     traceless = syndrome - np.trace(syndrome) / dz * np.eye(dz)
     rebuilt = np.kron(logical, np.eye(dz)) + np.kron(np.eye(nl), traceless)
     misfit = np.max(np.abs(rebuilt - r0))
-    factorizable = rank <= 2 and misfit < max(DEFAULT_TOL.equality, DEFAULT_TOL.rank * scale)
-    syndrome_nontrivial = (not factorizable) or np.max(np.abs(traceless)) > DEFAULT_TOL.equality
+    size = max(1.0, float(np.max(np.abs(r))))
+    factorizable = rank <= 2 and misfit < max(DEFAULT_TOL.equality * size, DEFAULT_TOL.rank * scale)
+    syndrome_nontrivial = (
+        (not factorizable) or np.max(np.abs(traceless)) > DEFAULT_TOL.equality * size
+    )
     return LogicalAction(
         preserves_code=leak < DEFAULT_TOL.equality,
         logical_part=Operator(logical),

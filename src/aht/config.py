@@ -57,11 +57,12 @@ class Tolerances:
 #: The tolerances every module reads.
 DEFAULT_TOL = Tolerances()
 
-#: Largest noise-sample tensor (channels x trajectories x steps x 8 bytes)
-#: a noise scenario may ask for, checked before any of it is allocated; the
-#: tensor is the whole noise allocation (the draws land in it and the OU
-#: recursion runs in place), and ``aht verify`` at its default ensemble of
-#: 500 needs about 154 MB.
+#: Largest noise allocation a noise scenario may ask for, checked before any
+#: of it is allocated and counted for the sampler of the run's own path (see
+#: ``noise.NoiseScenario``): off the diagonal path the (channels x
+#: trajectories x steps) samples, on it the interval sums and the sampler's
+#: work space.  ``aht verify`` at its default ensemble of 500 counts at most
+#: 15 MB a run.
 _MAX_NOISE_BYTES = 2 * 1024**3
 
 

@@ -124,10 +124,11 @@ class NoiseScenario:
     positive; it caps the step below the default ``min(tau_c, T_c) / 20``,
     to compare runs on a common grid.  The observable must be Hermitian.
     A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
-    refused before anything is allocated.  The count is the larger of the two
-    samplers' allocations: the per-step samples, or the interval sums plus a
-    draw buffer of up to ``_SUM_ROWS`` trajectories, as large a product and 10
-    step-length weights or temporaries.
+    refused before anything is allocated.  The count is the allocation of the
+    sampler of the run's own path (see ``_path``): off the diagonal path the
+    per-step samples; on it the interval sums plus a draw buffer of up to
+    ``_SUM_ROWS`` trajectories, as large a product and 10 step-length weights
+    or temporaries.
     """
 
     name: str
@@ -170,19 +171,22 @@ class NoiseScenario:
             raise ValidationError("observable must be Hermitian")
         if self.max_step is not None and not self.max_step > 0:
             raise ValidationError(f"max_step must be positive, got {self.max_step}")
-        # exact integers: the per-step samples, or the interval sums and sampler work space
-        _, steps, cycles = _intervals(self)
-        n, rows = cycles * sum(steps), max(1, len(self.channels)) * self.ensemble_size
-        work = (2 * min(self.ensemble_size, _SUM_ROWS) + 10) * n  # draws, a product, weights
-        size = 8 * max(rows * n, rows * cycles * len(steps) + work)  # no channels: the grid
-        if size > _MAX_NOISE_BYTES:
-            raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != dim:
             raise ValidationError("initial state dimension does not match the system")
         if not abs(np.linalg.norm(psi) - 1) <= DEFAULT_TOL.equality:
             raise ValidationError(f"initial state must have norm 1, got {np.linalg.norm(psi)}")
         object.__setattr__(self, "initial_state", psi)
+        # exact integers: the interval sums and sampler work space, or the per-step samples
+        _, steps, cycles = _intervals(self)
+        n, rows = cycles * sum(steps), max(1, len(self.channels)) * self.ensemble_size
+        if _path(self, psi[None, :])[-1]:
+            work = (2 * min(self.ensemble_size, _SUM_ROWS) + 10) * n  # draws, a product, weights
+            size = 8 * (rows * cycles * len(steps) + work)
+        else:
+            size = 8 * rows * n  # no channels: the grid
+        if size > _MAX_NOISE_BYTES:
+            raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
 
     def describe(self) -> dict:
         d = {
@@ -360,12 +364,23 @@ def _reachable_block(psi: np.ndarray, generators: Sequence[np.ndarray]) -> np.nd
 _Plan = namedtuple("_Plan", "block h0 couplings pulses diagonal")
 
 
-def _plan(scenario: NoiseScenario, grid: _Grid, psi: np.ndarray) -> _Plan:
+def _path(scenario: NoiseScenario, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, bool]:
+    """The block the rows ``psi`` reach through the drift, couplings and the pulses
+    that fire, those drift and couplings sliced to it, and whether the run takes the
+    diagonal path: both diagonal on the block.  Shared by the size check and ``_plan``."""
     couplings = [ch.coupling.matrix for ch in scenario.channels]
-    block = _reachable_block(psi, [scenario.h_system.matrix, *couplings, *grid.pulses.values()])
+    sch = scenario.schedule
+    pulses = [p.matrix for p in sch.pulses] if sch is not None and scenario.repetitions else []
+    block = _reachable_block(psi, [scenario.h_system.matrix, *couplings, *pulses])
     cut = np.ix_(block, block)
     h0, couplings = scenario.h_system.matrix[cut], [c[cut] for c in couplings]
     diagonal = all(np.array_equal(m, np.diag(np.diag(m))) for m in [h0, *couplings])
+    return block, h0, couplings, diagonal
+
+
+def _plan(scenario: NoiseScenario, grid: _Grid, psi: np.ndarray) -> _Plan:
+    block, h0, couplings, diagonal = _path(scenario, psi)
+    cut = np.ix_(block, block)
     return _Plan(block, h0, couplings, {done: p[cut].T for done, p in grid.pulses.items()}, diagonal)
 
 

@@ -11,9 +11,16 @@ types plus the handful of primitives the rest of the package is built
 from: Pauli sums, frame conjugation, the Hamiltonian exponential
 ``exp(-i H t)`` and its principal-branch inverse, commutators and the
 normalized trace pairing ``<A, B> = Tr(A^dag B) / dim``.
+
+The unit-coefficient matrix of each Pauli string is built once, by the
+``np.kron`` chain over :data:`SIGMA`, and kept read-only in a cache of at
+most ``_PAULI_CACHE_SIZE`` strings (least recently used first out), so
+the fixed terms every Hamiltonian, observable and pulse is made of are
+not rebuilt on each call.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -48,6 +55,20 @@ SIGMA = {
 }
 
 MatrixLike = Union["Operator", np.ndarray, Sequence[Sequence[complex]]]
+
+#: Pauli strings whose matrices stay cached: every string of up to four
+#: qubits fits, and at five qubits (16 KiB a string) the cache holds 4 MiB.
+_PAULI_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PAULI_CACHE_SIZE)
+def _pauli_matrix(letters: str) -> np.ndarray:
+    """Read-only matrix of the unit-coefficient string ``letters``, qubit 1 leftmost."""
+    m = np.ones((1, 1), dtype=complex)
+    for letter in letters:
+        m = np.kron(m, SIGMA[letter])
+    m.setflags(write=False)
+    return m
 
 
 def mat(op: MatrixLike) -> np.ndarray:
@@ -185,10 +206,9 @@ class PauliString:
         return cls(n=n, letters="".join(letters), coefficient=coefficient)
 
     def to_operator(self) -> Operator:
-        m = np.ones((1, 1), dtype=complex)
-        for letter in self.letters:
-            m = np.kron(m, SIGMA[letter])
-        return Operator(self.coefficient * m, label=self.label())
+        """``coefficient`` times the string's matrix, which is built once and
+        cached (at most ``_PAULI_CACHE_SIZE`` strings); the result owns a copy."""
+        return Operator(self.coefficient * _pauli_matrix(self.letters), label=self.label())
 
     def label(self) -> str:
         return f"{self.coefficient:g}*{self.letters}"
@@ -213,7 +233,7 @@ def pauli_sum(terms: Iterable[PauliString], n: int | None = None) -> Operator:
         raise ValidationError(f"terms act on {terms[0].n} qubits, expected {n}")
     total = np.zeros((2 ** terms[0].n,) * 2, dtype=complex)
     for t in terms:
-        total += t.to_operator().matrix
+        total += t.coefficient * _pauli_matrix(t.letters)
     return Operator(total)
 
 
@@ -325,8 +345,7 @@ def pauli_decompose(op: MatrixLike, threshold: float = 0.0) -> dict[str, complex
     out: dict[str, complex] = {}
     for idx in np.ndindex(*(4,) * n):
         letters = "".join("IXYZ"[i] for i in idx)
-        basis = PauliString(n, letters).to_operator().matrix
-        c = complex(np.trace(basis.conj().T @ m) / m.shape[0])
+        c = complex(np.trace(_pauli_matrix(letters).conj().T @ m) / m.shape[0])
         if abs(c) > threshold or threshold == 0.0:
             out[letters] = c
     return out

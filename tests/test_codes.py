@@ -178,6 +178,18 @@ class TestLogicalAction:
             assert act.syndrome_part is None and "syndrome_part_real" not in act.to_dict()
             assert act.factorizable and not act.syndrome_nontrivial
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e9])
+    def test_subsystem_flags_ignore_identity_offset(self, offset):
+        # rounding of c in r - c 1 is not syndrome action: the logical-only network
+        # keeps its offset-0 flags, and the Zeeman term still reaches the syndrome
+        code = build_code("ns3")
+        for omega, expected in ((0.0, False), (0.7, True)):
+            h = ns3_hamiltonian(omega, 1.1, -0.4, 0.3).matrix
+            base = logical_action(h, code)
+            act = logical_action(h + offset * np.eye(8), code)
+            assert base.syndrome_nontrivial is expected and base.factorizable
+            assert act.syndrome_nontrivial is expected and act.factorizable
+
 
 class TestNs3ClosedForm:
     def test_direct_substitutions(self):

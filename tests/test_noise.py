@@ -708,15 +708,18 @@ class TestScenarioLibrary:
     )
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_noise_size_bound(self, name, knobs):
-        # the bound counts the larger sampler's bytes: channels x trajectories x
-        # grid steps samples, or channels x trajectories x intervals sums plus
-        # (2 _SUM_ROWS + 10) step-length vectors; the largest ensemble under the
-        # limit is accepted, one more is not; neither allocates anything
+        # the bound counts the bytes of the sampler of the run's path: off the
+        # diagonal path channels x trajectories x grid steps samples, on it
+        # channels x trajectories x intervals sums plus (2 _SUM_ROWS + 10)
+        # step-length vectors; the largest ensemble under the limit is
+        # accepted, one more is not; neither allocates anything
         sc = build_scenario(name, ensemble_size=1, **knobs)
         grid = _build_grid(sc)
         steps, values = len(grid.durations), _MAX_NOISE_BYTES // 8
-        fits = min(values // (len(sc.channels) * steps),
-                   (values - (2 * _SUM_ROWS + 10) * steps) // (len(sc.channels) * len(grid.ends)))
+        if name in ("hybrid_dephasing", "four_qubit_blockwise"):  # the diagonal ones
+            fits = (values - (2 * _SUM_ROWS + 10) * steps) // (len(sc.channels) * len(grid.ends))
+        else:
+            fits = values // (len(sc.channels) * steps)
         assert fits >= _SUM_ROWS
         assert build_scenario(name, ensemble_size=fits, **knobs).ensemble_size == fits
         with pytest.raises(ValidationError, match="bytes of noise"):
@@ -731,6 +734,18 @@ class TestScenarioLibrary:
             build_scenario("hybrid_dephasing", **knobs)
         coarse = build_scenario("hybrid_dephasing", **{**knobs, "max_step": 4e-5})
         assert coarse.ensemble_size == 1  # the same run on a coarser grid is accepted
+
+    def test_size_check_counts_only_the_path_sampler(self):
+        # 21000 trajectories on 6400 steps: hybrid_dephasing's 3 channels would
+        # take 3.2 GB of per-step samples, but its diagonal path needs 16 MB of
+        # sums and 7 MB of work space, so it is admitted; encoded_spin_boson's
+        # 2 channels on the same grid are not diagonal and need 2.15 GB
+        knobs = {"ensemble_size": 21000, "max_step": 0.0025}
+        sc = build_scenario("hybrid_dephasing", **knobs)
+        assert len(_build_grid(sc).durations) == 6400
+        assert 8 * len(sc.channels) * sc.ensemble_size * 6400 > _MAX_NOISE_BYTES
+        with pytest.raises(ValidationError, match="run needs 2150400000 bytes of noise"):
+            build_scenario("encoded_spin_boson", **knobs)
 
     @pytest.mark.parametrize(
         "knobs",

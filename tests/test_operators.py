@@ -1,4 +1,5 @@
 """Operator-algebra primitives: frozen examples and algebraic properties."""
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aht
+from aht import operators
 from aht.config import BranchCutError, ValidationError
 from aht.operators import (
     Operator,
@@ -72,6 +74,73 @@ class TestPauliSum:
     def test_hermitian_iff_real_coefficients(self):
         assert pauli_sum([PauliString(1, "X", 0.5)]).is_hermitian()
         assert not pauli_sum([PauliString(1, "X", 0.5j)]).is_hermitian()
+
+
+def fresh_kron(letters):
+    """The string's matrix from a new ``np.kron`` chain over ``SIGMA``."""
+    m = np.ones((1, 1), dtype=complex)
+    for letter in letters:
+        m = np.kron(m, SIGMA[letter])
+    return m
+
+
+#: every string on up to three qubits, and a seeded sample on four and five
+CACHE_STRINGS = {
+    n: ["".join(w) for w in itertools.product("IXYZ", repeat=n)] for n in (1, 2, 3)
+}
+CACHE_STRINGS.update({
+    n: ["".join(w) for w in np.random.default_rng(n).choice(list("IXYZ"), size=(40, n))]
+    for n in (4, 5)
+})
+
+
+class TestPauliCache:
+    @pytest.mark.parametrize("n", sorted(CACHE_STRINGS))
+    def test_matches_fresh_kron(self, n):
+        rng = np.random.default_rng(10 + n)
+        terms = [PauliString(n, w, complex(*rng.normal(size=2))) for w in CACHE_STRINGS[n]]
+        total = np.zeros((2**n, 2**n), dtype=complex)
+        for t in terms:
+            total += t.coefficient * fresh_kron(t.letters)
+            assert np.array_equal(PauliString(n, t.letters).to_operator().matrix, fresh_kron(t.letters))
+            assert np.array_equal(t.to_operator().matrix, t.coefficient * fresh_kron(t.letters))
+        assert np.array_equal(pauli_sum(terms).matrix, total)
+
+    def test_cached_arrays_are_read_only_and_never_returned(self):
+        for letters in ("X", "ZZ", "IYZ"):
+            n = len(letters)
+            cached = operators._pauli_matrix(letters)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 5.0
+            built = [PauliString(n, letters).to_operator(), pauli_sum([PauliString(n, letters)]),
+                     single_qubit(letters[-1], n, n)]
+            assert not any(np.shares_memory(op.matrix, cached) for op in built)
+
+    def test_cache_holds_at_most_its_bound(self):
+        operators._pauli_matrix.cache_clear()
+        bound = operators._PAULI_CACHE_SIZE
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=5)][: bound + 10]
+        for w in words:
+            PauliString(5, w).to_operator()
+        assert operators._pauli_matrix.cache_info().currsize == bound
+
+    def test_cached_string_needs_no_kron(self, monkeypatch):
+        calls = []
+        kron = np.kron
+
+        def counting(a, b):
+            calls.append(1)
+            return kron(a, b)
+
+        monkeypatch.setattr(operators.np, "kron", counting)
+        operators._pauli_matrix.cache_clear()
+        PauliString(3, "XYZ").to_operator()
+        assert len(calls) == 3
+        calls.clear()
+        PauliString(3, "XYZ", 0.5).to_operator()
+        pauli_sum([PauliString(3, "XYZ", 2.0), PauliString(3, "XYZ", -1j)])
+        assert calls == []
 
 
 class TestConjugate:

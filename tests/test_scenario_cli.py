@@ -2,7 +2,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import aht
 from aht.cli import list_builtins, main, run
 from aht.config import ValidationError
+from aht.noise import DecayCurve
 from aht.operators import SIGMA, exchange
 from aht.scenario import Scenario, parse_hamiltonian, parse_term
 from aht.verify import VerificationCheck
@@ -338,6 +343,34 @@ class TestRunCommand:
         assert main(["verify", "--ensemble", str(10**12)]) == 2
         assert_one_error_line(capsys)
 
+    def test_verify_admits_a_large_diagonal_ensemble(self, capsys, monkeypatch):
+        # 7000 trajectories would take 2.15 GB of per-step samples, but every
+        # ensemble run of the suite is diagonal, and its interval sampler needs
+        # at most 25 MB; the runs are stubbed, so nothing is drawn
+        sizes = []
+
+        def stub(sc):
+            sizes.append(sc.ensemble_size)
+            return DecayCurve(np.zeros(2), np.array([1.0, 0.9]), np.zeros(2), sc.ensemble_size)
+
+        monkeypatch.setattr("aht.verify.ensemble_coherence", stub)
+        assert main(["verify", "--ensemble", "7000"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert sizes == [7000] * 4
+
+    @pytest.mark.parametrize("name,code", [("hybrid_dephasing", 0), ("encoded_spin_boson", 2)])
+    def test_noise_size_follows_the_path(self, tmp_path, capsys, monkeypatch, name, code):
+        # 21000 trajectories on 6400 steps: the diagonal run needs 23 MB and is
+        # admitted; the other one needs 2.15 GB of per-step samples and exits 2
+        # before any noise is drawn
+        monkeypatch.setattr("aht.noise._channel_noise", lambda *a: pytest.fail("noise drawn"))
+        monkeypatch.setattr("aht.scenario.ensemble_coherence",
+                            lambda sc: DecayCurve(np.zeros(1), np.ones(1), np.zeros(1), 1))
+        doc = {"kind": "noise", "noise": {"name": name, "ensemble_size": 21000, "max_step": 0.0025}}
+        assert run(write_scenario(tmp_path, doc)) == code
+        if code:
+            assert "bytes of noise" in assert_one_error_line(capsys)
+
     def test_seed_flag_wins_over_noise_block_seed(self, tmp_path, capsys):
         doc = {"kind": "noise", "noise": {**NOISE_DOC["noise"], "seed": 3}}
         path = write_scenario(tmp_path, doc)
@@ -585,6 +618,34 @@ def test_readme_example_runs(tmp_path, text):
     path = tmp_path / "scenario.json"
     path.write_text(text)
     assert run(str(path), out=str(tmp_path / "result")) == 0
+
+
+def in_process(argv):
+    """``main(argv)`` in this interpreter: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_interpreters(self, tmp_path, monkeypatch):
+        # the parser is built once: a bad argv, a --seed, its absence (the file's
+        # own seed) and the other commands each give what a new process gives
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, {**NOISE_DOC, "seed": 5})
+        calls = [["run"], ["run", "scenario.json", "--seed", "7"], ["run", "scenario.json"],
+                 ["verify", "--ensemble", "8"], ["list"]]
+        env = {**os.environ, "PYTHONPATH": str(Path(aht.__file__).resolve().parent.parent)}
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "aht", *argv], capture_output=True,
+                                   text=True, env=env, timeout=120)
+            assert in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        seeded, own = (json.loads(in_process(argv)[1])["scenario"]["seed"] for argv in calls[1:3])
+        assert (seeded, own) == (7, 5)
 
 
 class TestListCommand:
