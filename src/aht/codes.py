@@ -216,10 +216,12 @@ def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     rank of the realigned matrix (rank <= 2 iff such a split exists) and
     then read off from partial traces.  A subspace code is the case of a
     one-dimensional syndrome, where the split is always ``R = L + c 1`` and
-    no syndrome part is reported.  The split's misfit and the syndrome
-    action are compared to ``DEFAULT_TOL.equality`` times
-    ``max(1, max |R|)``: rounding in ``R - c 1`` grows with ``c``, so a
-    syndrome action below that is not counted.
+    no syndrome part is reported.  Rounding in ``R - c 1`` grows with ``c``:
+    the split's misfit is compared to ``DEFAULT_TOL.equality`` times
+    ``max(1, max |R|)``, and a syndrome action counts only above
+    ``DEFAULT_TOL.equality`` plus two ulps of ``max(1, max |R|)`` per
+    physical dimension, which is rounding alone and so still sees an O(1)
+    syndrome term at an identity offset of 1e14.
     """
     nl, dz = code.logical_dim, code.syndrome_dim
     leak = code.leakage(h)
@@ -242,9 +244,8 @@ def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     misfit = np.max(np.abs(rebuilt - r0))
     size = max(1.0, float(np.max(np.abs(r))))
     factorizable = rank <= 2 and misfit < max(DEFAULT_TOL.equality * size, DEFAULT_TOL.rank * scale)
-    syndrome_nontrivial = (
-        (not factorizable) or np.max(np.abs(traceless)) > DEFAULT_TOL.equality * size
-    )
+    forgiven = DEFAULT_TOL.equality + 2 * len(code.isometry) * np.spacing(size)
+    syndrome_nontrivial = (not factorizable) or np.max(np.abs(traceless)) > forgiven
     return LogicalAction(
         preserves_code=leak < DEFAULT_TOL.equality,
         logical_part=Operator(logical),
@@ -456,14 +457,10 @@ def dfs2x2_logical_hamiltonian(
         raise ValidationError("need four chemical shifts")
     jj = _normalize_couplings(j)
     coeffs = hetero_coefficients(jj)
-    h = np.pi * (
-        (nu[0] - nu[1]) * np.kron(SIGMA["Z"], SIGMA["I"])
-        + (nu[2] - nu[3]) * np.kron(SIGMA["I"], SIGMA["Z"])
-        + jj.get((1, 2), 0.0) * np.kron(SIGMA["X"], SIGMA["I"])
-        + jj.get((3, 4), 0.0) * np.kron(SIGMA["I"], SIGMA["X"])
-        + 2 * coeffs.d * np.kron(SIGMA["Z"], SIGMA["Z"])
-    )
-    return Operator(h), coeffs
+    terms = {"ZI": nu[0] - nu[1], "IZ": nu[2] - nu[3], "XI": jj.get((1, 2), 0.0),
+             "IX": jj.get((3, 4), 0.0), "ZZ": 2 * coeffs.d}
+    h = pauli_sum(PauliString(2, letters, c) for letters, c in terms.items())
+    return Operator(np.pi * h.matrix), coeffs
 
 
 def nmr_hamiltonian(nu: Sequence[float], j: Mapping, n: int = 4) -> list[PauliString]:

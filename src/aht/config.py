@@ -15,7 +15,11 @@ the guard that keeps a whole step count from rounding up (1e-12, in
 up (1e-6 per dimension), zero-norm guards (1e-14), the internal
 consistency checks of the ns3 basis construction (1e-12), and the pass
 thresholds of the ``aht verify`` checks, which are part of the claims
-those checks state.
+those checks state.  One threshold follows rounding instead:
+``codes.logical_action`` counts a syndrome action only above
+``DEFAULT_TOL.equality`` plus two ulps of ``max(1, max |R|)`` per
+physical dimension, what rounding leaves in ``R - c 1`` at any identity
+offset ``c``.
 """
 from __future__ import annotations
 

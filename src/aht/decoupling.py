@@ -55,16 +55,11 @@ __all__ = [
     "builtin_groups",
 ]
 
-SEQUENCE_NAMES = (
-    "cp_x",
-    "cp_x_symmetric",
-    "cp_y",
-    "whh4",
-    "gmax_cycle",
-    "s1_selective_x1",
-    "s1_selective_x2",
-    "zz_extractor",
-)
+#: the sequences that exist only encoded, on two logical qubits: each cycle is
+#: ``xx``, then this pulse, twice
+_ENCODED_CYCLES = {"s1_selective_x1": "xz", "s1_selective_x2": "zx", "zz_extractor": "zz"}
+
+SEQUENCE_NAMES = ("cp_x", "cp_x_symmetric", "cp_y", "whh4", "gmax_cycle", *_ENCODED_CYCLES)
 
 
 def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[Operator]:
@@ -423,8 +418,7 @@ def named_sequence(
         raise ValidationError(f"sequence {name!r} needs a code")
     if code.n_logical != 2:
         raise ValidationError(f"sequence {name!r} needs a two-logical-qubit code")
-    second = {"s1_selective_x1": "xz", "s1_selective_x2": "zx", "zz_extractor": "zz"}[name]
-    first = "xx"
+    first, second = "xx", _ENCODED_CYCLES[name]
     pulses = tuple(pi_pulse(a) for a in (first, second, first, second))
     return DecouplingScheme(pulses, (0.25,) * 4, cycle_time, label=name)
 

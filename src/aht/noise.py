@@ -13,11 +13,13 @@ the scenario (including its seed).  Per-trajectory noise is drawn from
 ``SeedSequence(seed, channel_index, trajectory_index)``, so serial,
 batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
-fixed by the implementation.  Off the diagonal path the draws land in
-the ``(channels, trajectories, steps)`` tensor and the OU recursion
-overwrites them in place; on it, the same draws are reduced straight to
-the interval integrals the state reads (below) by the same recursion's
-weights, with no per-step sample, which moves states by rounding only.
+fixed by the implementation.  Both samplers read one OU step law, taken
+from the step lengths alone (``_ou_law``).  Off the diagonal path the
+draws land in the ``(channels, trajectories, steps)`` tensor and the OU
+recursion overwrites them in place; on it, the same draws are reduced
+straight to the interval integrals the state reads (below) by that law's
+weights, with no per-step sample, which moves states by rounding only
+(at most 5.9e-13 at the library defaults).
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -49,7 +51,7 @@ from .config import (
     _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _known_keys, _real, _seed,
 )
 from .decoupling import DecouplingScheme, named_sequence
-from .operators import Operator, _unitarity_defect, single_qubit
+from .operators import Operator, PauliString, _unitarity_defect, pauli_sum, single_qubit
 
 __all__ = [
     "DephasingChannel",
@@ -180,7 +182,7 @@ class NoiseScenario:
         # exact integers: the interval sums and sampler work space, or the per-step samples
         _, steps, cycles = _intervals(self)
         n, rows = cycles * sum(steps), max(1, len(self.channels)) * self.ensemble_size
-        if _path(self, psi[None, :])[-1]:
+        if _path(self, psi[None, :]).diagonal:
             work = (2 * min(self.ensemble_size, _SUM_ROWS) + 10) * n  # draws, a product, weights
             size = 8 * (rows * cycles * len(steps) + work)
         else:
@@ -226,28 +228,33 @@ def _draw(out: np.ndarray, seed: int, channel: int, trajectories: Sequence[int])
         np.random.default_rng(np.random.SeedSequence([seed, channel, i])).standard_normal(out=row)
 
 
-def _ou_in_place(x: np.ndarray, amplitude: float, tau_c: float, gaps: np.ndarray) -> None:
-    """Overwrite the standard-normal draws ``x`` ``(n_traj, steps)`` with stationary
-    OU samples of autocorrelation ``amp^2 exp(-|dt|/tau_c)``; gap ``k`` separates
-    samples ``k`` and ``k+1``.  The exact discretization
-    ``x' = rho x + amp sqrt(1 - rho^2) xi`` with ``rho = exp(-gap/tau_c)`` has no
-    integrator bias at any gap.  Each block of ``_OU_BLOCK`` steps is walked as
-    contiguous rows of a transposed copy, three ufuncs per step; the products and
-    sum are the ones of the column-by-column recursion, so every sample is too.
-    """
-    rho = np.exp(-gaps / tau_c)
-    kick = amplitude * np.sqrt(1 - rho * rho)
+def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """``rho_k = exp(-gap_k/tau_c)``, ``kick_k = amp sqrt(1 - rho_k^2)`` of the exact OU step
+    ``x_k = rho_k x_(k-1) + kick_k xi_k`` (autocorrelation ``amp^2 exp(-|dt|/tau_c)``, no
+    bias at any gap), from the step lengths alone: the gap to the sample before is ``(dt_(k-1)
+    + dt_k) / 2``, exactly ``dt`` inside an interval, and none is before the first (``rho``
+    0, ``kick`` amp).  The one step law both samplers read."""
+    gap = (np.concatenate([[np.inf], durations[:-1]]) + durations) / 2
+    rho = np.exp(-gap / tau_c)
+    return rho, amplitude * np.sqrt(1 - rho * rho)
+
+
+def _ou_in_place(x: np.ndarray, rho: np.ndarray, kick: np.ndarray) -> None:
+    """Overwrite the standard-normal draws ``x`` ``(n_traj, steps)`` with the OU samples
+    of the law ``rho``, ``kick``.  Each block of ``_OU_BLOCK`` steps is walked as
+    contiguous rows of a transposed copy, three ufuncs per step; the products and sum
+    are the ones of the column-by-column recursion, so every sample is too."""
     rho, kick = rho.tolist(), kick.tolist()
-    x[:, 0] *= amplitude
-    tmp = np.empty(x.shape[0])
-    for a in range(1, x.shape[1], _OU_BLOCK):
+    tmp, prev = np.empty(x.shape[0]), np.zeros(x.shape[0])  # no sample before the first
+    for a in range(0, x.shape[1], _OU_BLOCK):
         b = min(a + _OU_BLOCK, x.shape[1])
-        buf = x[:, a - 1:b].T.copy()  # row 0: the sample before the block, already done
-        for prev, row, r, q in zip(buf, buf[1:], rho[a - 1:b - 1], kick[a - 1:b - 1]):
+        buf = x[:, a:b].T.copy()
+        for row, r, q in zip(buf, rho[a:b], kick[a:b]):
             np.multiply(r, prev, out=tmp)
             row *= q
             np.add(tmp, row, out=row)
-        x[:, a:b] = buf[1:].T
+            prev = row
+        x[:, a:b] = buf.T
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +264,6 @@ def _ou_in_place(x: np.ndarray, amplitude: float, tau_c: float, gaps: np.ndarray
 @dataclass(frozen=True)
 class _Grid:
     durations: np.ndarray             # (S,) step lengths, uniform within an interval
-    midpoints: np.ndarray             # (S,) noise sample times
     pulses: dict[int, np.ndarray]     # steps completed -> pulse fired then
     record_steps: frozenset[int]      # steps completed at each record
     times: np.ndarray                 # (R,) record times, starting at 0
@@ -291,9 +297,8 @@ def _build_grid(scenario: NoiseScenario) -> _Grid:
         ends[r * k + i]: pulse.matrix for r in range(cycles) for i, pulse in enumerate(sch.pulses)
     }
     last = slice(None) if sch is None else slice(k - 1, None, k)
-    midpoints = np.concatenate([[0.0], np.cumsum(durations)])[:-1] + durations / 2
     times = np.concatenate([[0.0], elapsed[last]])
-    return _Grid(durations, midpoints, pulses, frozenset([0, *ends[last]]), times, ends)
+    return _Grid(durations, pulses, frozenset([0, *ends[last]]), times, ends)
 
 
 def _channel_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]) -> np.ndarray:
@@ -304,30 +309,31 @@ def _channel_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[
         if ch.amplitude == 0.0:
             continue
         _draw(out[c], scenario.seed, c, trajectories)
-        _ou_in_place(out[c], ch.amplitude, ch.correlation_time, np.diff(grid.midpoints))
+        _ou_in_place(out[c], *_ou_law(grid.durations, ch.amplitude, ch.correlation_time))
     return out
 
 
 def _interval_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]) -> np.ndarray:
     """``(channels, trajectories, intervals)`` sums ``sum_k x(m_k) dt_k`` of the samples
-    ``_channel_noise`` gives, from its draws ``xi``.  Sample ``j`` of an interval of ``n``
-    steps of ``dt`` is ``rho^j rho_b x_b + sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the
-    sample before it, ``rho = exp(-dt/tau_c)``; so its sum weighs ``xi_l`` by ``dt (1 -
-    rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l) kick_l``."""
+    ``_channel_noise`` gives, from its draws ``xi`` and the same law (``_ou_law``).  Sample
+    ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b x_b + sum_{l<=j}
+    rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the interval's first
+    ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs ``xi_l`` by ``dt (1 -
+    rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l) kick_l``.  Against
+    summing the per-step samples this moves states by rounding only, at most 5.9e-13 at
+    the library defaults (200 trajectories, seed 11)."""
     dt, starts, ends = grid.durations, np.array([0, *grid.ends[:-1]]), np.array(grid.ends)
     left = np.repeat(ends, ends - starts) - np.arange(1.0, len(dt) + 1)  # steps after each
-    gap = np.diff(grid.midpoints, prepend=-np.inf)  # to the sample before; none before the first
     out = np.zeros((len(scenario.channels), len(trajectories), len(starts)))
     buf = np.empty((min(len(trajectories), _SUM_ROWS), len(dt)))
     for c, ch in enumerate(scenario.channels):
         if ch.amplitude == 0.0:
             continue
-        rho_in = np.exp(-gap / ch.correlation_time)
+        rho, kick = _ou_law(dt, ch.amplitude, ch.correlation_time)
         rate = dt / ch.correlation_time
         w_last = np.exp(-left * rate)
         w_sum = dt * np.expm1(-(left + 1) * rate) / np.expm1(-rate)
-        carry_sum, carry_last = w_sum[starts] * rho_in[starts], w_last[starts] * rho_in[starts]
-        kick = ch.amplitude * np.sqrt(1 - rho_in * rho_in)  # the first sample's: amp
+        carry_sum, carry_last = w_sum[starts] * rho[starts], w_last[starts] * rho[starts]
         w_sum *= kick
         w_last *= kick
         for a in range(0, len(trajectories), _SUM_ROWS):
@@ -359,15 +365,15 @@ def _reachable_block(psi: np.ndarray, generators: Sequence[np.ndarray]) -> np.nd
     return np.flatnonzero(reached)
 
 
-#: what ``_evolve`` propagates from given rows: the block they reach, the drift,
-#: couplings and pulses (transposed) sliced to it, and whether its path is diagonal
-_Plan = namedtuple("_Plan", "block h0 couplings pulses diagonal")
+#: what ``_evolve`` propagates from given rows: the block they reach, the drift
+#: and couplings sliced to it, and whether its path is diagonal
+_Plan = namedtuple("_Plan", "block h0 couplings diagonal")
 
 
-def _path(scenario: NoiseScenario, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, bool]:
+def _path(scenario: NoiseScenario, psi: np.ndarray) -> _Plan:
     """The block the rows ``psi`` reach through the drift, couplings and the pulses
     that fire, those drift and couplings sliced to it, and whether the run takes the
-    diagonal path: both diagonal on the block.  Shared by the size check and ``_plan``."""
+    diagonal path: both diagonal on the block.  Shared by the size check and ``_run``."""
     couplings = [ch.coupling.matrix for ch in scenario.channels]
     sch = scenario.schedule
     pulses = [p.matrix for p in sch.pulses] if sch is not None and scenario.repetitions else []
@@ -375,13 +381,7 @@ def _path(scenario: NoiseScenario, psi: np.ndarray) -> tuple[np.ndarray, np.ndar
     cut = np.ix_(block, block)
     h0, couplings = scenario.h_system.matrix[cut], [c[cut] for c in couplings]
     diagonal = all(np.array_equal(m, np.diag(np.diag(m))) for m in [h0, *couplings])
-    return block, h0, couplings, diagonal
-
-
-def _plan(scenario: NoiseScenario, grid: _Grid, psi: np.ndarray) -> _Plan:
-    block, h0, couplings, diagonal = _path(scenario, psi)
-    cut = np.ix_(block, block)
-    return _Plan(block, h0, couplings, {done: p[cut].T for done, p in grid.pulses.items()}, diagonal)
+    return _Plan(block, h0, couplings, diagonal)
 
 
 _BATCH_STEPS = 64  #: steps per propagator build; temporaries are O(64 * rows * dim^2)
@@ -409,7 +409,7 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
     (n_records, n_traj, dim), zero outside the plan's block, the only one propagated."""
     out = np.zeros((len(grid.times), *psi.shape), dtype=complex)
     out[0] = psi
-    psi = psi[:, plan.block]
+    psi, cut = psi[:, plan.block], np.ix_(plan.block, plan.block)
     dim = psi.shape[1]
     d0, dc = np.diag(plan.h0).real, [np.diag(c).real for c in plan.couplings]
     start, rec = 0, 1
@@ -428,8 +428,8 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
                     h += noise[c, :, a:b].T[:, :, None, None] * coupling
                 for u in _step_propagators(h, grid.durations[a:b, None]):
                     psi = np.einsum("tij,tj->ti", u, psi)
-        if done in plan.pulses:
-            psi = psi @ plan.pulses[done]
+        if done in grid.pulses:
+            psi = psi @ grid.pulses[done][cut].T
         if done in grid.record_steps:
             out[rec][:, plan.block] = psi
             rec += 1
@@ -442,7 +442,7 @@ def _run(scenario: NoiseScenario, psi: np.ndarray, trajectories: Sequence[int] =
     """The grid, and the states of the rows ``psi`` under the seeded noise of
     ``trajectories`` or, shared by every row, the samples ``noise_values``."""
     grid = _build_grid(scenario)
-    plan = _plan(scenario, grid, psi)
+    plan = _path(scenario, psi)
     if noise_values is None:
         noise = (_interval_noise if plan.diagonal else _channel_noise)(scenario, grid, trajectories)
     else:
@@ -537,11 +537,10 @@ def final_error(curve: DecayCurve) -> float:
 # scenario library
 # ---------------------------------------------------------------------------
 
-def _two_qubit_zeeman(omega1: float, omega2: float) -> Operator:
-    return Operator(
-        0.5 * omega1 * single_qubit("Z", 1, 2).matrix
-        + 0.5 * omega2 * single_qubit("Z", 2, 2).matrix
-    )
+def _zeeman(omegas: Sequence[float]) -> Operator:
+    """``sum_q omega_q Z_q / 2`` on ``len(omegas)`` qubits."""
+    n = len(omegas)
+    return pauli_sum([PauliString.from_word("Z", [q], n, 0.5 * w) for q, w in enumerate(omegas, 1)])
 
 
 def build_scenario(name: str, **params) -> NoiseScenario:
@@ -625,7 +624,7 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     initial, observable = code.plus_state(), code.observable("x")
     if name == "hybrid_dephasing":
         encoded = p["encoded"] = knob("encoded", True)
-        h = _two_qubit_zeeman(knob("omega1", 1.0), knob("omega2", 0.6))
+        h = _zeeman([knob("omega1", 1.0), knob("omega2", 0.6)])
         channels = [pair_collective(1, 2, 2, "S_z"), *slow_channels(2)]
         if not encoded:
             plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -633,10 +632,8 @@ def build_scenario(name: str, **params) -> NoiseScenario:
             observable = single_qubit("X", 1, 2)
     elif name == "encoded_spin_boson":
         delta_omega = knob("delta_omega", 0.5)
-        h = Operator(
-            _two_qubit_zeeman(delta_omega, -delta_omega).matrix
-            + knob("j_drift", 0.25) * observable.matrix
-        )
+        h = Operator(_zeeman([delta_omega, -delta_omega]).matrix
+                     + knob("j_drift", 0.25) * observable.matrix)
         channels = slow_channels(2)
     elif name == "encoded_depolarizing":
         h = Operator.zero(4)
@@ -647,9 +644,7 @@ def build_scenario(name: str, **params) -> NoiseScenario:
         sequence = "gmax_cycle"
     else:  # four_qubit_blockwise
         omegas = p["omegas"] = knob("omegas", (1.0, 0.7, 0.4, 0.2))
-        h = Operator(
-            sum(0.5 * w * single_qubit("Z", q, 4).matrix for q, w in enumerate(omegas, start=1))
-        )
+        h = _zeeman(omegas)
         channels = [
             pair_collective(1, 2, 4, "S_z(1,2)"),
             pair_collective(3, 4, 4, "S_z(3,4)"),

@@ -33,8 +33,8 @@ import numpy as np
 from .codes import CODE_NAMES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
 from .config import ValidationError, _boolean, _integer, _known_keys, _real, _seed
 from .decoupling import (
-    SEQUENCE_NAMES, DecouplingScheme, average_zeroth, cycle_propagator, effective_defect,
-    frames_from_scheme, named_sequence, project_group,
+    _ENCODED_CYCLES, SEQUENCE_NAMES, DecouplingScheme, average_zeroth, cycle_propagator,
+    effective_defect, frames_from_scheme, named_sequence, project_group,
 )
 from .noise import build_scenario, ensemble_coherence
 from .operators import Operator, PauliString, expm, logm_effective, pauli_sum
@@ -239,7 +239,7 @@ class Scenario:
             # A sequence is encoded iff a code is named: either in the
             # sequence block itself or, for the sequences that cannot
             # exist unencoded, at the scenario level.
-            needs_code = name in ("s1_selective_x1", "s1_selective_x2", "zz_extractor")
+            needs_code = name in _ENCODED_CYCLES
             code_name = spec.get("code") or (self.code if needs_code else None)
             if needs_code and code_name is None:
                 raise ValidationError(f"sequence {name!r} needs a code")

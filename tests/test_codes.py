@@ -178,7 +178,7 @@ class TestLogicalAction:
             assert act.syndrome_part is None and "syndrome_part_real" not in act.to_dict()
             assert act.factorizable and not act.syndrome_nontrivial
 
-    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e9, 1e12, 1e14])
     def test_subsystem_flags_ignore_identity_offset(self, offset):
         # rounding of c in r - c 1 is not syndrome action: the logical-only network
         # keeps its offset-0 flags, and the Zeeman term still reaches the syndrome

@@ -20,7 +20,7 @@ from aht.noise import (
     _evolve,
     _interval_noise,
     _ou_in_place,
-    _plan,
+    _path,
     _reachable_block,
     _run,
     _step_propagators,
@@ -41,10 +41,17 @@ OU_GRIDS = {
 }
 
 
+def ou_law(amplitude, tau_c, gaps):
+    """``rho`` and ``kick`` of each sample, ``gaps`` between consecutive samples;
+    none before the first, whose ``rho`` is 0 and ``kick`` is ``amplitude``."""
+    rho = np.exp(-np.concatenate([[np.inf], gaps]) / tau_c)
+    return rho, amplitude * np.sqrt(1 - rho * rho)
+
+
 def ou_samples(gaps, amplitude, seed, n_traj=2000):
     """``_ou_in_place`` at tau_c = 1 on seeded standard-normal draws."""
     x = np.random.default_rng(seed).standard_normal((n_traj, len(gaps) + 1))
-    _ou_in_place(x, amplitude, 1.0, gaps)
+    _ou_in_place(x, *ou_law(amplitude, 1.0, gaps))
     return x
 
 
@@ -74,11 +81,15 @@ CODE_BLOCKS = {
 #: their states by rounding only (see
 #: ``test_interval_sampler_matches_per_step_samples``), the two
 #: non-diagonal ones recorded with the closed-form 2x2 step propagators
-#: (see ``test_batched_steps_match_per_step_eigh``); a change that moves
-#: them says so and re-records them
+#: (see ``test_batched_steps_match_per_step_eigh``); ``hybrid_dephasing-physical``
+#: re-recorded once more when both samplers took one OU step law from the
+#: step lengths (gaps ``(dt_prev + dt) / 2``, not differences of midpoint
+#: times), which moved its curve by rounding only, 2.6e-15, and the other
+#: four not at all (see ``test_samples_take_the_exact_step_gaps``); a change
+#: that moves them says so and re-records them
 PINNED_DIGESTS = {
     "hybrid_dephasing": "b3832edd66c65e7064e2f537e7710eb5836420c38546aa3fa78a0efe6804f05e",
-    "hybrid_dephasing-physical": "8187be6d40361fb8b277ea6ee1eb810cf8a7fd345bb987b02ad694e987fdbb34",
+    "hybrid_dephasing-physical": "6ca575d5b8e53ffe30a72e3348cc6e130b3ae719565a051d5b637607d5029cd9",
     "encoded_spin_boson": "6acb7e6206516082ab59bb5631589f5fa0f0e209fcc94b1d9a54ef0c8fba303b",
     "encoded_depolarizing": "35591e4d63cae88f916f571fddebb3151bf5607422df748d2de0013676cd91da",
     "four_qubit_blockwise": "014768038afd30188eca67e69e192f0ca59e3a8c5ac19287646319031cdcae8a",
@@ -124,7 +135,7 @@ def interval_sums(grid, noise):
 def evolve(sc, noise, rows):
     """``_evolve`` of ``rows`` copies of the initial state under ``noise``."""
     psi = np.tile(sc.initial_state, (rows, 1))
-    return _evolve(_plan(sc, _build_grid(sc), psi), noise, psi, _build_grid(sc))
+    return _evolve(_path(sc, psi), noise, psi, _build_grid(sc))
 
 
 def code_block(sc):
@@ -192,7 +203,8 @@ def exact_gaussian_mean(sc):
     coupling_c)`` along it.  The phase difference of two paths is linear
     in the Gaussian samples, so its average is exact:
     ``exp(-i <dphi>) exp(-sum_c w_c^T K_c w_c / 2)`` with
-    ``K_c = amp^2 exp(-|m_k - m_l| / tau_c)`` at the grid midpoints.
+    ``K_c = amp^2 exp(-|m_k - m_l| / tau_c)`` at the step midpoints ``m_k``,
+    taken here from the step lengths, not from the sampler.
     """
     grid = _build_grid(sc)
     steps = grid.durations.shape[0]
@@ -224,7 +236,7 @@ def exact_gaussian_mean(sc):
         return np.moveaxis(total[..., records], -1, 0)
 
     exponent = 1j * at_records(pair_steps(np.diag(sc.h_system.matrix)))
-    m = grid.midpoints
+    m = np.concatenate([[0.0], np.cumsum(grid.durations)])[:-1] + grid.durations / 2
     for ch in sc.channels:
         w = pair_steps(np.diag(ch.coupling.matrix))
         kern = ch.amplitude**2 * np.exp(-np.abs(m[:, None] - m[None, :]) / ch.correlation_time)
@@ -273,8 +285,22 @@ class TestOuTrajectory:
         for gaps in grids.values():
             draws = rng.standard_normal((rows, steps))
             x = draws.copy()
-            _ou_in_place(x, 0.7, 0.3, gaps)
+            _ou_in_place(x, *ou_law(0.7, 0.3, gaps))
             assert np.array_equal(x, ou_reference(0.7, 0.3, gaps, draws))
+
+    @pytest.mark.parametrize("name", ["hybrid_dephasing", "encoded_depolarizing"])
+    def test_samples_take_the_exact_step_gaps(self, name):
+        # on a 16-cycle grid (6400 steps of 2.5 ms; 320 of 50 ms) the gap between
+        # samples k-1 and k is (dt_(k-1) + dt_k) / 2, bit for bit: a difference of
+        # midpoint times would carry rounding of up to about 1e-12 late in the run
+        sc = build_scenario(name, repetitions=16, ensemble_size=3, seed=12)
+        grid = _build_grid(sc)
+        dt, noise = grid.durations, _channel_noise(sc, grid, range(3))
+        for c, ch in enumerate(sc.channels):
+            draws = np.array([np.random.default_rng([sc.seed, c, i]).standard_normal(len(dt))
+                              for i in range(3)])
+            expected = ou_reference(ch.amplitude, ch.correlation_time, (dt[:-1] + dt[1:]) / 2, draws)
+            assert np.array_equal(noise[c], expected)
 
 
 class TestStepGrid:
