@@ -240,7 +240,8 @@ def logical_action(h: MatrixLike, code: Code) -> LogicalAction:
     # the scalar part of the syndrome action is rounding left over from c
     # (exactly all of it when d_Z = 1): a scalar syndrome action is trivial
     traceless = syndrome - np.trace(syndrome) / dz * np.eye(dz)
-    rebuilt = np.kron(logical, np.eye(dz)) + np.kron(np.eye(nl), traceless)
+    rebuilt = (logical[:, None, :, None] * np.eye(dz)[None, :, None, :]
+               + np.eye(nl)[:, None, :, None] * traceless[None, :, None, :]).reshape(nl * dz, -1)
     misfit = np.max(np.abs(rebuilt - r0))
     size = max(1.0, float(np.max(np.abs(r))))
     factorizable = rank <= 2 and misfit < max(DEFAULT_TOL.equality * size, DEFAULT_TOL.rank * scale)

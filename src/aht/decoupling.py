@@ -15,7 +15,13 @@ The zeroth-order average of a cycle is the weighted conjugation mixture
 weights this is the projector onto the group's centralizer.  The
 first-order (Magnus) correction and the exact cycle propagator complete
 the fast-control picture: cycle propagator and ``average + correction``
-agree to one order in the cycle time better than the average alone.
+agree to one order in the cycle time better than the average alone, and
+:func:`effective_defect` measures both distances from one propagator.
+
+The library sequences (:data:`SEQUENCE_NAMES`) are declared once, one row
+each of a private table: pulse axes in time order and interval fractions.
+:func:`named_sequence` builds every row with one pulse rule -- collective
+pulses without a code, encoded pi rotations with one.
 """
 from __future__ import annotations
 
@@ -55,11 +61,25 @@ __all__ = [
     "builtin_groups",
 ]
 
-#: the sequences that exist only encoded, on two logical qubits: each cycle is
-#: ``xx``, then this pulse, twice
-_ENCODED_CYCLES = {"s1_selective_x1": "xz", "s1_selective_x2": "zx", "zz_extractor": "zz"}
+#: The named sequences in catalog order, one row each: the pulse axes in time
+#: order, the interval fractions and, for a train of half-pi pulses, the sign
+#: of each (``None``: pi pulses).  A one-letter axis is a pi pulse; a
+#: two-letter axis names one letter per logical qubit.
+_SEQUENCES = {
+    "cp_x": (("x", "x"), (0.5, 0.5), None),
+    "cp_x_symmetric": (("x", "x"), (0.25, 0.5, 0.25), None),
+    "cp_y": (("y", "y"), (0.5, 0.5), None),
+    "whh4": (("x", "y", "y", "x"), (1 / 6, 1 / 6, 1 / 3, 1 / 6, 1 / 6), (1, -1, 1, -1)),
+    "gmax_cycle": (("x", "z", "x", "z"), (0.25,) * 4, None),
+    "s1_selective_x1": (("xx", "xz", "xx", "xz"), (0.25,) * 4, None),
+    "s1_selective_x2": (("xx", "zx", "xx", "zx"), (0.25,) * 4, None),
+    "zz_extractor": (("xx", "zz", "xx", "zz"), (0.25,) * 4, None),
+}
+SEQUENCE_NAMES = tuple(_SEQUENCES)
 
-SEQUENCE_NAMES = ("cp_x", "cp_x_symmetric", "cp_y", "whh4", "gmax_cycle", *_ENCODED_CYCLES)
+#: the sequences that exist only encoded, on two logical qubits
+_ENCODED_ONLY = frozenset(name for name, (axes, _, _) in _SEQUENCES.items()
+                          if max(map(len, axes)) == 2)
 
 
 def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[Operator]:
@@ -265,11 +285,6 @@ def project_group(h: MatrixLike, group: DecouplingSet) -> Operator:
     return average_zeroth(h, group)
 
 
-def _toggled(h: np.ndarray, scheme: DecouplingScheme) -> list[np.ndarray]:
-    frames = frames_from_scheme(scheme)
-    return [f.matrix.conj().T @ h @ f.matrix for f in frames.frames]
-
-
 def first_order_correction(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
     """Leading Magnus correction to the zeroth-order average.
 
@@ -282,7 +297,7 @@ def first_order_correction(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
     Hamiltonians commute, and is O(T_c) in general.
     """
     hm = mat(h)
-    toggled = _toggled(hm, scheme)
+    toggled = [f.matrix.conj().T @ hm @ f.matrix for f in frames_from_scheme(scheme).frames]
     taus = scheme.durations
     acc = np.zeros_like(hm)
     for m in range(len(toggled)):
@@ -311,14 +326,21 @@ def cycle_propagator(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
     return Operator(u)
 
 
-def effective_defect(
-    h: MatrixLike,
-    scheme: DecouplingScheme,
-    include_first_order: bool = False,
-) -> float:
-    """Spectral-norm distance between the cycle's true effective
-    Hamiltonian and its zeroth-order (optionally first-order corrected)
-    average; the small parameter is the cycle time.
+def effective_defect(h: MatrixLike, scheme: DecouplingScheme) -> tuple[float, float]:
+    """Spectral-norm distances ``(zeroth, first)`` between the cycle's true
+    effective Hamiltonian and its zeroth-order average, then that average
+    plus the first-order correction; the small parameter is the cycle time.
+
+    The cycle propagator and the average are built once for both.
+    """
+    u = cycle_propagator(h, scheme)
+    zeroth = average_zeroth(mat(h), frames_from_scheme(scheme)).matrix
+    first = zeroth + first_order_correction(h, scheme).matrix
+    return _defect(u, zeroth, scheme.cycle_time), _defect(u, first, scheme.cycle_time)
+
+
+def _defect(u: Operator, approx: np.ndarray, cycle_time: float) -> float:
+    """Traceless spectral-norm distance of ``log(u)`` from ``approx``.
 
     The cycle propagator may carry an irrelevant global phase (pi pulses
     contribute -i each); it is aligned against the averaged prediction
@@ -326,11 +348,7 @@ def effective_defect(
     the traceless parts, since the effective Hamiltonian is only defined
     modulo that freedom.
     """
-    u = cycle_propagator(h, scheme)
-    approx = average_zeroth(mat(h), frames_from_scheme(scheme)).matrix
-    if include_first_order:
-        approx = approx + first_order_correction(h, scheme).matrix
-    reference = expm(approx, scheme.cycle_time).matrix
+    reference = expm(approx, cycle_time).matrix
     overlap = np.trace(reference.conj().T @ u.matrix)
     if abs(overlap) < 1e-6 * u.dim:
         raise ValidationError(
@@ -338,7 +356,7 @@ def effective_defect(
             "the cycle time is too large for a defect comparison"
         )
     aligned = u.matrix * (overlap.conjugate() / abs(overlap))
-    h_eff = logm_effective(aligned, scheme.cycle_time)
+    h_eff = logm_effective(aligned, cycle_time)
     diff = h_eff.matrix - approx
     diff = diff - np.trace(diff) / diff.shape[0] * np.eye(diff.shape[0])
     return float(np.linalg.norm(diff, 2))
@@ -348,14 +366,6 @@ def effective_defect(
 # named sequences
 # ---------------------------------------------------------------------------
 
-def _pi_pulse(letter: str, n: int) -> Operator:
-    return expm(collective(letter, n), np.pi / 2)
-
-
-def _half_pi_pulse(letter: str, n: int, sign: float = 1.0) -> Operator:
-    return expm(collective(letter, n), sign * np.pi / 4)
-
-
 def named_sequence(
     name: str,
     n_qubits: int = 1,
@@ -363,64 +373,40 @@ def named_sequence(
     cycle_time: float = 1.0,
     physical: bool = False,
 ) -> DecouplingScheme:
-    """Build one of the library pulse sequences.
+    """Build one of the library pulse sequences from its row of the table.
 
-    Physical sequences (``cp_x``, ``cp_x_symmetric``, ``cp_y``,
-    ``whh4``, ``gmax_cycle`` without a code) use collective pulses on
-    ``n_qubits`` qubits.  Encoded sequences need a code and by default
-    act on its abstract logical space; with ``physical=True`` the pulses
+    One pulse rule builds every row.  Without a code, axis ``a`` is the
+    collective rotation ``exp(-i theta S_a)`` on ``n_qubits`` qubits, with
+    ``theta = pi/2`` (the pi pulse ``-i sigma_a`` on each qubit), or
+    ``sign * pi/4`` in a row of signed half-pi pulses (``whh4``, which
+    therefore takes no code).  With a code, axis ``a`` is the encoded pi
+    rotation: a one-letter axis on every logical qubit, a two-letter axis
+    one letter per logical qubit (so those rows, the encoded selective
+    cycles, need a two-logical-qubit code).  Encoded pulses act on the
+    code's abstract logical space by default; with ``physical=True`` they
     are taken from the code's realization table instead, so the scheme
     evolves the full physical register.
-
-    Timings follow the standard conventions: ``cp_x`` splits the cycle
-    1/2 + 1/2 ending on a pulse, the time-symmetric variant is
-    1/4 + 1/2 + 1/4, ``whh4`` uses 1/6, 1/6, 1/3, 1/6, 1/6 around its
-    four half-pi pulses, and the encoded selective cycles place their
-    four pulses a quarter cycle apart.
     """
-    if name not in SEQUENCE_NAMES:
+    if name not in _SEQUENCES:
         raise ValidationError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCE_NAMES)}")
-
-    def pi_pulse(axes: str) -> Operator:
-        """The collective pi pulse about ``axes`` without a code; with one, the
-        encoded pi rotation on ``axes`` (one letter per logical qubit, or
-        one letter for all of them)."""
-        if code is None:
-            return _pi_pulse(axes.upper(), n_qubits)
-        if len(axes) == 1:
-            axes *= code.n_logical
-        return code.physical_pi(axes) if physical else code.logical_pi(axes)
-
-    if name in ("cp_x", "cp_y", "cp_x_symmetric"):
-        pulse = pi_pulse("y" if name == "cp_y" else "x")
-        durations = (0.25, 0.5, 0.25) if name == "cp_x_symmetric" else (0.5, 0.5)
-        return DecouplingScheme((pulse, pulse), durations, cycle_time, label=name)
-
-    if name == "whh4":
-        if code is not None:
-            raise ValidationError("whh4 is a physical (collective-pulse) sequence")
-        pulses = (
-            _half_pi_pulse("X", n_qubits),
-            _half_pi_pulse("Y", n_qubits, -1.0),
-            _half_pi_pulse("Y", n_qubits),
-            _half_pi_pulse("X", n_qubits, -1.0),
-        )
-        return DecouplingScheme(
-            pulses, (1 / 6, 1 / 6, 1 / 3, 1 / 6, 1 / 6), cycle_time, label=name
-        )
-
-    if name == "gmax_cycle":
-        x, z = pi_pulse("x"), pi_pulse("z")
-        return DecouplingScheme((x, z, x, z), (0.25,) * 4, cycle_time, label=name)
-
-    # encoded two-logical-qubit cycles
-    if code is None:
+    axes, durations, signs = _SEQUENCES[name]
+    if signs is not None and code is not None:
+        raise ValidationError(f"{name} is a physical (collective-pulse) sequence")
+    if name in _ENCODED_ONLY and code is None:
         raise ValidationError(f"sequence {name!r} needs a code")
-    if code.n_logical != 2:
+    if name in _ENCODED_ONLY and code.n_logical != 2:
         raise ValidationError(f"sequence {name!r} needs a two-logical-qubit code")
-    first, second = "xx", _ENCODED_CYCLES[name]
-    pulses = tuple(pi_pulse(a) for a in (first, second, first, second))
-    return DecouplingScheme(pulses, (0.25,) * 4, cycle_time, label=name)
+
+    def pulse(axis: str, sign: int | None) -> Operator:
+        if code is None:
+            angle = np.pi / 2 if sign is None else sign * np.pi / 4
+            return expm(collective(axis.upper(), n_qubits), angle)
+        if len(axis) == 1:
+            axis *= code.n_logical
+        return code.physical_pi(axis) if physical else code.logical_pi(axis)
+
+    pulses = tuple(map(pulse, axes, signs or (None,) * len(axes)))
+    return DecouplingScheme(pulses, durations, cycle_time, label=name)
 
 
 def builtin_groups() -> dict[str, DecouplingSet]:

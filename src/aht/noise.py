@@ -517,7 +517,8 @@ def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
 
     Per trajectory the observable expectation is real (the observable is
     Hermitian); reported are its ensemble mean and the standard error of
-    that mean at each record time.
+    that mean at each record time.  A curve that is not finite (the noise
+    or drift overflowed) raises :class:`ValidationError`.
     """
     n = scenario.ensemble_size
     grid, states = _run(scenario, np.tile(scenario.initial_state, (n, 1)), range(n))
@@ -525,6 +526,8 @@ def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
     expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
     mean = expect.mean(axis=1)
     stderr = expect.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    if not np.isfinite((mean, stderr)).all():
+        raise ValidationError("decay curve is not finite: the noise or drift overflowed")
     return DecayCurve(grid.times, mean, stderr, n)
 
 

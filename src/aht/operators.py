@@ -21,6 +21,7 @@ not rebuilt on each call.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -219,7 +220,8 @@ def pauli_sum(terms: Iterable[PauliString], n: int | None = None) -> Operator:
 
     An empty list needs ``n`` to fix the dimension.  All terms must share
     the same qubit count; the result is Hermitian iff all coefficients
-    are real.
+    are real.  Coefficients whose absolute values add up past the largest
+    float (or to NaN) are refused before summing, so no entry overflows.
     """
     terms = list(terms)
     if not terms:
@@ -231,6 +233,8 @@ def pauli_sum(terms: Iterable[PauliString], n: int | None = None) -> Operator:
         raise ValidationError(f"mismatched qubit counts in pauli_sum: {sorted(counts)}")
     if n is not None and terms[0].n != n:
         raise ValidationError(f"terms act on {terms[0].n} qubits, expected {n}")
+    if not sum(abs(t.coefficient) for t in terms) <= sys.float_info.max:
+        raise ValidationError("Pauli coefficients add up past the largest float")
     total = np.zeros((2 ** terms[0].n,) * 2, dtype=complex)
     for t in terms:
         total += t.coefficient * _pauli_matrix(t.letters)

@@ -33,7 +33,7 @@ import numpy as np
 from .codes import CODE_NAMES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
 from .config import ValidationError, _boolean, _integer, _known_keys, _real, _seed
 from .decoupling import (
-    _ENCODED_CYCLES, SEQUENCE_NAMES, DecouplingScheme, average_zeroth, cycle_propagator,
+    _ENCODED_ONLY, SEQUENCE_NAMES, DecouplingScheme, average_zeroth, cycle_propagator,
     effective_defect, frames_from_scheme, named_sequence, project_group,
 )
 from .noise import build_scenario, ensemble_coherence
@@ -239,7 +239,7 @@ class Scenario:
             # A sequence is encoded iff a code is named: either in the
             # sequence block itself or, for the sequences that cannot
             # exist unencoded, at the scenario level.
-            needs_code = name in _ENCODED_CYCLES
+            needs_code = name in _ENCODED_ONLY
             code_name = spec.get("code") or (self.code if needs_code else None)
             if needs_code and code_name is None:
                 raise ValidationError(f"sequence {name!r} needs a code")
@@ -326,9 +326,7 @@ def _run_scan(sc: Scenario) -> str:
     scheme = sc.resolve_sequence()
     rows = ["cycle_time,defect,defect_with_first_order"]
     for tc in sc.sweep:
-        at = replace(scheme, cycle_time=float(tc))
-        d0 = effective_defect(h, at, include_first_order=False)
-        d1 = effective_defect(h, at, include_first_order=True)
+        d0, d1 = effective_defect(h, replace(scheme, cycle_time=float(tc)))
         rows.append(f"{tc:.12g},{d0:.12g},{d1:.12g}")
     return "\n".join(rows) + "\n"
 

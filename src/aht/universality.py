@@ -60,10 +60,12 @@ def lie_closure(
 ) -> LieBasis:
     """Close a set of anti-Hermitian generators under commutation.
 
-    Grows an orthonormal basis (normalized trace pairing) row by row: row
-    ``i`` stacks the commutators of basis element ``i`` with every element
-    present when the row starts and projects out the basis twice, with two
-    matrix products each time.  A commutator is a new direction when its
+    Each nonzero generator is first scaled to a unit largest entry, so the
+    tests below are relative and the verdict does not depend on the
+    generators' scale.  Grows an orthonormal basis (normalized trace
+    pairing) row by row: row ``i`` stacks the commutators of basis element
+    ``i`` with every element present when the row starts and projects out
+    the basis twice, with two matrix products each time.  A commutator is a new direction when its
     residual exceeds ``DEFAULT_TOL.rank``, 1e-8; survivors are admitted in
     ascending order, each projected again against the basis as it then
     stands: the (i, j) order of a sequential Gram-Schmidt, so ``max_dim``
@@ -71,17 +73,22 @@ def lie_closure(
     u(d), or su(d) when every generator is traceless to
     ``DEFAULT_TOL.equality``.  The result is independent of generator order
     and invariant under simultaneous unitary conjugation of all generators,
-    which must be anti-Hermitian to ``DEFAULT_TOL.equality``, 1e-10.
+    which must be anti-Hermitian to ``DEFAULT_TOL.equality``, 1e-10, after
+    scaling.
     """
-    mats = [mat(g) for g in generators]
-    if not mats:
+    given = [mat(g) for g in generators]
+    if not given:
         raise ValidationError("need at least one generator")
-    dim = mats[0].shape[0]
-    for g in mats:
+    dim = given[0].shape[0]
+    mats = []  # each nonzero generator scaled to a unit largest entry
+    for g in given:
         if g.shape != (dim, dim):
             raise ValidationError("generators must share a dimension")
+        peak = np.max(np.abs(g))
+        g = g / peak if peak > 0 else g
         if not np.max(np.abs(g + g.conj().T)) <= DEFAULT_TOL.equality:
             raise ValidationError("lie_closure expects anti-Hermitian generators (apply i first)")
+        mats.append(g)
 
     # Commutators are traceless, so traceless generators stay in su(d).  At
     # `ceiling` orthonormal rows the basis spans the space and any further
@@ -123,7 +130,7 @@ def lie_closure(
         i += 1
 
     return LieBasis(
-        generators=tuple(Operator(g) for g in mats),
+        generators=tuple(Operator(g) for g in given),
         basis=tuple(Operator(scale * b) for b in ops[:k]),
         dimension=k,
         truncated=truncated,

@@ -87,13 +87,13 @@ def _magnus_orders(rng: np.random.Generator, seed: int, ensemble: int) -> _Outco
     h = random_hermitian(2, rng, norm=1.0)
     tc = 0.05
     rows = []
-    for name, corrected, lo, hi in (
-        ("cp_x", False, 1.7, 2.3),
-        ("cp_x_symmetric", False, 3.4, 4.6),
-        ("cp_x", True, 3.4, 4.6),
+    for name, order, lo, hi in (
+        ("cp_x", 0, 1.7, 2.3),
+        ("cp_x_symmetric", 0, 3.4, 4.6),
+        ("cp_x", 1, 3.4, 4.6),
     ):
-        d1 = effective_defect(h, named_sequence(name, n_qubits=2, cycle_time=tc), corrected)
-        d2 = effective_defect(h, named_sequence(name, n_qubits=2, cycle_time=tc / 2), corrected)
+        d1 = effective_defect(h, named_sequence(name, n_qubits=2, cycle_time=tc))[order]
+        d2 = effective_defect(h, named_sequence(name, n_qubits=2, cycle_time=tc / 2))[order]
         ratio = d1 / d2
         rows.append((ratio, lo <= ratio <= hi))
     ok = all(r[1] for r in rows)

@@ -1,4 +1,6 @@
 """Decoupling cycles: frames, averages, corrections, named sequences."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -212,8 +214,8 @@ class TestCyclePropagator:
 
     def test_defect_scales_linearly(self):
         h = Z + 0.5 * X
-        d1 = effective_defect(h, named_sequence("cp_x", cycle_time=0.1))
-        d2 = effective_defect(h, named_sequence("cp_x", cycle_time=0.05))
+        d1 = effective_defect(h, named_sequence("cp_x", cycle_time=0.1))[0]
+        d2 = effective_defect(h, named_sequence("cp_x", cycle_time=0.05))[0]
         assert 1.7 < d1 / d2 < 2.3
 
     def test_propagator_is_unitary(self):
@@ -304,6 +306,19 @@ SEQUENCE_IS_GROUP = {
 SEQUENCE_CONFIGS = [(1, None, False), (2, None, False), (3, None, False)] + [
     (1, code, physical) for code in ("dfs2", "dfs2x2", "ns3") for physical in (False, True)
 ]
+#: sha256 prefix of ``named_sequence(name, ..., cycle_time=0.3)`` over
+#: ``SEQUENCE_CONFIGS``: each pulse's shape, label and matrix bytes, then the
+#: durations, cycle time and label, or the message of a rejected configuration.
+SEQUENCE_DIGESTS = {
+    "cp_x": "b98ea6883169f262",
+    "cp_x_symmetric": "72a36cee213301fc",
+    "cp_y": "5856ed3380cf750f",
+    "whh4": "7a749123969257b0",
+    "gmax_cycle": "ac0187bfdda846c6",
+    "s1_selective_x1": "c685feae623aa257",
+    "s1_selective_x2": "3d24a4bd4e7bcb77",
+    "zz_extractor": "d8416fe749794c0b",
+}
 BUILTIN_IS_GROUP = {
     "cp_x": True, "cp_y": True, "gmax": True, "transformer24": True, "cp_xx_2q": True,
     "dfs2_gmax_physical": True, "ns3_cp_x_physical": True, "dfs2x2_cp_x_logical": True,
@@ -365,6 +380,24 @@ class TestGroupMachinery:
                 continue
             got += "T" if frames_from_scheme(scheme).is_group else "F"
         assert got == SEQUENCE_IS_GROUP[name].replace(" ", "")
+
+    @pytest.mark.parametrize("name", SEQUENCE_NAMES)
+    def test_sequence_bytes_pinned(self, name):
+        digest = hashlib.sha256()
+        for n_qubits, code, physical in SEQUENCE_CONFIGS:
+            try:
+                scheme = named_sequence(
+                    name, n_qubits, code=build_code(code) if code else None,
+                    cycle_time=0.3, physical=physical,
+                )
+            except ValidationError as exc:
+                digest.update(f"error:{exc}".encode())
+                continue
+            for p in scheme.pulses:
+                digest.update(f"{p.matrix.shape}{p.label}".encode())
+                digest.update(np.ascontiguousarray(p.matrix).tobytes())
+            digest.update(f"{scheme.durations!r}{scheme.cycle_time!r}{scheme.label}".encode())
+        assert digest.hexdigest()[:16] == SEQUENCE_DIGESTS[name]
 
     def test_builtin_verdicts_pinned(self):
         assert {k: g.is_group for k, g in builtin_groups().items()} == BUILTIN_IS_GROUP

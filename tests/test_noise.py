@@ -1,6 +1,7 @@
 """Stochastic dephasing engine: OU statistics, propagation, ensembles."""
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from aht.noise import (
     propagate_trajectory,
     trajectory_propagator,
 )
-from aht.operators import Operator, single_qubit
+from aht.operators import Operator, expm, single_qubit
 
 
 #: (gaps between OU samples, steps spanning one correlation time
@@ -246,6 +247,41 @@ def exact_gaussian_mean(sc):
     obs = sc.observable.matrix[ends[:, :, None], ends[:, None, :]]
     terms = amps.conj()[:, :, None] * obs * amps[:, None, :] * np.exp(-exponent)
     return terms.sum(axis=(1, 2)).real
+
+
+def quasi_static_mean(sc, nodes=12):
+    """Exact ensemble mean of the observable at each record time when each
+    channel's noise is one static value ``x_c ~ N(0, amp_c^2)`` (correlation
+    times far past the run); reads only public scenario fields.
+
+    The mean is a Gauss-Hermite sum, ``nodes`` per channel, of deterministic
+    curves: each node evolves under the constant ``h_system + sum_c x_c
+    coupling_c`` by ``operators.expm`` per interval and the schedule's pulses.
+    """
+    z, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()  # the N(0, 1) weights
+    sch, obs = sc.schedule, sc.observable.matrix
+    if sch is None:  # one interval per record
+        cycle, records = [(sc.total_time / sc.record_points, None)], sc.record_points
+    else:  # pulse i ends interval i; records end cycles
+        pulses = [p.matrix for p in sch.pulses] + [None]
+        cycle = [(tau * sch.cycle_time, p) for tau, p in zip(sch.durations, pulses)]
+        records = sc.repetitions
+    mean = np.zeros(records + 1)
+    for node in itertools.product(range(nodes), repeat=len(sc.channels)):
+        h = sc.h_system.matrix + sum(
+            ch.amplitude * z[k] * ch.coupling.matrix for ch, k in zip(sc.channels, node)
+        )
+        u = np.eye(sc.h_system.dim, dtype=complex)
+        for length, pulse in cycle:
+            u = expm(h, length).matrix @ u
+            u = u if pulse is None else pulse @ u
+        psi, curve = sc.initial_state, []
+        for _ in range(records + 1):
+            curve.append((psi.conj() @ obs @ psi).real)
+            psi = u @ psi
+        mean += np.prod(w[list(node)]) * np.array(curve)
+    return mean
 
 
 class TestOuTrajectory:
@@ -610,6 +646,19 @@ class TestEnsemble:
         curve = ensemble_coherence(sc)
         exact = exact_gaussian_mean(sc)
         assert np.all(np.abs(curve.mean - exact) <= 4.5 * curve.std_error + 1e-12)
+
+    @pytest.mark.parametrize("pulses", [True, False])
+    @pytest.mark.parametrize("name", ["encoded_spin_boson", "encoded_depolarizing"])
+    def test_mean_within_sampling_error_of_quasi_static_average(self, name, pulses):
+        # oracle for the non-diagonal path: at tau_slow = 1e9 the noise is a
+        # static Gaussian vector, averaged exactly without the simulator
+        knobs = dict(tau_slow=1e9, repetitions=4, slow_amplitude=0.3, ensemble_size=1000)
+        exact = quasi_static_mean(build_scenario(name, pulses=pulses, **knobs))
+        for seed in (1, 2):
+            sc = build_scenario(name, pulses=pulses, seed=seed, **knobs)
+            assert not _path(sc, sc.initial_state[None, :]).diagonal
+            curve = ensemble_coherence(sc)
+            assert np.all(np.abs(curve.mean - exact) <= 4.5 * curve.std_error + 1e-12)
 
     def test_csv_emission(self):
         sc = slow_only_scenario(ensemble_size=10)

@@ -138,6 +138,21 @@ def assert_one_error_line(capsys):
     return lines[0]
 
 
+#: Documents whose numbers overflow: each exited 0 with a NaN result or ended in
+#: a traceback; the Pauli sums are refused before summing, the noise curve after.
+OVERFLOW_DOCS = {
+    "average": {"kind": "average", "n_qubits": 1, "sequence": "cp_y",
+                "hamiltonian": {"terms": ["1e308 X 1", "1e308 X 1"]}},
+    "cancelling": {"kind": "average", "n_qubits": 1, "sequence": "cp_y",
+                   "hamiltonian": {"terms": ["1e308 X 1", "-1e308 X 1"]}},
+    "logical": {"kind": "logical", "n_qubits": 4, "code": "dfs2x2",
+                "hamiltonian": {"terms": ["1e308 ZZ 1 2", "1e308 ZZ 1 2"]}},
+    **{f"noise-{knob}": {"kind": "noise", "output": {"format": "csv"}, "noise": {
+        "name": "encoded_spin_boson", knob: value, "repetitions": 2, "ensemble_size": 3}}
+       for knob, value in (("slow_amplitude", 1e154), ("delta_omega", 1e155))},
+}
+
+
 class TestRunCommand:
     def test_project_zero_average(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
@@ -451,6 +466,12 @@ class TestRunCommand:
         })
         assert run(path) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", OVERFLOW_DOCS.values(), ids=OVERFLOW_DOCS)
+    def test_overflow_exits_2(self, tmp_path, capsys, doc):
+        with np.errstate(all="ignore"):  # numpy's overflow warnings come before the refusal
+            assert main(["run", write_scenario(tmp_path, doc)]) == 2
+        assert_one_error_line(capsys)
 
 
 #: One strategy per JSON value type; a "fraction" is a number that is not

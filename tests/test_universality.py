@@ -86,6 +86,13 @@ class TestLieClosure:
         with pytest.raises(ValidationError):
             lie_closure([1j * X + 1e-9 * Z, 1j * Y])
 
+    @pytest.mark.parametrize("scales", [
+        *((s, s) for s in (1e-300, 1e-160, 1e-10, 1e-9, 1.0, 1e154, 1e155, 1e300)), (1e300, 1e-300),
+    ], ids=lambda scales: "{:g},{:g}".format(*scales))
+    def test_dimension_does_not_depend_on_scale(self, scales):
+        # su(2) from X and Y at any generator scale, and with scales 600 decades apart
+        assert lie_closure([scales[0] * 1j * X, scales[1] * 1j * Y]).dimension == 3
+
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             lie_closure([1j * np.full((2, 2), np.nan)])
