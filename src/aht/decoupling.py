@@ -296,8 +296,12 @@ def first_order_correction(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
     taking hbar = 1.  It vanishes exactly whenever the toggled
     Hamiltonians commute, and is O(T_c) in general.
     """
-    hm = mat(h)
-    toggled = [f.matrix.conj().T @ hm @ f.matrix for f in frames_from_scheme(scheme).frames]
+    return _first_order(mat(h), frames_from_scheme(scheme), scheme)
+
+
+def _first_order(hm: np.ndarray, frames: DecouplingSet, scheme: DecouplingScheme) -> Operator:
+    """``first_order_correction`` of ``hm`` from the scheme's frames, built by the caller."""
+    toggled = [f.matrix.conj().T @ hm @ f.matrix for f in frames.frames]
     taus = scheme.durations
     acc = np.zeros_like(hm)
     for m in range(len(toggled)):
@@ -331,11 +335,11 @@ def effective_defect(h: MatrixLike, scheme: DecouplingScheme) -> tuple[float, fl
     effective Hamiltonian and its zeroth-order average, then that average
     plus the first-order correction; the small parameter is the cycle time.
 
-    The cycle propagator and the average are built once for both.
+    The cycle propagator, the toggling frames and the average are built once for both.
     """
-    u = cycle_propagator(h, scheme)
-    zeroth = average_zeroth(mat(h), frames_from_scheme(scheme)).matrix
-    first = zeroth + first_order_correction(h, scheme).matrix
+    u, hm, frames = cycle_propagator(h, scheme), mat(h), frames_from_scheme(scheme)
+    zeroth = average_zeroth(hm, frames).matrix
+    first = zeroth + _first_order(hm, frames, scheme).matrix
     return _defect(u, zeroth, scheme.cycle_time), _defect(u, first, scheme.cycle_time)
 
 

@@ -25,6 +25,7 @@ from aht.noise import (
     _reachable_block,
     _run,
     _step_propagators,
+    _su2_step,
     build_scenario,
     ensemble_coherence,
     final_error,
@@ -86,13 +87,16 @@ CODE_BLOCKS = {
 #: re-recorded once more when both samplers took one OU step law from the
 #: step lengths (gaps ``(dt_prev + dt) / 2``, not differences of midpoint
 #: times), which moved its curve by rounding only, 2.6e-15, and the other
-#: four not at all (see ``test_samples_take_the_exact_step_gaps``); a change
-#: that moves them says so and re-records them
+#: four not at all (see ``test_samples_take_the_exact_step_gaps``); the two
+#: non-diagonal ones re-recorded when their 2-dim steps were applied straight
+#: to the two state components (``_su2_step``, the trace phase once per batch),
+#: which moved each curve by rounding only, 1.1e-16; a change that moves them
+#: says so and re-records them
 PINNED_DIGESTS = {
     "hybrid_dephasing": "b3832edd66c65e7064e2f537e7710eb5836420c38546aa3fa78a0efe6804f05e",
     "hybrid_dephasing-physical": "6ca575d5b8e53ffe30a72e3348cc6e130b3ae719565a051d5b637607d5029cd9",
-    "encoded_spin_boson": "6acb7e6206516082ab59bb5631589f5fa0f0e209fcc94b1d9a54ef0c8fba303b",
-    "encoded_depolarizing": "35591e4d63cae88f916f571fddebb3151bf5607422df748d2de0013676cd91da",
+    "encoded_spin_boson": "362d5e4f81fd6a735cb332c02e178b00b8159e7486de1110e1626cce34f2b39c",
+    "encoded_depolarizing": "45e3b64e128a3c2b5a69a1f18410b562ded908f914a1ddbfe2d13bf64f541e48",
     "four_qubit_blockwise": "014768038afd30188eca67e69e192f0ca59e3a8c5ac19287646319031cdcae8a",
 }
 
@@ -545,7 +549,9 @@ class TestPropagation:
     def test_step_propagators_match_expm(self, dim):
         # oracle: scipy's Pade expm, matrix by matrix; the stack holds random
         # Hermitian matrices, a multiple of the identity (Omega = 0, with
-        # Omega half the eigenvalue spread), Omega = 1e-9 and Omega * dt > pi
+        # Omega half the eigenvalue spread), Omega = 1e-9, Omega = 1e-320 (whose
+        # square, and so Omega * dt, underflows to 0) and Omega * dt > pi; a
+        # 2-dim step is exp(-i m dt) [[p, -conj(q)], [q, conj(p)]] (_su2_step)
         from scipy.linalg import expm
 
         rng = np.random.default_rng(dim)
@@ -553,12 +559,21 @@ class TestPropagation:
         h = (a + a.conj().swapaxes(-1, -2)) / 2
         h[0, 0] = 0.7 * np.eye(dim)
         h[0, 1] = -2.5 * np.eye(dim) + 1e-9 * np.diag(np.resize([1.0, -1.0], dim))
+        h[0, 2] = 1e-320 * np.diag(np.resize([1.0, -1.0], dim))
         h[1] *= 8.0
         dt = np.array([[0.3], [1.1], [0.05], [2.0]])
-        u = _step_propagators(h, dt)
+        if dim == 2:
+            d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+            m, z = (d0 + d1) / 2, (d0 - d1) / 2
+            p, q = _su2_step(z, h[..., 1, 0].real, h[..., 1, 0].imag, dt)
+            u = np.exp(-1j * m * dt)[..., None, None] * np.moveaxis(
+                np.array([[p, -q.conj()], [q, p.conj()]]), (0, 1), (-2, -1))
+        else:
+            u = _step_propagators(h, dt)
         assert u.shape == h.shape
         width = np.ptp(np.linalg.eigvalsh(h), axis=-1) * dt
         assert width[0, 0] == 0 and 0 < width[0, 1] < 1e-8 and width[1].min() / 2 > np.pi
+        assert 0 < width[0, 2] < 1e-300
         for i, j in np.ndindex(h.shape[:2]):
             assert np.max(np.abs(u[i, j] - expm(-1j * dt[i, 0] * h[i, j]))) < 1e-13
 
@@ -572,6 +587,30 @@ class TestPropagation:
         noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), 6, len(grid.durations)))
         states = evolve(sc, noise, 6)
         assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
+
+    @pytest.mark.parametrize("pulses", [True, False])
+    def test_trace_phase_matches_per_step_eigh(self, pulses):
+        # the library blocks are traceless; a drift offset and a coupling with
+        # a trace part give the 2-dim step its phase exp(-i sum m dt) per batch
+        sc = build_scenario("encoded_spin_boson", repetitions=2, ensemble_size=6, seed=3,
+                            pulses=pulses)
+        first, *rest = sc.channels
+        assert first.coupling.label == single_qubit("Z", 1, 2).label
+        offset = dataclasses.replace(first, coupling=Operator(first.coupling.matrix + 0.3 * np.eye(4)))
+        sc = dataclasses.replace(sc, h_system=Operator(sc.h_system.matrix + 0.7 * np.eye(4)),
+                                 channels=(offset, *rest))
+        grid = _build_grid(sc)
+        noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), 6, len(grid.durations)))
+        states = evolve(sc, noise, 6)
+        assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
+
+    @pytest.mark.parametrize("knob,value", [("slow_amplitude", 1e154), ("delta_omega", 1e155)])
+    def test_overflow_is_refused_without_warnings(self, knob, value):
+        # numpy's RuntimeWarnings fail the test (filterwarnings in pyproject.toml)
+        sc = build_scenario("encoded_spin_boson", repetitions=2, ensemble_size=3, **{knob: value})
+        for run in (propagate_trajectory, ensemble_coherence):
+            with pytest.raises(ValidationError, match="not finite"):
+                run(sc)
 
     @pytest.mark.parametrize("name", ["encoded_spin_boson", "encoded_depolarizing"])
     def test_interval_longer_than_a_batch(self, name):

@@ -473,6 +473,14 @@ class TestRunCommand:
             assert main(["run", write_scenario(tmp_path, doc)]) == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("name", [name for name in OVERFLOW_DOCS if name.startswith("noise")])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, name):
+        # a new interpreter, with numpy's default error state: no warning line comes first
+        code, out, err = fresh(["run", write_scenario(tmp_path, OVERFLOW_DOCS[name])])
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
 
 #: One strategy per JSON value type; a "fraction" is a number that is not
 #: whole, and a "nonfinite" one is NaN or +-Infinity (Python's ``json`` reads both).
@@ -652,6 +660,14 @@ def in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def fresh(argv):
+    """``python -m aht argv`` in a new interpreter: its exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(aht.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "aht", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestRepeatedCalls:
     def test_calls_in_one_process_match_fresh_interpreters(self, tmp_path, monkeypatch):
         # the parser is built once: a bad argv, a --seed, its absence (the file's
@@ -660,11 +676,8 @@ class TestRepeatedCalls:
         write_scenario(tmp_path, {**NOISE_DOC, "seed": 5})
         calls = [["run"], ["run", "scenario.json", "--seed", "7"], ["run", "scenario.json"],
                  ["verify", "--ensemble", "8"], ["list"]]
-        env = {**os.environ, "PYTHONPATH": str(Path(aht.__file__).resolve().parent.parent)}
         for argv in calls:
-            fresh = subprocess.run([sys.executable, "-m", "aht", *argv], capture_output=True,
-                                   text=True, env=env, timeout=120)
-            assert in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert in_process(argv) == fresh(argv), argv
         seeded, own = (json.loads(in_process(argv)[1])["scenario"]["seed"] for argv in calls[1:3])
         assert (seeded, own) == (7, 5)
 
