@@ -68,6 +68,7 @@ from .noise import (
     NoiseScenario,
     build_scenario,
     ensemble_coherence,
+    ensemble_coherences,
     final_error,
     propagate_trajectory,
     trajectory_propagator,

@@ -13,7 +13,10 @@ the scenario (including its seed).  Per-trajectory noise is drawn from
 ``SeedSequence(seed, channel_index, trajectory_index)``, so serial,
 batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
-fixed by the implementation.  Both samplers read one OU step law, taken
+fixed by the implementation.  Scenarios with equal noise inputs (seed,
+ensemble size, path, channel amplitudes and correlation times, step grid)
+read the same draws, whether they run together (``ensemble_coherences``,
+which samples them once) or apart.  Both samplers read one OU step law, taken
 from the step lengths alone (``_ou_law``).  Off the diagonal path the
 draws land in the ``(channels, trajectories, steps)`` tensor and the OU
 recursion overwrites them in place; on it, the same draws are reduced
@@ -65,6 +68,7 @@ __all__ = [
     "propagate_trajectory",
     "trajectory_propagator",
     "ensemble_coherence",
+    "ensemble_coherences",
     "build_scenario",
     "final_error",
 ]
@@ -465,24 +469,28 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
     return out
 
 
+def _noise(scenario: NoiseScenario, grid: _Grid, plan: _Plan, trajectories: Sequence[int],
+           noise_values=None) -> np.ndarray:
+    """What ``_evolve`` reads on the plan's path: the seeded noise of ``trajectories``
+    or, shared by every row, the samples ``noise_values``."""
+    if noise_values is None:
+        return (_interval_noise if plan.diagonal else _channel_noise)(scenario, grid, trajectories)
+    noise = np.asarray(noise_values, dtype=float)
+    shape = (len(scenario.channels), grid.durations.shape[0])
+    if noise.shape != shape:
+        raise ValidationError(f"noise_values must have shape {shape}, got {noise.shape}")
+    noise = noise[:, None, :]
+    if plan.diagonal:  # the diagonal path reads the sums over each interval
+        noise = np.stack([(noise[..., a:b] * grid.durations[a:b]).sum(axis=-1)
+                          for a, b in zip([0, *grid.ends], grid.ends)], axis=-1)
+    return noise
+
+
 def _run(scenario: NoiseScenario, psi: np.ndarray, trajectories: Sequence[int] = (),
          noise_values=None) -> tuple[_Grid, np.ndarray]:
-    """The grid, and the states of the rows ``psi`` under the seeded noise of
-    ``trajectories`` or, shared by every row, the samples ``noise_values``."""
-    grid = _build_grid(scenario)
-    plan = _path(scenario, psi)
-    if noise_values is None:
-        noise = (_interval_noise if plan.diagonal else _channel_noise)(scenario, grid, trajectories)
-    else:
-        noise = np.asarray(noise_values, dtype=float)
-        shape = (len(scenario.channels), grid.durations.shape[0])
-        if noise.shape != shape:
-            raise ValidationError(f"noise_values must have shape {shape}, got {noise.shape}")
-        noise = noise[:, None, :]
-        if plan.diagonal:  # the diagonal path reads the sums over each interval
-            noise = np.stack([(noise[..., a:b] * grid.durations[a:b]).sum(axis=-1)
-                              for a, b in zip([0, *grid.ends], grid.ends)], axis=-1)
-    return grid, _evolve(plan, noise, psi, grid)
+    """The grid, and the states of the rows ``psi`` under ``_noise``."""
+    grid, plan = _build_grid(scenario), _path(scenario, psi)
+    return grid, _evolve(plan, _noise(scenario, grid, plan, trajectories, noise_values), psi, grid)
 
 
 @dataclass(frozen=True)
@@ -502,9 +510,11 @@ def propagate_trajectory(
 
     ``noise_values`` may supply explicit per-channel samples of shape
     ``(n_channels, n_steps)`` on the scenario's step grid; by default the
-    trajectory's own seeded noise is used.  A state that is not finite (the
-    noise or drift overflowed) raises :class:`ValidationError`.
+    trajectory's own seeded noise is used.  A ``trajectory`` that is not a
+    whole number at least 0, or a state that is not finite (the noise or
+    drift overflowed), raises :class:`ValidationError`.
     """
+    trajectory = _seed("trajectory", trajectory)
     grid, states = _run(scenario, scenario.initial_state[None, :].copy(), [trajectory], noise_values)
     if not np.isfinite(states).all():
         raise ValidationError("trajectory is not finite: the noise or drift overflowed")
@@ -544,22 +554,48 @@ class DecayCurve:
 
 
 def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
-    """Monte Carlo decay curve of the scenario observable.
+    """Monte Carlo decay curve of the scenario observable: ``ensemble_coherences``
+    of the one scenario."""
+    return ensemble_coherences([scenario])[0]
+
+
+def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
+    """Monte Carlo decay curves of the scenarios' observables, in order.
 
     Per trajectory the observable expectation is real (the observable is
     Hermitian); reported are its ensemble mean and the standard error of
-    that mean at each record time.  A curve that is not finite (the noise
-    or drift overflowed) raises :class:`ValidationError`.
+    that mean at each record time.  A scenario whose noise inputs (seed,
+    ensemble size, path, each channel's amplitude and correlation time, and
+    the step grid) equal those of the scenario before it reads that one's
+    noise instead of sampling it again: the same draws, so each curve is the
+    one it has on its own.  One noise array is held at a time, and it is
+    freed before a curve is reduced unless the next scenario reads it.  A
+    curve that is not finite (the noise or drift overflowed) raises
+    :class:`ValidationError`.
     """
-    n = scenario.ensemble_size
-    grid, states = _run(scenario, np.tile(scenario.initial_state, (n, 1)), range(n))
-    obs = scenario.observable.matrix
-    expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
-    mean = expect.mean(axis=1)
-    stderr = expect.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-    if not np.isfinite((mean, stderr)).all():
-        raise ValidationError("decay curve is not finite: the noise or drift overflowed")
-    return DecayCurve(grid.times, mean, stderr, n)
+    runs = []
+    for sc in scenarios:
+        grid, plan = _build_grid(sc), _path(sc, sc.initial_state[None, :])
+        inputs = (sc.seed, sc.ensemble_size, plan.diagonal, grid.ends,
+                  [(ch.amplitude, ch.correlation_time) for ch in sc.channels], grid.durations)
+        runs.append((sc, grid, plan, inputs))
+    curves, noise = [], None
+    for (scenario, grid, plan, inputs), after in zip(runs, [*runs[1:], None]):
+        n = scenario.ensemble_size
+        psi = np.tile(scenario.initial_state, (n, 1))
+        if noise is None:
+            noise = _noise(scenario, grid, plan, range(n))
+        states = _evolve(plan, noise, psi, grid)
+        if after is None or not all(np.array_equal(x, y) for x, y in zip(inputs, after[3])):
+            noise = None  # freed before the reduction, as a run on its own frees it
+        obs = scenario.observable.matrix
+        expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
+        mean = expect.mean(axis=1)
+        stderr = expect.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+        if not np.isfinite((mean, stderr)).all():
+            raise ValidationError("decay curve is not finite: the noise or drift overflowed")
+        curves.append(DecayCurve(grid.times, mean, stderr, n))
+    return curves
 
 
 def final_error(curve: DecayCurve) -> float:

@@ -31,7 +31,13 @@ from .decoupling import (
     named_sequence,
     project_group,
 )
-from .noise import build_scenario, ensemble_coherence, final_error, propagate_trajectory
+from .noise import (
+    build_scenario,
+    ensemble_coherence,
+    ensemble_coherences,
+    final_error,
+    propagate_trajectory,
+)
 from .operators import (
     PauliString,
     commutator,
@@ -199,8 +205,9 @@ def _noise_suppression(rng: np.random.Generator, seed: int, ensemble: int) -> _O
         cycle_time=1.0, repetitions=16, fast_amplitude=1.0, slow_amplitude=0.3,
         tau_fast=0.05, tau_slow=20.0, ensemble_size=ensemble, seed=seed,
     )
-    eps_enc = final_error(ensemble_coherence(build_scenario("hybrid_dephasing", encoded=True, **hybrid)))
-    eps_phys = final_error(ensemble_coherence(build_scenario("hybrid_dephasing", encoded=False, **hybrid)))
+    # both encodings on one noise sample: the pair shares every noise input
+    eps_enc, eps_phys = (final_error(curve) for curve in ensemble_coherences(
+        [build_scenario("hybrid_dephasing", encoded=encoded, **hybrid) for encoded in (True, False)]))
 
     ok = max_dev == 0.0 and 3.0 <= ratio <= 5.0 and eps_phys > eps_enc
     detail = (

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from aht.noise import (
     _OU_BLOCK,
     _SUM_ROWS,
     SCENARIO_NAMES,
+    DecayCurve,
     NoiseScenario,
     _build_grid,
     _channel_noise,
@@ -28,6 +30,7 @@ from aht.noise import (
     _su2_step,
     build_scenario,
     ensemble_coherence,
+    ensemble_coherences,
     final_error,
     propagate_trajectory,
     trajectory_propagator,
@@ -141,6 +144,17 @@ def evolve(sc, noise, rows):
     """``_evolve`` of ``rows`` copies of the initial state under ``noise``."""
     psi = np.tile(sc.initial_state, (rows, 1))
     return _evolve(_path(sc, psi), noise, psi, _build_grid(sc))
+
+
+def pinned_scenario(config, **over):
+    """A configuration at the ``PINNED_DIGESTS`` knobs, with ``over`` on top."""
+    name, knobs = CONFIGS[config]
+    return build_scenario(name, **{"repetitions": 2, "ensemble_size": 16, "seed": 29, **knobs, **over})
+
+
+def digest(curve):
+    """sha256 of a curve's mean and std-error bytes, as ``PINNED_DIGESTS`` holds."""
+    return hashlib.sha256(curve.mean.tobytes() + curve.std_error.tobytes()).hexdigest()
 
 
 def code_block(sc):
@@ -449,6 +463,14 @@ class TestPropagation:
         with pytest.raises(ValidationError):
             trajectory_propagator(sc, np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("value", [-1, 2.5, True])
+    @pytest.mark.parametrize("name", ["hybrid_dephasing", "encoded_spin_boson"])
+    def test_trajectory_must_be_a_whole_number_at_least_0(self, name, value):
+        # on the diagonal path and off it, before numpy's seeding sees the value
+        sc = build_scenario(name, repetitions=2, ensemble_size=3)
+        with pytest.raises(ValidationError, match="trajectory"):
+            propagate_trajectory(sc, trajectory=value)
+
     @pytest.mark.parametrize("name,knobs", CONFIGS.values(), ids=CONFIGS.keys())
     def test_propagator_matches_state_propagation(self, name, knobs):
         # oracle: the propagator of the identity rows, which reach every
@@ -670,11 +692,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("config", PINNED_DIGESTS)
     def test_pinned_bytes(self, config):
-        name, knobs = CONFIGS[config]
-        sc = build_scenario(name, repetitions=2, ensemble_size=16, seed=29, **knobs)
-        curve = ensemble_coherence(sc)
-        digest = hashlib.sha256(curve.mean.tobytes() + curve.std_error.tobytes()).hexdigest()
-        assert digest == PINNED_DIGESTS[config]
+        assert digest(ensemble_coherence(pinned_scenario(config))) == PINNED_DIGESTS[config]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("config", DIAGONAL_CONFIGS)
@@ -707,6 +725,76 @@ class TestEnsemble:
         assert lines[0].startswith("# {")
         assert lines[1] == "time_s,mean_coherence,std_error,n_traj"
         assert len(lines) == 2 + len(curve.times)
+
+
+#: the encoded-vs-physical pair of ``PINNED_DIGESTS``: equal noise inputs
+PINNED_PAIR = ["hybrid_dephasing", "hybrid_dephasing-physical"]
+
+
+def count_samples(monkeypatch, refs=None) -> list:
+    """Patch both samplers to append their name to the returned list per call,
+    and a weak reference to the array they return to ``refs``."""
+    calls = []
+    for sampler in (_interval_noise, _channel_noise):
+        def counted(*args, sampler=sampler):
+            calls.append(sampler.__name__)
+            noise = sampler(*args)
+            if refs is not None:
+                refs.append(weakref.ref(noise))
+            return noise
+        monkeypatch.setattr(f"aht.noise.{sampler.__name__}", counted)
+    return calls
+
+
+class TestSharedNoise:
+    def test_pair_in_one_call_gives_both_pinned_digests(self, monkeypatch):
+        calls = count_samples(monkeypatch)
+        curves = ensemble_coherences([pinned_scenario(config) for config in PINNED_PAIR])
+        assert [digest(c) for c in curves] == [PINNED_DIGESTS[config] for config in PINNED_PAIR]
+        assert calls == ["_interval_noise"]
+
+    @pytest.mark.parametrize("knob,value", [("seed", 30), ("max_step", 0.002)])
+    def test_different_noise_inputs_sample_again(self, monkeypatch, knob, value):
+        calls = count_samples(monkeypatch)
+        encoded, physical = PINNED_PAIR
+        curves = ensemble_coherences([pinned_scenario(encoded), pinned_scenario(physical, **{knob: value})])
+        assert calls == ["_interval_noise"] * 2
+        assert digest(curves[0]) == PINNED_DIGESTS[encoded]
+        assert digest(curves[1]) == digest(ensemble_coherence(pinned_scenario(physical, **{knob: value})))
+
+    def test_non_diagonal_scenario_between_diagonal_ones(self, monkeypatch):
+        # the middle one shares nothing, so the third samples again, as on its own
+        scenarios = [pinned_scenario(c) for c in ["hybrid_dephasing", "encoded_spin_boson",
+                                                  "hybrid_dephasing-physical"]]
+        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
+        calls = count_samples(monkeypatch)
+        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
+        assert calls == ["_interval_noise", "_channel_noise", "_interval_noise"]
+
+    def test_no_noise_is_kept_between_calls(self, monkeypatch):
+        calls = count_samples(monkeypatch)
+        scenarios = [pinned_scenario(config) for config in PINNED_PAIR]
+        first, second = ensemble_coherences(scenarios), ensemble_coherences(scenarios)
+        assert calls == ["_interval_noise"] * 2
+        assert [digest(c) for c in first] == [digest(c) for c in second]
+
+    def test_noise_is_freed_before_a_curve_that_does_not_pass_it_on(self, monkeypatch):
+        # as a lone run does: the pair's noise lives until its second curve is
+        # reduced, the last scenario's until its own, none past the call
+        refs, alive = [], []
+
+        def curve(*args):
+            alive.append(refs[-1]() is not None)
+            return DecayCurve(*args)
+
+        count_samples(monkeypatch, refs)
+        monkeypatch.setattr("aht.noise.DecayCurve", curve)
+        ensemble_coherences([pinned_scenario(c) for c in [*PINNED_PAIR, "encoded_spin_boson"]])
+        assert alive == [True, False, False]
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+    def test_empty_list(self):
+        assert ensemble_coherences([]) == []
 
 
 #: ``describe()`` of every library scenario at its defaults, as recorded

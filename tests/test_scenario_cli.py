@@ -369,6 +369,7 @@ class TestRunCommand:
             return DecayCurve(np.zeros(2), np.array([1.0, 0.9]), np.zeros(2), sc.ensemble_size)
 
         monkeypatch.setattr("aht.verify.ensemble_coherence", stub)
+        monkeypatch.setattr("aht.verify.ensemble_coherences", lambda scs: [stub(sc) for sc in scs])
         assert main(["verify", "--ensemble", "7000"]) in (0, 1)
         assert capsys.readouterr().err == ""
         assert sizes == [7000] * 4
