@@ -13,16 +13,17 @@ the scenario (including its seed).  Per-trajectory noise is drawn from
 ``SeedSequence(seed, channel_index, trajectory_index)``, so serial,
 batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
-fixed by the implementation.  Scenarios with equal noise inputs (seed,
-ensemble size, path, channel amplitudes and correlation times, step grid)
-read the same draws, whether they run together (``ensemble_coherences``,
-which samples them once) or apart.  Both samplers read one OU step law, taken
-from the step lengths alone (``_ou_law``).  Off the diagonal path the
-draws land in the ``(channels, trajectories, steps)`` tensor and the OU
-recursion overwrites them in place; on it, the same draws are reduced
-straight to the interval integrals the state reads (below) by that law's
-weights, with no per-step sample, which moves states by rounding only
-(at most 5.9e-13 at the library defaults).
+fixed by the implementation.  A stream's first draws do not depend on
+how many follow, so diagonal-path scenarios with one seed and ensemble
+size read the same draws whether they run together or apart:
+``ensemble_coherences`` draws each stream once, to the longest grid that
+reads it, and each scenario reduces its own prefix.  Both samplers read
+one OU step law, taken from the step lengths alone (``_ou_law``).  Off
+the diagonal path the draws land in the ``(channels, trajectories,
+steps)`` tensor and the OU recursion overwrites them in place; on it, the
+same draws are reduced straight to the interval integrals the state reads
+(below) by that law's weights, with no per-step sample, which moves
+states by rounding only (at most 5.9e-13 at the library defaults).
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -137,7 +138,12 @@ class NoiseScenario:
     sampler of the run's own path (see ``_path``): off the diagonal path the
     per-step samples; on it the interval sums plus a draw buffer of up to
     ``_SUM_ROWS`` trajectories, as large a product and 10 step-length weights
-    or temporaries.
+    or temporaries (``_interval_bytes``).  ``ensemble_coherences`` applies
+    the same count to a group of diagonal runs sampled together, counting
+    once the sums that runs of equal noise inputs share.
+
+    The step cap reads every channel's correlation time, a channel of zero
+    amplitude included (see ``_intervals``).
     """
 
     name: str
@@ -188,12 +194,11 @@ class NoiseScenario:
         object.__setattr__(self, "initial_state", psi)
         # exact integers: the interval sums and sampler work space, or the per-step samples
         _, steps, cycles = _intervals(self)
-        n, rows = cycles * sum(steps), max(1, len(self.channels)) * self.ensemble_size
+        n, channels = cycles * sum(steps), max(1, len(self.channels))  # no channels: the grid
         if _path(self, psi[None, :]).diagonal:
-            work = (2 * min(self.ensemble_size, _SUM_ROWS) + 10) * n  # draws, a product, weights
-            size = 8 * (rows * cycles * len(steps) + work)
+            size = _interval_bytes(self.ensemble_size, [(channels * cycles * len(steps), n)])
         else:
-            size = 8 * rows * n  # no channels: the grid
+            size = 8 * channels * self.ensemble_size * n
         if size > _MAX_NOISE_BYTES:
             raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
 
@@ -280,7 +285,9 @@ class _Grid:
 def _intervals(scenario: NoiseScenario) -> tuple[list[float], list[int], int]:
     """Interval lengths of one cycle, their step counts and the cycle count;
     without pulses, one cycle of ``record_points`` equal intervals spans the
-    run.  Counts stop at 2**62, far past any grid the size limit admits."""
+    run.  The step cap ``min(T_c, tau_c of every channel) / 20`` counts a
+    channel of zero amplitude too, which draws nothing.  Counts stop at 2**62,
+    far past any grid the size limit admits."""
     sch, points = scenario.schedule, scenario.record_points
     cycle = sch.cycle_time if sch else scenario.total_time
     dt_cap = min([cycle, *(ch.correlation_time for ch in scenario.channels)]) / 20
@@ -320,39 +327,78 @@ def _channel_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[
     return out
 
 
-def _interval_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]) -> np.ndarray:
-    """``(channels, trajectories, intervals)`` sums ``sum_k x(m_k) dt_k`` of the samples
-    ``_channel_noise`` gives, from its draws ``xi`` and the same law (``_ou_law``).  Sample
-    ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b x_b + sum_{l<=j}
-    rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the interval's first
-    ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs ``xi_l`` by ``dt (1 -
-    rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l) kick_l``.  Against
-    summing the per-step samples this moves states by rounding only, at most 5.9e-13 at
-    the library defaults (200 trajectories, seed 11)."""
+def _sum_weights(grid: _Grid, amplitude: float, tau_c: float) -> tuple[np.ndarray, ...]:
+    """Weights of the draws in the interval sums of one channel law on ``grid`` (see
+    ``_interval_noise``): of each draw in its interval's sum and last sample, and of
+    the sample before each interval in its sum and last sample."""
     dt, starts, ends = grid.durations, np.array([0, *grid.ends[:-1]]), np.array(grid.ends)
     left = np.repeat(ends, ends - starts) - np.arange(1.0, len(dt) + 1)  # steps after each
-    out = np.zeros((len(scenario.channels), len(trajectories), len(starts)))
-    buf = np.empty((min(len(trajectories), _SUM_ROWS), len(dt)))
-    for c, ch in enumerate(scenario.channels):
-        if ch.amplitude == 0.0:
+    rho, kick = _ou_law(dt, amplitude, tau_c)
+    rate = dt / tau_c
+    w_last = np.exp(-left * rate)
+    w_sum = dt * np.expm1(-(left + 1) * rate) / np.expm1(-rate)
+    return w_sum * kick, w_last * kick, w_sum[starts] * rho[starts], w_last[starts] * rho[starts]
+
+
+def _interval_bytes(n: int, runs: Sequence[tuple[int, int]]) -> int:
+    """Bytes ``_interval_noise`` holds for ``n`` trajectories of runs given as (sums per
+    trajectory, grid steps), one entry per array it returns (see ``_sums_key``): the
+    sums, a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid and as
+    large a product, and 10 step-length weights or temporaries per array.  An exact
+    integer, counted before anything is allocated."""
+    rows, longest = min(n, _SUM_ROWS), max(steps for _, steps in runs)
+    return 8 * (sum(sums * n + 10 * steps for sums, steps in runs) + 2 * rows * longest)
+
+
+def _sums_key(scenario: NoiseScenario) -> tuple:
+    """What a run's interval sums read besides the seed and the trajectories: the
+    intervals its grid is built from (``_intervals``) and each channel's amplitude and
+    correlation time."""
+    lengths, steps, cycles = _intervals(scenario)
+    laws = tuple((ch.amplitude, ch.correlation_time) for ch in scenario.channels)
+    return tuple(lengths), tuple(steps), cycles, laws
+
+
+def _interval_noise(runs: Sequence[tuple[NoiseScenario, _Grid]],
+                    trajectories: Sequence[int]) -> list[np.ndarray]:
+    """Per run of one seed, ``(channels, trajectories, intervals)`` sums ``sum_k x(m_k)
+    dt_k`` of the samples ``_channel_noise`` gives, from its draws ``xi`` and the same law
+    (``_ou_law``).  Sample ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b x_b
+    + sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the
+    interval's first ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs
+    ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l)
+    kick_l``.  Against summing the per-step samples this moves states by rounding only,
+    at most 5.9e-13 at the library defaults (200 trajectories, seed 11).
+
+    The runs share each stream: channel ``c`` of a trajectory is drawn once, to the
+    longest grid among the runs that read it (nonzero amplitude), and each run reduces
+    its own prefix of the draws with its own weights.  Runs of one ``_sums_key`` get
+    one array.  Every sum is the one a run gets on its own, bit for bit."""
+    seed = runs[0][0].seed
+    keys = [_sums_key(sc) for sc, _ in runs]
+    arrays = {}  # _sums_key -> (grid, channels, the array of every run that has it)
+    for (sc, g), key in zip(runs, keys):
+        if key not in arrays:
+            arrays[key] = g, sc.channels, np.zeros((len(sc.channels), len(trajectories), len(g.ends)))
+    buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for _, g in runs)))
+    for c in range(max(len(sc.channels) for sc, _ in runs)):
+        reads = [(g, out, _sum_weights(g, chs[c].amplitude, chs[c].correlation_time))
+                 for g, chs, out in arrays.values() if c < len(chs) and chs[c].amplitude != 0.0]
+        if not reads:
             continue
-        rho, kick = _ou_law(dt, ch.amplitude, ch.correlation_time)
-        rate = dt / ch.correlation_time
-        w_last = np.exp(-left * rate)
-        w_sum = dt * np.expm1(-(left + 1) * rate) / np.expm1(-rate)
-        carry_sum, carry_last = w_sum[starts] * rho[starts], w_last[starts] * rho[starts]
-        w_sum *= kick
-        w_last *= kick
+        steps = max(len(g.durations) for g, _, _ in reads)
         for a in range(0, len(trajectories), _SUM_ROWS):
             rows = trajectories[a:a + _SUM_ROWS]
-            x = buf[:len(rows)]
-            _draw(x, scenario.seed, c, rows)
-            last = np.zeros(len(rows))
-            for j, (s, e) in enumerate(zip(starts, ends)):
-                # row sums, not a BLAS product: a row's bytes must not depend on the batch
-                out[c, a:a + len(rows), j] = (x[:, s:e] * w_sum[s:e]).sum(axis=1) + carry_sum[j] * last
-                last = (x[:, s:e] * w_last[s:e]).sum(axis=1) + carry_last[j] * last
-    return out
+            drawn = buf[:len(rows), :steps]
+            _draw(drawn, seed, c, rows)
+            for g, out, (w_sum, w_last, carry_sum, carry_last) in reads:
+                x, last = drawn[:, :len(g.durations)], np.zeros(len(rows))
+                for j, (s, e) in enumerate(zip([0, *g.ends[:-1]], g.ends)):
+                    # row sums, not a BLAS product: a row's bytes must not depend on the batch
+                    out[c, a:a + len(rows), j] = ((x[:, s:e] * w_sum[s:e]).sum(axis=1)
+                                                  + carry_sum[j] * last)
+                    last = (x[:, s:e] * w_last[s:e]).sum(axis=1) + carry_last[j] * last
+    return [arrays[key][2] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +520,9 @@ def _noise(scenario: NoiseScenario, grid: _Grid, plan: _Plan, trajectories: Sequ
     """What ``_evolve`` reads on the plan's path: the seeded noise of ``trajectories``
     or, shared by every row, the samples ``noise_values``."""
     if noise_values is None:
-        return (_interval_noise if plan.diagonal else _channel_noise)(scenario, grid, trajectories)
+        if plan.diagonal:
+            return _interval_noise([(scenario, grid)], trajectories)[0]
+        return _channel_noise(scenario, grid, trajectories)
     noise = np.asarray(noise_values, dtype=float)
     shape = (len(scenario.channels), grid.durations.shape[0])
     if noise.shape != shape:
@@ -553,48 +601,76 @@ class DecayCurve:
         return "\n".join(lines) + "\n"
 
 
-def ensemble_coherence(scenario: NoiseScenario) -> DecayCurve:
-    """Monte Carlo decay curve of the scenario observable: ``ensemble_coherences``
-    of the one scenario."""
-    return ensemble_coherences([scenario])[0]
+def _group_noise(runs: list[tuple[NoiseScenario, _Grid]]) -> Iterator[tuple[_Grid, np.ndarray]]:
+    """The grid and interval sums of each of a group of diagonal runs of one seed and
+    ensemble size, in order.  The group is sampled (``_interval_noise``) at the first
+    ``next``, so the first run's call holds the drawing, as a lone run's does."""
+    sums = _interval_noise(runs, range(runs[0][0].ensemble_size))
+    for _, grid in runs:
+        yield grid, sums.pop(0)  # popped: an array lives only while a run still reads it
 
 
-def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
-    """Monte Carlo decay curves of the scenarios' observables, in order.
+def ensemble_coherence(scenario: NoiseScenario, *,
+                       _shared: Iterator[tuple[_Grid, np.ndarray]] | None = None) -> DecayCurve:
+    """Monte Carlo decay curve of the scenario observable.
 
     Per trajectory the observable expectation is real (the observable is
     Hermitian); reported are its ensemble mean and the standard error of
-    that mean at each record time.  A scenario whose noise inputs (seed,
-    ensemble size, path, each channel's amplitude and correlation time, and
-    the step grid) equal those of the scenario before it reads that one's
-    noise instead of sampling it again: the same draws, so each curve is the
-    one it has on its own.  One noise array is held at a time, and it is
-    freed before a curve is reduced unless the next scenario reads it.  A
-    curve that is not finite (the noise or drift overflowed) raises
-    :class:`ValidationError`.
+    that mean at each record time.  A curve that is not finite (the noise or
+    drift overflowed) raises :class:`ValidationError`.  ``_shared`` is
+    ``ensemble_coherences``' own: the ``_group_noise`` whose next grid and
+    sums the scenario reads.
     """
-    runs = []
-    for sc in scenarios:
-        grid, plan = _build_grid(sc), _path(sc, sc.initial_state[None, :])
-        inputs = (sc.seed, sc.ensemble_size, plan.diagonal, grid.ends,
-                  [(ch.amplitude, ch.correlation_time) for ch in sc.channels], grid.durations)
-        runs.append((sc, grid, plan, inputs))
-    curves, noise = [], None
-    for (scenario, grid, plan, inputs), after in zip(runs, [*runs[1:], None]):
-        n = scenario.ensemble_size
-        psi = np.tile(scenario.initial_state, (n, 1))
-        if noise is None:
-            noise = _noise(scenario, grid, plan, range(n))
-        states = _evolve(plan, noise, psi, grid)
-        if after is None or not all(np.array_equal(x, y) for x, y in zip(inputs, after[3])):
-            noise = None  # freed before the reduction, as a run on its own frees it
-        obs = scenario.observable.matrix
-        expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
-        mean = expect.mean(axis=1)
-        stderr = expect.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-        if not np.isfinite((mean, stderr)).all():
-            raise ValidationError("decay curve is not finite: the noise or drift overflowed")
-        curves.append(DecayCurve(grid.times, mean, stderr, n))
+    n = scenario.ensemble_size
+    plan = _path(scenario, scenario.initial_state[None, :])
+    if _shared is None:
+        grid = _build_grid(scenario)
+        noise = _noise(scenario, grid, plan, range(n))
+    else:
+        grid, noise = next(_shared)
+    states = _evolve(plan, noise, np.tile(scenario.initial_state, (n, 1)), grid)
+    del noise  # freed before the reduction, unless a later run of the group reads it
+    obs = scenario.observable.matrix
+    expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
+    mean = expect.mean(axis=1)
+    stderr = expect.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    if not np.isfinite((mean, stderr)).all():
+        raise ValidationError("decay curve is not finite: the noise or drift overflowed")
+    return DecayCurve(grid.times, mean, stderr, n)
+
+
+def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
+    """``ensemble_coherence`` of each scenario, in order, with the noise shared.
+
+    Diagonal-path scenarios with the same seed and ensemble size sample
+    together (``_interval_noise``): each seeded stream is drawn once, to the
+    longest grid that reads it, so each curve is the one it has on its own.
+    A scenario joins such a group only while ``_interval_bytes`` of the
+    group's sums arrays, one per ``_sums_key`` (the count ``NoiseScenario``
+    bounds for one run), stays within ``config._MAX_NOISE_BYTES``; past it a
+    new group starts.  Other scenarios sample on their own.  The curves are
+    computed group by group, so one group's noise is held at a time, and each
+    scenario's sums are freed after its propagation, before its curve is
+    reduced, unless a later scenario of the group reads the same array.
+    """
+    runs = [(sc, _build_grid(sc) if _path(sc, sc.initial_state[None, :]).diagonal else None)
+            for sc in scenarios]  # the grid of each diagonal run
+    arrays = [(_sums_key(sc), (max(1, len(sc.channels)) * len(g.ends), len(g.durations)))
+              if g is not None else None for sc, g in runs]
+    groups, open_groups = [], {}  # the last group of each (seed, ensemble size); others alone
+    for i, (sc, grid) in enumerate(runs):
+        key = (sc.seed, sc.ensemble_size) if grid is not None else i
+        group = open_groups.get(key)
+        if group is None or _interval_bytes(sc.ensemble_size, list(
+                dict(arrays[k] for k in [*group, i]).values())) > _MAX_NOISE_BYTES:
+            group = open_groups[key] = []
+            groups.append(group)
+        group.append(i)
+    curves = [None] * len(runs)
+    for group in groups:
+        shared = _group_noise([runs[k] for k in group]) if runs[group[0]][1] is not None else None
+        for k in group:
+            curves[k] = ensemble_coherence(scenarios[k], _shared=shared)
     return curves
 
 

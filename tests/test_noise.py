@@ -20,7 +20,9 @@ from aht.noise import (
     NoiseScenario,
     _build_grid,
     _channel_noise,
+    _draw,
     _evolve,
+    _interval_bytes,
     _interval_noise,
     _ou_in_place,
     _path,
@@ -36,6 +38,7 @@ from aht.noise import (
     trajectory_propagator,
 )
 from aht.operators import Operator, expm, single_qubit
+from aht.verify import run_suite
 
 
 #: (gaps between OU samples, steps spanning one correlation time
@@ -138,6 +141,11 @@ def interval_sums(grid, noise):
     return np.stack([
         np.sum(noise[:, :, a:b] * grid.durations[a:b], axis=-1) for a, b in zip(bounds, bounds[1:])
     ], axis=-1)
+
+
+def interval_noise(sc, grid, trajectories):
+    """``_interval_noise`` of the one run."""
+    return _interval_noise([(sc, grid)], trajectories)[0]
 
 
 def evolve(sc, noise, rows):
@@ -507,7 +515,7 @@ class TestPropagation:
         # trajectory k's noise is row k of the ensemble's, bit for bit, from either sampler
         sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=5, seed=4)
         grid = _build_grid(sc)
-        for sampler in (_channel_noise, _interval_noise):
+        for sampler in (_channel_noise, interval_noise):
             ensemble = sampler(sc, grid, range(5))
             for k in (0, 3):
                 assert np.array_equal(sampler(sc, grid, [k]), ensemble[:, k : k + 1])
@@ -536,7 +544,7 @@ class TestPropagation:
         # same draws, summed over each interval: states move by rounding only
         sc = diagonal_scenario(config, ensemble_size=20)
         grid = _build_grid(sc)
-        direct = evolve(sc, _interval_noise(sc, grid, range(20)), 20)
+        direct = evolve(sc, interval_noise(sc, grid, range(20)), 20)
         per_step = evolve(sc, interval_sums(grid, _channel_noise(sc, grid, range(20))), 20)
         assert np.max(np.abs(direct - per_step)) < 1e-12
 
@@ -733,43 +741,150 @@ PINNED_PAIR = ["hybrid_dephasing", "hybrid_dephasing-physical"]
 
 def count_samples(monkeypatch, refs=None) -> list:
     """Patch both samplers to append their name to the returned list per call,
-    and a weak reference to the array they return to ``refs``."""
+    and a weak reference to each array they return to ``refs``."""
     calls = []
     for sampler in (_interval_noise, _channel_noise):
         def counted(*args, sampler=sampler):
             calls.append(sampler.__name__)
             noise = sampler(*args)
             if refs is not None:
-                refs.append(weakref.ref(noise))
+                refs.extend(weakref.ref(a) for a in (noise if isinstance(noise, list) else [noise]))
             return noise
         monkeypatch.setattr(f"aht.noise.{sampler.__name__}", counted)
     return calls
 
 
+def count_draws(monkeypatch) -> list:
+    """Patch ``_draw`` to add the normals and the streams it draws to the returned pair."""
+    counts, draw = [0, 0], _draw
+
+    def counted(out, *args):
+        counts[0] += out.size
+        counts[1] += out.shape[0]
+        draw(out, *args)
+    monkeypatch.setattr("aht.noise._draw", counted)
+    return counts
+
+
+def verify_runs(n, seed=2024):
+    """The noise runs of ``aht verify``'s noise_suppression at ensemble ``n``: the
+    coarse and fine suppression runs (6400 and 12800 steps) and the encoded and
+    physical hybrid pair (6400 steps)."""
+    suppression = dict(encoded=True, fast_amplitude=0.0, slow_amplitude=0.3, tau_slow=20.0,
+                       omega1=1.0, omega2=0.6, ensemble_size=n, seed=seed, max_step=1.0 / 40)
+    hybrid = dict(cycle_time=1.0, repetitions=16, fast_amplitude=1.0, slow_amplitude=0.3,
+                  tau_fast=0.05, tau_slow=20.0, ensemble_size=n, seed=seed)
+    return [build_scenario("hybrid_dephasing", cycle_time=1.0, repetitions=16, **suppression),
+            build_scenario("hybrid_dephasing", cycle_time=0.5, repetitions=32, **suppression),
+            *(build_scenario("hybrid_dephasing", encoded=e, **hybrid) for e in (True, False))]
+
+
+def sum_counts(scenarios):
+    """``_interval_bytes``' (sums per trajectory, grid steps) of each scenario."""
+    grids = [_build_grid(sc) for sc in scenarios]
+    return [(len(sc.channels) * len(g.ends), len(g.durations)) for sc, g in zip(scenarios, grids)]
+
+
 class TestSharedNoise:
     def test_pair_in_one_call_gives_both_pinned_digests(self, monkeypatch):
+        pair = [pinned_scenario(config) for config in PINNED_PAIR]
         calls = count_samples(monkeypatch)
-        curves = ensemble_coherences([pinned_scenario(config) for config in PINNED_PAIR])
+        curves = ensemble_coherences(pair)
         assert [digest(c) for c in curves] == [PINNED_DIGESTS[config] for config in PINNED_PAIR]
         assert calls == ["_interval_noise"]
+        encoded, physical = _interval_noise([(sc, _build_grid(sc)) for sc in pair], range(16))
+        assert encoded is physical  # all noise inputs equal: one array, read by both
 
-    @pytest.mark.parametrize("knob,value", [("seed", 30), ("max_step", 0.002)])
-    def test_different_noise_inputs_sample_again(self, monkeypatch, knob, value):
+    def test_verify_runs_in_one_call_match_separate_calls(self, monkeypatch):
+        # coarse and the pair read the first 6400 normals of the streams fine
+        # draws to 12800; channel 0 is read by the pair only
+        n = 9
+        scenarios = verify_runs(n)
+        assert [len(_build_grid(sc).durations) for sc in scenarios] == [6400, 12800, 6400, 6400]
+        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
+        calls, draws = count_samples(monkeypatch), count_draws(monkeypatch)
+        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
+        assert calls == ["_interval_noise"]
+        assert draws == [2 * n * 12800 + n * 6400, 3 * n]
+
+    def test_verify_suite_draws_each_stream_once(self, monkeypatch):
+        # at ensemble n: the 3 n streams above and the 4 one-trajectory
+        # invariance runs of 1600 steps on one channel
+        n = 5
+        draws = count_draws(monkeypatch)
+        run_suite(2024, n)
+        assert draws == [2 * n * 12800 + n * 6400 + 4 * 1600, 3 * n + 4]
+
+    def test_a_longer_draw_begins_with_the_shorter_one(self):
+        # the sharing rests on this numpy property: a stream's first normals do
+        # not depend on how many are drawn, also into a row of a wider buffer
+        trajectories = [0, 7, 499]
+        short, wide = np.empty((3, 6400)), np.empty((3, 12801))
+        for seed, channel in [(2024, 0), (2024, 2), (11, 1)]:
+            _draw(short, seed, channel, trajectories)
+            _draw(wide[:, :12800], seed, channel, trajectories)
+            assert np.array_equal(wide[:, :6400], short)
+            for row, i in zip(wide, trajectories):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, channel, i]))
+                assert np.array_equal(row[:12800], rng.standard_normal(12800))
+
+    @pytest.mark.parametrize("arrays,calls", [(1, 3), (2, 2), (3, 1)])
+    def test_group_splits_past_the_size_limit(self, monkeypatch, arrays, calls):
+        # a limit that admits the first `arrays` of the sums arrays coarse, fine
+        # and the pair's one, no more: the group splits, and every curve keeps
+        # its bytes; the pair counts its shared array once, so it always joins
+        n = 3
+        scenarios = verify_runs(n)
+        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
+        limit = _interval_bytes(n, sum_counts(scenarios)[:arrays])
+        monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
+        counted = count_samples(monkeypatch)
+        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
+        assert counted == ["_interval_noise"] * calls
+
+    def test_group_allocation_is_counted(self):
+        # the grouped sampler's peak stays under the count that admits the group
+        n = 2 * _SUM_ROWS + 3
+        scenarios = verify_runs(n)
+        runs = [(sc, _build_grid(sc)) for sc in scenarios]
+        _interval_noise(runs, range(1))  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            _interval_noise(runs, range(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * _interval_bytes(n, sum_counts(scenarios[:3]))  # the pair's one array
+
+    @pytest.mark.parametrize("knob,value", [("seed", 30), ("ensemble_size", 17)])
+    def test_different_seed_or_ensemble_size_samples_apart(self, monkeypatch, knob, value):
+        encoded = pinned_scenario(PINNED_PAIR[0])
+        physical = pinned_scenario(PINNED_PAIR[1], **{knob: value})
+        apart = digest(ensemble_coherence(physical))
         calls = count_samples(monkeypatch)
-        encoded, physical = PINNED_PAIR
-        curves = ensemble_coherences([pinned_scenario(encoded), pinned_scenario(physical, **{knob: value})])
+        curves = ensemble_coherences([encoded, physical])
         assert calls == ["_interval_noise"] * 2
-        assert digest(curves[0]) == PINNED_DIGESTS[encoded]
-        assert digest(curves[1]) == digest(ensemble_coherence(pinned_scenario(physical, **{knob: value})))
+        assert [digest(c) for c in curves] == [PINNED_DIGESTS[PINNED_PAIR[0]], apart]
+
+    def test_different_grid_shares_the_streams(self, monkeypatch):
+        # 800 and 1000 steps: each stream is drawn once, to 1000 normals
+        encoded = pinned_scenario(PINNED_PAIR[0])
+        physical = pinned_scenario(PINNED_PAIR[1], max_step=0.002)
+        apart = digest(ensemble_coherence(physical))
+        calls, draws = count_samples(monkeypatch), count_draws(monkeypatch)
+        curves = ensemble_coherences([encoded, physical])
+        assert calls == ["_interval_noise"]
+        assert draws == [3 * 16 * 1000, 3 * 16]
+        assert [digest(c) for c in curves] == [PINNED_DIGESTS[PINNED_PAIR[0]], apart]
 
     def test_non_diagonal_scenario_between_diagonal_ones(self, monkeypatch):
-        # the middle one shares nothing, so the third samples again, as on its own
+        # the middle one samples on its own; the third joins the first's group
         scenarios = [pinned_scenario(c) for c in ["hybrid_dephasing", "encoded_spin_boson",
                                                   "hybrid_dephasing-physical"]]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
         calls = count_samples(monkeypatch)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert calls == ["_interval_noise", "_channel_noise", "_interval_noise"]
+        assert calls == ["_interval_noise", "_channel_noise"]
 
     def test_no_noise_is_kept_between_calls(self, monkeypatch):
         calls = count_samples(monkeypatch)
@@ -778,20 +893,43 @@ class TestSharedNoise:
         assert calls == ["_interval_noise"] * 2
         assert [digest(c) for c in first] == [digest(c) for c in second]
 
-    def test_noise_is_freed_before_a_curve_that_does_not_pass_it_on(self, monkeypatch):
-        # as a lone run does: the pair's noise lives until its second curve is
-        # reduced, the last scenario's until its own, none past the call
+    def test_noise_is_freed_after_the_last_propagation_that_reads_it(self, monkeypatch):
+        # the group of the first three returns arrays [A, B, A] (the pair's
+        # inputs are all equal); each is alive at a curve's reduction only while
+        # a later scenario still reads it, and none lives past the call
         refs, alive = [], []
 
         def curve(*args):
-            alive.append(refs[-1]() is not None)
+            alive.append([ref() is not None for ref in refs])
             return DecayCurve(*args)
 
         count_samples(monkeypatch, refs)
         monkeypatch.setattr("aht.noise.DecayCurve", curve)
-        ensemble_coherences([pinned_scenario(c) for c in [*PINNED_PAIR, "encoded_spin_boson"]])
-        assert alive == [True, False, False]
-        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        ensemble_coherences([pinned_scenario("hybrid_dephasing"),
+                             pinned_scenario("hybrid_dephasing", max_step=0.002),
+                             pinned_scenario("hybrid_dephasing-physical"),
+                             pinned_scenario("encoded_spin_boson")])
+        assert alive == [[True, True, True], [True, False, True], [False, False, False], [False] * 4]
+        assert all(ref() is None for ref in refs)
+
+    def test_each_curve_is_an_ensemble_coherence_call(self, monkeypatch):
+        # a wrapper of the module's ensemble_coherence sees every scenario, in
+        # group order, and a group is sampled inside its first run's call
+        scenarios = [*verify_runs(3), pinned_scenario("encoded_spin_boson")]
+        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
+        seen, samplers, calls = [], [], count_samples(monkeypatch)
+
+        def wrapped(scenario, **kwargs):
+            before = len(calls)
+            curve = ensemble_coherence(scenario, **kwargs)
+            seen.append(scenario)
+            samplers.append(calls[before:])
+            return curve
+
+        monkeypatch.setattr("aht.noise.ensemble_coherence", wrapped)
+        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
+        assert len(seen) == 5 and all(a is b for a, b in zip(seen, scenarios))
+        assert samplers == [["_interval_noise"], [], [], [], ["_channel_noise"]]
 
     def test_empty_list(self):
         assert ensemble_coherences([]) == []
@@ -983,10 +1121,10 @@ class TestScenarioLibrary:
             grid = _build_grid(sc)
             sums[n] = len(sc.channels) * n * len(grid.ends) * 8
             counted = sums[n] + (2 * min(n, _SUM_ROWS) + 10) * len(grid.durations) * 8
-            _interval_noise(sc, grid, range(1))  # numpy's first-call allocations
+            interval_noise(sc, grid, range(1))  # numpy's first-call allocations
             tracemalloc.start()
             try:
-                _interval_noise(sc, grid, range(n))
+                interval_noise(sc, grid, range(n))
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

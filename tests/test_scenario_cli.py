@@ -360,15 +360,14 @@ class TestRunCommand:
 
     def test_verify_admits_a_large_diagonal_ensemble(self, capsys, monkeypatch):
         # 7000 trajectories would take 2.15 GB of per-step samples, but every
-        # ensemble run of the suite is diagonal, and its interval sampler needs
-        # at most 25 MB; the runs are stubbed, so nothing is drawn
+        # ensemble run of the suite is diagonal, and the interval sampler needs
+        # 43 MB for all four at once; the runs are stubbed, so nothing is drawn
         sizes = []
 
         def stub(sc):
             sizes.append(sc.ensemble_size)
             return DecayCurve(np.zeros(2), np.array([1.0, 0.9]), np.zeros(2), sc.ensemble_size)
 
-        monkeypatch.setattr("aht.verify.ensemble_coherence", stub)
         monkeypatch.setattr("aht.verify.ensemble_coherences", lambda scs: [stub(sc) for sc in scs])
         assert main(["verify", "--ensemble", "7000"]) in (0, 1)
         assert capsys.readouterr().err == ""
