@@ -12,14 +12,19 @@ where they are used: the checks that weights and durations sum to one
 a noise run's ``total_time`` to repetitions x cycle time (1e-9, relative),
 the guard that keeps a whole step count from rounding up (1e-12, in
 ``noise._intervals``), the overlap below which ``effective_defect`` gives
-up (1e-6 per dimension), zero-norm guards (1e-14), the internal
-consistency checks of the ns3 basis construction (1e-12), and the pass
-thresholds of the ``aht verify`` checks, which are part of the claims
-those checks state.  One threshold follows rounding instead:
+up (1e-6 per dimension), the internal consistency checks of the ns3 basis
+construction (1e-12), and the pass thresholds of the ``aht verify``
+checks, which are part of the claims those checks state.  There are no
+zero-norm guards: ``lie_closure`` and ``transformer_reach`` scale their
+inputs to a unit largest entry, so only an exactly zero input is
+degenerate.  Two thresholds follow rounding instead:
 ``codes.logical_action`` counts a syndrome action only above
 ``DEFAULT_TOL.equality`` plus two ulps of ``max(1, max |R|)`` per
 physical dimension, what rounding leaves in ``R - c 1`` at any identity
-offset ``c``.
+offset ``c``; and the nonnegative least squares of ``transformer_reach``
+(``universality._nnls``) counts a gradient entry or coefficient as zero
+up to ten ulps of ``||a||_1`` times the larger dimension of its design
+``a``, what rounding leaves in the gradient ``a^T (b - a x)``.
 """
 from __future__ import annotations
 

@@ -26,8 +26,9 @@ pulses without a code, encoded pi rotations with one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence, TYPE_CHECKING
+from functools import cache, cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -413,12 +414,16 @@ def named_sequence(
     return DecouplingScheme(pulses, durations, cycle_time, label=name)
 
 
-def builtin_groups() -> dict[str, DecouplingSet]:
+@cache
+def builtin_groups() -> Mapping[str, DecouplingSet]:
     """The library's decoupling groups, keyed by name.
 
     Spans one to four physical qubits plus the logical-space groups of
     the encoded cycles; used by the verification suite to exercise the
-    projector laws on every group the package ships.
+    projector laws on every group the package ships.  Built once per
+    process: every call returns the same read-only mapping, whose frames
+    are write-protected like every :class:`~aht.operators.Operator`, so a
+    group's :attr:`DecouplingSet.is_group` verdict is computed once.
     """
     from .codes import build_code  # deferred: codes never imports this module
     from .universality import generate_group, transformer_generators  # deferred: it imports this module
@@ -448,4 +453,4 @@ def builtin_groups() -> dict[str, DecouplingSet]:
             named_sequence("s1_selective_x1", code=dfs2x2, physical=True)
         ),
     }
-    return groups
+    return MappingProxyType(groups)

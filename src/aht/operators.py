@@ -91,9 +91,9 @@ def _unitarity_defect(u: np.ndarray) -> float:
 class Operator:
     """A dense complex square matrix on an n-qubit space.
 
-    The matrix is copied on construction and frozen; all arithmetic
-    returns new instances, so operators can be shared freely between
-    threads.
+    The matrix is copied on construction and frozen, and neither
+    attribute can be rebound; all arithmetic returns new instances, so
+    operators can be shared freely between threads and held in caches.
 
     Parameters
     ----------
@@ -112,8 +112,11 @@ class Operator:
         if not _is_power_of_two(m.shape[0]):
             raise ValidationError(f"operator dimension {m.shape[0]} is not a power of two")
         m.setflags(write=False)
-        self.matrix = m
-        self.label = label
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Operator is immutable; cannot set {name!r}")
 
     # -- basic queries -------------------------------------------------
     @property

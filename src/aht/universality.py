@@ -9,9 +9,14 @@ always reported as a dimension, never as a blanket "universal".
 A *transformer* group is a decoupling group whose weighted conjugation
 averages can steer any traceless Hamiltonian direction into any other;
 feasibility of the required nonnegative weights is solved exactly as a
-small nonnegative least-squares problem.  The weights fix the direction
-only -- the positive scale is a free parameter and is returned
-explicitly.
+small nonnegative least-squares problem, by the numpy active-set method
+of Lawson and Hanson (*Solving Least Squares Problems*, 1974).  The
+weights are one nonnegative solution, not the only one: the conjugates of
+a group are linearly dependent.  They fix the direction only -- the
+positive scale is a free parameter and is returned explicitly.  Both
+Hamiltonians are scaled to a unit largest entry first, so the verdict
+does not depend on their scale; they must be finite, and only an exactly
+zero one is degenerate.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ValidationError
+from .config import DEFAULT_TOL, ToleranceError, ValidationError
 from .decoupling import DecouplingSet, close_group
 from .operators import SIGMA, Operator, MatrixLike, _unitarity_defect, expm, mat
 
@@ -47,11 +52,6 @@ class LieBasis:
     basis: tuple[Operator, ...]
     dimension: int
     truncated: bool = False
-
-
-def _vectorize(m: np.ndarray) -> np.ndarray:
-    # real coordinates; the generated algebra is a *real* vector space
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
 def lie_closure(
@@ -167,6 +167,43 @@ class ReachabilityResult:
     residual: float
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nonnegative least squares ``min ||a x - b||`` over ``x >= 0``, by active sets.
+
+    Lawson and Hanson's method: the passive set grows by the largest
+    positive entry of the gradient ``a^T (b - a x)``, least squares is
+    solved on the passive columns, and where a passive coefficient turns
+    negative the step goes back to the boundary and drops it.  A gradient
+    entry or coefficient counts as zero up to ten ulps of ``||a||_1`` times
+    the larger dimension of ``a``, what rounding leaves in the gradient.
+    Raises :class:`ToleranceError` after ``3 n`` outer steps without
+    convergence, as scipy's ``nnls`` does; returns ``x`` and the residual norm.
+    """
+    m, n = a.shape
+    zero = 10 * max(m, n) * np.finfo(float).eps * np.linalg.norm(a, 1)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        gradient = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        j = int(np.argmax(gradient))
+        if not gradient[j] > zero:
+            return x, float(np.linalg.norm(b - a @ x))
+        passive[j] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if not np.any(s[passive] < 0):
+                break
+            blocked = np.flatnonzero(passive & (s < 0))
+            ratios = x[blocked] / (x[blocked] - s[blocked])
+            x += ratios.min() * (s - x)
+            x[blocked[np.argmin(ratios)]] = 0
+            passive &= x > zero
+            x[~passive] = 0
+        x = s
+    raise ToleranceError(f"nonnegative least squares did not converge in {3 * n} steps")
+
+
 def transformer_reach(
     group: DecouplingSet,
     a: MatrixLike,
@@ -177,34 +214,44 @@ def transformer_reach(
     Solves ``sum_k tau_k U_k^dag A U_k = lambda * target`` for
     nonnegative ``tau`` summing to one and free positive scale
     ``lambda``, as a plain nonnegative least-squares problem (the sum
-    constraint is absorbed into ``lambda``).  Reachability means the
-    residual falls below ``DEFAULT_TOL.rank``, 1e-8, in Frobenius norm.
+    constraint is absorbed into ``lambda``), solved by the numpy
+    active-set method ``_nnls``.  ``a`` and ``target`` are first scaled to a
+    unit largest entry each, so the verdict does not depend on their
+    scale; ``lambda`` is reported in the caller's units.  Reachability
+    means the residual, relative to the target's Frobenius norm, falls
+    below ``DEFAULT_TOL.rank``, 1e-8.  The weights are one nonnegative
+    solution; a group's conjugates are linearly dependent, so others may
+    exist.  Non-finite entries and an exactly zero ``a`` or ``target``
+    raise :class:`ValidationError`.
     """
     if not group.is_group:
         raise ValidationError("transformer_reach expects a decoupling group")
     am, tm = mat(a), mat(target)
     if am.shape != tm.shape or am.shape[0] != group.dim:
         raise ValidationError("dimension mismatch in transformer_reach")
-    norm_a = np.linalg.norm(am)
-    norm_t = np.linalg.norm(tm)
-    if norm_a < 1e-14:
+    if not (np.all(np.isfinite(am)) and np.all(np.isfinite(tm))):
+        raise ValidationError("transformer_reach needs finite Hamiltonians")
+    peak_a = np.max(np.abs(am))
+    peak_t = np.max(np.abs(tm))
+    if peak_a == 0:
         raise ValidationError("degenerate (zero) starting Hamiltonian")
-    if norm_t < 1e-14:
+    if peak_t == 0:
         raise ValidationError("degenerate (zero) target")
+    am, tm = am / peak_a, tm / peak_t
+    norm_t = np.linalg.norm(tm)
 
-    columns = [
-        _vectorize(f.matrix.conj().T @ am @ f.matrix) / norm_t for f in group.frames
-    ]
-    rhs = _vectorize(tm) / norm_t
-    design = np.column_stack(columns)
-    import scipy.optimize  # deferred: slow to import, and only this function needs it
-
-    weights, residual = scipy.optimize.nnls(design, rhs)
+    frames = np.stack([f.matrix for f in group.frames])
+    # the target, then U^dag A U for each frame, relative to the target's norm
+    # and in real coordinates (real parts, then imaginary parts), as columns
+    columns = np.concatenate([tm[None], frames.conj().transpose(0, 2, 1) @ am @ frames])
+    columns = columns.reshape(len(columns), -1) / norm_t
+    design = np.concatenate([columns.real, columns.imag], axis=1).T
+    weights, residual = _nnls(design[:, 1:], design[:, 0])
     total = float(weights.sum())
     reachable = bool(residual < DEFAULT_TOL.rank and total > 0)
     if reachable:
         tau = tuple(float(w) / total for w in weights)
-        lam = 1.0 / total
+        lam = float(peak_a) / float(peak_t) / total  # inf, with no warning, past the float range
     else:
         tau = tuple(float(w) for w in weights)
         lam = 0.0

@@ -1,5 +1,6 @@
 """Decoupling cycles: frames, averages, corrections, named sequences."""
 import hashlib
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -401,6 +402,18 @@ class TestGroupMachinery:
 
     def test_builtin_verdicts_pinned(self):
         assert {k: g.is_group for k, g in builtin_groups().items()} == BUILTIN_IS_GROUP
+
+    def test_builtin_groups_are_built_once_and_read_only(self):
+        groups = builtin_groups()
+        assert builtin_groups() is groups
+        with pytest.raises(TypeError):
+            groups["cp_x"] = groups["cp_y"]
+        for group in groups.values():
+            with pytest.raises(ValueError, match="read-only"):
+                group.frames[0].matrix[0, 0] = 2.0
+            with pytest.raises(FrozenInstanceError):
+                group.frames = group.frames[:1]
+        assert "is_group" in vars(groups["gmax"])  # the verdict is cached with the group
 
     def test_builtin_groups_cover_one_to_four_qubits(self):
         dims = {g.dim for g in builtin_groups().values()}

@@ -50,6 +50,10 @@ class TestOperatorType:
         op = Operator(X)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+        for name in ("matrix", "label"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(op, name, None)
+        assert np.array_equal(op.matrix, X) and op.label is None
 
 
 class TestPauliSum:
@@ -324,16 +328,22 @@ class TestDecomposition:
 
 class TestImport:
     def test_import_leaves_scipy_linalg_and_optimize_unloaded(self):
-        # scipy.linalg and scipy.optimize are imported inside the two
-        # functions that use them; together they dominate start-up time.
-        # aht.cli pulls in every module of the package.
+        # scipy.linalg is imported inside logm_effective, the one function
+        # that uses it, and scipy.optimize nowhere: transformer_reach solves
+        # its least squares in numpy.  Both dominate start-up time.  aht.cli
+        # pulls in every module of the package.
         src = str(Path(aht.__file__).resolve().parent.parent)
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import aht.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+            "loaded = lambda: sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules); "
+            "print(loaded()); "
+            "from aht.universality import generate_group, transformer_reach; "
+            "assert transformer_reach(generate_group([[[0, 1], [1, 0]]]), [[1, 0], [0, -1]], "
+            "[[1, 0], [0, 1]]).reachable is False; "
+            "print(loaded())"
         )
         out = subprocess.run(
             [sys.executable, "-c", code, src], capture_output=True, text=True, check=True,
             timeout=120,
         ).stdout
-        assert out.strip() == "[]"
+        assert out.split("\n")[:2] == ["[]", "[]"]

@@ -1,4 +1,6 @@
 """Lie closures, symmetric splits, transformer reachability."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from aht.operators import (
     random_traceless_hermitian,
 )
 from aht.universality import (
+    _nnls,
     cp_split,
     generate_group,
     lie_closure,
@@ -254,6 +257,32 @@ class TestTransformerReach:
         with pytest.raises(ValidationError):
             transformer_reach(g, X, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("argument", ["a", "target"])
+    def test_non_finite_input_is_one_validation_error(self, argument, value):
+        bad = Z.astype(complex)
+        bad[0, 1] = value
+        a, t = (bad, X) if argument == "a" else (Z, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                transformer_reach(transformer24(), a, t)
+
+    @pytest.mark.parametrize("scale_a", [1e-15, 1.0, 1e200])
+    @pytest.mark.parametrize("scale_t", [1e-15, 1.0, 1e200])
+    def test_verdict_and_scale_do_not_depend_on_input_scale(self, scale_a, scale_t):
+        g = transformer24()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = transformer_reach(g, scale_a * Z, scale_t * X)
+            stuck = transformer_reach(builtin_groups()["cp_x"], scale_a * Z, scale_t * X)
+        assert r.reachable and not stuck.reachable
+        assert stuck.residual > 0.5
+        # sum tau U^dag A U = lambda target, in the caller's units
+        recon = sum(tau * (f.matrix.conj().T @ Z @ f.matrix) for tau, f in zip(r.weights, g.frames))
+        assert np.max(np.abs(scale_a * recon - r.scale * scale_t * X)) <= 1e-12 * scale_a
+        assert r.scale == pytest.approx(transformer_reach(g, Z, X).scale * scale_a / scale_t, rel=1e-12)
+
     def test_projection_lies_in_reachable_cone(self):
         rng = np.random.default_rng(61)
         for name, group in builtin_groups().items():
@@ -262,6 +291,100 @@ class TestTransformerReach:
             if np.linalg.norm(projected.matrix) < 1e-12:
                 continue
             assert transformer_reach(group, h, projected.matrix).reachable, name
+
+
+def conjugate_design(group, a, target):
+    """The columns vec(U^dag a U) and vec(target) in real coordinates."""
+    def vec(m):
+        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+    columns = [vec(f.matrix.conj().T @ a @ f.matrix) for f in group.frames]
+    return np.column_stack(columns), vec(target)
+
+
+def assert_kkt(a, b, x):
+    """Optimality of ``x >= 0`` for min ||a x - b||: the gradient a^T (b - a x)
+    vanishes where x > 0 and is nonpositive where x = 0."""
+    gradient = a.T @ (b - a @ x)
+    assert np.all(x >= 0)
+    assert np.all(np.abs(gradient[x > 0]) <= 1e-10)
+    assert np.all(gradient[x == 0] <= 1e-10)
+
+
+class TestNonnegativeLeastSquares:
+    def test_matches_scipy_on_every_builtin_group(self):
+        from scipy.optimize import nnls  # the oracle; the package does not import it
+
+        rng = np.random.default_rng(21)
+        for name, group in builtin_groups().items():
+            n_qubits = group.dim.bit_length() - 1
+            weights = rng.dirichlet(np.ones(len(group.frames)))
+            verdicts = []
+            for mixture in (False, True) * 4:
+                a = random_hermitian(n_qubits, rng).matrix
+                if mixture:  # a nonnegative mixture of the conjugates: reachable
+                    target = sum(w * f.matrix.conj().T @ a @ f.matrix
+                                 for w, f in zip(weights, group.frames))
+                else:
+                    target = random_hermitian(n_qubits, rng).matrix
+                design, rhs = conjugate_design(group, a, target)
+                x, residual = _nnls(design, rhs)
+                _, expected = nnls(design, rhs)
+                bar = DEFAULT_TOL.rank * np.linalg.norm(rhs)
+                assert (residual < bar) == (expected < bar), name
+                assert residual == pytest.approx(expected, abs=1e-12), name
+                assert residual == pytest.approx(np.linalg.norm(design @ x - rhs), abs=1e-14)
+                assert_kkt(design, rhs, x)
+                verdicts.append(bool(residual < bar))
+            assert all(verdicts[1::2]) and not all(verdicts[::2]), name
+
+    def test_steps_back_when_a_coefficient_turns_negative(self):
+        # column 0 enters first; with column 1 its coefficient turns negative
+        # (-3.6), so the solution is column 1 alone
+        a = np.array([[1.0, 0.9], [0.0, 0.1]])
+        b = np.array([0.9, 0.5])
+        x, residual = _nnls(a, b)
+        assert x[0] == 0 and x[1] == pytest.approx(0.86 / 0.82, rel=1e-14)
+        assert_kkt(a, b, x)
+
+    def test_matches_scipy_on_random_designs(self):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(25)
+        for shape in [(8, 12), (12, 8), (8, 8)] * 10:
+            a, b = rng.normal(size=shape), rng.normal(size=shape[0])
+            x, residual = _nnls(a, b)
+            assert residual == pytest.approx(nnls(a, b)[1], abs=1e-12)
+            assert_kkt(a, b, x)
+
+    def test_negative_cone_gives_zero(self):
+        rng = np.random.default_rng(22)
+        a = rng.uniform(0.1, 1.0, size=(6, 4))
+        b = -rng.uniform(0.1, 1.0, size=6)
+        x, residual = _nnls(a, b)
+        assert np.all(x == 0)
+        assert residual == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+    def test_column_gives_that_column(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(8, 5))
+        for j in range(5):
+            x, residual = _nnls(a, a[:, j])
+            assert np.allclose(x, np.eye(5)[j], atol=1e-12)
+            assert residual < 1e-12
+
+    def test_duplicate_columns(self):
+        rng = np.random.default_rng(24)
+        base = rng.normal(size=(8, 3))
+        a = base[:, [0, 1, 1, 2, 0]]
+        b = a @ np.array([0.5, 0.0, 0.25, 1.0, 0.0])
+        x, residual = _nnls(a, b)
+        assert residual < 1e-12
+        # duplicated columns may split their weight, but each sum is fixed
+        assert x[0] + x[4] == pytest.approx(0.5, abs=1e-12)
+        assert x[1] + x[2] == pytest.approx(0.25, abs=1e-12)
+        assert x[3] == pytest.approx(1.0, abs=1e-12)
+        assert_kkt(a, b, x)
 
 
 class TestGenerateGroup:
