@@ -36,6 +36,8 @@ from .config import DEFAULT_TOL, ValidationError
 from .operators import (
     Operator,
     MatrixLike,
+    _eigh_hermitian,
+    _exp_decomposed,
     _unitarity_defect,
     collective,
     equal_up_to_phase,
@@ -297,20 +299,20 @@ def first_order_correction(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
     taking hbar = 1.  It vanishes exactly whenever the toggled
     Hamiltonians commute, and is O(T_c) in general.
     """
-    return _first_order(mat(h), frames_from_scheme(scheme), scheme)
+    commutators = _commutator_sum(mat(h), frames_from_scheme(scheme), scheme.durations)
+    return Operator(-0.5j * scheme.cycle_time * commutators)
 
 
-def _first_order(hm: np.ndarray, frames: DecouplingSet, scheme: DecouplingScheme) -> Operator:
-    """``first_order_correction`` of ``hm`` from the scheme's frames, built by the caller."""
+def _commutator_sum(hm: np.ndarray, frames: DecouplingSet, taus: Sequence[float]) -> np.ndarray:
+    """``sum_{m>n} [H_m, H_n] tau_m tau_n`` over the toggled Hamiltonians; free of the cycle time."""
     toggled = [f.matrix.conj().T @ hm @ f.matrix for f in frames.frames]
-    taus = scheme.durations
     acc = np.zeros_like(hm)
     for m in range(len(toggled)):
         for n in range(m):
             acc += taus[m] * taus[n] * (
                 toggled[m] @ toggled[n] - toggled[n] @ toggled[m]
             )
-    return Operator(-0.5j * scheme.cycle_time * acc)
+    return acc
 
 
 def cycle_propagator(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
@@ -318,17 +320,28 @@ def cycle_propagator(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
 
     Events are composed in time order (earliest factor rightmost):
     free evolution under ``H`` for ``durations[i] * cycle_time``, then
-    pulse ``i+1`` if there is one.
+    pulse ``i+1`` if there is one.  ``H`` is diagonalized once for all
+    the intervals; each factor is ``expm(H, durations[i] * cycle_time)``.
     """
+    hm = _scheme_hamiltonian(h, scheme)
+    return Operator(_propagate(_eigh_hermitian(hm), scheme, scheme.cycle_time))
+
+
+def _scheme_hamiltonian(h: MatrixLike, scheme: DecouplingScheme) -> np.ndarray:
     hm = mat(h)
     if hm.shape[0] != scheme.dim:
         raise ValidationError("Hamiltonian dimension does not match scheme")
-    u = np.eye(hm.shape[0], dtype=complex)
+    return hm
+
+
+def _propagate(decomposition, scheme: DecouplingScheme, cycle_time: float) -> np.ndarray:
+    """The cycle propagator at ``cycle_time`` from the decomposition of ``H``."""
+    u = np.eye(scheme.dim, dtype=complex)
     for i, tau in enumerate(scheme.durations):
-        u = expm(hm, tau * scheme.cycle_time).matrix @ u
+        u = _exp_decomposed(decomposition, tau * cycle_time) @ u
         if i < len(scheme.pulses):
             u = scheme.pulses[i].matrix @ u
-    return Operator(u)
+    return u
 
 
 def effective_defect(h: MatrixLike, scheme: DecouplingScheme) -> tuple[float, float]:
@@ -336,31 +349,59 @@ def effective_defect(h: MatrixLike, scheme: DecouplingScheme) -> tuple[float, fl
     effective Hamiltonian and its zeroth-order average, then that average
     plus the first-order correction; the small parameter is the cycle time.
 
-    The cycle propagator, the toggling frames and the average are built once for both.
+    ``H`` and the zeroth-order average are each diagonalized once, for the
+    propagator's intervals and for the average's exponential; the toggling
+    frames and the first-order commutator sum are built once.  A ``scan``
+    of cycle times builds all of these once for the whole sweep.
     """
-    u, hm, frames = cycle_propagator(h, scheme), mat(h), frames_from_scheme(scheme)
+    return _defect_sweep(h, scheme, (scheme.cycle_time,))[0]
+
+
+def _defect_sweep(
+    h: MatrixLike, scheme: DecouplingScheme, cycle_times: Sequence[float]
+) -> list[tuple[float, float]]:
+    """``effective_defect(h, replace(scheme, cycle_time=t))`` for each ``t``, in order.
+
+    Everything free of the cycle time is built once: the decomposition
+    of ``H``, the frames, the zeroth-order average and its
+    decomposition, and the first-order commutator sum.
+    """
+    hm = _scheme_hamiltonian(h, scheme)
+    h_decomposition = _eigh_hermitian(hm)
+    frames = frames_from_scheme(scheme)
     zeroth = average_zeroth(hm, frames).matrix
-    first = zeroth + _first_order(hm, frames, scheme).matrix
-    return _defect(u, zeroth, scheme.cycle_time), _defect(u, first, scheme.cycle_time)
+    zeroth_decomposition = _eigh_hermitian(zeroth)
+    commutators = _commutator_sum(hm, frames, scheme.durations)
+    defects = []
+    for cycle_time in cycle_times:
+        if not cycle_time > 0:
+            raise ValidationError("cycle_time must be positive")
+        u = _propagate(h_decomposition, scheme, cycle_time)
+        first = zeroth + -0.5j * cycle_time * commutators
+        defects.append((
+            _defect(u, zeroth, _exp_decomposed(zeroth_decomposition, cycle_time), cycle_time),
+            _defect(u, first, expm(first, cycle_time).matrix, cycle_time),
+        ))
+    return defects
 
 
-def _defect(u: Operator, approx: np.ndarray, cycle_time: float) -> float:
+def _defect(u: np.ndarray, approx: np.ndarray, reference: np.ndarray, cycle_time: float) -> float:
     """Traceless spectral-norm distance of ``log(u)`` from ``approx``.
 
-    The cycle propagator may carry an irrelevant global phase (pi pulses
-    contribute -i each); it is aligned against the averaged prediction
-    before taking the principal log, and the comparison is restricted to
-    the traceless parts, since the effective Hamiltonian is only defined
-    modulo that freedom.
+    ``reference`` is ``exp(-i approx cycle_time)``.  The cycle propagator
+    may carry an irrelevant global phase (pi pulses contribute -i each);
+    it is aligned against the averaged prediction before taking the
+    principal log, and the comparison is restricted to the traceless
+    parts, since the effective Hamiltonian is only defined modulo that
+    freedom.
     """
-    reference = expm(approx, cycle_time).matrix
-    overlap = np.trace(reference.conj().T @ u.matrix)
-    if abs(overlap) < 1e-6 * u.dim:
+    overlap = np.trace(reference.conj().T @ u)
+    if abs(overlap) < 1e-6 * u.shape[0]:
         raise ValidationError(
             "cycle propagator is orthogonal to its averaged prediction; "
             "the cycle time is too large for a defect comparison"
         )
-    aligned = u.matrix * (overlap.conjugate() / abs(overlap))
+    aligned = u * (overlap.conjugate() / abs(overlap))
     h_eff = logm_effective(aligned, cycle_time)
     diff = h_eff.matrix - approx
     diff = diff - np.trace(diff) / diff.shape[0] * np.eye(diff.shape[0])

@@ -284,15 +284,27 @@ def expm(h: MatrixLike, t: float) -> Operator:
 
     Uses an eigendecomposition, so the result is unitary to rounding.
     ``h`` must be Hermitian to within ``DEFAULT_TOL.equality``, 1e-10,
-    and ``t`` finite.
+    and ``t`` finite.  Each call diagonalizes ``h``; callers that
+    exponentiate one generator at many times (the cycle propagator, the
+    defect sweep) diagonalize it once and reuse the decomposition.
     """
-    hm = mat(h)
+    return Operator(_exp_decomposed(_eigh_hermitian(mat(h)), t))
+
+
+def _eigh_hermitian(hm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors, their adjoint)`` of ``hm``, checked Hermitian as :func:`expm` checks it."""
     if not np.max(np.abs(hm - hm.conj().T)) <= DEFAULT_TOL.equality:
         raise ValidationError("expm generator must be Hermitian")
+    evals, vecs = np.linalg.eigh(hm)
+    return evals, vecs, vecs.conj().T
+
+
+def _exp_decomposed(decomposition: tuple[np.ndarray, np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """``exp(-i H t)`` from the :func:`_eigh_hermitian` decomposition of ``H``; ``t`` must be finite."""
     if not abs(t) < np.inf:
         raise ValidationError(f"expm time must be finite, got {t!r}")
-    evals, vecs = np.linalg.eigh(hm)
-    return Operator((vecs * np.exp(-1j * evals * t)) @ vecs.conj().T)
+    evals, vecs, adjoint = decomposition
+    return (vecs * np.exp(-1j * evals * t)) @ adjoint
 
 
 def logm_effective(u: MatrixLike, t_total: float) -> Operator:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -33,8 +33,8 @@ import numpy as np
 from .codes import CODE_NAMES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
 from .config import ValidationError, _boolean, _integer, _known_keys, _real, _seed
 from .decoupling import (
-    _ENCODED_ONLY, SEQUENCE_NAMES, DecouplingScheme, average_zeroth, cycle_propagator,
-    effective_defect, frames_from_scheme, named_sequence, project_group,
+    _ENCODED_ONLY, SEQUENCE_NAMES, DecouplingScheme, _defect_sweep, average_zeroth,
+    cycle_propagator, frames_from_scheme, named_sequence, project_group,
 )
 from .noise import build_scenario, ensemble_coherence
 from .operators import Operator, PauliString, expm, logm_effective, pauli_sum
@@ -201,7 +201,7 @@ class Scenario:
         result = KINDS[self.kind].run(self)
         if isinstance(result, str):
             return result
-        return json.dumps({"kind": self.kind, **result}, sort_keys=True, indent=2, default=str) + "\n"
+        return _json_text({"kind": self.kind, **result}) + "\n"
 
     # -- parsing ---------------------------------------------------------
     @classmethod
@@ -272,6 +272,43 @@ class Scenario:
 # the kinds: each runner returns the text it writes, or a JSON payload
 # ---------------------------------------------------------------------------
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, default=str)``, the same text.
+
+    With ``indent``, json runs its pure-Python encoder.  This walks dicts
+    and lists with the same layout and key rules, sends every other value
+    through ``json.dumps(value, default=str)`` and writes a list of finite
+    floats as one join of ``float.__repr__``, which is what json writes
+    for each of them.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{json.dumps(_json_key(k))}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = None
+        if text is None or "n" in text:  # not all floats, or a "nan" or "inf": item by item
+            text = ("," + inner).join(_json_text(v, inner) for v in value)
+        return "[" + inner + text + newline + "]"
+    return json.dumps(value, default=str)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it with ``sort_keys``, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (float, int)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _matrix_payload(m: np.ndarray) -> dict:
     return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
@@ -325,8 +362,8 @@ def _run_scan(sc: Scenario) -> str:
     h = sc.resolve_hamiltonian()
     scheme = sc.resolve_sequence()
     rows = ["cycle_time,defect,defect_with_first_order"]
-    for tc in sc.sweep:
-        d0, d1 = effective_defect(h, replace(scheme, cycle_time=float(tc)))
+    defects = _defect_sweep(h, scheme, [float(tc) for tc in sc.sweep])
+    for tc, (d0, d1) in zip(sc.sweep, defects):
         rows.append(f"{tc:.12g},{d0:.12g},{d1:.12g}")
     return "\n".join(rows) + "\n"
 

@@ -73,8 +73,8 @@ def lie_closure(
     u(d), or su(d) when every generator is traceless to
     ``DEFAULT_TOL.equality``.  The result is independent of generator order
     and invariant under simultaneous unitary conjugation of all generators,
-    which must be anti-Hermitian to ``DEFAULT_TOL.equality``, 1e-10, after
-    scaling.
+    which must be finite and anti-Hermitian to ``DEFAULT_TOL.equality``,
+    1e-10, after scaling.
     """
     given = [mat(g) for g in generators]
     if not given:
@@ -84,6 +84,8 @@ def lie_closure(
     for g in given:
         if g.shape != (dim, dim):
             raise ValidationError("generators must share a dimension")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("lie_closure needs finite generators")
         peak = np.max(np.abs(g))
         g = g / peak if peak > 0 else g
         if not np.max(np.abs(g + g.conj().T)) <= DEFAULT_TOL.equality:

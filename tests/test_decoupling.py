@@ -1,16 +1,18 @@
 """Decoupling cycles: frames, averages, corrections, named sequences."""
 import hashlib
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from aht.codes import build_code, dfs2x2_logical_hamiltonian
+from aht.scenario import Scenario
 from aht.config import ValidationError
 from aht.decoupling import (
     DecouplingScheme,
     DecouplingSet,
     SEQUENCE_NAMES,
+    _defect_sweep,
     average_zeroth,
     builtin_groups,
     close_group,
@@ -23,10 +25,12 @@ from aht.decoupling import (
 )
 from aht.operators import (
     SIGMA,
+    MatrixLike,
     Operator,
     PauliString,
     exchange,
     expm,
+    logm_effective,
     pauli_decompose,
     pauli_sum,
     phase_insensitive_fidelity,
@@ -223,6 +227,88 @@ class TestCyclePropagator:
         rng = np.random.default_rng(4)
         u = cycle_propagator(random_hermitian(2, rng), named_sequence("whh4", n_qubits=2, cycle_time=0.4))
         assert u.is_unitary()
+
+
+#: One scan document per named sequence, unencoded where the sequence
+#: allows it and on the logical and physical spaces of a code otherwise.
+SCAN_SEQUENCES = [
+    *(({"name": name}, 2) for name in ("cp_x", "cp_x_symmetric", "cp_y", "whh4", "gmax_cycle")),
+    *(({"name": name, "code": "dfs2x2"}, 2) for name in ("s1_selective_x1", "s1_selective_x2", "zz_extractor")),
+    ({"name": "cp_x", "code": "dfs2", "physical": True}, 2),
+    ({"name": "s1_selective_x2", "code": "dfs2x2", "physical": True}, 4),
+]
+
+
+def scan_id(value) -> str:
+    return "-".join(map(str, value.values())) if isinstance(value, dict) else f"{value}q"
+
+
+def expm_product(h: MatrixLike, scheme: DecouplingScheme) -> np.ndarray:
+    """The cycle propagator as the ordered product of ``expm`` factors and pulses."""
+    u = np.eye(scheme.dim, dtype=complex)
+    for i, tau in enumerate(scheme.durations):
+        u = expm(h, tau * scheme.cycle_time).matrix @ u
+        if i < len(scheme.pulses):
+            u = scheme.pulses[i].matrix @ u
+    return u
+
+
+def defect_reference(h: MatrixLike, scheme: DecouplingScheme) -> tuple[float, float]:
+    """``effective_defect`` composed per call from the public functions."""
+    u = cycle_propagator(h, scheme).matrix
+    zeroth = average_zeroth(h, frames_from_scheme(scheme)).matrix
+    defects = []
+    for approx in (zeroth, zeroth + first_order_correction(h, scheme).matrix):
+        overlap = np.trace(expm(approx, scheme.cycle_time).matrix.conj().T @ u)
+        aligned = u * (overlap.conjugate() / abs(overlap))
+        diff = logm_effective(aligned, scheme.cycle_time).matrix - approx
+        diff = diff - np.trace(diff) / diff.shape[0] * np.eye(diff.shape[0])
+        defects.append(float(np.linalg.norm(diff, 2)))
+    return defects[0], defects[1]
+
+
+class TestOneDecompositionPerSweep:
+    """``H`` and the zeroth-order average are diagonalized once per cycle and
+    per sweep; the outputs equal the per-factor and per-point computations
+    byte for byte."""
+
+    @pytest.mark.parametrize("sequence,n", SCAN_SEQUENCES, ids=scan_id)
+    def test_cycle_propagator_is_the_expm_product(self, sequence, n):
+        scheme = Scenario(kind="propagate", n_qubits=n, hamiltonian={"terms": ["Z1"]}, code="dfs2x2",
+                          sequence={**sequence, "cycle_time": 0.37}).resolve_sequence()
+        h = random_hermitian(n, np.random.default_rng(n))
+        assert cycle_propagator(h, scheme).matrix.tobytes() == expm_product(h, scheme).tobytes()
+
+    @pytest.mark.parametrize("sequence,n", SCAN_SEQUENCES, ids=scan_id)
+    def test_scan_rows_are_per_point_effective_defects(self, sequence, n):
+        sweep = [0.4, 0.2, 0.1, 0.05, 0.025]
+        rng = np.random.default_rng(7)
+        terms = [f"{rng.uniform(0.2, 1.2):.6f} {w}" for w in ("XX 1 2", "Z 1", "Y 2", "ZY 1 2")]
+        sc = Scenario(kind="scan", n_qubits=n, hamiltonian={"terms": terms}, code="dfs2x2",
+                      sequence=sequence, sweep=sweep, target="magnus_defect")
+        h, scheme = sc.resolve_hamiltonian(), sc.resolve_sequence()
+        per_point = [effective_defect(h, replace(scheme, cycle_time=tc)) for tc in sweep]
+        assert per_point == [defect_reference(h, replace(scheme, cycle_time=tc)) for tc in sweep]
+        assert _defect_sweep(h, scheme, sweep) == per_point
+        rows = [f"{tc:.12g},{d0:.12g},{d1:.12g}" for tc, (d0, d1) in zip(sweep, per_point)]
+        assert sc.run() == "\n".join(["cycle_time,defect,defect_with_first_order", *rows]) + "\n"
+
+    def test_sweep_checks_each_cycle_time(self):
+        scheme = named_sequence("cp_x")
+        for bad in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValidationError, match="cycle_time must be positive"):
+                _defect_sweep(Z + 0.5 * X, scheme, [0.1, bad])
+        with pytest.raises(ValidationError, match="expm time must be finite"):
+            _defect_sweep(Z + 0.5 * X, scheme, [0.1, float("inf")])
+
+    @pytest.mark.parametrize("call", [cycle_propagator, effective_defect])
+    def test_non_hermitian_h_and_infinite_time_keep_their_errors(self, call):
+        with pytest.raises(ValidationError, match="expm generator must be Hermitian"):
+            call(Z + 0.5j * X, named_sequence("cp_x", cycle_time=0.1))
+        with pytest.raises(ValidationError, match="expm time must be finite"):
+            call(Z + 0.5 * X, named_sequence("cp_x", cycle_time=float("inf")))
+        with pytest.raises(ValidationError, match="Hamiltonian dimension does not match scheme"):
+            call(np.eye(4), named_sequence("cp_x", cycle_time=0.1))
 
 
 class TestNamedSequences:

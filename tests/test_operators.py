@@ -218,6 +218,14 @@ class TestExpm:
         with pytest.raises(ValidationError):
             expm(X, np.nan)
 
+    def test_check_messages(self):
+        # the Hermitian check comes first, then the finite-time check
+        with pytest.raises(ValidationError, match="expm generator must be Hermitian"):
+            expm(1j * X + Z, np.inf)
+        for t in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match="expm time must be finite"):
+                expm(X, t)
+
     def test_unitary_output(self):
         u = expm(random_hermitian(3, np.random.default_rng(1)), 2.5)
         assert u.is_unitary()

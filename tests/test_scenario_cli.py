@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from aht.cli import list_builtins, main, run
 from aht.config import ValidationError
 from aht.noise import DecayCurve
 from aht.operators import SIGMA, exchange
-from aht.scenario import Scenario, parse_hamiltonian, parse_term
+from aht.scenario import KINDS, Scenario, _json_text, parse_hamiltonian, parse_term
 from aht.verify import VerificationCheck
 
 
@@ -647,6 +648,83 @@ def test_readme_example_runs(tmp_path, text):
     path = tmp_path / "scenario.json"
     path.write_text(text)
     assert run(str(path), out=str(tmp_path / "result")) == 0
+
+
+#: Leaves of every kind json writes: its own types, float subclasses
+#: (``np.float64``) and objects it writes through ``default=str``.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), st.floats(),
+    st.floats().map(np.float64), st.text(), st.text(st.characters(max_codepoint=0x1F)),
+    st.integers(-3, 3).map(np.int64), st.complex_numbers(), st.fractions(),
+)
+#: Dict keys json accepts; one key type per dict, as ``sort_keys`` needs comparable keys.
+JSON_KEYS = [st.text(), st.integers() | st.floats() | st.booleans(), st.none()]
+
+
+def json_values(leaves=JSON_LEAVES):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.floats() | st.floats().map(np.float64), max_size=4),
+        *(st.dictionaries(keys, inner, max_size=4) for keys in JSON_KEYS),
+    ), max_leaves=12)
+
+
+PROPAGATE_DOC = {"kind": "propagate", "hamiltonian": {"terms": ["0.3 Z 1", "0.2 X 1"]},
+                 "sequence": {"name": "cp_x"}, "cycle_time": 0.5}
+
+
+def assert_json_round_trip(out):
+    """``out`` is what json writes for what it reads back, with a final newline."""
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+class TestJsonOutput:
+    @given(value=json_values())
+    @example(value={"nan": float("nan"), "inf": [float("inf"), -float("inf"), -0.0, 1e300, 5e-324],
+                    "text": "\u00e9\u2603\x00\x1f\n\"\\", "big": [10**40, -10**40, 2**63],
+                    "np": [np.float64(0.1), np.float64("nan"), np.float64(-0.0), 1.5],
+                    "tuple": (1, (2.5, "x"), ()), "empty": [{}, [], ()],
+                    "objects": [Fraction(1, 3), 1 + 2j, np.int64(7), object]})
+    @example(value={1: "i", 2.5: "f", True: "t", -3: None})
+    @example(value={None: {False: [float("nan")], 0.5: {}}})
+    @example(value=[[0.25, -1.0], [float("nan"), 2.0], [1, 2.0], [True, 0.0]])
+    @example(value={"mixed": 1, 2: "keys"})
+    @example(value={object(): 1})
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_writer_matches_json_dumps(self, value):
+        # the oracle is json's own indent encoder, refusals included
+        try:
+            expected = json.dumps(value, sort_keys=True, indent=2, default=str)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _json_text(value)
+        else:
+            assert _json_text(value) == expected
+
+    @pytest.mark.parametrize("text", README_EXAMPLES, ids=lambda t: json.loads(t)["kind"])
+    def test_readme_examples_write_canonical_json(self, text):
+        doc = json.loads(text)
+        if "json" not in KINDS[doc["kind"]].formats:
+            pytest.skip(f"kind {doc['kind']!r} writes no JSON")
+        assert_json_round_trip(Scenario.from_dict({**doc, "output": {"format": "json"}}).run())
+
+    @pytest.mark.parametrize("doc", [NOISE_DOC, AVERAGE_DOC, UNIVERSALITY_DOC, NMR_DOC, PULSE_DOC,
+                                     PROJECT_DOC, PROPAGATE_DOC],
+                             ids=lambda doc: doc["kind"])
+    def test_every_json_kind_writes_canonical_json(self, doc):
+        assert_json_round_trip(Scenario.from_dict(doc).run())
+
+    def test_algebra_benchmark_inputs_write_canonical_json(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.workloads import generate
+
+        written = 0
+        for op in generate("algebra", 2024):
+            scenario = Scenario.from_dict(op.scenario)
+            if scenario.output_format == "json":
+                assert_json_round_trip(scenario.run())
+                written += 1
+        assert written == 43
 
 
 def in_process(argv):

@@ -100,6 +100,19 @@ class TestLieClosure:
         with pytest.raises(ValidationError):
             lie_closure([1j * np.full((2, 2), np.nan)])
 
+    @pytest.mark.parametrize("bad", ["inf entry", "nan matrix"])
+    def test_non_finite_generator_is_one_validation_error(self, bad):
+        # refused before the scaling: no RuntimeWarning, no anti-Hermitian complaint
+        if bad == "inf entry":
+            g = 1j * X
+            g[0, 1] = np.inf
+        else:
+            g = np.full((2, 2), np.nan, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite generators"):
+                lie_closure([1j * Y, g])
+
     def test_rejects_hermitian_input(self):
         with pytest.raises(ValidationError):
             lie_closure([X])
