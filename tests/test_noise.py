@@ -310,6 +310,55 @@ def quasi_static_mean(sc, nodes=12):
     return mean
 
 
+def tcl2_mean(sc):
+    """Second-order (TCL2, Born) ensemble mean of the observable at each record
+    time, and the trace norm ``delta_2`` of the second-order term there; reads
+    the scenario and its step grid, never the simulator's propagation.
+
+    In the toggling frame of the noiseless evolution ``U0`` (drift and pulses,
+    by ``scipy.linalg.expm`` per distinct step length), a coupling ``A`` at a
+    step of length ``dt`` reads ``B_k = U0(t_k)^+ A U0(t_k) dt`` at the step
+    midpoint ``t_k``.  The Gaussian average to second order is ``rho0 -
+    sum_channels sum_k amp^2 [B_k, [S_k + B_k / 2, rho0]]`` with ``S_k =
+    sum_(l<k) exp(-(t_k - t_l) / tau_c) B_l`` (Kubo 1962; Breuer and
+    Petruccione 2002; Green, Ball and Biercuk, NJP 15, 095004, 2013), read
+    against ``U0(t)^+ O U0(t)``; its neglected terms are of order ``delta_2^2``.
+    """
+    from scipy.linalg import expm
+
+    grid, h0, obs = _build_grid(sc), sc.h_system.matrix, sc.observable.matrix
+    half = {dt: expm(-0.5j * dt * h0) for dt in set(grid.durations.tolist())}
+    rho0 = np.outer(sc.initial_state, sc.initial_state.conj())
+    u, second = np.eye(sc.h_system.dim, dtype=complex), np.zeros_like(rho0)
+    s, b_prev = [0.0] * len(sc.channels), [0.0] * len(sc.channels)
+    means, deltas = [np.trace(rho0 @ obs).real], [0.0]
+    for k, dt in enumerate(grid.durations):
+        mid = half[dt] @ u  # U0 at the step midpoint
+        gap = (grid.durations[k - 1] + dt) / 2 if k else np.inf
+        for c, ch in enumerate(sc.channels):
+            b = mid.conj().T @ ch.coupling.matrix @ mid * dt
+            s[c] = np.exp(-gap / ch.correlation_time) * (s[c] + b_prev[c])
+            inner = (s[c] + b / 2) @ rho0 - rho0 @ (s[c] + b / 2)
+            second += ch.amplitude**2 * (b @ inner - inner @ b)
+            b_prev[c] = b
+        u = half[dt] @ mid
+        if k + 1 in grid.pulses:
+            u = grid.pulses[k + 1] @ u
+        if k + 1 in grid.record_steps:
+            means.append(np.trace((rho0 - second) @ u.conj().T @ obs @ u).real)
+            deltas.append(np.abs(np.linalg.eigvalsh(second)).sum())
+    return np.array(means), np.array(deltas)
+
+
+#: (scenario, pulses, tau_slow, slow_amplitude) of the finite-tau TCL2 gate: weak
+#: noise, the amplitude of each scenario and tau taking delta_2 near 0.04 without pulses
+TCL2_CASES = [
+    (name, pulses, tau, amplitude)
+    for name, amplitudes in [("encoded_spin_boson", {0.3: 0.05, 3.0: 0.02}),
+                             ("encoded_depolarizing", {0.3: 0.06, 3.0: 0.025})]
+    for pulses in (True, False) for tau, amplitude in amplitudes.items()
+]
+
 class TestOuTrajectory:
     def test_zero_amplitude(self):
         for gaps, _ in OU_GRIDS.values():
@@ -724,6 +773,18 @@ class TestEnsemble:
             assert not _path(sc, sc.initial_state[None, :]).diagonal
             curve = ensemble_coherence(sc)
             assert np.all(np.abs(curve.mean - exact) <= 4.5 * curve.std_error + 1e-12)
+
+    @pytest.mark.parametrize("name,pulses,tau,amplitude", TCL2_CASES)
+    def test_mean_within_sampling_error_of_tcl2(self, name, pulses, tau, amplitude):
+        # oracle for the non-diagonal path at finite tau: the second-order mean,
+        # which holds to delta_2^2 at weak noise (delta_2 <= 0.05 here)
+        knobs = dict(pulses=pulses, tau_slow=tau, slow_amplitude=amplitude, repetitions=8,
+                     ensemble_size=500)
+        exact, delta = tcl2_mean(build_scenario(name, **knobs))
+        assert delta.max() <= 0.05
+        for seed in (1, 2):
+            curve = ensemble_coherence(build_scenario(name, seed=seed, **knobs))
+            assert np.all(np.abs(curve.mean - exact) <= 4.5 * curve.std_error + delta**2)
 
     def test_csv_emission(self):
         sc = slow_only_scenario(ensemble_size=10)
