@@ -151,8 +151,8 @@ class DecouplingScheme:
                 f"{len(self.pulses)} pulses take {len(self.pulses)} or "
                 f"{len(self.pulses) + 1} durations, got {len(self.durations)}"
             )
-        if not self.cycle_time > 0:
-            raise ValidationError("cycle_time must be positive")
+        if not 0 < self.cycle_time < np.inf:
+            raise ValidationError(f"cycle_time must be positive and finite, got {self.cycle_time}")
         if not all(t > 0 for t in self.durations):
             raise ValidationError("all durations must be positive")
         if not abs(sum(self.durations) - 1.0) <= 1e-12:

@@ -19,11 +19,12 @@ size read the same draws whether they run together or apart:
 ``ensemble_coherences`` draws each stream once, to the longest grid that
 reads it, and each scenario reduces its own prefix.  Both samplers read
 one OU step law, taken from the step lengths alone (``_ou_law``).  Off
-the diagonal path the draws land in the ``(channels, trajectories,
-steps)`` tensor and the OU recursion overwrites them in place; on it, the
-same draws are reduced straight to the interval integrals the state reads
-(below) by that law's weights, with no per-step sample, which moves
-states by rounding only (at most 5.9e-13 at the library defaults).
+the diagonal path the draws are transposed into the step-major ``(channels,
+steps, trajectories)`` tensor a block at a time, and the OU recursion
+overwrites them in place; on it, the same draws are reduced straight to
+the interval integrals the state reads (below) by that law's weights, with
+no per-step sample, which moves states by rounding only (at most 5.9e-13
+at the library defaults).
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -31,13 +32,13 @@ and always align with interval boundaries; the noise is held constant
 across each step at its midpoint value.  Between two events (a pulse
 or a record), diagonal drift and couplings commute, so the state takes
 one phase update from the noise integrated over the interval; otherwise
-each step applies the exact exponential of its frozen Hamiltonian,
-``_BATCH_STEPS`` steps of an interval at a time.  On a 2-dim block it acts
-straight on the two state components, as an SU(2) step per step and a
-trace phase per batch (``_su2_step``), with no per-step 2x2 matrix, which
-moved states by rounding only (at most 3.8e-15 at the library defaults);
-on a larger block by a batched ``eigh``.  The step grid and the noise
-samples are the same either way.
+each step applies the exact exponential of its frozen Hamiltonian, built
+``_BATCH_STEPS`` steps of the grid at a time, across interval boundaries.
+On a 2-dim block it acts straight on the two state components, as an SU(2)
+step times its trace phase (``_su2_step``), with no per-step 2x2 matrix,
+which moved states by rounding only (at most 3.8e-15 at the library
+defaults); on a larger block by a batched ``eigh``.  The step grid and the
+noise samples are the same either way.
 
 Propagation runs in the code space: only the basis block reachable from
 the initial state through the drift, couplings and pulses is evolved, and
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -135,12 +137,12 @@ class NoiseScenario:
     to compare runs on a common grid.  The observable must be Hermitian.
     A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
     refused before anything is allocated.  The count is the allocation of the
-    sampler of the run's own path (see ``_path``): off the diagonal path the
-    per-step samples; on it the interval sums plus a draw buffer of up to
-    ``_SUM_ROWS`` trajectories, as large a product and 10 step-length weights
-    or temporaries (``_interval_bytes``).  ``ensemble_coherences`` applies
-    the same count to a group of diagonal runs sampled together, counting
-    once the sums that runs of equal noise inputs share.
+    sampler of the run's own path (see ``_path``), each with a draw buffer of
+    up to ``_SUM_ROWS`` trajectories: off the diagonal path the per-step
+    samples; on it the interval sums, as large a product as the buffer and 10
+    step-length weights or temporaries (``_interval_bytes``).
+    ``ensemble_coherences`` applies the same count to a group of diagonal runs
+    sampled together, counting once the sums that runs of equal noise inputs share.
 
     The step cap reads every channel's correlation time, a channel of zero
     amplitude included (see ``_intervals``).
@@ -192,13 +194,14 @@ class NoiseScenario:
         if not abs(np.linalg.norm(psi) - 1) <= DEFAULT_TOL.equality:
             raise ValidationError(f"initial state must have norm 1, got {np.linalg.norm(psi)}")
         object.__setattr__(self, "initial_state", psi)
-        # exact integers: the interval sums and sampler work space, or the per-step samples
+        # exact integers: the interval sums and sampler work space, or the per-step
+        # samples and the draw buffer
         _, steps, cycles = _intervals(self)
         n, channels = cycles * sum(steps), max(1, len(self.channels))  # no channels: the grid
         if _path(self, psi[None, :]).diagonal:
             size = _interval_bytes(self.ensemble_size, [(channels * cycles * len(steps), n)])
         else:
-            size = 8 * channels * self.ensemble_size * n
+            size = 8 * (channels * self.ensemble_size + min(self.ensemble_size, _SUM_ROWS)) * n
         if size > _MAX_NOISE_BYTES:
             raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
 
@@ -230,14 +233,22 @@ class NoiseScenario:
 # Ornstein-Uhlenbeck sampling
 # ---------------------------------------------------------------------------
 
-_OU_BLOCK = 256  #: steps per transposed block of the in-place OU recursion
-_SUM_ROWS = 64  #: trajectories per draw buffer of the interval sampler
+_SUM_ROWS = 64  #: trajectories per draw buffer of either sampler
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, that ``SeedSequence`` makes of ``n >= 0``."""
+    return [n & 0xFFFFFFFF, *(_words(n >> 32) if n >> 32 else ())]
 
 
 def _draw(out: np.ndarray, seed: int, channel: int, trajectories: Sequence[int]) -> None:
-    """Row ``r`` of ``out``: the standard normals both samplers read for ``trajectories[r]``."""
+    """Row ``r`` of ``out``: the standard normals both samplers read for ``trajectories[r]``,
+    those of ``SeedSequence([seed, channel, trajectories[r]])``.  The sequence is handed the
+    ``uint32`` entropy words numpy builds from that list, so it is the same sequence."""
+    head = _words(seed) + _words(channel)
     for row, i in zip(out, trajectories):
-        np.random.default_rng(np.random.SeedSequence([seed, channel, i])).standard_normal(out=row)
+        entropy = np.array(head + _words(int(i)), dtype=np.uint32)
+        np.random.default_rng(np.random.SeedSequence(entropy)).standard_normal(out=row)
 
 
 def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -252,21 +263,14 @@ def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.n
 
 
 def _ou_in_place(x: np.ndarray, rho: np.ndarray, kick: np.ndarray) -> None:
-    """Overwrite the standard-normal draws ``x`` ``(n_traj, steps)`` with the OU samples
-    of the law ``rho``, ``kick``.  Each block of ``_OU_BLOCK`` steps is walked as
-    contiguous rows of a transposed copy, three ufuncs per step; the products and sum
-    are the ones of the column-by-column recursion, so every sample is too."""
-    rho, kick = rho.tolist(), kick.tolist()
-    tmp, prev = np.empty(x.shape[0]), np.zeros(x.shape[0])  # no sample before the first
-    for a in range(0, x.shape[1], _OU_BLOCK):
-        b = min(a + _OU_BLOCK, x.shape[1])
-        buf = x[:, a:b].T.copy()
-        for row, r, q in zip(buf, rho[a:b], kick[a:b]):
-            np.multiply(r, prev, out=tmp)
-            row *= q
-            np.add(tmp, row, out=row)
-            prev = row
-        x[:, a:b] = buf.T
+    """Overwrite the standard-normal draws ``x`` ``(steps, n_traj)`` with the OU samples of
+    the law ``rho``, ``kick``: the kicks in one product, then two ufuncs per step row."""
+    x *= kick[:, None]
+    tmp, prev = np.empty(x.shape[1]), np.zeros(x.shape[1])  # no sample before the first
+    for row, r in zip(x, rho.tolist()):
+        np.multiply(r, prev, out=tmp)
+        np.add(tmp, row, out=row)
+        prev = row
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +320,19 @@ def _build_grid(scenario: NoiseScenario) -> _Grid:
 
 
 def _channel_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]) -> np.ndarray:
-    """Noise values per (channel, trajectory, step) for the given trajectory
-    indices; row ``r`` is the seeded stream of trajectory ``trajectories[r]``."""
-    out = np.zeros((len(scenario.channels), len(trajectories), len(grid.durations)))
+    """Noise values per (channel, step, trajectory) for the given trajectory indices;
+    column ``r`` is the seeded stream of trajectory ``trajectories[r]``.  Each channel is
+    drawn into a buffer of ``_SUM_ROWS`` trajectories at a time, each block transposed
+    into place once."""
+    out = np.zeros((len(scenario.channels), len(grid.durations), len(trajectories)))
+    buf = np.empty((min(len(trajectories), _SUM_ROWS), len(grid.durations)))
     for c, ch in enumerate(scenario.channels):
         if ch.amplitude == 0.0:
             continue
-        _draw(out[c], scenario.seed, c, trajectories)
+        for a in range(0, len(trajectories), _SUM_ROWS):
+            rows = trajectories[a:a + _SUM_ROWS]
+            _draw(buf[:len(rows)], scenario.seed, c, rows)
+            out[c, :, a:a + len(rows)] = buf[:len(rows)].T
         _ou_in_place(out[c], *_ou_law(grid.durations, ch.amplitude, ch.correlation_time))
     return out
 
@@ -437,7 +447,7 @@ def _path(scenario: NoiseScenario, psi: np.ndarray) -> _Plan:
     return _Plan(block, h0, couplings, diagonal)
 
 
-_BATCH_STEPS = 64  #: steps per batch of step coefficients or propagators
+_BATCH_STEPS = 16  #: steps per batch of step coefficients or propagators, across intervals
 
 
 def _su2_step(z, hr, hi, dt) -> tuple[np.ndarray, np.ndarray]:
@@ -462,19 +472,46 @@ def _step_propagators(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
+def _steps(plan: _Plan, noise: np.ndarray, dts: np.ndarray) -> Iterator:
+    """Per step of the grid, what ``_evolve`` applies off the diagonal path, computed
+    ``_BATCH_STEPS`` steps at a time across interval boundaries.  On a 2-dim block, ``a, b,
+    c, d`` of the update ``psi0, psi1 <- a psi0 - b psi1, c psi0 + d psi1``: ``p, conj(q),
+    q, conj(p)`` of ``_su2_step``, each times the trace phase ``exp(-i m dt)`` where a term
+    has a trace part ``m``; on a larger one, the ``(noise rows, dim, dim)`` propagators."""
+    dim = len(plan.block)
+    # m, z, hr and hi of each term h = m 1 + [[z, hr - i hi], [hr + i hi, -z]] of a 2-dim block
+    terms = [((h[0, 0] + h[1, 1]).real / 2, (h[0, 0] - h[1, 1]).real / 2, h[1, 0].real,
+              h[1, 0].imag) for h in (plan.h0, *plan.couplings)] if dim == 2 else []
+    for a in range(0, len(dts), _BATCH_STEPS):
+        x, dt = noise[:, a:a + _BATCH_STEPS], dts[a:a + _BATCH_STEPS, None]
+        if dim > 2:  # (steps, noise rows, dim, dim) frozen Hamiltonians
+            h = np.broadcast_to(plan.h0, (*x.shape[1:], dim, dim)).copy()
+            for xc, coupling in zip(x, plan.couplings):
+                h += xc[:, :, None, None] * coupling
+            yield from _step_propagators(h, dt)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN is refused later
+            m, z, hr, hi = (sum((t[i] * xc for t, xc in zip(terms[1:], x) if t[i]), terms[0][i])
+                            for i in range(4))
+            p, q = _su2_step(z, hr, hi, dt)
+            coefficients = p, q.conj(), q, p.conj()
+            if any(t[0] for t in terms):
+                coefficients = [np.exp(-1j * m * dt) * k for k in coefficients]
+        yield from zip(*coefficients)
+
+
 def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.ndarray:
     """Evolve state rows through the grid, one interval at a time, reading interval
-    sums of the noise on the diagonal path and samples otherwise; returns
-    (n_records, n_traj, dim), zero outside the plan's block, the only one propagated.
-    Off that path a 2-dim block steps by ``_su2_step``, a larger one by ``_step_propagators``."""
+    sums ``(channels, rows, intervals)`` of the noise on the diagonal path and samples
+    ``(channels, steps, rows)`` otherwise; returns (n_records, n_traj, dim), zero outside
+    the plan's block, the only one propagated.  Off that path each interval takes its
+    steps from one stream over the whole grid (``_steps``)."""
     out = np.zeros((len(grid.times), *psi.shape), dtype=complex)
     out[0] = psi
     psi, cut = psi[:, plan.block], np.ix_(plan.block, plan.block)
     dim = psi.shape[1]
     d0, dc = np.diag(plan.h0).real, [np.diag(c).real for c in plan.couplings]
-    # m, z, hr and hi of each term h = m 1 + [[z, hr - i hi], [hr + i hi, -z]] of a 2-dim block
-    terms = [((h[0, 0] + h[1, 1]).real / 2, (h[0, 0] - h[1, 1]).real / 2, h[1, 0].real,
-              h[1, 0].imag) for h in (plan.h0, *plan.couplings)] if dim == 2 else []
+    steps = None if plan.diagonal else _steps(plan, noise, grid.durations)
     start, rec = 0, 1
     for j, done in enumerate(grid.ends):
         if plan.diagonal:
@@ -484,28 +521,12 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
             psi = psi * np.exp(-1j * phase)
         elif dim == 2:
             psi0, psi1 = psi.T
-            for a in range(start, done, _BATCH_STEPS):
-                b = min(a + _BATCH_STEPS, done)
-                x = noise[:, :, a:b].transpose(0, 2, 1).copy()  # (channels, steps, rows)
-                dt = grid.durations[a:b, None]
-                with np.errstate(over="ignore", invalid="ignore"):  # NaN is refused later
-                    m, z, hr, hi = (sum((t[i] * xc for t, xc in zip(terms[1:], x) if t[i]),
-                                        terms[0][i]) for i in range(4))
-                    p, q = _su2_step(z, hr, hi, dt)
-                    phase = np.exp(-1j * (m * dt).sum(axis=0))
-                for pk, qk, pck, qck in zip(p, q, p.conj(), q.conj()):
-                    psi0, psi1 = pk * psi0 - qck * psi1, qk * psi0 + pck * psi1
-                psi0, psi1 = phase * psi0, phase * psi1
+            for a, b, c, d in islice(steps, done - start):
+                psi0, psi1 = a * psi0 - b * psi1, c * psi0 + d * psi1
             psi = np.stack([psi0, psi1], axis=-1)
         else:
-            for a in range(start, done, _BATCH_STEPS):
-                b = min(a + _BATCH_STEPS, done)
-                # (steps, noise rows, dim, dim) frozen Hamiltonians
-                h = np.broadcast_to(plan.h0, (b - a, noise.shape[1], dim, dim)).copy()
-                for c, coupling in enumerate(plan.couplings):
-                    h += noise[c, :, a:b].T[:, :, None, None] * coupling
-                for u in _step_propagators(h, grid.durations[a:b, None]):
-                    psi = np.einsum("tij,tj->ti", u, psi)
+            for u in islice(steps, done - start):
+                psi = np.einsum("tij,tj->ti", u, psi)
         if done in grid.pulses:
             psi = psi @ grid.pulses[done][cut].T
         if done in grid.record_steps:
@@ -527,11 +548,10 @@ def _noise(scenario: NoiseScenario, grid: _Grid, plan: _Plan, trajectories: Sequ
     shape = (len(scenario.channels), grid.durations.shape[0])
     if noise.shape != shape:
         raise ValidationError(f"noise_values must have shape {shape}, got {noise.shape}")
-    noise = noise[:, None, :]
     if plan.diagonal:  # the diagonal path reads the sums over each interval
-        noise = np.stack([(noise[..., a:b] * grid.durations[a:b]).sum(axis=-1)
-                          for a, b in zip([0, *grid.ends], grid.ends)], axis=-1)
-    return noise
+        return np.stack([(noise[:, None, a:b] * grid.durations[a:b]).sum(axis=-1)
+                         for a, b in zip([0, *grid.ends], grid.ends)], axis=-1)
+    return noise[:, :, None]
 
 
 def _run(scenario: NoiseScenario, psi: np.ndarray, trajectories: Sequence[int] = (),
@@ -754,15 +774,11 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     slow_amp = knob("slow_amplitude", 0.1)
 
     def slow_channels(n: int) -> list[DephasingChannel]:
-        return [
-            DephasingChannel(single_qubit("Z", q, n), tau_slow, slow_amp, "independent_slow")
-            for q in range(1, n + 1)
-        ]
+        return [DephasingChannel(single_qubit("Z", q, n), tau_slow, slow_amp, "independent_slow")
+                for q in range(1, n + 1)]
 
     def pair_collective(a: int, b: int, n: int, label: str) -> DephasingChannel:
-        s_z = Operator(
-            single_qubit("Z", a, n).matrix + single_qubit("Z", b, n).matrix, label=label
-        )
+        s_z = Operator(single_qubit("Z", a, n).matrix + single_qubit("Z", b, n).matrix, label=label)
         return DephasingChannel(s_z, tau_fast, knob("fast_amplitude", 1.0), "collective_fast")
 
     encoded, sequence = True, "cp_x"
@@ -783,36 +799,19 @@ def build_scenario(name: str, **params) -> NoiseScenario:
         channels = slow_channels(2)
     elif name == "encoded_depolarizing":
         h = Operator.zero(4)
-        channels = [
-            DephasingChannel(code.observable(axis), tau_slow, slow_amp, "logical")
-            for axis in "zx"
-        ]
+        channels = [DephasingChannel(code.observable(axis), tau_slow, slow_amp, "logical")
+                    for axis in "zx"]
         sequence = "gmax_cycle"
     else:  # four_qubit_blockwise
         omegas = p["omegas"] = knob("omegas", (1.0, 0.7, 0.4, 0.2))
         h = _zeeman(omegas)
-        channels = [
-            pair_collective(1, 2, 4, "S_z(1,2)"),
-            pair_collective(3, 4, 4, "S_z(3,4)"),
-            *slow_channels(4),
-        ]
-    schedule = (
-        named_sequence(sequence, code=code, cycle_time=cycle_time, physical=True)
-        if use_pulses
-        else None
-    )
+        channels = [pair_collective(1, 2, 4, "S_z(1,2)"), pair_collective(3, 4, 4, "S_z(3,4)"),
+                    *slow_channels(4)]
+    schedule = (named_sequence(sequence, code=code, cycle_time=cycle_time, physical=True)
+                if use_pulses else None)
     return NoiseScenario(
-        name=name,
-        h_system=h,
-        channels=tuple(channels),
-        code=code if encoded else None,
-        schedule=schedule,
-        repetitions=repetitions if schedule else 0,
-        ensemble_size=ensemble_size,
-        total_time=repetitions * cycle_time,
-        seed=seed,
-        initial_state=initial,
-        observable=observable,
-        max_step=max_step,
-        params=p,
+        name=name, h_system=h, channels=tuple(channels), code=code if encoded else None,
+        schedule=schedule, repetitions=repetitions if schedule else 0, ensemble_size=ensemble_size,
+        total_time=repetitions * cycle_time, seed=seed, initial_state=initial,
+        observable=observable, max_step=max_step, params=p,
     )

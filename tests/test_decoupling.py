@@ -305,8 +305,11 @@ class TestOneDecompositionPerSweep:
     def test_non_hermitian_h_and_infinite_time_keep_their_errors(self, call):
         with pytest.raises(ValidationError, match="expm generator must be Hermitian"):
             call(Z + 0.5j * X, named_sequence("cp_x", cycle_time=0.1))
-        with pytest.raises(ValidationError, match="expm time must be finite"):
-            call(Z + 0.5 * X, named_sequence("cp_x", cycle_time=float("inf")))
+        # an infinite cycle time is refused by the scheme, before any call
+        for build in (lambda: named_sequence("cp_x", cycle_time=float("inf")),
+                      lambda: replace(named_sequence("cp_x"), cycle_time=float("inf"))):
+            with pytest.raises(ValidationError, match="cycle_time must be positive and finite"):
+                build()
         with pytest.raises(ValidationError, match="Hamiltonian dimension does not match scheme"):
             call(np.eye(4), named_sequence("cp_x", cycle_time=0.1))
 

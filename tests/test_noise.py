@@ -13,7 +13,6 @@ from aht.config import _MAX_NOISE_BYTES, ValidationError
 from aht.decoupling import named_sequence
 from aht.noise import (
     _BATCH_STEPS,
-    _OU_BLOCK,
     _SUM_ROWS,
     SCENARIO_NAMES,
     DecayCurve,
@@ -57,10 +56,10 @@ def ou_law(amplitude, tau_c, gaps):
 
 
 def ou_samples(gaps, amplitude, seed, n_traj=2000):
-    """``_ou_in_place`` at tau_c = 1 on seeded standard-normal draws."""
-    x = np.random.default_rng(seed).standard_normal((n_traj, len(gaps) + 1))
+    """``_ou_in_place`` at tau_c = 1 on seeded standard-normal draws, as ``(n_traj, steps)``."""
+    x = np.random.default_rng(seed).standard_normal((n_traj, len(gaps) + 1)).T.copy()
     _ou_in_place(x, *ou_law(amplitude, 1.0, gaps))
-    return x
+    return x.T
 
 
 #: every library scenario with pulses on and off, plus physical hybrid_dephasing
@@ -135,9 +134,10 @@ def diagonal_scenario(config, ensemble_size=1):
 
 
 def interval_sums(grid, noise):
-    """Per-step samples ``(channels, rows, steps)`` summed over each interval of
-    the grid, weighted by the step lengths: what the diagonal path reads."""
-    bounds = [0, *grid.ends]
+    """Per-step samples ``(channels, steps, rows)`` summed over each interval of the grid,
+    weighted by the step lengths, as ``(channels, rows, intervals)``: what the diagonal
+    path reads."""
+    bounds, noise = [0, *grid.ends], noise.swapaxes(1, 2)
     return np.stack([
         np.sum(noise[:, :, a:b] * grid.durations[a:b], axis=-1) for a, b in zip(bounds, bounds[1:])
     ], axis=-1)
@@ -163,6 +163,21 @@ def pinned_scenario(config, **over):
 def digest(curve):
     """sha256 of a curve's mean and std-error bytes, as ``PINNED_DIGESTS`` holds."""
     return hashlib.sha256(curve.mean.tobytes() + curve.std_error.tobytes()).hexdigest()
+
+
+def one_step_batches(run):
+    """``run()`` with ``_BATCH_STEPS`` set to 1: the per-step reference of the batching."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("aht.noise._BATCH_STEPS", 1)
+        return run()
+
+
+def with_trace_part(sc):
+    """``sc`` with a drift offset 0.7 and a trace part 0.3 on its first coupling."""
+    first, *rest = sc.channels
+    offset = dataclasses.replace(first, coupling=Operator(first.coupling.matrix + 0.3 * np.eye(4)))
+    return dataclasses.replace(sc, h_system=Operator(sc.h_system.matrix + 0.7 * np.eye(4)),
+                               channels=(offset, *rest))
 
 
 def code_block(sc):
@@ -204,13 +219,13 @@ def ou_reference(amplitude, tau_c, gaps, draws):
 def per_step_eigh_reference(sc, noise):
     """The non-diagonal path one step at a time on the full space: per step,
     one batched ``eigh`` of ``h0 + sum_c x_c coupling_c`` over the noise
-    rows of ``noise`` ``(channels, rows, steps)``; returns ``(records, rows, dim)``."""
+    rows of ``noise`` ``(channels, steps, rows)``; returns ``(records, rows, dim)``."""
     grid = _build_grid(sc)
     couplings = [ch.coupling.matrix for ch in sc.channels]
-    psi = np.tile(sc.initial_state, (noise.shape[1], 1))
+    psi = np.tile(sc.initial_state, (noise.shape[2], 1))
     states = [psi]
     for k, dt in enumerate(grid.durations):
-        h = sc.h_system.matrix + sum(x[:, k, None, None] * c for x, c in zip(noise, couplings))
+        h = sc.h_system.matrix + sum(x[k, :, None, None] * c for x, c in zip(noise, couplings))
         evals, vecs = np.linalg.eigh(h)
         amp = np.einsum("tji,tj->ti", vecs.conj(), psi) * np.exp(-1j * evals * dt)
         psi = np.einsum("tij,tj->ti", vecs, amp)
@@ -383,10 +398,10 @@ class TestOuTrajectory:
             x = ou_samples(gaps, 0.5, seed=3)
             assert float(np.var(x)) == pytest.approx(0.25, rel=0.05)
 
-    @pytest.mark.parametrize("steps", [1, 2, _OU_BLOCK - 1, _OU_BLOCK, _OU_BLOCK + 1, 2 * _OU_BLOCK + 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 64, 257, 515])
     @pytest.mark.parametrize("rows", [1, 7, 500])
-    def test_block_walk_matches_column_recursion(self, steps, rows):
-        # every block edge of the in-place walk, bit for bit against the plain loop
+    def test_row_walk_matches_column_recursion(self, steps, rows):
+        # the in-place walk over step rows, bit for bit against the plain loop
         rng = np.random.default_rng([steps, rows])
         grids = {
             "uniform": np.full(steps - 1, 0.01),
@@ -395,9 +410,9 @@ class TestOuTrajectory:
         }
         for gaps in grids.values():
             draws = rng.standard_normal((rows, steps))
-            x = draws.copy()
+            x = draws.T.copy()
             _ou_in_place(x, *ou_law(0.7, 0.3, gaps))
-            assert np.array_equal(x, ou_reference(0.7, 0.3, gaps, draws))
+            assert np.array_equal(x.T, ou_reference(0.7, 0.3, gaps, draws))
 
     @pytest.mark.parametrize("name", ["hybrid_dephasing", "encoded_depolarizing"])
     def test_samples_take_the_exact_step_gaps(self, name):
@@ -411,7 +426,7 @@ class TestOuTrajectory:
             draws = np.array([np.random.default_rng([sc.seed, c, i]).standard_normal(len(dt))
                               for i in range(3)])
             expected = ou_reference(ch.amplitude, ch.correlation_time, (dt[:-1] + dt[1:]) / 2, draws)
-            assert np.array_equal(noise[c], expected)
+            assert np.array_equal(noise[c].T, expected)
 
 
 class TestStepGrid:
@@ -561,13 +576,14 @@ class TestPropagation:
         assert np.array_equal(states[:, outside], np.zeros((len(states), len(outside))))
 
     def test_single_trajectory_draws_its_own_stream(self):
-        # trajectory k's noise is row k of the ensemble's, bit for bit, from either sampler
+        # trajectory k's noise is the ensemble's at index k of the trajectory axis, bit
+        # for bit, from either sampler: (channels, steps, rows) and (channels, rows, intervals)
         sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=5, seed=4)
         grid = _build_grid(sc)
-        for sampler in (_channel_noise, interval_noise):
+        for sampler, axis in ((_channel_noise, 2), (interval_noise, 1)):
             ensemble = sampler(sc, grid, range(5))
             for k in (0, 3):
-                assert np.array_equal(sampler(sc, grid, [k]), ensemble[:, k : k + 1])
+                assert np.array_equal(sampler(sc, grid, [k]), np.take(ensemble, [k], axis=axis))
 
     @pytest.mark.parametrize("n", [1, _SUM_ROWS - 1, _SUM_ROWS + 1, 2 * _SUM_ROWS + 3])
     @pytest.mark.parametrize("name,knobs", CONFIGS.values(), ids=CONFIGS.keys())
@@ -663,23 +679,18 @@ class TestPropagation:
         name, knobs = CONFIGS[config]
         sc = build_scenario(name, repetitions=2, ensemble_size=6, seed=3, **knobs)
         grid = _build_grid(sc)
-        noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), 6, len(grid.durations)))
+        noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), len(grid.durations), 6))
         states = evolve(sc, noise, 6)
         assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
 
     @pytest.mark.parametrize("pulses", [True, False])
     def test_trace_phase_matches_per_step_eigh(self, pulses):
         # the library blocks are traceless; a drift offset and a coupling with
-        # a trace part give the 2-dim step its phase exp(-i sum m dt) per batch
-        sc = build_scenario("encoded_spin_boson", repetitions=2, ensemble_size=6, seed=3,
-                            pulses=pulses)
-        first, *rest = sc.channels
-        assert first.coupling.label == single_qubit("Z", 1, 2).label
-        offset = dataclasses.replace(first, coupling=Operator(first.coupling.matrix + 0.3 * np.eye(4)))
-        sc = dataclasses.replace(sc, h_system=Operator(sc.h_system.matrix + 0.7 * np.eye(4)),
-                                 channels=(offset, *rest))
+        # a trace part give each 2-dim step its phase exp(-i m dt)
+        sc = with_trace_part(build_scenario("encoded_spin_boson", repetitions=2, ensemble_size=6,
+                                            seed=3, pulses=pulses))
         grid = _build_grid(sc)
-        noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), 6, len(grid.durations)))
+        noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), len(grid.durations), 6))
         states = evolve(sc, noise, 6)
         assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
 
@@ -703,6 +714,59 @@ class TestPropagation:
         noise = _channel_noise(sc, grid, range(3))
         states = evolve(sc, noise, 3)
         assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
+        assert np.array_equal(states, one_step_batches(lambda: evolve(sc, noise, 3)))
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["traceless", "trace"])
+    @pytest.mark.parametrize("config",
+                             ["encoded_spin_boson", "encoded_depolarizing", "cp_x_symmetric"])
+    def test_step_stream_does_not_depend_on_the_batch(self, monkeypatch, config, trace):
+        # the steps are computed in batches across interval boundaries: batches of
+        # 3, 7, 10 and 20 steps split the intervals (of 10 and 5 steps, and under
+        # cp_x_symmetric of 20 and 39 steps of two lengths), end on pulses and on
+        # records and end between them; each gives the states of one-step batches
+        if config == "cp_x_symmetric":
+            sc = build_scenario("encoded_spin_boson", repetitions=3, ensemble_size=4, seed=5,
+                                max_step=0.013)
+            schedule = named_sequence(config, code=sc.code, cycle_time=1.0, physical=True)
+            sc = dataclasses.replace(sc, schedule=schedule)
+            assert len(np.unique(_build_grid(sc).durations)) == 2
+        else:
+            sc = build_scenario(config, repetitions=3, ensemble_size=4, seed=5)
+        sc = with_trace_part(sc) if trace else sc
+        grid = _build_grid(sc)
+        noise = _channel_noise(sc, grid, range(4))
+        expected = one_step_batches(lambda: evolve(sc, noise, 4))
+        events = set(grid.ends)
+        for batch in (3, 7, 10, 20, _BATCH_STEPS):
+            monkeypatch.setattr("aht.noise._BATCH_STEPS", batch)
+            assert np.array_equal(evolve(sc, noise, 4), expected)
+        straddled = [b for b in (3, 7, 10, 20) if any(e % b for e in events)]
+        at_ends = [b for b in (3, 7, 10, 20) if events & set(range(b, len(grid.durations), b))]
+        assert straddled and at_ends and events & grid.pulses.keys() and events & grid.record_steps
+
+    @pytest.mark.parametrize("pulses", [True, False])
+    def test_four_dim_block_through_the_propagator(self, pulses):
+        # the identity rows reach all 4 basis states, so the batched eigh branch
+        # runs; on 40-step intervals its batches cross steps and intervals, and
+        # the propagator is the one of one-step batches, bit for bit, and the
+        # ordered product of scipy's expm per step
+        from scipy.linalg import expm
+
+        sc = build_scenario("encoded_spin_boson", repetitions=2, ensemble_size=1, seed=3,
+                            pulses=pulses, max_step=0.0125)
+        grid = _build_grid(sc)
+        assert len(_path(sc, np.eye(4)).block) == 4 and len(grid.durations) > 3 * _BATCH_STEPS
+        noise = np.random.default_rng(5).normal(0, 0.5, (len(sc.channels), len(grid.durations)))
+        u = trajectory_propagator(sc, noise).matrix
+        assert np.array_equal(u, one_step_batches(lambda: trajectory_propagator(sc, noise).matrix))
+        expected = np.eye(4, dtype=complex)
+        for k, dt in enumerate(grid.durations):
+            h = sc.h_system.matrix + sum(x[k] * c.coupling.matrix
+                                         for x, c in zip(noise, sc.channels))
+            expected = expm(-1j * dt * h) @ expected
+            if k + 1 in grid.pulses:
+                expected = grid.pulses[k + 1] @ expected
+        assert np.max(np.abs(u - expected)) < 1e-12
 
 
 class TestEnsemble:
@@ -875,6 +939,17 @@ class TestSharedNoise:
         draws = count_draws(monkeypatch)
         run_suite(2024, n)
         assert draws == [2 * n * 12800 + n * 6400 + 4 * 1600, 3 * n + 4]
+
+    def test_draw_is_the_seed_sequence_of_the_list(self):
+        # _draw hands SeedSequence the uint32 words numpy makes of [seed, channel,
+        # i]: the same normals, also for whole numbers of more than one word
+        values = [0, 2**32 - 1, 2**32, 2**64 + 3]
+        out = np.empty((len(values), 40))
+        for seed, channel in itertools.product(values, (0, 5)):
+            _draw(out, seed, channel, values)
+            for row, i in zip(out, values):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, channel, i]))
+                assert np.array_equal(row, rng.standard_normal(40))
 
     def test_a_longer_draw_begins_with_the_shorter_one(self):
         # the sharing rests on this numpy property: a stream's first normals do
@@ -1110,7 +1185,8 @@ class TestScenarioLibrary:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_noise_size_bound(self, name, knobs):
         # the bound counts the bytes of the sampler of the run's path: off the
-        # diagonal path channels x trajectories x grid steps samples, on it
+        # diagonal path channels x trajectories x grid steps samples plus a
+        # draw buffer of _SUM_ROWS trajectories, on it
         # channels x trajectories x intervals sums plus (2 _SUM_ROWS + 10)
         # step-length vectors; the largest ensemble under the limit is
         # accepted, one more is not; neither allocates anything
@@ -1119,8 +1195,8 @@ class TestScenarioLibrary:
         steps, values = len(grid.durations), _MAX_NOISE_BYTES // 8
         if name in ("hybrid_dephasing", "four_qubit_blockwise"):  # the diagonal ones
             fits = (values - (2 * _SUM_ROWS + 10) * steps) // (len(sc.channels) * len(grid.ends))
-        else:
-            fits = values // (len(sc.channels) * steps)
+        else:  # the samples and a draw buffer of _SUM_ROWS trajectories
+            fits = (values - _SUM_ROWS * steps) // (len(sc.channels) * steps)
         assert fits >= _SUM_ROWS
         assert build_scenario(name, ensemble_size=fits, **knobs).ensemble_size == fits
         with pytest.raises(ValidationError, match="bytes of noise"):
@@ -1140,12 +1216,13 @@ class TestScenarioLibrary:
         # 21000 trajectories on 6400 steps: hybrid_dephasing's 3 channels would
         # take 3.2 GB of per-step samples, but its diagonal path needs 16 MB of
         # sums and 7 MB of work space, so it is admitted; encoded_spin_boson's
-        # 2 channels on the same grid are not diagonal and need 2.15 GB
+        # 2 channels on the same grid are not diagonal and need 2.15 GB, plus
+        # 3.3 MB of draw buffer (64 trajectories)
         knobs = {"ensemble_size": 21000, "max_step": 0.0025}
         sc = build_scenario("hybrid_dephasing", **knobs)
         assert len(_build_grid(sc).durations) == 6400
         assert 8 * len(sc.channels) * sc.ensemble_size * 6400 > _MAX_NOISE_BYTES
-        with pytest.raises(ValidationError, match="run needs 2150400000 bytes of noise"):
+        with pytest.raises(ValidationError, match="run needs 2153676800 bytes of noise"):
             build_scenario("encoded_spin_boson", **knobs)
 
     @pytest.mark.parametrize(
@@ -1159,11 +1236,12 @@ class TestScenarioLibrary:
             build_scenario("hybrid_dephasing", **knobs)
 
     def test_noise_allocation_is_the_counted_tensor(self):
-        # the bytes the size limit counts are all the noise draw allocates:
-        # draws land in the tensor and the OU recursion runs in place
+        # the bytes the size limit counts are all the noise draw allocates: the
+        # tensor and the draw buffer of _SUM_ROWS trajectories, each block of
+        # which is transposed into the tensor, where the OU recursion runs in place
         sc = build_scenario("hybrid_dephasing", encoded=False, ensemble_size=200, repetitions=16)
         grid = _build_grid(sc)
-        counted = len(sc.channels) * sc.ensemble_size * len(grid.durations) * 8
+        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS) * len(grid.durations) * 8
         tracemalloc.start()
         try:
             _channel_noise(sc, grid, range(sc.ensemble_size))
