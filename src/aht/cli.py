@@ -27,10 +27,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .codes import CODE_NAMES
+from .codes import _CODES
 from .config import ToleranceError, ValidationError
-from .decoupling import SEQUENCE_NAMES
-from .noise import SCENARIO_NAMES
+from .decoupling import _SEQUENCES
+from .noise import _SCENARIOS
 from .scenario import Scenario
 from .verify import format_report, run_suite
 
@@ -88,37 +88,13 @@ def _write(destination: str | None, text: str) -> int:
 
 
 def list_builtins() -> str:
-    """Catalog of built-in codes, sequences and noise scenarios."""
-    lines = ["codes:"]
-    code_blurbs = {
-        "ns3": "3 qubits; logical qubit on the spin-1/2 multiplicity space; immune to collective noise",
-        "dfs2": "2 qubits; logical qubit on span{|01>,|10>}; immune to collective z dephasing",
-        "dfs2x2": "4 qubits; two dfs2 blocks on pairs (1,2) and (3,4)",
-    }
-    for name in CODE_NAMES:
-        lines.append(f"  {name.ljust(16)} {code_blurbs[name]}")
-    lines.append("sequences:")
-    seq_blurbs = {
-        "cp_x": "two pi_x pulses, intervals 1/2 + 1/2",
-        "cp_x_symmetric": "time-symmetric variant, 1/4 + 1/2 + 1/4 (odd orders vanish)",
-        "cp_y": "two pi_y pulses, intervals 1/2 + 1/2",
-        "whh4": "four half-pi pulses, 1/6 1/6 1/3 1/6 1/6; averages out dipolar couplings",
-        "gmax_cycle": "x,z,x,z pi pulses; maximal averaging over {1,X,Y,Z}",
-        "s1_selective_x1": "encoded: keeps only the first logical qubit's x coupling",
-        "s1_selective_x2": "encoded: keeps only the second logical qubit's x coupling",
-        "zz_extractor": "encoded: keeps only the logical zz coupling",
-    }
-    for name in SEQUENCE_NAMES:
-        lines.append(f"  {name.ljust(16)} {seq_blurbs[name]}")
-    lines.append("noise scenarios:")
-    noise_blurbs = {
-        "hybrid_dephasing": "fast collective + slow independent dephasing on two qubits",
-        "encoded_spin_boson": "dfs2 qubit with logical drift under slow dephasing",
-        "encoded_depolarizing": "dfs2 qubit with slow noise on both logical axes",
-        "four_qubit_blockwise": "two dfs2 blocks under blockwise-correlated fast dephasing",
-    }
-    for name in SCENARIO_NAMES:
-        lines.append(f"  {name.ljust(21)} {noise_blurbs[name]}")
+    """Catalog of built-in codes, sequences and noise scenarios: each table's rows
+    in order, a row's name and the ``aht list`` line it opens with."""
+    lines = []
+    for title, table, width in (("codes", _CODES, 16), ("sequences", _SEQUENCES, 16),
+                                ("noise scenarios", _SCENARIOS, 21)):
+        lines.append(f"{title}:")
+        lines.extend(f"  {name.ljust(width)} {line}" for name, (line, *_) in table.items())
     return "\n".join(lines) + "\n"
 
 

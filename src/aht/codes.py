@@ -64,7 +64,6 @@ __all__ = [
     "verify_pulse_correspondence",
 ]
 
-CODE_NAMES = ("ns3", "dfs2", "dfs2x2")
 
 @dataclass(frozen=True)
 class Code:
@@ -356,12 +355,22 @@ def _build_ns3() -> Code:
     return Code("ns3", 3, 2, 2, iso, observables, realizations, (("x", "swap12"),))
 
 
+#: The named codes in catalog order, one row each: the ``aht list`` line and the builder.
+_CODES = {
+    "ns3": ("3 qubits; logical qubit on the spin-1/2 multiplicity space; immune to collective noise",
+            _build_ns3),
+    "dfs2": ("2 qubits; logical qubit on span{|01>,|10>}; immune to collective z dephasing",
+             _build_dfs2),
+    "dfs2x2": ("4 qubits; two dfs2 blocks on pairs (1,2) and (3,4)", _build_dfs2x2),
+}
+CODE_NAMES = tuple(_CODES)
+
+
 def build_code(name: str) -> Code:
     """Construct one of the named codes: ``ns3``, ``dfs2`` or ``dfs2x2``."""
-    builders = {"ns3": _build_ns3, "dfs2": _build_dfs2, "dfs2x2": _build_dfs2x2}
     if name not in CODE_NAMES:  # a tuple, so an unhashable name compares unequal
         raise ValidationError(f"unknown code {name!r}; known: {', '.join(CODE_NAMES)}")
-    return builders[name]()
+    return _CODES[name][1]()
 
 
 # ---------------------------------------------------------------------------

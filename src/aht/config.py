@@ -66,12 +66,12 @@ class Tolerances:
 #: The tolerances every module reads.
 DEFAULT_TOL = Tolerances()
 
-#: Largest noise allocation a noise scenario may ask for, checked before any
-#: of it is allocated and counted for the sampler of the run's own path (see
-#: ``noise.NoiseScenario``): off the diagonal path the (channels x
-#: trajectories x steps) samples, on it the interval sums and the sampler's
-#: work space.  ``aht verify`` at its default ensemble of 500 counts at most
-#: 15 MB a run.
+#: Largest noise allocation a noise scenario, or a group of them sampled
+#: together, may ask for, checked before any of it is allocated: the count is
+#: ``noise._noise_bytes``, for the sampler of the runs' own path (off the
+#: diagonal path the (channels x trajectories x steps) samples, on it the
+#: interval sums and the sampler's work space).  ``aht verify`` at its default
+#: ensemble of 500 counts at most 15 MB a run.
 _MAX_NOISE_BYTES = 2 * 1024**3
 
 

@@ -19,7 +19,8 @@ agree to one order in the cycle time better than the average alone, and
 :func:`effective_defect` measures both distances from one propagator.
 
 The library sequences (:data:`SEQUENCE_NAMES`) are declared once, one row
-each of a private table: pulse axes in time order and interval fractions.
+each of a private table: its ``aht list`` line, pulse axes in time order
+and interval fractions.
 :func:`named_sequence` builds every row with one pulse rule -- collective
 pulses without a code, encoded pi rotations with one.
 """
@@ -64,25 +65,32 @@ __all__ = [
     "builtin_groups",
 ]
 
-#: The named sequences in catalog order, one row each: the pulse axes in time
-#: order, the interval fractions and, for a train of half-pi pulses, the sign
-#: of each (``None``: pi pulses).  A one-letter axis is a pi pulse; a
-#: two-letter axis names one letter per logical qubit.
+#: The named sequences in catalog order, one row each: the ``aht list`` line, the
+#: pulse axes in time order, the interval fractions and, for a train of half-pi
+#: pulses, the sign of each (``None``: pi pulses).  A one-letter axis is a pi
+#: pulse; a two-letter axis names one letter per logical qubit.
 _SEQUENCES = {
-    "cp_x": (("x", "x"), (0.5, 0.5), None),
-    "cp_x_symmetric": (("x", "x"), (0.25, 0.5, 0.25), None),
-    "cp_y": (("y", "y"), (0.5, 0.5), None),
-    "whh4": (("x", "y", "y", "x"), (1 / 6, 1 / 6, 1 / 3, 1 / 6, 1 / 6), (1, -1, 1, -1)),
-    "gmax_cycle": (("x", "z", "x", "z"), (0.25,) * 4, None),
-    "s1_selective_x1": (("xx", "xz", "xx", "xz"), (0.25,) * 4, None),
-    "s1_selective_x2": (("xx", "zx", "xx", "zx"), (0.25,) * 4, None),
-    "zz_extractor": (("xx", "zz", "xx", "zz"), (0.25,) * 4, None),
+    "cp_x": ("two pi_x pulses, intervals 1/2 + 1/2", ("x", "x"), (0.5, 0.5), None),
+    "cp_x_symmetric": ("time-symmetric variant, 1/4 + 1/2 + 1/4 (odd orders vanish)",
+                       ("x", "x"), (0.25, 0.5, 0.25), None),
+    "cp_y": ("two pi_y pulses, intervals 1/2 + 1/2", ("y", "y"), (0.5, 0.5), None),
+    "whh4": ("four half-pi pulses, 1/6 1/6 1/3 1/6 1/6; averages out dipolar couplings",
+             ("x", "y", "y", "x"), (1 / 6, 1 / 6, 1 / 3, 1 / 6, 1 / 6), (1, -1, 1, -1)),
+    "gmax_cycle": ("x,z,x,z pi pulses; maximal averaging over {1,X,Y,Z}",
+                   ("x", "z", "x", "z"), (0.25,) * 4, None),
+    "s1_selective_x1": ("encoded: keeps only the first logical qubit's x coupling",
+                        ("xx", "xz", "xx", "xz"), (0.25,) * 4, None),
+    "s1_selective_x2": ("encoded: keeps only the second logical qubit's x coupling",
+                        ("xx", "zx", "xx", "zx"), (0.25,) * 4, None),
+    "zz_extractor": ("encoded: keeps only the logical zz coupling",
+                     ("xx", "zz", "xx", "zz"), (0.25,) * 4, None),
 }
 SEQUENCE_NAMES = tuple(_SEQUENCES)
 
-#: the sequences that exist only encoded, on two logical qubits
-_ENCODED_ONLY = frozenset(name for name, (axes, _, _) in _SEQUENCES.items()
-                          if max(map(len, axes)) == 2)
+#: the sequences that exist only encoded, on two logical qubits; a tuple, so an
+#: unhashable name is simply not in it
+_ENCODED_ONLY = tuple(name for name, (_, axes, _, _) in _SEQUENCES.items()
+                      if max(map(len, axes)) == 2)
 
 
 def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[Operator]:
@@ -433,9 +441,9 @@ def named_sequence(
     are taken from the code's realization table instead, so the scheme
     evolves the full physical register.
     """
-    if name not in _SEQUENCES:
+    if name not in SEQUENCE_NAMES:  # a tuple, so an unhashable name compares unequal
         raise ValidationError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCE_NAMES)}")
-    axes, durations, signs = _SEQUENCES[name]
+    _, axes, durations, signs = _SEQUENCES[name]
     if signs is not None and code is not None:
         raise ValidationError(f"{name} is a physical (collective-pulse) sequence")
     if name in _ENCODED_ONLY and code is None:

@@ -23,8 +23,8 @@ the diagonal path the draws are transposed into the step-major ``(channels,
 steps, trajectories)`` tensor a block at a time, and the OU recursion
 overwrites them in place; on it, the same draws are reduced straight to
 the interval integrals the state reads (below) by that law's weights, with
-no per-step sample, which moves states by rounding only (at most 5.9e-13
-at the library defaults).
+no per-step sample.  One sampler (``_sampled``) picks between the two for
+every seeded run, and one count (``_noise_bytes``) sizes what it holds.
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -35,10 +35,9 @@ one phase update from the noise integrated over the interval; otherwise
 each step applies the exact exponential of its frozen Hamiltonian, built
 ``_BATCH_STEPS`` steps of the grid at a time, across interval boundaries.
 On a 2-dim block it acts straight on the two state components, as an SU(2)
-step times its trace phase (``_su2_step``), with no per-step 2x2 matrix,
-which moved states by rounding only (at most 3.8e-15 at the library
-defaults); on a larger block by a batched ``eigh``.  The step grid and the
-noise samples are the same either way.
+step times its trace phase (``_su2_step``), with no per-step 2x2 matrix;
+on a larger block by a batched ``eigh``.  The step grid and the noise
+samples are the same either way.
 
 Propagation runs in the code space: only the basis block reachable from
 the initial state through the drift, couplings and pulses is evolved, and
@@ -51,7 +50,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import ClassVar, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,23 +85,25 @@ def _omegas(name: str, value) -> tuple:
     return tuple(value)
 
 
-#: Knobs each library scenario reads on top of ``_SHARED_KNOBS`` (see
-#: :func:`build_scenario`), each with the check that reads its value; any
-#: other knob is rejected.
-_SCENARIO_KNOBS = {
-    "hybrid_dephasing": {
-        "encoded": _boolean, "fast_amplitude": _real, "slow_amplitude": _real,
-        "omega1": _real, "omega2": _real,
-    },
-    "encoded_spin_boson": {"delta_omega": _real, "j_drift": _real, "slow_amplitude": _real},
-    "encoded_depolarizing": {"slow_amplitude": _real},
-    "four_qubit_blockwise": {"fast_amplitude": _real, "slow_amplitude": _real, "omegas": _omegas},
+#: The library scenarios in catalog order, one row each: the ``aht list`` line and the
+#: knobs the scenario reads on top of ``_SHARED_KNOBS`` (see :func:`build_scenario`),
+#: each with the check that reads its value; any other knob is rejected.
+_SCENARIOS = {
+    "hybrid_dephasing": ("fast collective + slow independent dephasing on two qubits",
+                         {"encoded": _boolean, "fast_amplitude": _real, "slow_amplitude": _real,
+                          "omega1": _real, "omega2": _real}),
+    "encoded_spin_boson": ("dfs2 qubit with logical drift under slow dephasing",
+                           {"delta_omega": _real, "j_drift": _real, "slow_amplitude": _real}),
+    "encoded_depolarizing": ("dfs2 qubit with slow noise on both logical axes",
+                             {"slow_amplitude": _real}),
+    "four_qubit_blockwise": ("two dfs2 blocks under blockwise-correlated fast dephasing",
+                             {"fast_amplitude": _real, "slow_amplitude": _real, "omegas": _omegas}),
 }
 _SHARED_KNOBS = {
     "cycle_time": _real, "repetitions": _integer, "ensemble_size": _integer, "seed": _seed,
     "pulses": _boolean, "max_step": _real, "tau_fast": _real, "tau_slow": _real,
 }
-SCENARIO_NAMES = tuple(_SCENARIO_KNOBS)
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 CHANNEL_KINDS = ("collective_fast", "independent_slow", "logical")
 
@@ -117,8 +118,8 @@ class DephasingChannel:
     kind: str
 
     def __post_init__(self):
-        if not self.correlation_time > 0:
-            raise ValidationError("correlation_time must be positive")
+        if not 0 < self.correlation_time < math.inf:
+            raise ValidationError("correlation_time must be positive and finite")
         if not 0 <= self.amplitude < math.inf:
             raise ValidationError("amplitude must be finite and nonnegative")
         if self.kind not in CHANNEL_KINDS:
@@ -136,13 +137,8 @@ class NoiseScenario:
     positive; it caps the step below the default ``min(tau_c, T_c) / 20``,
     to compare runs on a common grid.  The observable must be Hermitian.
     A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
-    refused before anything is allocated.  The count is the allocation of the
-    sampler of the run's own path (see ``_path``), each with a draw buffer of
-    up to ``_SUM_ROWS`` trajectories: off the diagonal path the per-step
-    samples; on it the interval sums, as large a product as the buffer and 10
-    step-length weights or temporaries (``_interval_bytes``).
-    ``ensemble_coherences`` applies the same count to a group of diagonal runs
-    sampled together, counting once the sums that runs of equal noise inputs share.
+    refused before anything is allocated: the count is ``_noise_bytes`` of
+    the run alone, on its own path (see ``_path``).
 
     The step cap reads every channel's correlation time, a channel of zero
     amplitude included (see ``_intervals``).
@@ -194,14 +190,7 @@ class NoiseScenario:
         if not abs(np.linalg.norm(psi) - 1) <= DEFAULT_TOL.equality:
             raise ValidationError(f"initial state must have norm 1, got {np.linalg.norm(psi)}")
         object.__setattr__(self, "initial_state", psi)
-        # exact integers: the interval sums and sampler work space, or the per-step
-        # samples and the draw buffer
-        _, steps, cycles = _intervals(self)
-        n, channels = cycles * sum(steps), max(1, len(self.channels))  # no channels: the grid
-        if _path(self, psi[None, :]).diagonal:
-            size = _interval_bytes(self.ensemble_size, [(channels * cycles * len(steps), n)])
-        else:
-            size = 8 * (channels * self.ensemble_size + min(self.ensemble_size, _SUM_ROWS)) * n
+        size = _noise_bytes(self.ensemble_size, [_sums_key(self)], _path(self, psi[None, :]).diagonal)
         if size > _MAX_NOISE_BYTES:
             raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
 
@@ -350,16 +339,6 @@ def _sum_weights(grid: _Grid, amplitude: float, tau_c: float) -> tuple[np.ndarra
     return w_sum * kick, w_last * kick, w_sum[starts] * rho[starts], w_last[starts] * rho[starts]
 
 
-def _interval_bytes(n: int, runs: Sequence[tuple[int, int]]) -> int:
-    """Bytes ``_interval_noise`` holds for ``n`` trajectories of runs given as (sums per
-    trajectory, grid steps), one entry per array it returns (see ``_sums_key``): the
-    sums, a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid and as
-    large a product, and 10 step-length weights or temporaries per array.  An exact
-    integer, counted before anything is allocated."""
-    rows, longest = min(n, _SUM_ROWS), max(steps for _, steps in runs)
-    return 8 * (sum(sums * n + 10 * steps for sums, steps in runs) + 2 * rows * longest)
-
-
 def _sums_key(scenario: NoiseScenario) -> tuple:
     """What a run's interval sums read besides the seed and the trajectories: the
     intervals its grid is built from (``_intervals``) and each channel's amplitude and
@@ -367,6 +346,22 @@ def _sums_key(scenario: NoiseScenario) -> tuple:
     lengths, steps, cycles = _intervals(scenario)
     laws = tuple((ch.amplitude, ch.correlation_time) for ch in scenario.channels)
     return tuple(lengths), tuple(steps), cycles, laws
+
+
+def _noise_bytes(n: int, keys: Iterable[tuple], diagonal: bool) -> int:
+    """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs given by their
+    ``_sums_key``, an exact integer counted from the step rule before anything is
+    allocated.  On the diagonal path: the sums of each array ``_interval_noise`` returns,
+    one per distinct key (runs of equal noise inputs share one), a draw buffer of up to
+    ``_SUM_ROWS`` trajectories on the longest grid and as large a product, and 10
+    step-length weights or temporaries per array.  Off it (a lone run): the per-step
+    samples and the draw buffer.  A run without channels counts one, for the grid."""
+    arrays = [(max(1, len(laws)) * cycles * (len(steps) if diagonal else sum(steps)),
+               cycles * sum(steps)) for _, steps, cycles, laws in set(keys)]
+    work, buffers = (10, 2) if diagonal else (0, 1)
+    longest = max(steps for _, steps in arrays)
+    return 8 * (sum(values * n + work * steps for values, steps in arrays)
+                + buffers * min(n, _SUM_ROWS) * longest)
 
 
 def _interval_noise(runs: Sequence[tuple[NoiseScenario, _Grid]],
@@ -377,8 +372,7 @@ def _interval_noise(runs: Sequence[tuple[NoiseScenario, _Grid]],
     + sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the
     interval's first ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs
     ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l)
-    kick_l``.  Against summing the per-step samples this moves states by rounding only,
-    at most 5.9e-13 at the library defaults (200 trajectories, seed 11).
+    kick_l``.  Against summing the per-step samples this moves states by rounding only.
 
     The runs share each stream: channel ``c`` of a trajectory is drawn once, to the
     longest grid among the runs that read it (nonzero amplitude), and each run reduces
@@ -536,29 +530,45 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
     return out
 
 
-def _noise(scenario: NoiseScenario, grid: _Grid, plan: _Plan, trajectories: Sequence[int],
-           noise_values=None) -> np.ndarray:
-    """What ``_evolve`` reads on the plan's path: the seeded noise of ``trajectories``
-    or, shared by every row, the samples ``noise_values``."""
-    if noise_values is None:
-        if plan.diagonal:
-            return _interval_noise([(scenario, grid)], trajectories)[0]
-        return _channel_noise(scenario, grid, trajectories)
+def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
+             trajectories: Sequence[int]) -> Iterator[tuple[_Grid, np.ndarray]]:
+    """The grid and seeded noise of ``trajectories`` that ``_evolve`` reads, for each of
+    a group of runs of one seed, in order: on the diagonal path the interval sums, the
+    group sampled together (``_interval_noise``); off it, a lone run's per-step samples
+    (``_channel_noise``).  The group is sampled at the first ``next``, so the first run
+    holds the drawing, and each array is dropped once yielded: it lives only while a run
+    still reads it."""
+    grids = [_build_grid(sc) for sc in runs]
+    if diagonal:
+        noise = _interval_noise(list(zip(runs, grids)), trajectories)
+    else:
+        noise = [_channel_noise(sc, grid, trajectories) for sc, grid in zip(runs, grids)]
+    for grid in grids:
+        yield grid, noise.pop(0)
+
+
+def _noise(scenario: NoiseScenario, plan: _Plan, noise_values) -> tuple[_Grid, np.ndarray]:
+    """The grid and what ``_evolve`` reads on the plan's path of the samples
+    ``noise_values``, shared by every row."""
+    grid = _build_grid(scenario)
     noise = np.asarray(noise_values, dtype=float)
     shape = (len(scenario.channels), grid.durations.shape[0])
     if noise.shape != shape:
         raise ValidationError(f"noise_values must have shape {shape}, got {noise.shape}")
     if plan.diagonal:  # the diagonal path reads the sums over each interval
-        return np.stack([(noise[:, None, a:b] * grid.durations[a:b]).sum(axis=-1)
-                         for a, b in zip([0, *grid.ends], grid.ends)], axis=-1)
-    return noise[:, :, None]
+        return grid, np.stack([(noise[:, None, a:b] * grid.durations[a:b]).sum(axis=-1)
+                               for a, b in zip([0, *grid.ends], grid.ends)], axis=-1)
+    return grid, noise[:, :, None]
 
 
 def _run(scenario: NoiseScenario, psi: np.ndarray, trajectories: Sequence[int] = (),
          noise_values=None) -> tuple[_Grid, np.ndarray]:
-    """The grid, and the states of the rows ``psi`` under ``_noise``."""
-    grid, plan = _build_grid(scenario), _path(scenario, psi)
-    return grid, _evolve(plan, _noise(scenario, grid, plan, trajectories, noise_values), psi, grid)
+    """The grid, and the states of the rows ``psi`` under the seeded noise of
+    ``trajectories`` or, if given, ``noise_values``."""
+    plan = _path(scenario, psi)
+    grid, noise = (next(_sampled([scenario], plan.diagonal, trajectories)) if noise_values is None
+                   else _noise(scenario, plan, noise_values))
+    return grid, _evolve(plan, noise, psi, grid)
 
 
 @dataclass(frozen=True)
@@ -621,15 +631,6 @@ class DecayCurve:
         return "\n".join(lines) + "\n"
 
 
-def _group_noise(runs: list[tuple[NoiseScenario, _Grid]]) -> Iterator[tuple[_Grid, np.ndarray]]:
-    """The grid and interval sums of each of a group of diagonal runs of one seed and
-    ensemble size, in order.  The group is sampled (``_interval_noise``) at the first
-    ``next``, so the first run's call holds the drawing, as a lone run's does."""
-    sums = _interval_noise(runs, range(runs[0][0].ensemble_size))
-    for _, grid in runs:
-        yield grid, sums.pop(0)  # popped: an array lives only while a run still reads it
-
-
 def ensemble_coherence(scenario: NoiseScenario, *,
                        _shared: Iterator[tuple[_Grid, np.ndarray]] | None = None) -> DecayCurve:
     """Monte Carlo decay curve of the scenario observable.
@@ -638,16 +639,12 @@ def ensemble_coherence(scenario: NoiseScenario, *,
     Hermitian); reported are its ensemble mean and the standard error of
     that mean at each record time.  A curve that is not finite (the noise or
     drift overflowed) raises :class:`ValidationError`.  ``_shared`` is
-    ``ensemble_coherences``' own: the ``_group_noise`` whose next grid and
-    sums the scenario reads.
+    ``ensemble_coherences``' own: the ``_sampled`` group whose next grid and
+    noise the scenario reads; by default the scenario is a group of one.
     """
     n = scenario.ensemble_size
     plan = _path(scenario, scenario.initial_state[None, :])
-    if _shared is None:
-        grid = _build_grid(scenario)
-        noise = _noise(scenario, grid, plan, range(n))
-    else:
-        grid, noise = next(_shared)
+    grid, noise = next(_shared or _sampled([scenario], plan.diagonal, range(n)))
     states = _evolve(plan, noise, np.tile(scenario.initial_state, (n, 1)), grid)
     del noise  # freed before the reduction, unless a later run of the group reads it
     obs = scenario.observable.matrix
@@ -663,32 +660,31 @@ def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
     """``ensemble_coherence`` of each scenario, in order, with the noise shared.
 
     Diagonal-path scenarios with the same seed and ensemble size sample
-    together (``_interval_noise``): each seeded stream is drawn once, to the
+    together (``_sampled``): each seeded stream is drawn once, to the
     longest grid that reads it, so each curve is the one it has on its own.
-    A scenario joins such a group only while ``_interval_bytes`` of the
-    group's sums arrays, one per ``_sums_key`` (the count ``NoiseScenario``
-    bounds for one run), stays within ``config._MAX_NOISE_BYTES``; past it a
-    new group starts.  Other scenarios sample on their own.  The curves are
-    computed group by group, so one group's noise is held at a time, and each
-    scenario's sums are freed after its propagation, before its curve is
-    reduced, unless a later scenario of the group reads the same array.
+    A scenario joins such a group only while ``_noise_bytes`` of the group
+    (the count ``NoiseScenario`` bounds for one run) stays within
+    ``config._MAX_NOISE_BYTES``; past it a new group starts.  Other
+    scenarios sample on their own.  The curves are computed group by group,
+    so one group's noise is held at a time, and each scenario's sums are
+    freed after its propagation, before its curve is reduced, unless a later
+    scenario of the group reads the same array.
     """
-    runs = [(sc, _build_grid(sc) if _path(sc, sc.initial_state[None, :]).diagonal else None)
-            for sc in scenarios]  # the grid of each diagonal run
-    arrays = [(_sums_key(sc), (max(1, len(sc.channels)) * len(g.ends), len(g.durations)))
-              if g is not None else None for sc, g in runs]
+    diagonal = [_path(sc, sc.initial_state[None, :]).diagonal for sc in scenarios]
+    keys = [_sums_key(sc) for sc in scenarios]  # each scenario's count, taken once
     groups, open_groups = [], {}  # the last group of each (seed, ensemble size); others alone
-    for i, (sc, grid) in enumerate(runs):
-        key = (sc.seed, sc.ensemble_size) if grid is not None else i
+    for i, sc in enumerate(scenarios):
+        key = (sc.seed, sc.ensemble_size) if diagonal[i] else i
         group = open_groups.get(key)
-        if group is None or _interval_bytes(sc.ensemble_size, list(
-                dict(arrays[k] for k in [*group, i]).values())) > _MAX_NOISE_BYTES:
+        if group is None or _noise_bytes(
+                sc.ensemble_size, [keys[k] for k in [*group, i]], True) > _MAX_NOISE_BYTES:
             group = open_groups[key] = []
             groups.append(group)
         group.append(i)
-    curves = [None] * len(runs)
+    curves = [None] * len(scenarios)
     for group in groups:
-        shared = _group_noise([runs[k] for k in group]) if runs[group[0]][1] is not None else None
+        runs = [scenarios[k] for k in group]
+        shared = _sampled(runs, diagonal[group[0]], range(runs[0].ensemble_size))
         for k in group:
             curves[k] = ensemble_coherence(scenarios[k], _shared=shared)
     return curves
@@ -752,7 +748,7 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     """
     if name not in SCENARIO_NAMES:
         raise ValidationError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    known = {**_SHARED_KNOBS, **_SCENARIO_KNOBS[name]}
+    known = {**_SHARED_KNOBS, **_SCENARIOS[name][1]}
     _known_keys(f"knobs for scenario {name!r}:", params, known)
 
     def knob(key: str, default):

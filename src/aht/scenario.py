@@ -33,7 +33,7 @@ import numpy as np
 from .codes import CODE_NAMES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
 from .config import ValidationError, _boolean, _integer, _known_keys, _real, _seed
 from .decoupling import (
-    _ENCODED_ONLY, SEQUENCE_NAMES, DecouplingScheme, _defect_sweep, average_zeroth,
+    _ENCODED_ONLY, DecouplingScheme, _defect_sweep, average_zeroth,
     cycle_propagator, frames_from_scheme, named_sequence, project_group,
 )
 from .noise import build_scenario, ensemble_coherence
@@ -234,15 +234,10 @@ class Scenario:
         if "name" in spec:
             _known_keys("named sequence keys", spec, ("name", "cycle_time", "code", "physical"))
             name = spec["name"]
-            if name not in SEQUENCE_NAMES:
-                raise ValidationError(f"unknown sequence {name!r}")
             # A sequence is encoded iff a code is named: either in the
             # sequence block itself or, for the sequences that cannot
             # exist unencoded, at the scenario level.
-            needs_code = name in _ENCODED_ONLY
-            code_name = spec.get("code") or (self.code if needs_code else None)
-            if needs_code and code_name is None:
-                raise ValidationError(f"sequence {name!r} needs a code")
+            code_name = spec.get("code") or (self.code if name in _ENCODED_ONLY else None)
             code = build_code(code_name) if code_name else None
             return named_sequence(
                 name,

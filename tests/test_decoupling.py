@@ -315,9 +315,11 @@ class TestOneDecompositionPerSweep:
 
 
 class TestNamedSequences:
-    def test_unknown_name(self):
-        with pytest.raises(ValidationError):
-            named_sequence("cpmg_8")
+    @pytest.mark.parametrize("name", ["cpmg_8", ["cp_x"]])
+    def test_unknown_name(self, name):
+        # an unhashable name is unknown too, not a TypeError
+        with pytest.raises(ValidationError, match="unknown sequence"):
+            named_sequence(name)
 
     def test_encoded_needs_code(self):
         with pytest.raises(ValidationError):

@@ -21,14 +21,15 @@ from aht.noise import (
     _channel_noise,
     _draw,
     _evolve,
-    _interval_bytes,
     _interval_noise,
+    _noise_bytes,
     _ou_in_place,
     _path,
     _reachable_block,
     _run,
     _step_propagators,
     _su2_step,
+    _sums_key,
     build_scenario,
     ensemble_coherence,
     ensemble_coherences,
@@ -904,12 +905,6 @@ def verify_runs(n, seed=2024):
             *(build_scenario("hybrid_dephasing", encoded=e, **hybrid) for e in (True, False))]
 
 
-def sum_counts(scenarios):
-    """``_interval_bytes``' (sums per trajectory, grid steps) of each scenario."""
-    grids = [_build_grid(sc) for sc in scenarios]
-    return [(len(sc.channels) * len(g.ends), len(g.durations)) for sc, g in zip(scenarios, grids)]
-
-
 class TestSharedNoise:
     def test_pair_in_one_call_gives_both_pinned_digests(self, monkeypatch):
         pair = [pinned_scenario(config) for config in PINNED_PAIR]
@@ -972,7 +967,7 @@ class TestSharedNoise:
         n = 3
         scenarios = verify_runs(n)
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        limit = _interval_bytes(n, sum_counts(scenarios)[:arrays])
+        limit = _noise_bytes(n, map(_sums_key, scenarios[:arrays]), True)
         monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
         counted = count_samples(monkeypatch)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
@@ -990,7 +985,7 @@ class TestSharedNoise:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * _interval_bytes(n, sum_counts(scenarios[:3]))  # the pair's one array
+        assert peak <= 1.1 * _noise_bytes(n, map(_sums_key, scenarios), True)  # the pair's one array
 
     @pytest.mark.parametrize("knob,value", [("seed", 30), ("ensemble_size", 17)])
     def test_different_seed_or_ensemble_size_samples_apart(self, monkeypatch, knob, value):
@@ -1165,7 +1160,8 @@ class TestScenarioLibrary:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("correlation_time", float("nan")), ("amplitude", float("nan")), ("amplitude", np.inf)],
+        [("correlation_time", float("nan")), ("correlation_time", np.inf),
+         ("amplitude", float("nan")), ("amplitude", np.inf)],
     )
     def test_channel_rejects_nonfinite(self, field, value):
         ch = build_scenario("hybrid_dephasing", ensemble_size=1).channels[0]

@@ -1,5 +1,6 @@
 """Scenario files and the command-line front end."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 import aht
 from aht.cli import list_builtins, main, run
+from aht.codes import CODE_NAMES
 from aht.config import ValidationError
-from aht.noise import DecayCurve
+from aht.decoupling import SEQUENCE_NAMES
+from aht.noise import SCENARIO_NAMES, DecayCurve
 from aht.operators import SIGMA, exchange
 from aht.scenario import KINDS, Scenario, _json_text, parse_hamiltonian, parse_term
 from aht.verify import VerificationCheck
@@ -281,6 +284,7 @@ class TestRunCommand:
             {"kind": "universality", "generators": [["1.0 X 1"], 5]},
             {"sequence": {"name": "cp_x", "physical": "no"}},
             {"sequence": {"name": "cp_x", "code": ["dfs2"]}},
+            {"sequence": {"name": ["cp_x"]}},
             {"sequence": {"pulses": 5, "durations": [1.0]}},
             {"sequence": {"pulses": [5], "durations": [1.0]}},
             {"hamiltonian": {"nmr": 5}},
@@ -760,7 +764,28 @@ class TestRepeatedCalls:
         assert (seeded, own) == (7, 5)
 
 
+#: sha256 of the ``aht list`` stdout
+LIST_SHA256 = "6c84011bc1d81d92be32f0c95a6199a8837ed2db8820c85e9bab3090a87f8a6f"
+
+
 class TestListCommand:
+    def test_stdout_is_pinned(self, capsys):
+        assert main(["list"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == LIST_SHA256
+
+    def test_each_catalog_lists_its_table(self):
+        # a section per catalog, one row per name of its table, in table order
+        sections = {}
+        for line in list_builtins().splitlines():
+            if line.startswith("  "):
+                sections[title].append(line.split()[0])
+            else:
+                title = line.rstrip(":")
+                sections[title] = []
+        assert sections == {"codes": list(CODE_NAMES), "sequences": list(SEQUENCE_NAMES),
+                            "noise scenarios": list(SCENARIO_NAMES)}
+
     def test_catalog_contents(self):
         text = list_builtins()
         for name in ("ns3", "dfs2", "dfs2x2", "cp_x", "cp_x_symmetric", "whh4",
