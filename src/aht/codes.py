@@ -103,18 +103,13 @@ class Code:
 
     def restrict(self, op: MatrixLike) -> np.ndarray:
         """``V^dag O V`` on the embedded logical (x) syndrome space."""
-        m = mat(op)
-        if m.shape[0] != 2**self.n_physical:
-            raise ValidationError(
-                f"operator dim {m.shape[0]} does not match code on {self.n_physical} qubits"
-            )
-        return self.isometry.conj().T @ m @ self.isometry
+        return self.isometry.conj().T @ mat(op, len(self.isometry)) @ self.isometry
 
     def leakage(self, op: MatrixLike) -> float:
         """Spectral norm of the block coupling the code space to its complement."""
+        m = mat(op, len(self.isometry))
         p = self.projector()
-        m = mat(op)
-        off = (np.eye(m.shape[0]) - p) @ m @ p
+        off = (np.eye(len(m)) - p) @ m @ p
         return float(np.linalg.norm(off, 2))
 
     def observable(self, axis: str, logical_qubit: int = 1) -> Operator:

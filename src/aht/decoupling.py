@@ -104,13 +104,12 @@ def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[
     identity first; raises if closure is not reached within ``max_order``
     elements.
     """
-    gens = [mat(g) for g in generators]
+    gens = list(generators)
     if not gens:
         raise ValidationError("need at least one generator")
-    dim = gens[0].shape[0]
+    dim = len(mat(gens[0]))
+    gens = [mat(g, dim) for g in gens]
     for g in gens:
-        if g.shape != (dim, dim):
-            raise ValidationError("generators must share a dimension")
         if not _unitarity_defect(g) <= DEFAULT_TOL.equality:
             raise ValidationError("generators must be unitary")
     found = np.empty((16, dim, dim), dtype=complex)  # doubled when full
@@ -240,7 +239,7 @@ class DecouplingSet:
 
     @classmethod
     def group(cls, elements: Sequence[MatrixLike]) -> "DecouplingSet":
-        ops = tuple(Operator(mat(e)) for e in elements)
+        ops = tuple(map(Operator, elements))
         w = 1.0 / len(ops)
         s = cls(ops, (w,) * len(ops))
         if not s.is_group:
@@ -276,9 +275,7 @@ def average_zeroth(h: MatrixLike, frames: DecouplingSet) -> Operator:
 
     Trace preserving and unital; Hermitian for Hermitian input.
     """
-    hm = mat(h)
-    if hm.shape[0] != frames.dim:
-        raise ValidationError(f"dimension mismatch: H is {hm.shape[0]}, frames are {frames.dim}")
+    hm = mat(h, frames.dim)
     total = np.zeros_like(hm)
     for f, w in zip(frames.frames, frames.weights):
         total += w * (f.matrix.conj().T @ hm @ f.matrix)
@@ -307,7 +304,8 @@ def first_order_correction(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
     taking hbar = 1.  It vanishes exactly whenever the toggled
     Hamiltonians commute, and is O(T_c) in general.
     """
-    commutators = _commutator_sum(mat(h), frames_from_scheme(scheme), scheme.durations)
+    hm = mat(h, scheme.dim)
+    commutators = _commutator_sum(hm, frames_from_scheme(scheme), scheme.durations)
     return Operator(-0.5j * scheme.cycle_time * commutators)
 
 
@@ -331,15 +329,8 @@ def cycle_propagator(h: MatrixLike, scheme: DecouplingScheme) -> Operator:
     pulse ``i+1`` if there is one.  ``H`` is diagonalized once for all
     the intervals; each factor is ``expm(H, durations[i] * cycle_time)``.
     """
-    hm = _scheme_hamiltonian(h, scheme)
-    return Operator(_propagate(_eigh_hermitian(hm), scheme, scheme.cycle_time))
-
-
-def _scheme_hamiltonian(h: MatrixLike, scheme: DecouplingScheme) -> np.ndarray:
-    hm = mat(h)
-    if hm.shape[0] != scheme.dim:
-        raise ValidationError("Hamiltonian dimension does not match scheme")
-    return hm
+    decomposition = _eigh_hermitian(mat(h, scheme.dim))
+    return Operator(_propagate(decomposition, scheme, scheme.cycle_time))
 
 
 def _propagate(decomposition, scheme: DecouplingScheme, cycle_time: float) -> np.ndarray:
@@ -374,7 +365,7 @@ def _defect_sweep(
     of ``H``, the frames, the zeroth-order average and its
     decomposition, and the first-order commutator sum.
     """
-    hm = _scheme_hamiltonian(h, scheme)
+    hm = mat(h, scheme.dim)
     h_decomposition = _eigh_hermitian(hm)
     frames = frames_from_scheme(scheme)
     zeroth = average_zeroth(hm, frames).matrix

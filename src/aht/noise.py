@@ -647,7 +647,8 @@ def ensemble_coherence(scenario: NoiseScenario, *,
     grid, noise = next(_shared or _sampled([scenario], plan.diagonal, range(n)))
     states = _evolve(plan, noise, np.tile(scenario.initial_state, (n, 1)), grid)
     del noise  # freed before the reduction, unless a later run of the group reads it
-    obs = scenario.observable.matrix
+    states = states[..., plan.block]  # zero off the block, so the observable is reduced on it
+    obs = scenario.observable.matrix[np.ix_(plan.block, plan.block)]
     expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
     mean = expect.mean(axis=1)
     stderr = expect.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)

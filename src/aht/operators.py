@@ -72,11 +72,25 @@ def _pauli_matrix(letters: str) -> np.ndarray:
     return m
 
 
-def mat(op: MatrixLike) -> np.ndarray:
-    """Coerce an Operator or array-like to a complex ndarray."""
-    if isinstance(op, Operator):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
+def mat(op: MatrixLike, dim: int | None = None) -> np.ndarray:
+    """The complex matrix of an operator argument: the one shape check on operands.
+
+    Every public function that takes a :data:`MatrixLike` reads it here.
+    Anything that is not a 2-D square matrix, or whose side is not ``dim``
+    when ``dim`` is given, raises one :class:`ValidationError` before any
+    arithmetic.  ``dim`` is computed by the caller from its other operands
+    (the first generator, a scheme, a code).  An :class:`Operator` gives its
+    own read-only matrix; anything else is read with ``np.asarray``.
+    """
+    try:
+        m = op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError("operator must be a square matrix of numbers") from None
+    shape = m.shape
+    if len(shape) != 2 or shape[0] != shape[1] or (dim is not None and shape[0] != dim):
+        side = "" if dim is None else f" of side {dim}"
+        raise ValidationError(f"operator must be a square matrix{side}, got shape {shape}")
+    return m
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -107,8 +121,6 @@ class Operator:
 
     def __init__(self, matrix: MatrixLike, label: str | None = None):
         m = np.array(mat(matrix), dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"operator matrix must be square, got shape {m.shape}")
         if not _is_power_of_two(m.shape[0]):
             raise ValidationError(f"operator dimension {m.shape[0]} is not a power of two")
         m.setflags(write=False)
@@ -144,10 +156,10 @@ class Operator:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: MatrixLike) -> "Operator":
-        return Operator(self.matrix + mat(other))
+        return Operator(self.matrix + mat(other, self.dim))
 
     def __sub__(self, other: MatrixLike) -> "Operator":
-        return Operator(self.matrix - mat(other))
+        return Operator(self.matrix - mat(other, self.dim))
 
     def __neg__(self) -> "Operator":
         return Operator(-self.matrix)
@@ -158,7 +170,7 @@ class Operator:
     __rmul__ = __mul__
 
     def __matmul__(self, other: MatrixLike) -> "Operator":
-        return Operator(self.matrix @ mat(other))
+        return Operator(self.matrix @ mat(other, self.dim))
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
@@ -268,9 +280,8 @@ def conjugate(h: MatrixLike, u: MatrixLike) -> Operator:
     unitary to within ``DEFAULT_TOL.equality``, 1e-10, loose enough that
     long pulse products still pass.
     """
-    hm, um = mat(h), mat(u)
-    if hm.shape != um.shape:
-        raise ValidationError(f"dimension mismatch: {hm.shape} vs {um.shape}")
+    hm = mat(h)
+    um = mat(u, len(hm))
     if not np.max(np.abs(hm)) < np.inf:
         raise ValidationError("conjugated operator must be finite")
     defect = _unitarity_defect(um)
@@ -336,17 +347,15 @@ def logm_effective(u: MatrixLike, t_total: float) -> Operator:
 
 
 def commutator(a: MatrixLike, b: MatrixLike) -> Operator:
-    am, bm = mat(a), mat(b)
-    if am.shape != bm.shape:
-        raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am = mat(a)
+    bm = mat(b, len(am))
     return Operator(am @ bm - bm @ am)
 
 
 def inner_product(a: MatrixLike, b: MatrixLike) -> complex:
     """Normalized trace pairing ``Tr(A^dag B) / dim``."""
-    am, bm = mat(a), mat(b)
-    if am.shape != bm.shape:
-        raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am = mat(a)
+    bm = mat(b, len(am))
     return complex(np.trace(am.conj().T @ bm) / am.shape[0])
 
 
@@ -392,9 +401,8 @@ def random_traceless_hermitian(
 
 def phase_insensitive_fidelity(a: MatrixLike, b: MatrixLike) -> float:
     """``|Tr(A^dag B)| / dim`` -- equals 1 iff A = B up to a global phase (both unitary)."""
-    am, bm = mat(a), mat(b)
-    if am.shape != bm.shape:
-        raise ValidationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am = mat(a)
+    bm = mat(b, len(am))
     return float(abs(np.trace(am.conj().T @ bm)) / am.shape[0])
 
 

@@ -76,14 +76,13 @@ def lie_closure(
     which must be finite and anti-Hermitian to ``DEFAULT_TOL.equality``,
     1e-10, after scaling.
     """
-    given = [mat(g) for g in generators]
+    given = list(generators)
     if not given:
         raise ValidationError("need at least one generator")
-    dim = given[0].shape[0]
+    dim = len(mat(given[0]))
+    given = [mat(g, dim) for g in given]
     mats = []  # each nonzero generator scaled to a unit largest entry
     for g in given:
-        if g.shape != (dim, dim):
-            raise ValidationError("generators must share a dimension")
         if not np.all(np.isfinite(g)):
             raise ValidationError("lie_closure needs finite generators")
         peak = np.max(np.abs(g))
@@ -146,9 +145,8 @@ def cp_split(h: MatrixLike, pi_pulse: MatrixLike) -> tuple[Operator, Operator]:
     two-element group average over ``{1, P}`` and ``H_a`` flipping sign
     under conjugation.  The pulse must be involutive up to phase.
     """
-    hm, pm = mat(h), mat(pi_pulse)
-    if hm.shape != pm.shape:
-        raise ValidationError("dimension mismatch in cp_split")
+    pm = mat(pi_pulse)
+    hm = mat(h, len(pm))
     eps = DEFAULT_TOL.equality
     if not _unitarity_defect(pm) <= eps:
         raise ValidationError("pi pulse must be unitary")
@@ -228,9 +226,7 @@ def transformer_reach(
     """
     if not group.is_group:
         raise ValidationError("transformer_reach expects a decoupling group")
-    am, tm = mat(a), mat(target)
-    if am.shape != tm.shape or am.shape[0] != group.dim:
-        raise ValidationError("dimension mismatch in transformer_reach")
+    am, tm = mat(a, group.dim), mat(target, group.dim)
     if not (np.all(np.isfinite(am)) and np.all(np.isfinite(tm))):
         raise ValidationError("transformer_reach needs finite Hamiltonians")
     peak_a = np.max(np.abs(am))

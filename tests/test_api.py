@@ -2,7 +2,36 @@
 import importlib
 import inspect
 
+import numpy as np
+import pytest
+
 import aht
+from aht.codes import build_code, logical_action
+from aht.config import ValidationError
+from aht.decoupling import (
+    DecouplingSet,
+    average_zeroth,
+    close_group,
+    cycle_propagator,
+    effective_defect,
+    first_order_correction,
+    frames_from_scheme,
+    named_sequence,
+    project_group,
+)
+from aht.operators import (
+    SIGMA,
+    Operator,
+    commutator,
+    conjugate,
+    equal_up_to_phase,
+    expm,
+    inner_product,
+    logm_effective,
+    pauli_decompose,
+    phase_insensitive_fidelity,
+)
+from aht.universality import cp_split, generate_group, lie_closure, transformer_reach
 
 #: Every comparison reads ``aht.DEFAULT_TOL``; no callable takes its own
 #: tolerance record or a construction-time assertion flag.
@@ -37,3 +66,54 @@ def test_no_tolerance_or_assertion_parameters():
             continue
         offenders += [f"{qualname}({p})" for p in params if p in KNOBS]
     assert not offenders
+
+
+X = SIGMA["X"]
+PI_X = -1j * X
+CP_X = named_sequence("cp_x")
+CP_X_GROUP = frames_from_scheme(CP_X)
+DFS2 = build_code("dfs2")
+
+#: Every public function that takes an operator argument, as a call on one bad
+#: operand with the others valid, and the side of a square operand it refuses:
+#: the side its other operands fix (a qubit, a two-qubit scheme, the dfs2 code),
+#: or 3, no qubit count's side, where nothing else fixes one.
+OPERATOR_CALLS = {
+    "Operator": (Operator, 3),
+    "Operator.__add__": (lambda m: Operator(X) + m, 4),
+    "Operator.__sub__": (lambda m: Operator(X) - m, 4),
+    "Operator.__matmul__": (lambda m: Operator(X) @ m, 4),
+    "conjugate": (lambda m: conjugate(X, m), 4),
+    "expm": (lambda m: expm(m, 1.0), 3),
+    "logm_effective": (lambda m: logm_effective(m, 1.0), 3),
+    "commutator": (lambda m: commutator(X, m), 4),
+    "inner_product": (lambda m: inner_product(X, m), 4),
+    "pauli_decompose": (pauli_decompose, 3),
+    "phase_insensitive_fidelity": (lambda m: phase_insensitive_fidelity(X, m), 4),
+    "equal_up_to_phase": (lambda m: equal_up_to_phase(X, m), 4),
+    "close_group": (lambda m: close_group([PI_X, m]), 4),
+    "DecouplingSet.group": (lambda m: DecouplingSet.group([PI_X, m]), 4),
+    "average_zeroth": (lambda m: average_zeroth(m, CP_X_GROUP), 4),
+    "project_group": (lambda m: project_group(m, CP_X_GROUP), 4),
+    "first_order_correction": (lambda m: first_order_correction(m, CP_X), 4),
+    "first_order_correction 2q": (
+        lambda m: first_order_correction(m, named_sequence("cp_x", n_qubits=2)), 2),
+    "cycle_propagator": (lambda m: cycle_propagator(m, CP_X), 4),
+    "effective_defect": (lambda m: effective_defect(m, CP_X), 4),
+    "lie_closure": (lambda m: lie_closure([1j * X, m]), 4),
+    "cp_split": (lambda m: cp_split(m, PI_X), 4),
+    "transformer_reach a": (lambda m: transformer_reach(CP_X_GROUP, m, X), 4),
+    "transformer_reach target": (lambda m: transformer_reach(CP_X_GROUP, X, m), 4),
+    "generate_group": (lambda m: generate_group([PI_X, m]), 4),
+    "Code.restrict": (DFS2.restrict, 2),
+    "Code.leakage": (DFS2.leakage, 2),
+    "logical_action": (lambda m: logical_action(m, DFS2), 2),
+}
+
+
+@pytest.mark.parametrize("shape", ["non-square", "wrong side"])
+@pytest.mark.parametrize("name", OPERATOR_CALLS)
+def test_operator_arguments_of_the_wrong_shape_raise_validation_error(name, shape):
+    call, side = OPERATOR_CALLS[name]
+    with pytest.raises(ValidationError):
+        call(np.ones((2, 4)) if shape == "non-square" else np.eye(side))

@@ -310,7 +310,7 @@ class TestOneDecompositionPerSweep:
                       lambda: replace(named_sequence("cp_x"), cycle_time=float("inf"))):
             with pytest.raises(ValidationError, match="cycle_time must be positive and finite"):
                 build()
-        with pytest.raises(ValidationError, match="Hamiltonian dimension does not match scheme"):
+        with pytest.raises(ValidationError, match="operator must be a square matrix of side 2"):
             call(np.eye(4), named_sequence("cp_x", cycle_time=0.1))
 
 

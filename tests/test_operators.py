@@ -41,6 +41,19 @@ class TestOperatorType:
         with pytest.raises(ValidationError):
             Operator(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.ones((2, 4)), np.zeros((2, 2, 2)), np.ones(2), 1.0,
+                                     [[1, 2], [3]], [["a", "b"], ["c", "d"]]])
+    def test_mat_refuses_what_is_not_a_square_matrix(self, bad):
+        with pytest.raises(ValidationError, match="operator must be a square matrix"):
+            operators.mat(bad)
+
+    def test_mat_checks_the_side_it_is_given(self):
+        op = Operator(X)
+        assert operators.mat(op, 2) is op.matrix
+        assert np.array_equal(operators.mat([[1, 0], [0, 1]], 2), I2)
+        with pytest.raises(ValidationError, match="of side 4, got shape \\(2, 2\\)"):
+            operators.mat(op, 4)
+
     def test_is_unitary_threshold_read_from_tol(self):
         # ||U U^dag - 1||_max = 2e-11 passes and 2e-9 fails DEFAULT_TOL.equality (1e-10)
         assert Operator((1 + 1e-11) * X).is_unitary()

@@ -620,10 +620,23 @@ def documents(draw):
     return doc
 
 
+#: ``logical`` documents whose Hamiltonian is not on the code's qubits (``n_qubits``
+#: defaults to 1): each ended in a numpy traceback with exit 1, from ``Code.leakage``.
+MISMATCHED_LOGICAL_DOCS = {
+    "dfs2x2": {"kind": "logical", "code": "dfs2x2", "hamiltonian": {"terms": ["1.0 Z 1"]}},
+    "ns3": {"kind": "logical", "code": "ns3", "hamiltonian": {"terms": ["1.0 Z 1"]}},
+    "dfs2": {"kind": "logical", "code": "dfs2", "n_qubits": 3,
+             "hamiltonian": {"terms": ["1.0 Z 1"]}},
+}
+
+
 class TestWholeDocuments:
     @given(doc=documents())
     @example(doc={**PROJECT_DOC, "sweep": [0.1], "target": "magnus_defect",
                   "generators": [["1.0 X 1"]], "noise": {"name": "nothing"}})
+    @example(doc=MISMATCHED_LOGICAL_DOCS["dfs2x2"])
+    @example(doc=MISMATCHED_LOGICAL_DOCS["ns3"])
+    @example(doc=MISMATCHED_LOGICAL_DOCS["dfs2"])
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_any_document_exits_0_2_or_3_cleanly(self, tmp_path_factory, doc):
         directory = tmp_path_factory.mktemp("document")
@@ -640,6 +653,11 @@ class TestWholeDocuments:
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in READS or set(doc) - READS[kind] - RUN_FIELDS:
             assert code == 2, doc
+
+    @pytest.mark.parametrize("doc", MISMATCHED_LOGICAL_DOCS.values(), ids=MISMATCHED_LOGICAL_DOCS)
+    def test_logical_hamiltonian_off_the_code_exits_2(self, tmp_path, capsys, doc):
+        assert run(write_scenario(tmp_path, doc)) == 2
+        assert "square matrix of side" in assert_one_error_line(capsys)
 
 
 #: Every fenced JSON scenario in the README.
