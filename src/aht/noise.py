@@ -13,18 +13,18 @@ the scenario (including its seed).  Per-trajectory noise is drawn from
 ``SeedSequence(seed, channel_index, trajectory_index)``, so serial,
 batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
-fixed by the implementation.  A stream's first draws do not depend on
-how many follow, so diagonal-path scenarios with one seed and ensemble
-size read the same draws whether they run together or apart:
-``ensemble_coherences`` draws each stream once, to the longest grid that
-reads it, and each scenario reduces its own prefix.  Both samplers read
-one OU step law, taken from the step lengths alone (``_ou_law``).  Off
-the diagonal path the draws are transposed into the step-major ``(channels,
-steps, trajectories)`` tensor a block at a time, and the OU recursion
-overwrites them in place; on it, the same draws are reduced straight to
-the interval integrals the state reads (below) by that law's weights, with
-no per-step sample.  One sampler (``_sampled``) picks between the two for
-every seeded run, and one count (``_noise_bytes``) sizes what it holds.
+fixed by the implementation.  One sampler (``_sampled``) draws every
+seeded run, and one count (``_noise_bytes``) sizes what it holds.  A
+stream's first draws do not depend on how many follow, so scenarios with
+one seed, ensemble size and path read the same draws whether they run
+together or apart: ``ensemble_coherences`` groups them by that rule, the
+sampler draws each stream once, to the longest grid that reads it, and
+each scenario reads its own prefix under one OU step law, taken from the
+step lengths alone (``_ou_law``).  Off the diagonal path the prefix is
+transposed into the step-major ``(channels, steps, trajectories)`` tensor a
+block at a time, and the OU recursion overwrites it in place; on it, the
+same draws are reduced straight to the interval integrals the state reads
+(below) by that law's weights, with no per-step sample.
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -222,7 +222,7 @@ class NoiseScenario:
 # Ornstein-Uhlenbeck sampling
 # ---------------------------------------------------------------------------
 
-_SUM_ROWS = 64  #: trajectories per draw buffer of either sampler
+_SUM_ROWS = 64  #: trajectories per draw buffer of the sampler
 
 
 def _words(n: int) -> list[int]:
@@ -231,7 +231,7 @@ def _words(n: int) -> list[int]:
 
 
 def _draw(out: np.ndarray, seed: int, channel: int, trajectories: Sequence[int]) -> None:
-    """Row ``r`` of ``out``: the standard normals both samplers read for ``trajectories[r]``,
+    """Row ``r`` of ``out``: the standard normals ``_sampled`` reads for ``trajectories[r]``,
     those of ``SeedSequence([seed, channel, trajectories[r]])``.  The sequence is handed the
     ``uint32`` entropy words numpy builds from that list, so it is the same sequence."""
     head = _words(seed) + _words(channel)
@@ -245,7 +245,7 @@ def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.n
     ``x_k = rho_k x_(k-1) + kick_k xi_k`` (autocorrelation ``amp^2 exp(-|dt|/tau_c)``, no
     bias at any gap), from the step lengths alone: the gap to the sample before is ``(dt_(k-1)
     + dt_k) / 2``, exactly ``dt`` inside an interval, and none is before the first (``rho``
-    0, ``kick`` amp).  The one step law both samplers read."""
+    0, ``kick`` amp).  The one step law of either path."""
     gap = (np.concatenate([[np.inf], durations[:-1]]) + durations) / 2
     rho = np.exp(-gap / tau_c)
     return rho, amplitude * np.sqrt(1 - rho * rho)
@@ -308,27 +308,9 @@ def _build_grid(scenario: NoiseScenario) -> _Grid:
     return _Grid(durations, pulses, frozenset([0, *ends[last]]), times, ends)
 
 
-def _channel_noise(scenario: NoiseScenario, grid: _Grid, trajectories: Sequence[int]) -> np.ndarray:
-    """Noise values per (channel, step, trajectory) for the given trajectory indices;
-    column ``r`` is the seeded stream of trajectory ``trajectories[r]``.  Each channel is
-    drawn into a buffer of ``_SUM_ROWS`` trajectories at a time, each block transposed
-    into place once."""
-    out = np.zeros((len(scenario.channels), len(grid.durations), len(trajectories)))
-    buf = np.empty((min(len(trajectories), _SUM_ROWS), len(grid.durations)))
-    for c, ch in enumerate(scenario.channels):
-        if ch.amplitude == 0.0:
-            continue
-        for a in range(0, len(trajectories), _SUM_ROWS):
-            rows = trajectories[a:a + _SUM_ROWS]
-            _draw(buf[:len(rows)], scenario.seed, c, rows)
-            out[c, :, a:a + len(rows)] = buf[:len(rows)].T
-        _ou_in_place(out[c], *_ou_law(grid.durations, ch.amplitude, ch.correlation_time))
-    return out
-
-
 def _sum_weights(grid: _Grid, amplitude: float, tau_c: float) -> tuple[np.ndarray, ...]:
     """Weights of the draws in the interval sums of one channel law on ``grid`` (see
-    ``_interval_noise``): of each draw in its interval's sum and last sample, and of
+    ``_sampled``): of each draw in its interval's sum and last sample, and of
     the sample before each interval in its sum and last sample."""
     dt, starts, ends = grid.durations, np.array([0, *grid.ends[:-1]]), np.array(grid.ends)
     left = np.repeat(ends, ends - starts) - np.arange(1.0, len(dt) + 1)  # steps after each
@@ -340,9 +322,8 @@ def _sum_weights(grid: _Grid, amplitude: float, tau_c: float) -> tuple[np.ndarra
 
 
 def _sums_key(scenario: NoiseScenario) -> tuple:
-    """What a run's interval sums read besides the seed and the trajectories: the
-    intervals its grid is built from (``_intervals``) and each channel's amplitude and
-    correlation time."""
+    """What a run's noise reads besides the seed and the trajectories: the intervals its
+    grid is built from (``_intervals``) and each channel's amplitude and correlation time."""
     lengths, steps, cycles = _intervals(scenario)
     laws = tuple((ch.amplitude, ch.correlation_time) for ch in scenario.channels)
     return tuple(lengths), tuple(steps), cycles, laws
@@ -351,11 +332,11 @@ def _sums_key(scenario: NoiseScenario) -> tuple:
 def _noise_bytes(n: int, keys: Iterable[tuple], diagonal: bool) -> int:
     """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs given by their
     ``_sums_key``, an exact integer counted from the step rule before anything is
-    allocated.  On the diagonal path: the sums of each array ``_interval_noise`` returns,
-    one per distinct key (runs of equal noise inputs share one), a draw buffer of up to
-    ``_SUM_ROWS`` trajectories on the longest grid and as large a product, and 10
-    step-length weights or temporaries per array.  Off it (a lone run): the per-step
-    samples and the draw buffer.  A run without channels counts one, for the grid."""
+    allocated: the values of each array, one per distinct key (runs of equal noise inputs
+    share one), and a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.
+    On the diagonal path the values are interval sums, with as large a product as the
+    buffer and 10 step-length weights or temporaries per array; off it they are the
+    per-step samples.  A run without channels counts one, for the grid."""
     arrays = [(max(1, len(laws)) * cycles * (len(steps) if diagonal else sum(steps)),
                cycles * sum(steps)) for _, steps, cycles, laws in set(keys)]
     work, buffers = (10, 2) if diagonal else (0, 1)
@@ -364,45 +345,61 @@ def _noise_bytes(n: int, keys: Iterable[tuple], diagonal: bool) -> int:
                 + buffers * min(n, _SUM_ROWS) * longest)
 
 
-def _interval_noise(runs: Sequence[tuple[NoiseScenario, _Grid]],
-                    trajectories: Sequence[int]) -> list[np.ndarray]:
-    """Per run of one seed, ``(channels, trajectories, intervals)`` sums ``sum_k x(m_k)
-    dt_k`` of the samples ``_channel_noise`` gives, from its draws ``xi`` and the same law
-    (``_ou_law``).  Sample ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b x_b
-    + sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the
-    interval's first ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs
-    ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l)
-    kick_l``.  Against summing the per-step samples this moves states by rounding only.
+def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
+             trajectories: Sequence[int]) -> Iterator[tuple[_Grid, np.ndarray]]:
+    """The grid and seeded noise of ``trajectories`` that ``_evolve`` reads on the path
+    ``diagonal``, for each of a group of runs of one seed, in order; each array is dropped
+    once yielded, so it lives only while a run still reads it.
 
-    The runs share each stream: channel ``c`` of a trajectory is drawn once, to the
-    longest grid among the runs that read it (nonzero amplitude), and each run reduces
-    its own prefix of the draws with its own weights.  Runs of one ``_sums_key`` get
-    one array.  Every sum is the one a run gets on its own, bit for bit."""
-    seed = runs[0][0].seed
-    keys = [_sums_key(sc) for sc, _ in runs]
+    Each stream, channel ``c`` of a trajectory, is drawn once, ``_SUM_ROWS`` trajectories
+    at a time, to the longest grid among the runs that read it (nonzero amplitude), and
+    each run reads its own prefix of the draws under the one step law ``_ou_law``.  Runs
+    of one ``_sums_key`` share one array: the noise does not depend on the couplings.  Off
+    the diagonal path a run's prefix is transposed into its ``(channels, steps,
+    trajectories)`` samples, which the OU recursion overwrites in place after the
+    channel's last block.  On it the prefix is reduced to the ``(channels, trajectories,
+    intervals)`` sums ``sum_k x(m_k) dt_k`` of those samples: sample ``j`` of an interval
+    of ``n`` steps of ``dt`` is ``rho^j rho_b x_b + sum_{l<=j} rho^(j-l) kick_l xi_l``,
+    ``x_b`` the sample before it, ``rho_b`` the interval's first ``rho`` and ``rho =
+    exp(-dt/tau_c)`` the others; so its sum weighs ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 -
+    rho) kick_l``, its last sample by ``rho^(n-1-l) kick_l`` (``_sum_weights``).  Against
+    summing the per-step samples this moves states by rounding only.  Every array is the
+    one a run gets on its own, bit for bit."""
+    grids, keys = [_build_grid(sc) for sc in runs], [_sums_key(sc) for sc in runs]
     arrays = {}  # _sums_key -> (grid, channels, the array of every run that has it)
-    for (sc, g), key in zip(runs, keys):
+    for sc, g, key in zip(runs, grids, keys):
         if key not in arrays:
-            arrays[key] = g, sc.channels, np.zeros((len(sc.channels), len(trajectories), len(g.ends)))
-    buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for _, g in runs)))
-    for c in range(max(len(sc.channels) for sc, _ in runs)):
-        reads = [(g, out, _sum_weights(g, chs[c].amplitude, chs[c].correlation_time))
-                 for g, chs, out in arrays.values() if c < len(chs) and chs[c].amplitude != 0.0]
+            shape = (len(trajectories), len(g.ends)) if diagonal else (len(g.durations), len(trajectories))
+            arrays[key] = g, sc.channels, np.zeros((len(sc.channels), *shape))
+    buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for g in grids)))
+    for c in range(max(len(sc.channels) for sc in runs)):
+        reads = [(g, chs[c], out) for g, chs, out in arrays.values()
+                 if c < len(chs) and chs[c].amplitude != 0.0]
         if not reads:
             continue
+        weights = [_sum_weights(g, ch.amplitude, ch.correlation_time) if diagonal else ()
+                   for g, ch, _ in reads]
         steps = max(len(g.durations) for g, _, _ in reads)
         for a in range(0, len(trajectories), _SUM_ROWS):
             rows = trajectories[a:a + _SUM_ROWS]
             drawn = buf[:len(rows), :steps]
-            _draw(drawn, seed, c, rows)
-            for g, out, (w_sum, w_last, carry_sum, carry_last) in reads:
-                x, last = drawn[:, :len(g.durations)], np.zeros(len(rows))
+            _draw(drawn, runs[0].seed, c, rows)
+            for (g, _, out), w in zip(reads, weights):
+                x = drawn[:, :len(g.durations)]
+                if not diagonal:
+                    out[c, :, a:a + len(rows)] = x.T
+                    continue
+                w_sum, w_last, carry_sum, carry_last = w
+                last = np.zeros(len(rows))
                 for j, (s, e) in enumerate(zip([0, *g.ends[:-1]], g.ends)):
                     # row sums, not a BLAS product: a row's bytes must not depend on the batch
                     out[c, a:a + len(rows), j] = ((x[:, s:e] * w_sum[s:e]).sum(axis=1)
                                                   + carry_sum[j] * last)
                     last = (x[:, s:e] * w_last[s:e]).sum(axis=1) + carry_last[j] * last
-    return [arrays[key][2] for key in keys]
+        for g, ch, out in () if diagonal else reads:
+            _ou_in_place(out[c], *_ou_law(g.durations, ch.amplitude, ch.correlation_time))
+    noise = [arrays[key][2] for key in keys]
+    return ((grid, noise.pop(0)) for grid in grids)
 
 
 # ---------------------------------------------------------------------------
@@ -530,23 +527,6 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
     return out
 
 
-def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
-             trajectories: Sequence[int]) -> Iterator[tuple[_Grid, np.ndarray]]:
-    """The grid and seeded noise of ``trajectories`` that ``_evolve`` reads, for each of
-    a group of runs of one seed, in order: on the diagonal path the interval sums, the
-    group sampled together (``_interval_noise``); off it, a lone run's per-step samples
-    (``_channel_noise``).  The group is sampled at the first ``next``, so the first run
-    holds the drawing, and each array is dropped once yielded: it lives only while a run
-    still reads it."""
-    grids = [_build_grid(sc) for sc in runs]
-    if diagonal:
-        noise = _interval_noise(list(zip(runs, grids)), trajectories)
-    else:
-        noise = [_channel_noise(sc, grid, trajectories) for sc, grid in zip(runs, grids)]
-    for grid in grids:
-        yield grid, noise.pop(0)
-
-
 def _noise(scenario: NoiseScenario, plan: _Plan, noise_values) -> tuple[_Grid, np.ndarray]:
     """The grid and what ``_evolve`` reads on the plan's path of the samples
     ``noise_values``, shared by every row."""
@@ -640,7 +620,8 @@ def ensemble_coherence(scenario: NoiseScenario, *,
     that mean at each record time.  A curve that is not finite (the noise or
     drift overflowed) raises :class:`ValidationError`.  ``_shared`` is
     ``ensemble_coherences``' own: the ``_sampled`` group whose next grid and
-    noise the scenario reads; by default the scenario is a group of one.
+    noise the scenario reads, drawn at its first ``next``; by default the
+    scenario is a group of one.
     """
     n = scenario.ensemble_size
     plan = _path(scenario, scenario.initial_state[None, :])
@@ -660,32 +641,36 @@ def ensemble_coherence(scenario: NoiseScenario, *,
 def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
     """``ensemble_coherence`` of each scenario, in order, with the noise shared.
 
-    Diagonal-path scenarios with the same seed and ensemble size sample
-    together (``_sampled``): each seeded stream is drawn once, to the
+    Scenarios with the same seed, ensemble size and path sample together
+    (``_sampled``), on either path: each seeded stream is drawn once, to the
     longest grid that reads it, so each curve is the one it has on its own.
     A scenario joins such a group only while ``_noise_bytes`` of the group
     (the count ``NoiseScenario`` bounds for one run) stays within
-    ``config._MAX_NOISE_BYTES``; past it a new group starts.  Other
-    scenarios sample on their own.  The curves are computed group by group,
-    so one group's noise is held at a time, and each scenario's sums are
-    freed after its propagation, before its curve is reduced, unless a later
-    scenario of the group reads the same array.
+    ``config._MAX_NOISE_BYTES``; past it a new group starts.  The curves are
+    computed group by group, so one group's noise is held at a time; a group
+    is drawn inside its first scenario's ``ensemble_coherence`` call, and each
+    scenario's noise is freed after its propagation, before its curve is
+    reduced, unless a later scenario of the group reads the same array.
     """
     diagonal = [_path(sc, sc.initial_state[None, :]).diagonal for sc in scenarios]
     keys = [_sums_key(sc) for sc in scenarios]  # each scenario's count, taken once
-    groups, open_groups = [], {}  # the last group of each (seed, ensemble size); others alone
+    groups, open_groups = [], {}  # the last group of each (seed, ensemble size, path)
     for i, sc in enumerate(scenarios):
-        key = (sc.seed, sc.ensemble_size) if diagonal[i] else i
+        key = (sc.seed, sc.ensemble_size, diagonal[i])
         group = open_groups.get(key)
         if group is None or _noise_bytes(
-                sc.ensemble_size, [keys[k] for k in [*group, i]], True) > _MAX_NOISE_BYTES:
+                sc.ensemble_size, [keys[k] for k in [*group, i]], diagonal[i]) > _MAX_NOISE_BYTES:
             group = open_groups[key] = []
             groups.append(group)
         group.append(i)
+
+    def drawn(group: list[int]) -> Iterator:  # sampled at the first next
+        runs = [scenarios[k] for k in group]
+        yield from _sampled(runs, diagonal[group[0]], range(runs[0].ensemble_size))
+
     curves = [None] * len(scenarios)
     for group in groups:
-        runs = [scenarios[k] for k in group]
-        shared = _sampled(runs, diagonal[group[0]], range(runs[0].ensemble_size))
+        shared = drawn(group)
         for k in group:
             curves[k] = ensemble_coherence(scenarios[k], _shared=shared)
     return curves

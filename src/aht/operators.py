@@ -135,16 +135,8 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_qubits(self) -> int:
-        return int(self.dim).bit_length() - 1
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def norm(self) -> float:
-        """Spectral (largest singular value) norm."""
-        return float(np.linalg.norm(self.matrix, 2))
 
     def is_hermitian(self) -> bool:
         """``||H - H^dag||_max <= DEFAULT_TOL.hermiticity``, 1e-12."""
@@ -161,9 +153,6 @@ class Operator:
     def __sub__(self, other: MatrixLike) -> "Operator":
         return Operator(self.matrix - mat(other, self.dim))
 
-    def __neg__(self) -> "Operator":
-        return Operator(-self.matrix)
-
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.matrix * scalar)
 
@@ -175,10 +164,6 @@ class Operator:
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
         return f"<Operator{name} dim={self.dim}>"
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim))
 
     @classmethod
     def zero(cls, dim: int) -> "Operator":

@@ -1,4 +1,5 @@
 """Package-wide API rules."""
+import dataclasses
 import importlib
 import inspect
 
@@ -9,6 +10,7 @@ import aht
 from aht.codes import build_code, logical_action
 from aht.config import ValidationError
 from aht.decoupling import (
+    DecouplingScheme,
     DecouplingSet,
     average_zeroth,
     close_group,
@@ -19,16 +21,20 @@ from aht.decoupling import (
     named_sequence,
     project_group,
 )
+from aht.noise import DephasingChannel, build_scenario
 from aht.operators import (
     SIGMA,
     Operator,
+    PauliString,
     commutator,
     conjugate,
     equal_up_to_phase,
+    exchange,
     expm,
     inner_product,
     logm_effective,
     pauli_decompose,
+    pauli_sum,
     phase_insensitive_fidelity,
 )
 from aht.universality import cp_split, generate_group, lie_closure, transformer_reach
@@ -117,3 +123,61 @@ def test_operator_arguments_of_the_wrong_shape_raise_validation_error(name, shap
     call, side = OPERATOR_CALLS[name]
     with pytest.raises(ValidationError):
         call(np.ones((2, 4)) if shape == "non-square" else np.eye(side))
+
+
+#: a dfs2 noise run (dimension 4), and a channel on a single qubit (dimension 2)
+NOISE_RUN = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=1)
+QUBIT_CHANNEL = DephasingChannel(Operator(SIGMA["Z"]), 1.0, 0.1, "independent_slow")
+ZZ = PauliString(2, "ZZ")
+
+#: Every boundary check of a public constructor or method that takes no operator
+#: argument, as a call that breaks it and a word of the message it raises.
+BOUNDARY_CALLS = {
+    "NoiseScenario schedule": (
+        lambda: dataclasses.replace(NOISE_RUN, schedule=named_sequence("cp_x")), "schedule"),
+    "NoiseScenario coupling": (
+        lambda: dataclasses.replace(NOISE_RUN, channels=(QUBIT_CHANNEL,)), "coupling"),
+    "NoiseScenario observable": (
+        lambda: dataclasses.replace(NOISE_RUN, observable=Operator(X)), "observable"),
+    "NoiseScenario initial state": (
+        lambda: dataclasses.replace(NOISE_RUN, initial_state=np.array([1, 0])), "initial state"),
+    "DephasingChannel kind": (
+        lambda: dataclasses.replace(QUBIT_CHANNEL, kind="telegraph"), "kind"),
+    "DephasingChannel coupling": (
+        lambda: dataclasses.replace(QUBIT_CHANNEL, coupling=Operator(PI_X)), "Hermitian"),
+    "DecouplingScheme no pulses": (lambda: DecouplingScheme((), (1.0,)), "pulse"),
+    "DecouplingScheme durations": (
+        lambda: DecouplingScheme((Operator(PI_X), Operator(PI_X)), (1.0,)), "durations"),
+    "DecouplingScheme mixed dimensions": (
+        lambda: DecouplingScheme((Operator(PI_X), Operator(np.eye(4))), (0.5, 0.5)), "dimension"),
+    "DecouplingScheme non-unitary pulse": (
+        lambda: DecouplingScheme((Operator(2 * X), Operator(X / 2)), (0.5, 0.5)), "unitary"),
+    "DecouplingSet misaligned": (
+        lambda: DecouplingSet((Operator(X),), (0.5, 0.5)), "align"),
+    "DecouplingSet empty": (lambda: DecouplingSet((), ()), "empty"),
+    "DecouplingSet not normalized": (
+        lambda: DecouplingSet((Operator(X), Operator(PI_X)), (0.5, 0.6)), "sum to 1"),
+    "Code.observable": (lambda: DFS2.observable("x", 2), "observable"),
+    "Code.logical_pi": (lambda: DFS2.logical_pi("xx"), "letters"),
+    "Code.physical_pi letters": (lambda: DFS2.physical_pi(""), "letters"),
+    "Code.physical_pi realization": (lambda: build_code("ns3").physical_pi("z"), "realization"),
+    "Code.encode": (lambda: DFS2.encode([1, 0, 0]), "logical state"),
+    "PauliString letter count": (lambda: PauliString(2, "Z"), "letters"),
+    "PauliString letters": (lambda: PauliString(1, "Q"), "unknown"),
+    "PauliString.from_word indices": (lambda: PauliString.from_word("ZZ", [1], 2), "indices"),
+    "PauliString.from_word range": (lambda: PauliString.from_word("Z", [3], 2), "outside"),
+    "PauliString.from_word twice": (lambda: PauliString.from_word("ZZ", [1, 1], 2), "twice"),
+    "pauli_sum empty": (lambda: pauli_sum([]), "qubit count"),
+    "pauli_sum mismatched": (lambda: pauli_sum([ZZ, PauliString(1, "Z")]), "mismatched"),
+    "pauli_sum qubit count": (lambda: pauli_sum([ZZ], n=3), "expected 3"),
+    "pauli_sum overflow": (
+        lambda: pauli_sum([PauliString(1, "Z", 1e308), PauliString(1, "X", 1e308)]), "largest"),
+    "exchange": (lambda: exchange(2, 2, 3), "distinct"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_CALLS)
+def test_bad_arguments_raise_validation_error(name):
+    call, word = BOUNDARY_CALLS[name]
+    with pytest.raises(ValidationError, match=word):
+        call()

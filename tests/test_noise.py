@@ -18,15 +18,14 @@ from aht.noise import (
     DecayCurve,
     NoiseScenario,
     _build_grid,
-    _channel_noise,
     _draw,
     _evolve,
-    _interval_noise,
     _noise_bytes,
     _ou_in_place,
     _path,
     _reachable_block,
     _run,
+    _sampled,
     _step_propagators,
     _su2_step,
     _sums_key,
@@ -144,9 +143,11 @@ def interval_sums(grid, noise):
     ], axis=-1)
 
 
-def interval_noise(sc, grid, trajectories):
-    """``_interval_noise`` of the one run."""
-    return _interval_noise([(sc, grid)], trajectories)[0]
+def sampled(sc, trajectories, diagonal):
+    """The noise ``_sampled`` gives the one run on the path ``diagonal``: per-step samples
+    ``(channels, steps, rows)`` off the diagonal path, interval sums ``(channels, rows,
+    intervals)`` on it."""
+    return next(_sampled([sc], diagonal, trajectories))[1]
 
 
 def evolve(sc, noise, rows):
@@ -422,7 +423,7 @@ class TestOuTrajectory:
         # midpoint times would carry rounding of up to about 1e-12 late in the run
         sc = build_scenario(name, repetitions=16, ensemble_size=3, seed=12)
         grid = _build_grid(sc)
-        dt, noise = grid.durations, _channel_noise(sc, grid, range(3))
+        dt, noise = grid.durations, sampled(sc, range(3), False)
         for c, ch in enumerate(sc.channels):
             draws = np.array([np.random.default_rng([sc.seed, c, i]).standard_normal(len(dt))
                               for i in range(3)])
@@ -578,13 +579,12 @@ class TestPropagation:
 
     def test_single_trajectory_draws_its_own_stream(self):
         # trajectory k's noise is the ensemble's at index k of the trajectory axis, bit
-        # for bit, from either sampler: (channels, steps, rows) and (channels, rows, intervals)
+        # for bit, on either path: (channels, steps, rows) and (channels, rows, intervals)
         sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=5, seed=4)
-        grid = _build_grid(sc)
-        for sampler, axis in ((_channel_noise, 2), (interval_noise, 1)):
-            ensemble = sampler(sc, grid, range(5))
+        for diagonal, axis in ((False, 2), (True, 1)):
+            ensemble = sampled(sc, range(5), diagonal)
             for k in (0, 3):
-                assert np.array_equal(sampler(sc, grid, [k]), np.take(ensemble, [k], axis=axis))
+                assert np.array_equal(sampled(sc, [k], diagonal), np.take(ensemble, [k], axis=axis))
 
     @pytest.mark.parametrize("n", [1, _SUM_ROWS - 1, _SUM_ROWS + 1, 2 * _SUM_ROWS + 3])
     @pytest.mark.parametrize("name,knobs", CONFIGS.values(), ids=CONFIGS.keys())
@@ -610,8 +610,8 @@ class TestPropagation:
         # same draws, summed over each interval: states move by rounding only
         sc = diagonal_scenario(config, ensemble_size=20)
         grid = _build_grid(sc)
-        direct = evolve(sc, interval_noise(sc, grid, range(20)), 20)
-        per_step = evolve(sc, interval_sums(grid, _channel_noise(sc, grid, range(20))), 20)
+        direct = evolve(sc, sampled(sc, range(20), True), 20)
+        per_step = evolve(sc, interval_sums(grid, sampled(sc, range(20), False)), 20)
         assert np.max(np.abs(direct - per_step)) < 1e-12
 
     def test_unequal_intervals_split_unevenly(self):
@@ -624,11 +624,20 @@ class TestPropagation:
         assert len(np.unique(grid.durations)) > 1
 
     def test_diagonal_path_draws_no_per_step_samples(self, monkeypatch):
-        monkeypatch.setattr("aht.noise._channel_noise", lambda *a: pytest.fail("per-step draw"))
+        # no OU recursion runs, and what the propagation reads is one sum per
+        # (channel, trajectory, interval), not one sample per step
+        shapes, evolve_states = [], _evolve
+
+        def recorded(plan, noise, psi, grid):
+            shapes.append(noise.shape == (len(plan.couplings), len(psi), len(grid.ends)))
+            return evolve_states(plan, noise, psi, grid)
+
         monkeypatch.setattr("aht.noise._ou_in_place", lambda *a: pytest.fail("OU recursion"))
+        monkeypatch.setattr("aht.noise._evolve", recorded)
         for config in DIAGONAL_CONFIGS:
             curve = ensemble_coherence(diagonal_scenario(config, ensemble_size=4))
             assert np.all(np.isfinite(curve.mean))
+        assert shapes == [True] * len(DIAGONAL_CONFIGS)
 
     @pytest.mark.parametrize("config", DIAGONAL_CONFIGS)
     def test_interval_update_matches_per_step_loop(self, config):
@@ -703,6 +712,24 @@ class TestPropagation:
             with pytest.raises(ValidationError, match="not finite"):
                 run(sc)
 
+    def test_silent_channel_off_the_diagonal_path_draws_nothing(self, monkeypatch):
+        # encoded_depolarizing with its z channel at amplitude 0 draws only the x
+        # channel's streams, and its curve is the one of a zero z coupling, which
+        # draws both; both runs stay off the diagonal path
+        sc = build_scenario("encoded_depolarizing", repetitions=2, ensemble_size=8, seed=3)
+        z, x = sc.channels
+        silent = dataclasses.replace(sc, channels=(dataclasses.replace(z, amplitude=0.0), x))
+        zeroed = dataclasses.replace(sc, channels=(dataclasses.replace(z, coupling=Operator.zero(4)), x))
+        draws = count_draws(monkeypatch)
+        curves = []
+        for run, streams in ((silent, 8), (zeroed, 2 * 8)):
+            assert not _path(run, run.initial_state[None, :]).diagonal
+            before = draws[1]
+            curves.append(ensemble_coherence(run))
+            assert draws[1] - before == streams
+        assert np.max(np.abs(curves[0].mean - curves[1].mean)) < 1e-12
+        assert np.max(np.abs(curves[0].std_error - curves[1].std_error)) < 1e-12
+
     @pytest.mark.parametrize("name", ["encoded_spin_boson", "encoded_depolarizing"])
     def test_interval_longer_than_a_batch(self, name):
         # without pulses each of the 20 record intervals spans 200 steps,
@@ -712,7 +739,7 @@ class TestPropagation:
         )
         grid = _build_grid(sc)
         assert len(grid.durations) // sc.record_points > 3 * _BATCH_STEPS
-        noise = _channel_noise(sc, grid, range(3))
+        noise = sampled(sc, range(3), False)
         states = evolve(sc, noise, 3)
         assert np.max(np.abs(states - per_step_eigh_reference(sc, noise))) < 1e-12
         assert np.array_equal(states, one_step_batches(lambda: evolve(sc, noise, 3)))
@@ -735,7 +762,7 @@ class TestPropagation:
             sc = build_scenario(config, repetitions=3, ensemble_size=4, seed=5)
         sc = with_trace_part(sc) if trace else sc
         grid = _build_grid(sc)
-        noise = _channel_noise(sc, grid, range(4))
+        noise = sampled(sc, range(4), False)
         expected = one_step_batches(lambda: evolve(sc, noise, 4))
         events = set(grid.ends)
         for batch in (3, 7, 10, 20, _BATCH_STEPS):
@@ -865,19 +892,16 @@ class TestEnsemble:
 PINNED_PAIR = ["hybrid_dephasing", "hybrid_dephasing-physical"]
 
 
-def count_samples(monkeypatch, refs=None) -> list:
-    """Patch both samplers to append their name to the returned list per call,
-    and a weak reference to each array they return to ``refs``."""
-    calls = []
-    for sampler in (_interval_noise, _channel_noise):
-        def counted(*args, sampler=sampler):
-            calls.append(sampler.__name__)
-            noise = sampler(*args)
-            if refs is not None:
-                refs.extend(weakref.ref(a) for a in (noise if isinstance(noise, list) else [noise]))
-            return noise
-        monkeypatch.setattr(f"aht.noise.{sampler.__name__}", counted)
-    return calls
+def track_noise(monkeypatch) -> list:
+    """Patch ``_sampled`` to add a weak reference to each array it yields to the returned
+    list, as it is yielded; the wrapper holds no array itself."""
+    refs, sampled_noise = [], _sampled
+
+    def noted(pair):
+        refs.append(weakref.ref(pair[1]))
+        return pair
+    monkeypatch.setattr("aht.noise._sampled", lambda *args: map(noted, sampled_noise(*args)))
+    return refs
 
 
 def count_draws(monkeypatch) -> list:
@@ -908,12 +932,28 @@ def verify_runs(n, seed=2024):
 class TestSharedNoise:
     def test_pair_in_one_call_gives_both_pinned_digests(self, monkeypatch):
         pair = [pinned_scenario(config) for config in PINNED_PAIR]
-        calls = count_samples(monkeypatch)
+        draws = count_draws(monkeypatch)
         curves = ensemble_coherences(pair)
         assert [digest(c) for c in curves] == [PINNED_DIGESTS[config] for config in PINNED_PAIR]
-        assert calls == ["_interval_noise"]
-        encoded, physical = _interval_noise([(sc, _build_grid(sc)) for sc in pair], range(16))
-        assert encoded is physical  # all noise inputs equal: one array, read by both
+        assert draws[1] == 3 * 16  # each of the 16 trajectories' 3 streams, drawn once
+        noise = _sampled(pair, True, range(16))
+        assert next(noise)[1] is next(noise)[1]  # all noise inputs equal: one array, read by both
+
+    def test_pinned_configurations_in_one_call_give_their_pinned_digests(self, monkeypatch):
+        # the three diagonal ones sample together (6 channels' streams, the first 3
+        # read by all), and so do the two off it: their 2 channels' streams are drawn
+        # once, and as their grids and laws are equal, so are their samples, though
+        # their intervals differ (2 of 10 steps a cycle under cp_x, 4 of 5 under
+        # gmax_cycle), so each has its own array
+        scenarios = [pinned_scenario(config) for config in PINNED_DIGESTS]
+        draws = count_draws(monkeypatch)
+        curves = ensemble_coherences(scenarios)
+        assert [digest(c) for c in curves] == list(PINNED_DIGESTS.values())
+        assert draws[1] == (6 + 2) * 16
+        off = [sc for sc in scenarios if not _path(sc, sc.initial_state[None, :]).diagonal]
+        assert [sc.name for sc in off] == ["encoded_spin_boson", "encoded_depolarizing"]
+        spin_boson, depolarizing = (noise for _, noise in _sampled(off, False, range(16)))
+        assert np.array_equal(spin_boson, depolarizing)
 
     def test_verify_runs_in_one_call_match_separate_calls(self, monkeypatch):
         # coarse and the pair read the first 6400 normals of the streams fine
@@ -922,9 +962,8 @@ class TestSharedNoise:
         scenarios = verify_runs(n)
         assert [len(_build_grid(sc).durations) for sc in scenarios] == [6400, 12800, 6400, 6400]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        calls, draws = count_samples(monkeypatch), count_draws(monkeypatch)
+        draws = count_draws(monkeypatch)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert calls == ["_interval_noise"]
         assert draws == [2 * n * 12800 + n * 6400, 3 * n]
 
     def test_verify_suite_draws_each_stream_once(self, monkeypatch):
@@ -959,42 +998,59 @@ class TestSharedNoise:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, channel, i]))
                 assert np.array_equal(row[:12800], rng.standard_normal(12800))
 
-    @pytest.mark.parametrize("arrays,calls", [(1, 3), (2, 2), (3, 1)])
-    def test_group_splits_past_the_size_limit(self, monkeypatch, arrays, calls):
+    @pytest.mark.parametrize("arrays,streams", [(1, 7), (2, 5), (3, 3)])
+    def test_group_splits_past_the_size_limit(self, monkeypatch, arrays, streams):
         # a limit that admits the first `arrays` of the sums arrays coarse, fine
         # and the pair's one, no more: the group splits, and every curve keeps
-        # its bytes; the pair counts its shared array once, so it always joins
+        # its bytes; the pair counts its shared array once, so it always joins.
+        # Each group draws its own streams: 2 per trajectory for coarse and for
+        # fine (channel 0 is silent), 3 for the pair, 3 for all in one group
         n = 3
         scenarios = verify_runs(n)
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
         limit = _noise_bytes(n, map(_sums_key, scenarios[:arrays]), True)
         monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
-        counted = count_samples(monkeypatch)
+        draws = count_draws(monkeypatch)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert counted == ["_interval_noise"] * calls
+        assert draws[1] == streams * n
+
+    @pytest.mark.parametrize("fits,streams", [(False, 4), (True, 2)])
+    def test_group_off_the_diagonal_path_splits_past_the_size_limit(self, monkeypatch, fits,
+                                                                   streams):
+        # two encoded_spin_boson runs on 320 and 800 steps share the streams of
+        # their 2 channels while both arrays fit the limit, and sample apart otherwise
+        n = 5
+        scenarios = [build_scenario("encoded_spin_boson", repetitions=4, ensemble_size=n, seed=6,
+                                    **knobs) for knobs in ({}, {"max_step": 0.02})]
+        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
+        limit = _noise_bytes(n, map(_sums_key, scenarios if fits else scenarios[1:]), False)
+        monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
+        draws = count_draws(monkeypatch)
+        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
+        assert draws[1] == streams * n
 
     def test_group_allocation_is_counted(self):
         # the grouped sampler's peak stays under the count that admits the group
         n = 2 * _SUM_ROWS + 3
         scenarios = verify_runs(n)
-        runs = [(sc, _build_grid(sc)) for sc in scenarios]
-        _interval_noise(runs, range(1))  # numpy's first-call allocations
+        next(_sampled(scenarios, True, range(1)))  # numpy's first-call allocations
         tracemalloc.start()
         try:
-            _interval_noise(runs, range(n))
+            noise = _sampled(scenarios, True, range(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * _noise_bytes(n, map(_sums_key, scenarios), True)  # the pair's one array
+        assert len(list(noise)) == 4
 
     @pytest.mark.parametrize("knob,value", [("seed", 30), ("ensemble_size", 17)])
     def test_different_seed_or_ensemble_size_samples_apart(self, monkeypatch, knob, value):
         encoded = pinned_scenario(PINNED_PAIR[0])
         physical = pinned_scenario(PINNED_PAIR[1], **{knob: value})
         apart = digest(ensemble_coherence(physical))
-        calls = count_samples(monkeypatch)
+        draws = count_draws(monkeypatch)
         curves = ensemble_coherences([encoded, physical])
-        assert calls == ["_interval_noise"] * 2
+        assert draws[1] == 3 * 16 + 3 * physical.ensemble_size  # no stream is shared
         assert [digest(c) for c in curves] == [PINNED_DIGESTS[PINNED_PAIR[0]], apart]
 
     def test_different_grid_shares_the_streams(self, monkeypatch):
@@ -1002,65 +1058,67 @@ class TestSharedNoise:
         encoded = pinned_scenario(PINNED_PAIR[0])
         physical = pinned_scenario(PINNED_PAIR[1], max_step=0.002)
         apart = digest(ensemble_coherence(physical))
-        calls, draws = count_samples(monkeypatch), count_draws(monkeypatch)
+        draws = count_draws(monkeypatch)
         curves = ensemble_coherences([encoded, physical])
-        assert calls == ["_interval_noise"]
         assert draws == [3 * 16 * 1000, 3 * 16]
         assert [digest(c) for c in curves] == [PINNED_DIGESTS[PINNED_PAIR[0]], apart]
 
     def test_non_diagonal_scenario_between_diagonal_ones(self, monkeypatch):
-        # the middle one samples on its own; the third joins the first's group
+        # the middle one samples in a group of its own path; the third joins the first's
         scenarios = [pinned_scenario(c) for c in ["hybrid_dephasing", "encoded_spin_boson",
                                                   "hybrid_dephasing-physical"]]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        calls = count_samples(monkeypatch)
+        draws = count_draws(monkeypatch)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert calls == ["_interval_noise", "_channel_noise"]
+        assert draws[1] == (3 + 2) * 16
 
     def test_no_noise_is_kept_between_calls(self, monkeypatch):
-        calls = count_samples(monkeypatch)
+        draws = count_draws(monkeypatch)
         scenarios = [pinned_scenario(config) for config in PINNED_PAIR]
         first, second = ensemble_coherences(scenarios), ensemble_coherences(scenarios)
-        assert calls == ["_interval_noise"] * 2
+        assert draws[1] == 2 * 3 * 16  # each call draws the pair's streams anew
         assert [digest(c) for c in first] == [digest(c) for c in second]
 
     def test_noise_is_freed_after_the_last_propagation_that_reads_it(self, monkeypatch):
-        # the group of the first three returns arrays [A, B, A] (the pair's
-        # inputs are all equal); each is alive at a curve's reduction only while
-        # a later scenario still reads it, and none lives past the call
-        refs, alive = [], []
+        # the diagonal group of the first three yields arrays [A, B, A] (the pair's
+        # inputs are all equal), the group of the last two [C, C] (a drift is not a
+        # noise input); each is alive at
+        # a curve's reduction only while a later scenario still reads it, and none
+        # lives past the call
+        alive = []
 
         def curve(*args):
             alive.append([ref() is not None for ref in refs])
             return DecayCurve(*args)
 
-        count_samples(monkeypatch, refs)
+        refs = track_noise(monkeypatch)
         monkeypatch.setattr("aht.noise.DecayCurve", curve)
         ensemble_coherences([pinned_scenario("hybrid_dephasing"),
                              pinned_scenario("hybrid_dephasing", max_step=0.002),
                              pinned_scenario("hybrid_dephasing-physical"),
-                             pinned_scenario("encoded_spin_boson")])
-        assert alive == [[True, True, True], [True, False, True], [False, False, False], [False] * 4]
+                             pinned_scenario("encoded_spin_boson"),
+                             pinned_scenario("encoded_spin_boson", j_drift=0.5)])
+        assert alive == [[True], [True, False], [False] * 3, [False] * 3 + [True], [False] * 5]
         assert all(ref() is None for ref in refs)
 
     def test_each_curve_is_an_ensemble_coherence_call(self, monkeypatch):
         # a wrapper of the module's ensemble_coherence sees every scenario, in
-        # group order, and a group is sampled inside its first run's call
+        # group order, and a group is drawn inside its first run's call
         scenarios = [*verify_runs(3), pinned_scenario("encoded_spin_boson")]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        seen, samplers, calls = [], [], count_samples(monkeypatch)
+        seen, streams, draws = [], [], count_draws(monkeypatch)
 
         def wrapped(scenario, **kwargs):
-            before = len(calls)
+            before = draws[1]
             curve = ensemble_coherence(scenario, **kwargs)
             seen.append(scenario)
-            samplers.append(calls[before:])
+            streams.append(draws[1] - before)
             return curve
 
         monkeypatch.setattr("aht.noise.ensemble_coherence", wrapped)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
         assert len(seen) == 5 and all(a is b for a, b in zip(seen, scenarios))
-        assert samplers == [["_interval_noise"], [], [], [], ["_channel_noise"]]
+        assert streams == [3 * 3, 0, 0, 0, 2 * 16]
 
     def test_empty_list(self):
         assert ensemble_coherences([]) == []
@@ -1238,9 +1296,10 @@ class TestScenarioLibrary:
         sc = build_scenario("hybrid_dephasing", encoded=False, ensemble_size=200, repetitions=16)
         grid = _build_grid(sc)
         counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS) * len(grid.durations) * 8
+        assert counted == _noise_bytes(sc.ensemble_size, [_sums_key(sc)], False)
         tracemalloc.start()
         try:
-            _channel_noise(sc, grid, range(sc.ensemble_size))
+            sampled(sc, range(sc.ensemble_size), False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1256,10 +1315,11 @@ class TestScenarioLibrary:
             grid = _build_grid(sc)
             sums[n] = len(sc.channels) * n * len(grid.ends) * 8
             counted = sums[n] + (2 * min(n, _SUM_ROWS) + 10) * len(grid.durations) * 8
-            interval_noise(sc, grid, range(1))  # numpy's first-call allocations
+            assert counted == _noise_bytes(n, [_sums_key(sc)], True)
+            sampled(sc, range(1), True)  # numpy's first-call allocations
             tracemalloc.start()
             try:
-                interval_noise(sc, grid, range(n))
+                sampled(sc, range(n), True)
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -311,6 +311,12 @@ class TestRunCommand:
                           "physical": True}},
             # a format the kind does not write
             {"output": {"format": "json"}},
+            {"target": "fidelity"},
+            {"sequence": {"cycle_time": 1}},
+            {"hamiltonian": {"terms": ["0.5"]}},
+            {"n_qubits": 2, "hamiltonian": {"terms": ["1.0 ZZ 1 1"]}},
+            {"n_qubits": 2, "hamiltonian": {"terms": ["1.0 s 2 2"]}},
+            logical_nmr(j={"11": 1.0}),
         ],
     )
     def test_bad_scenario_fields_exit_2(self, tmp_path, capsys, field):
@@ -321,6 +327,17 @@ class TestRunCommand:
         doc = {key: value for key, value in doc.items() if key in READS[doc["kind"]] | RUN_FIELDS}
         assert run(write_scenario(tmp_path, doc)) == 2
         assert "fields for kind" not in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("kind", ["average", "scan"])
+    def test_sequence_name_as_a_string_is_the_name_block(self, tmp_path, capsys, kind):
+        outputs = []
+        for sequence in ("cp_x", {"name": "cp_x"}):
+            doc = {"kind": kind, "n_qubits": 1, "hamiltonian": {"terms": ["1.0 Z 1"]},
+                   "sequence": sequence,
+                   **({"sweep": [0.1, 0.2], "target": "magnus_defect"} if kind == "scan" else {})}
+            assert run(write_scenario(tmp_path, doc)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
 
     @pytest.mark.parametrize("doc,named", [
         ({**PROJECT_DOC, "sweep": [0.1], "target": "magnus_defect",
@@ -383,7 +400,7 @@ class TestRunCommand:
         # 21000 trajectories on 6400 steps: the diagonal run needs 23 MB and is
         # admitted; the other one needs 2.15 GB of per-step samples and exits 2
         # before any noise is drawn
-        monkeypatch.setattr("aht.noise._channel_noise", lambda *a: pytest.fail("noise drawn"))
+        monkeypatch.setattr("aht.noise._draw", lambda *a: pytest.fail("noise drawn"))
         monkeypatch.setattr("aht.scenario.ensemble_coherence",
                             lambda sc: DecayCurve(np.zeros(1), np.ones(1), np.zeros(1), 1))
         doc = {"kind": "noise", "noise": {"name": name, "ensemble_size": 21000, "max_step": 0.0025}}
