@@ -67,11 +67,11 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 #: Largest noise allocation a noise scenario, or a group of them sampled
-#: together (one seed, ensemble size and path), may ask for, checked before
-#: any of it is allocated: the count is ``noise._noise_bytes`` of the one
-#: sampler, on the runs' path (off the diagonal path the (channels x steps x
-#: trajectories) samples, on it the interval sums and the sampler's work
-#: space).  ``aht verify`` at its default ensemble of 500 counts at most 15 MB
+#: together (diagonal-path runs of one seed and ensemble size), may ask for,
+#: checked before any of it is allocated: the count is ``noise._noise_bytes``
+#: of the one sampler, on the runs' path (off the diagonal path the (channels
+#: x steps x trajectories) samples, on it the interval sums and the sampler's
+#: work space).  ``aht verify`` at its default ensemble of 500 counts at most 15 MB
 #: a run.
 _MAX_NOISE_BYTES = 2 * 1024**3
 

@@ -15,16 +15,18 @@ batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
 fixed by the implementation.  One sampler (``_sampled``) draws every
 seeded run, and one count (``_noise_bytes``) sizes what it holds.  A
-stream's first draws do not depend on how many follow, so scenarios with
-one seed, ensemble size and path read the same draws whether they run
-together or apart: ``ensemble_coherences`` groups them by that rule, the
-sampler draws each stream once, to the longest grid that reads it, and
-each scenario reads its own prefix under one OU step law, taken from the
-step lengths alone (``_ou_law``).  Off the diagonal path the prefix is
-transposed into the step-major ``(channels, steps, trajectories)`` tensor a
-block at a time, and the OU recursion overwrites it in place; on it, the
-same draws are reduced straight to the interval integrals the state reads
-(below) by that law's weights, with no per-step sample.
+stream's first draws do not depend on how many follow, so runs of one
+seed and ensemble size read the same draws whether they run together or
+apart: the sampler draws each stream of a group of runs once, to the
+longest grid that reads it, and each run reads its own prefix under one
+OU step law, taken from the step lengths alone (``_ou_law``).
+``ensemble_coherences`` groups its diagonal-path scenarios of one seed and
+ensemble size; off that path each scenario is a group of one.  Off the
+diagonal path the prefix is transposed into the step-major ``(channels,
+steps, trajectories)`` tensor a block at a time, and the OU recursion
+overwrites it in place; on it, the same draws are reduced straight to the
+interval integrals the state reads (below) by that law's weights, with no
+per-step sample.
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -377,27 +379,28 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
                  if c < len(chs) and chs[c].amplitude != 0.0]
         if not reads:
             continue
-        weights = [_sum_weights(g, ch.amplitude, ch.correlation_time) if diagonal else ()
-                   for g, ch, _ in reads]
+        if diagonal:
+            weights = [_sum_weights(g, ch.amplitude, ch.correlation_time) for g, ch, _ in reads]
         steps = max(len(g.durations) for g, _, _ in reads)
         for a in range(0, len(trajectories), _SUM_ROWS):
             rows = trajectories[a:a + _SUM_ROWS]
             drawn = buf[:len(rows), :steps]
             _draw(drawn, runs[0].seed, c, rows)
-            for (g, _, out), w in zip(reads, weights):
+            for i, (g, _, out) in enumerate(reads):
                 x = drawn[:, :len(g.durations)]
                 if not diagonal:
                     out[c, :, a:a + len(rows)] = x.T
                     continue
-                w_sum, w_last, carry_sum, carry_last = w
+                w_sum, w_last, carry_sum, carry_last = weights[i]
                 last = np.zeros(len(rows))
                 for j, (s, e) in enumerate(zip([0, *g.ends[:-1]], g.ends)):
                     # row sums, not a BLAS product: a row's bytes must not depend on the batch
                     out[c, a:a + len(rows), j] = ((x[:, s:e] * w_sum[s:e]).sum(axis=1)
                                                   + carry_sum[j] * last)
                     last = (x[:, s:e] * w_last[s:e]).sum(axis=1) + carry_last[j] * last
-        for g, ch, out in () if diagonal else reads:
-            _ou_in_place(out[c], *_ou_law(g.durations, ch.amplitude, ch.correlation_time))
+        if not diagonal:
+            for g, ch, out in reads:
+                _ou_in_place(out[c], *_ou_law(g.durations, ch.amplitude, ch.correlation_time))
     noise = [arrays[key][2] for key in keys]
     return ((grid, noise.pop(0)) for grid in grids)
 
@@ -641,12 +644,14 @@ def ensemble_coherence(scenario: NoiseScenario, *,
 def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
     """``ensemble_coherence`` of each scenario, in order, with the noise shared.
 
-    Scenarios with the same seed, ensemble size and path sample together
-    (``_sampled``), on either path: each seeded stream is drawn once, to the
-    longest grid that reads it, so each curve is the one it has on its own.
-    A scenario joins such a group only while ``_noise_bytes`` of the group
-    (the count ``NoiseScenario`` bounds for one run) stays within
-    ``config._MAX_NOISE_BYTES``; past it a new group starts.  The curves are
+    Diagonal-path scenarios with the same seed and ensemble size sample
+    together (``_sampled``): each seeded stream is drawn once, to the longest
+    grid that reads it, so each curve is the one it has on its own.  A
+    scenario joins such a group only while ``_noise_bytes`` of the group (the
+    count ``NoiseScenario`` bounds for one run) stays within
+    ``config._MAX_NOISE_BYTES``; past it a new group starts.  Off the
+    diagonal path a scenario is a group of one: its per-step samples are as
+    large as its run, and a group would hold them all at once.  The curves are
     computed group by group, so one group's noise is held at a time; a group
     is drawn inside its first scenario's ``ensemble_coherence`` call, and each
     scenario's noise is freed after its propagation, before its curve is
@@ -654,9 +659,9 @@ def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
     """
     diagonal = [_path(sc, sc.initial_state[None, :]).diagonal for sc in scenarios]
     keys = [_sums_key(sc) for sc in scenarios]  # each scenario's count, taken once
-    groups, open_groups = [], {}  # the last group of each (seed, ensemble size, path)
+    groups, open_groups = [], {}  # the last diagonal-path group of each (seed, ensemble size)
     for i, sc in enumerate(scenarios):
-        key = (sc.seed, sc.ensemble_size, diagonal[i])
+        key = (sc.seed, sc.ensemble_size) if diagonal[i] else i
         group = open_groups.get(key)
         if group is None or _noise_bytes(
                 sc.ensemble_size, [keys[k] for k in [*group, i]], diagonal[i]) > _MAX_NOISE_BYTES:

@@ -941,19 +941,12 @@ class TestSharedNoise:
 
     def test_pinned_configurations_in_one_call_give_their_pinned_digests(self, monkeypatch):
         # the three diagonal ones sample together (6 channels' streams, the first 3
-        # read by all), and so do the two off it: their 2 channels' streams are drawn
-        # once, and as their grids and laws are equal, so are their samples, though
-        # their intervals differ (2 of 10 steps a cycle under cp_x, 4 of 5 under
-        # gmax_cycle), so each has its own array
+        # read by all); the two off it sample apart, 2 channels' streams each
         scenarios = [pinned_scenario(config) for config in PINNED_DIGESTS]
         draws = count_draws(monkeypatch)
         curves = ensemble_coherences(scenarios)
         assert [digest(c) for c in curves] == list(PINNED_DIGESTS.values())
-        assert draws[1] == (6 + 2) * 16
-        off = [sc for sc in scenarios if not _path(sc, sc.initial_state[None, :]).diagonal]
-        assert [sc.name for sc in off] == ["encoded_spin_boson", "encoded_depolarizing"]
-        spin_boson, depolarizing = (noise for _, noise in _sampled(off, False, range(16)))
-        assert np.array_equal(spin_boson, depolarizing)
+        assert draws[1] == (6 + 2 + 2) * 16
 
     def test_verify_runs_in_one_call_match_separate_calls(self, monkeypatch):
         # coarse and the pair read the first 6400 normals of the streams fine
@@ -1014,20 +1007,24 @@ class TestSharedNoise:
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
         assert draws[1] == streams * n
 
-    @pytest.mark.parametrize("fits,streams", [(False, 4), (True, 2)])
-    def test_group_off_the_diagonal_path_splits_past_the_size_limit(self, monkeypatch, fits,
-                                                                   streams):
-        # two encoded_spin_boson runs on 320 and 800 steps share the streams of
-        # their 2 channels while both arrays fit the limit, and sample apart otherwise
+    def test_scenarios_off_the_diagonal_path_sample_apart(self, monkeypatch):
+        # two encoded_spin_boson runs of one seed and ensemble size, on 320 and
+        # 800 steps: each draws its 2 channels' streams, and holds only its own samples
         n = 5
         scenarios = [build_scenario("encoded_spin_boson", repetitions=4, ensemble_size=n, seed=6,
                                     **knobs) for knobs in ({}, {"max_step": 0.02})]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        limit = _noise_bytes(n, map(_sums_key, scenarios if fits else scenarios[1:]), False)
-        monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
-        draws = count_draws(monkeypatch)
+        draws, refs = count_draws(monkeypatch), track_noise(monkeypatch)
+        alive = []
+
+        def curve(*args):
+            alive.append([ref() is not None for ref in refs])
+            return DecayCurve(*args)
+
+        monkeypatch.setattr("aht.noise.DecayCurve", curve)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert draws[1] == streams * n
+        assert draws[1] == 2 * 2 * n
+        assert alive == [[False], [False, False]]  # the second is drawn after the first is freed
 
     def test_group_allocation_is_counted(self):
         # the grouped sampler's peak stays under the count that admits the group
@@ -1064,7 +1061,7 @@ class TestSharedNoise:
         assert [digest(c) for c in curves] == [PINNED_DIGESTS[PINNED_PAIR[0]], apart]
 
     def test_non_diagonal_scenario_between_diagonal_ones(self, monkeypatch):
-        # the middle one samples in a group of its own path; the third joins the first's
+        # the middle one samples on its own; the third joins the first's group
         scenarios = [pinned_scenario(c) for c in ["hybrid_dephasing", "encoded_spin_boson",
                                                   "hybrid_dephasing-physical"]]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
@@ -1081,9 +1078,9 @@ class TestSharedNoise:
 
     def test_noise_is_freed_after_the_last_propagation_that_reads_it(self, monkeypatch):
         # the diagonal group of the first three yields arrays [A, B, A] (the pair's
-        # inputs are all equal), the group of the last two [C, C] (a drift is not a
-        # noise input); each is alive at
-        # a curve's reduction only while a later scenario still reads it, and none
+        # inputs are all equal); the last two sample on their own, though their
+        # noise inputs are equal (a drift is not one). Each array is alive at a
+        # curve's reduction only while a later scenario still reads it, and none
         # lives past the call
         alive = []
 
@@ -1098,7 +1095,7 @@ class TestSharedNoise:
                              pinned_scenario("hybrid_dephasing-physical"),
                              pinned_scenario("encoded_spin_boson"),
                              pinned_scenario("encoded_spin_boson", j_drift=0.5)])
-        assert alive == [[True], [True, False], [False] * 3, [False] * 3 + [True], [False] * 5]
+        assert alive == [[True], [True, False], [False] * 3, [False] * 4, [False] * 5]
         assert all(ref() is None for ref in refs)
 
     def test_each_curve_is_an_ensemble_coherence_call(self, monkeypatch):
