@@ -338,10 +338,13 @@ def _noise_bytes(n: int, keys: Iterable[tuple], diagonal: bool) -> int:
     share one), and a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.
     On the diagonal path the values are interval sums, with as large a product as the
     buffer and 10 step-length weights or temporaries per array; off it they are the
-    per-step samples.  A run without channels counts one, for the grid."""
+    per-step samples, with 7 step-length words: the grid's ``durations``, the law's
+    ``rho`` and ``kick``, and the 4 words a step of the float list ``_ou_in_place``
+    walks (``_ou_law``'s ``gap`` and temporaries peak lower).  A run without channels
+    counts one, for the grid."""
     arrays = [(max(1, len(laws)) * cycles * (len(steps) if diagonal else sum(steps)),
                cycles * sum(steps)) for _, steps, cycles, laws in set(keys)]
-    work, buffers = (10, 2) if diagonal else (0, 1)
+    work, buffers = (10, 2) if diagonal else (7, 1)
     longest = max(steps for _, steps in arrays)
     return 8 * (sum(values * n + work * steps for values, steps in arrays)
                 + buffers * min(n, _SUM_ROWS) * longest)

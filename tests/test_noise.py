@@ -1237,7 +1237,7 @@ class TestScenarioLibrary:
     def test_noise_size_bound(self, name, knobs):
         # the bound counts the bytes of the sampler of the run's path: off the
         # diagonal path channels x trajectories x grid steps samples plus a
-        # draw buffer of _SUM_ROWS trajectories, on it
+        # draw buffer of _SUM_ROWS trajectories and 7 step-length words, on it
         # channels x trajectories x intervals sums plus (2 _SUM_ROWS + 10)
         # step-length vectors; the largest ensemble under the limit is
         # accepted, one more is not; neither allocates anything
@@ -1246,8 +1246,8 @@ class TestScenarioLibrary:
         steps, values = len(grid.durations), _MAX_NOISE_BYTES // 8
         if name in ("hybrid_dephasing", "four_qubit_blockwise"):  # the diagonal ones
             fits = (values - (2 * _SUM_ROWS + 10) * steps) // (len(sc.channels) * len(grid.ends))
-        else:  # the samples and a draw buffer of _SUM_ROWS trajectories
-            fits = (values - _SUM_ROWS * steps) // (len(sc.channels) * steps)
+        else:  # the samples, a draw buffer of _SUM_ROWS trajectories and the step law
+            fits = (values - (_SUM_ROWS + 7) * steps) // (len(sc.channels) * steps)
         assert fits >= _SUM_ROWS
         assert build_scenario(name, ensemble_size=fits, **knobs).ensemble_size == fits
         with pytest.raises(ValidationError, match="bytes of noise"):
@@ -1268,12 +1268,12 @@ class TestScenarioLibrary:
         # take 3.2 GB of per-step samples, but its diagonal path needs 16 MB of
         # sums and 7 MB of work space, so it is admitted; encoded_spin_boson's
         # 2 channels on the same grid are not diagonal and need 2.15 GB, plus
-        # 3.3 MB of draw buffer (64 trajectories)
+        # 3.3 MB of draw buffer (64 trajectories) and 0.36 MB of step law
         knobs = {"ensemble_size": 21000, "max_step": 0.0025}
         sc = build_scenario("hybrid_dephasing", **knobs)
         assert len(_build_grid(sc).durations) == 6400
         assert 8 * len(sc.channels) * sc.ensemble_size * 6400 > _MAX_NOISE_BYTES
-        with pytest.raises(ValidationError, match="run needs 2153676800 bytes of noise"):
+        with pytest.raises(ValidationError, match="run needs 2154035200 bytes of noise"):
             build_scenario("encoded_spin_boson", **knobs)
 
     @pytest.mark.parametrize(
@@ -1288,15 +1288,34 @@ class TestScenarioLibrary:
 
     def test_noise_allocation_is_the_counted_tensor(self):
         # the bytes the size limit counts are all the noise draw allocates: the
-        # tensor and the draw buffer of _SUM_ROWS trajectories, each block of
-        # which is transposed into the tensor, where the OU recursion runs in place
+        # tensor, the draw buffer of _SUM_ROWS trajectories, each block of
+        # which is transposed into the tensor, where the OU recursion runs in
+        # place, and 7 step-length words of grid and step law
         sc = build_scenario("hybrid_dephasing", encoded=False, ensemble_size=200, repetitions=16)
         grid = _build_grid(sc)
-        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS) * len(grid.durations) * 8
+        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS + 7) * len(grid.durations) * 8
         assert counted == _noise_bytes(sc.ensemble_size, [_sums_key(sc)], False)
         tracemalloc.start()
         try:
             sampled(sc, range(sc.ensemble_size), False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * counted
+
+    @pytest.mark.parametrize("n", [1, 4, _SUM_ROWS])
+    def test_sampler_off_the_diagonal_path_allocation_is_counted(self, n):
+        # 16000 steps: at small ensembles the grid's durations, the step law's
+        # rho and kick and the float list the OU recursion walks (7 words a
+        # step) outweigh the samples, and the count holds them too
+        sc = build_scenario("encoded_spin_boson", pulses=False, max_step=1e-3, ensemble_size=n)
+        assert len(_build_grid(sc).durations) == 16000
+        counted = _noise_bytes(n, [_sums_key(sc)], False)
+        assert counted == (len(sc.channels) * n + min(n, _SUM_ROWS) + 7) * 16000 * 8
+        sampled(sc, range(1), False)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            sampled(sc, range(n), False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

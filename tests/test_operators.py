@@ -1,7 +1,9 @@
 """Operator-algebra primitives: frozen examples and algebraic properties."""
 import itertools
+import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 import aht
 from aht import operators
+from aht.codes import build_code, nmr_hamiltonian
 from aht.config import BranchCutError, ValidationError
+from aht.decoupling import SEQUENCE_NAMES, cycle_propagator, named_sequence
 from aht.operators import (
     Operator,
     PauliString,
@@ -254,6 +258,16 @@ class TestExpm:
         assert np.allclose(lhs, expm(h, t1 + t2).matrix, atol=1e-10)
 
 
+def schur_log(u, t_total):
+    """Test-only oracle: ``H`` with ``exp(-i H T) = U`` from scipy's complex Schur form,
+    diagonal for a normal ``U``, with its orthonormal frame."""
+    from scipy.linalg import schur
+
+    triangular, frame = schur(u, output="complex")
+    h = (frame * (-np.angle(np.diag(triangular)) / t_total)) @ frame.conj().T
+    return (h + h.conj().T) / 2
+
+
 class TestLogmEffective:
     def test_identity(self):
         assert np.allclose(logm_effective(np.eye(4), 1.0).matrix, 0)
@@ -299,6 +313,56 @@ class TestLogmEffective:
     def test_branch_cut_reported(self):
         with pytest.raises(BranchCutError):
             logm_effective(expm(Z, np.pi).matrix, 1.0)
+
+    @pytest.mark.parametrize(
+        "u",
+        [-np.eye(2), -np.eye(32), np.diag([1, -1]), np.diag([1, np.exp(1j * (np.pi - 1e-9))]),
+         np.diag([1, complex(-1, 1.5e-308)]), np.diag([1, complex(-1, 1e-309)])],
+        ids=["minus_one", "minus_one_32", "one_minus_one", "pi_less_1e-9", "tangent_near_overflow",
+             "tangent_past_overflow"],
+    )
+    def test_eigenvalue_at_the_cut_raises(self, u):
+        # an exactly singular 1 + U, a Cayley transform of entries near the
+        # largest float (1.3e308, whose sum with its adjoint overflows) or past
+        # it (nan), and an eigenphase within DEFAULT_TOL.branch_cut of pi raise
+        # alike, with no RuntimeWarning (the suite turns one into an error)
+        with pytest.raises(BranchCutError, match="eigenphase within branch tolerance"):
+            logm_effective(u, 1.0)
+
+    def test_eigenphase_just_inside_the_cut(self):
+        theta = np.pi - 1e-6
+        got = logm_effective(np.diag([1, np.exp(1j * theta)]), 2.0).matrix
+        assert np.allclose(got, np.diag([0, -theta / 2]), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+    def test_closed_form_on_diagonal_unitaries(self, dim):
+        # oracle: log diag(exp(i theta)) = diag(i theta), so H = diag(-theta / T)
+        theta = np.random.default_rng(dim).uniform(-np.pi + 1e-3, np.pi - 1e-3, dim)
+        theta[:2] = np.pi - 1e-3, 0.0
+        got = logm_effective(np.diag(np.exp(1j * theta)), 0.7).matrix
+        assert np.max(np.abs(got - np.diag(-theta / 0.7))) < 1e-11
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+    def test_matches_schur_log_on_random_spectra(self, dim):
+        # random frames with eigenphases up to pi - 1e-3 from the cut
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(4):
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            frame = np.linalg.qr(z)[0]
+            theta = rng.uniform(-np.pi + 1e-3, np.pi - 1e-3, dim)
+            theta[0] = np.pi - 1e-3
+            u = (frame * np.exp(1j * theta)) @ frame.conj().T
+            assert np.max(np.abs(logm_effective(u, 1.3).matrix - schur_log(u, 1.3))) < 1e-11
+
+    @pytest.mark.parametrize("name", [n for n in SEQUENCE_NAMES if n != "whh4"])
+    def test_matches_schur_log_on_degenerate_spectra(self, name):
+        # the cycle propagator of an NMR network under a named sequence's
+        # physical dfs2x2 pulses: 16 eigenphases, repeated ones among them
+        h = pauli_sum(nmr_hamiltonian((1.9, 1.2, 0.7, 0.2), {(1, 2): 0.8, (3, 4): 0.5, (1, 3): 0.3,
+                                                               (1, 4): 0.1, (2, 3): 0.07, (2, 4): 0.21}))
+        scheme = named_sequence(name, code=build_code("dfs2x2"), physical=True, cycle_time=0.3)
+        u = cycle_propagator(h, scheme).matrix
+        assert np.max(np.abs(logm_effective(u, 0.3).matrix - schur_log(u, 0.3))) < 1e-11
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
@@ -348,23 +412,40 @@ class TestDecomposition:
 
 
 class TestImport:
-    def test_import_leaves_scipy_linalg_and_optimize_unloaded(self):
-        # scipy.linalg is imported inside logm_effective, the one function
-        # that uses it, and scipy.optimize nowhere: transformer_reach solves
-        # its least squares in numpy.  Both dominate start-up time.  aht.cli
-        # pulls in every module of the package.
+    def test_no_run_loads_scipy(self, tmp_path):
+        # no module of the package imports scipy: logm_effective takes its log
+        # through numpy's eigh and transformer_reach solves its least squares
+        # in numpy.  In a fresh interpreter, none is loaded by aht.cli (which
+        # pulls in every module of the package), by a verify run, by the
+        # transformer reach or by the two document kinds that take a log
         src = str(Path(aht.__file__).resolve().parent.parent)
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import aht.cli; "
-            "loaded = lambda: sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules); "
-            "print(loaded()); "
-            "from aht.universality import generate_group, transformer_reach; "
-            "assert transformer_reach(generate_group([[[0, 1], [1, 0]]]), [[1, 0], [0, -1]], "
-            "[[1, 0], [0, 1]]).reachable is False; "
-            "print(loaded())"
-        )
+        propagate = {"kind": "propagate", "n_qubits": 2, "cycle_time": 0.4,
+                     "hamiltonian": {"terms": ["0.7 XX 1 2", "0.3 Z 1", "0.2 Y 2"]},
+                     "sequence": {"name": "cp_x"}}
+        scan = {"kind": "scan", "n_qubits": 2, "target": "magnus_defect", "sweep": [0.4, 0.2],
+                "hamiltonian": {"terms": ["0.7 XX 1 2", "0.3 Z 1"]}, "sequence": {"name": "cp_x_symmetric"}}
+        docs = [tmp_path / "propagate.json", tmp_path / "scan.json"]
+        for path, doc in zip(docs, (propagate, scan)):
+            path.write_text(json.dumps(doc))
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            sys.path.insert(0, sys.argv[1])
+            import aht.cli
+            from aht.universality import generate_group, transformer_reach
+            def loaded(step):
+                print(step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            loaded("import")
+            runs = [["verify", "--seed", "11", "--ensemble", "50"]] + [["run", p] for p in sys.argv[2:]]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert aht.cli.main(argv) == 0, argv
+                loaded(argv[0])
+            assert transformer_reach(generate_group([[[0, 1], [1, 0]]]), [[1, 0], [0, -1]],
+                                     [[1, 0], [0, 1]]).reachable is False
+            loaded("reach")
+        """)
         out = subprocess.run(
-            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True,
-            timeout=120,
+            [sys.executable, "-c", code, src, *map(str, docs)], capture_output=True, text=True,
+            check=True, timeout=120,
         ).stdout
-        assert out.split("\n")[:2] == ["[]", "[]"]
+        assert out.splitlines() == [f"{step} []" for step in ("import", "verify", "run", "run", "reach")]
