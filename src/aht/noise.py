@@ -10,23 +10,28 @@ exactly at schedule boundaries.
 
 Determinism contract: every observable quantity is a pure function of
 the scenario (including its seed).  Per-trajectory noise is drawn from
-``SeedSequence(seed, channel_index, trajectory_index)``, so serial,
-batched and resumed runs agree bit for bit and the ensemble mean is
+``default_rng(SeedSequence([seed, channel_index, trajectory_index]))``, so
+serial, batched and resumed runs agree bit for bit and the ensemble mean is
 independent of evaluation order up to float addition order, which is
-fixed by the implementation.  One sampler (``_sampled``) draws every
-seeded run, and one count (``_noise_bytes``) sizes what it holds.  A
-stream's first draws do not depend on how many follow, so runs of one
-seed and ensemble size read the same draws whether they run together or
-apart: the sampler draws each stream of a group of runs once, to the
-longest grid that reads it, and each run reads its own prefix under one
-OU step law, taken from the step lengths alone (``_ou_law``).
-``ensemble_coherences`` groups its diagonal-path scenarios of one seed and
-ensemble size; off that path each scenario is a group of one.  Off the
-diagonal path the prefix is transposed into the step-major ``(channels,
-steps, trajectories)`` tensor a block at a time, and the OU recursion
-overwrites it in place; on it, the same draws are reduced straight to the
-interval integrals the state reads (below) by that law's weights, with no
-per-step sample.
+fixed by the implementation.  A stream is built without that generator
+(``_draw``): numpy's own ``SeedSequence`` mixes the entropy into its pool,
+and the ``PCG64`` state follows from the pool by numpy's own rules (the
+``generate_state`` output stage, then ``pcg64_set_seed``, O'Neill's PCG
+seeding), computed in Python ints and set on one ``PCG64`` reused for
+every row of a draw; numpy keeps both stable across versions (NEP 19).
+One sampler (``_sampled``) draws every seeded run, and one count
+(``_noise_bytes``) sizes what it holds.  A stream's first draws do not
+depend on how many follow, so runs of one seed and ensemble size read the
+same draws whether they run together or apart: the sampler draws each
+stream of a group of runs once, to the longest grid that reads it, and
+each run reads its own prefix under one OU step law, taken from the step
+lengths alone (``_ou_law``).  ``ensemble_coherences`` groups its
+diagonal-path scenarios of one seed and ensemble size; off that path each
+scenario is a group of one.  Off the diagonal path the prefix is
+transposed into the step-major ``(channels, steps, trajectories)`` tensor
+a block at a time, and the OU recursion overwrites it in place; on it, the
+same draws are reduced straight to the interval integrals the state reads
+(below) by that law's weights, with no per-step sample.
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -232,14 +237,42 @@ def _words(n: int) -> list[int]:
     return [n & 0xFFFFFFFF, *(_words(n >> 32) if n >> 32 else ())]
 
 
+#: ``h_k = 0x8B51F9DD * 0x58F38DED**k mod 2**32``: numpy's ``SeedSequence.generate_state``
+#: makes output word ``k`` as ``v ^ v >> 16``, ``v = (pool[k % 4] ^ h_k) h_(k+1) mod 2**32``
+_HASH = tuple(0x8B51F9DD * 0x58F38DED**k & 0xFFFFFFFF for k in range(9))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  #: PCG64's 128-bit LCG multiplier
+_LOW_HALVES = 0x0000FFFF0000FFFF0000FFFF0000FFFF  #: the low 16 bits of each 32-bit word
+
+
 def _draw(out: np.ndarray, seed: int, channel: int, trajectories: Sequence[int]) -> None:
     """Row ``r`` of ``out``: the standard normals ``_sampled`` reads for ``trajectories[r]``,
-    those of ``SeedSequence([seed, channel, trajectories[r]])``.  The sequence is handed the
-    ``uint32`` entropy words numpy builds from that list, so it is the same sequence."""
-    head = _words(seed) + _words(channel)
+    those of ``default_rng(SeedSequence([seed, channel, trajectories[r]]))``, bit for bit.
+    Each row reads the pool of numpy's own ``SeedSequence`` of the ``uint32`` entropy words
+    numpy builds from that list; in Python ints, its ``generate_state(4, uint64)`` words
+    ``s0..s3`` (word ``j`` joins output words ``2j``, low, and ``2j + 1``) give the state of
+    numpy's ``pcg64_set_seed``, ``inc = (s2 s3 << 1) | 1`` and ``state = ((inc + s0 s1) M +
+    inc) mod 2**128``, which is set on one ``PCG64`` made per call."""
+    head, sequence, bits = _words(seed) + _words(channel), np.random.SeedSequence, np.random.PCG64(0)
+    rng, pcg = np.random.Generator(bits), {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    h0, h1, h2, h3, h4, h5, h6, h7, h8 = _HASH
+    m32, m128 = 0xFFFFFFFF, (1 << 128) - 1
+    one_word = np.array(head + [0], dtype=np.uint32)  # the entropy of each i < 2**32, reused
     for row, i in zip(out, trajectories):
-        entropy = np.array(head + _words(int(i)), dtype=np.uint32)
-        np.random.default_rng(np.random.SeedSequence(entropy)).standard_normal(out=row)
+        if i >> 32:
+            entropy = np.array(head + _words(int(i)), dtype=np.uint32)
+        else:
+            one_word[-1], entropy = i, one_word
+        p0, p1, p2, p3 = sequence(entropy).pool.tolist()
+        # s0 s1 and s2 s3 as 128-bit ints, before each output word's v ^ v >> 16
+        s = ((p0 ^ h0) * h1 & m32) << 64 | ((p1 ^ h1) * h2 & m32) << 96 \
+            | (p2 ^ h2) * h3 & m32 | ((p3 ^ h3) * h4 & m32) << 32
+        q = ((p0 ^ h4) * h5 & m32) << 64 | ((p1 ^ h5) * h6 & m32) << 96 \
+            | (p2 ^ h6) * h7 & m32 | ((p3 ^ h7) * h8 & m32) << 32
+        inc = (q ^ q >> 16 & _LOW_HALVES) << 1 & m128 | 1
+        pcg["state"], pcg["inc"] = ((s ^ s >> 16 & _LOW_HALVES) + inc) * _PCG_MULT + inc & m128, inc
+        bits.state = state
+        rng.standard_normal(out=row)
 
 
 def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -253,15 +286,20 @@ def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.n
     return rho, amplitude * np.sqrt(1 - rho * rho)
 
 
+_OU_ROWS = 1024  #: step rows per float list of ``rho`` that ``_ou_in_place`` walks
+
+
 def _ou_in_place(x: np.ndarray, rho: np.ndarray, kick: np.ndarray) -> None:
     """Overwrite the standard-normal draws ``x`` ``(steps, n_traj)`` with the OU samples of
-    the law ``rho``, ``kick``: the kicks in one product, then two ufuncs per step row."""
+    the law ``rho``, ``kick``: the kicks in one product, then two ufuncs per step row, with
+    ``rho`` read as Python floats ``_OU_ROWS`` rows at a time."""
     x *= kick[:, None]
     tmp, prev = np.empty(x.shape[1]), np.zeros(x.shape[1])  # no sample before the first
-    for row, r in zip(x, rho.tolist()):
-        np.multiply(r, prev, out=tmp)
-        np.add(tmp, row, out=row)
-        prev = row
+    for a in range(0, len(rho), _OU_ROWS):
+        for row, r in zip(x[a:a + _OU_ROWS], rho[a:a + _OU_ROWS].tolist()):
+            np.multiply(r, prev, out=tmp)
+            np.add(tmp, row, out=row)
+            prev = row
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +376,12 @@ def _noise_bytes(n: int, keys: Iterable[tuple], diagonal: bool) -> int:
     share one), and a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.
     On the diagonal path the values are interval sums, with as large a product as the
     buffer and 10 step-length weights or temporaries per array; off it they are the
-    per-step samples, with 7 step-length words: the grid's ``durations``, the law's
-    ``rho`` and ``kick``, and the 4 words a step of the float list ``_ou_in_place``
-    walks (``_ou_law``'s ``gap`` and temporaries peak lower).  A run without channels
-    counts one, for the grid."""
+    per-step samples, with 5 step-length words: the grid's ``durations`` and the peak of
+    ``_ou_law``, its ``gap``, ``rho``, ``kick`` and one temporary (``_ou_in_place`` walks
+    ``rho`` a chunk at a time).  A run without channels counts one, for the grid."""
     arrays = [(max(1, len(laws)) * cycles * (len(steps) if diagonal else sum(steps)),
                cycles * sum(steps)) for _, steps, cycles, laws in set(keys)]
-    work, buffers = (10, 2) if diagonal else (7, 1)
+    work, buffers = (10, 2) if diagonal else (5, 1)
     longest = max(steps for _, steps in arrays)
     return 8 * (sum(values * n + work * steps for values, steps in arrays)
                 + buffers * min(n, _SUM_ROWS) * longest)
@@ -359,17 +396,19 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
     Each stream, channel ``c`` of a trajectory, is drawn once, ``_SUM_ROWS`` trajectories
     at a time, to the longest grid among the runs that read it (nonzero amplitude), and
     each run reads its own prefix of the draws under the one step law ``_ou_law``.  Runs
-    of one ``_sums_key`` share one array: the noise does not depend on the couplings.  Off
-    the diagonal path a run's prefix is transposed into its ``(channels, steps,
-    trajectories)`` samples, which the OU recursion overwrites in place after the
-    channel's last block.  On it the prefix is reduced to the ``(channels, trajectories,
-    intervals)`` sums ``sum_k x(m_k) dt_k`` of those samples: sample ``j`` of an interval
-    of ``n`` steps of ``dt`` is ``rho^j rho_b x_b + sum_{l<=j} rho^(j-l) kick_l xi_l``,
-    ``x_b`` the sample before it, ``rho_b`` the interval's first ``rho`` and ``rho =
-    exp(-dt/tau_c)`` the others; so its sum weighs ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 -
-    rho) kick_l``, its last sample by ``rho^(n-1-l) kick_l`` (``_sum_weights``).  Against
-    summing the per-step samples this moves states by rounding only.  Every array is the
-    one a run gets on its own, bit for bit."""
+    of one ``_sums_key`` share one array: the noise does not depend on the couplings.  A
+    channel of one law on grids of equal intervals is sampled or reduced once, into the
+    first array that reads it, and copied into the others.  Off the diagonal path a run's
+    prefix is transposed into its ``(channels, steps, trajectories)`` samples, which the
+    OU recursion overwrites in place after the channel's last block.  On it the prefix is
+    reduced to the ``(channels, trajectories, intervals)`` sums ``sum_k x(m_k) dt_k`` of
+    those samples: sample ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b
+    x_b + sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the
+    interval's first ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs
+    ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 - rho) kick_l``, its last sample by
+    ``rho^(n-1-l) kick_l`` (``_sum_weights``).  Against summing the per-step samples this
+    moves states by rounding only.  Every array is the one a run gets on its own, bit for
+    bit."""
     grids, keys = [_build_grid(sc) for sc in runs], [_sums_key(sc) for sc in runs]
     arrays = {}  # _sums_key -> (grid, channels, the array of every run that has it)
     for sc, g, key in zip(runs, grids, keys):
@@ -378,8 +417,11 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
             arrays[key] = g, sc.channels, np.zeros((len(sc.channels), *shape))
     buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for g in grids)))
     for c in range(max(len(sc.channels) for sc in runs)):
-        reads = [(g, chs[c], out) for g, chs, out in arrays.values()
-                 if c < len(chs) and chs[c].amplitude != 0.0]
+        shared = {}  # (intervals, channel c's law) -> (grid, channel, the arrays that read it)
+        for key, (g, chs, out) in arrays.items():
+            if c < len(chs) and chs[c].amplitude != 0.0:
+                shared.setdefault((key[:3], key[3][c]), (g, chs[c], []))[2].append(out)
+        reads = [(g, ch, outs[0]) for g, ch, outs in shared.values()]  # each computed once
         if not reads:
             continue
         if diagonal:
@@ -401,9 +443,11 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
                     out[c, a:a + len(rows), j] = ((x[:, s:e] * w_sum[s:e]).sum(axis=1)
                                                   + carry_sum[j] * last)
                     last = (x[:, s:e] * w_last[s:e]).sum(axis=1) + carry_last[j] * last
-        if not diagonal:
-            for g, ch, out in reads:
+        for g, ch, (out, *copies) in shared.values():
+            if not diagonal:
                 _ou_in_place(out[c], *_ou_law(g.durations, ch.amplitude, ch.correlation_time))
+            for copy in copies:
+                copy[c] = out[c]
     noise = [arrays[key][2] for key in keys]
     return ((grid, noise.pop(0)) for grid in grids)
 
@@ -500,12 +544,13 @@ def _steps(plan: _Plan, noise: np.ndarray, dts: np.ndarray) -> Iterator:
 def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.ndarray:
     """Evolve state rows through the grid, one interval at a time, reading interval
     sums ``(channels, rows, intervals)`` of the noise on the diagonal path and samples
-    ``(channels, steps, rows)`` otherwise; returns (n_records, n_traj, dim), zero outside
-    the plan's block, the only one propagated.  Off that path each interval takes its
-    steps from one stream over the whole grid (``_steps``)."""
+    ``(channels, steps, rows)`` otherwise; returns (n_records, n_traj, len(block)), the
+    rows on the plan's block, the only one propagated (they are zero outside it).  Off
+    that path each interval takes its steps from one stream over the whole grid
+    (``_steps``)."""
+    psi, cut = psi[:, plan.block], np.ix_(plan.block, plan.block)
     out = np.zeros((len(grid.times), *psi.shape), dtype=complex)
     out[0] = psi
-    psi, cut = psi[:, plan.block], np.ix_(plan.block, plan.block)
     dim = psi.shape[1]
     d0, dc = np.diag(plan.h0).real, [np.diag(c).real for c in plan.couplings]
     steps = None if plan.diagonal else _steps(plan, noise, grid.durations)
@@ -527,7 +572,7 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
         if done in grid.pulses:
             psi = psi @ grid.pulses[done][cut].T
         if done in grid.record_steps:
-            out[rec][:, plan.block] = psi
+            out[rec] = psi
             rec += 1
         start = done
     return out
@@ -550,11 +595,13 @@ def _noise(scenario: NoiseScenario, plan: _Plan, noise_values) -> tuple[_Grid, n
 def _run(scenario: NoiseScenario, psi: np.ndarray, trajectories: Sequence[int] = (),
          noise_values=None) -> tuple[_Grid, np.ndarray]:
     """The grid, and the states of the rows ``psi`` under the seeded noise of
-    ``trajectories`` or, if given, ``noise_values``."""
+    ``trajectories`` or, if given, ``noise_values``, zero off the block ``_evolve`` runs."""
     plan = _path(scenario, psi)
     grid, noise = (next(_sampled([scenario], plan.diagonal, trajectories)) if noise_values is None
                    else _noise(scenario, plan, noise_values))
-    return grid, _evolve(plan, noise, psi, grid)
+    states = np.zeros((len(grid.times), *psi.shape), dtype=complex)
+    states[..., plan.block] = _evolve(plan, noise, psi, grid)
+    return grid, states
 
 
 @dataclass(frozen=True)
@@ -634,7 +681,6 @@ def ensemble_coherence(scenario: NoiseScenario, *,
     grid, noise = next(_shared or _sampled([scenario], plan.diagonal, range(n)))
     states = _evolve(plan, noise, np.tile(scenario.initial_state, (n, 1)), grid)
     del noise  # freed before the reduction, unless a later run of the group reads it
-    states = states[..., plan.block]  # zero off the block, so the observable is reduced on it
     obs = scenario.observable.matrix[np.ix_(plan.block, plan.block)]
     expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
     mean = expect.mean(axis=1)

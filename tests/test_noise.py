@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aht.codes import build_code
 from aht.config import _MAX_NOISE_BYTES, ValidationError
@@ -28,6 +30,7 @@ from aht.noise import (
     _sampled,
     _step_propagators,
     _su2_step,
+    _sum_weights,
     _sums_key,
     build_scenario,
     ensemble_coherence,
@@ -151,9 +154,12 @@ def sampled(sc, trajectories, diagonal):
 
 
 def evolve(sc, noise, rows):
-    """``_evolve`` of ``rows`` copies of the initial state under ``noise``."""
-    psi = np.tile(sc.initial_state, (rows, 1))
-    return _evolve(_path(sc, psi), noise, psi, _build_grid(sc))
+    """``_evolve`` of ``rows`` copies of the initial state under ``noise``, on the full space."""
+    psi, grid = np.tile(sc.initial_state, (rows, 1)), _build_grid(sc)
+    plan = _path(sc, psi)
+    states = np.zeros((len(grid.times), *psi.shape), dtype=complex)
+    states[..., plan.block] = _evolve(plan, noise, psi, grid)
+    return states
 
 
 def pinned_scenario(config, **over):
@@ -916,6 +922,16 @@ def count_draws(monkeypatch) -> list:
     return counts
 
 
+#: whole numbers of one to three 32-bit words, as seeds, channels and trajectories
+WORDS = st.integers(min_value=0, max_value=2**70 - 1)
+
+
+def global_rng_state() -> tuple:
+    """``np.random``'s global (legacy) generator state, comparable with ``==``."""
+    name, key, pos, has_gauss, gauss = np.random.get_state()
+    return name, key.tobytes(), pos, has_gauss, gauss
+
+
 def verify_runs(n, seed=2024):
     """The noise runs of ``aht verify``'s noise_suppression at ensemble ``n``: the
     coarse and fine suppression runs (6400 and 12800 steps) and the encoded and
@@ -950,14 +966,22 @@ class TestSharedNoise:
 
     def test_verify_runs_in_one_call_match_separate_calls(self, monkeypatch):
         # coarse and the pair read the first 6400 normals of the streams fine
-        # draws to 12800; channel 0 is read by the pair only
+        # draws to 12800; channel 0 is read by the pair only. Coarse and the
+        # pair have equal intervals and equal slow laws, so each slow channel's
+        # sums are reduced once for both: 1 + 2 + 2 reductions, not 1 + 3 + 3
         n = 9
         scenarios = verify_runs(n)
         assert [len(_build_grid(sc).durations) for sc in scenarios] == [6400, 12800, 6400, 6400]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        draws = count_draws(monkeypatch)
+        draws, weights = count_draws(monkeypatch), []
+
+        def counted(*args):
+            weights.append(args)
+            return _sum_weights(*args)
+        monkeypatch.setattr("aht.noise._sum_weights", counted)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
         assert draws == [2 * n * 12800 + n * 6400, 3 * n]
+        assert len(weights) == 5
 
     def test_verify_suite_draws_each_stream_once(self, monkeypatch):
         # at ensemble n: the 3 n streams above and the 4 one-trajectory
@@ -977,6 +1001,23 @@ class TestSharedNoise:
             for row, i in zip(out, values):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, channel, i]))
                 assert np.array_equal(row, rng.standard_normal(40))
+
+    @given(seed=WORDS, channel=WORDS, trajectories=st.lists(WORDS, max_size=6))
+    @example(seed=2**32 - 1, channel=2**32, trajectories=[0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3])
+    @example(seed=2**64 - 1, channel=2**64 + 3, trajectories=[2**32, 7, 2**64 - 1])
+    @example(seed=2**64 + 3, channel=2**32 - 1, trajectories=[])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_draw_rows_are_fresh_seed_sequence_generators(self, seed, channel, trajectories):
+        # _draw sets one PCG64 per call from each row's SeedSequence pool: every
+        # row is the fresh generator's, bit for bit, for rows of any word counts
+        # in one block, and np.random's global generator is not touched
+        before = global_rng_state()
+        out = np.empty((len(trajectories), 9))
+        _draw(out, seed, channel, trajectories)
+        for row, i in zip(out, trajectories):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, channel, i]))
+            assert np.array_equal(row, rng.standard_normal(9))
+        assert global_rng_state() == before
 
     def test_a_longer_draw_begins_with_the_shorter_one(self):
         # the sharing rests on this numpy property: a stream's first normals do
@@ -1237,7 +1278,7 @@ class TestScenarioLibrary:
     def test_noise_size_bound(self, name, knobs):
         # the bound counts the bytes of the sampler of the run's path: off the
         # diagonal path channels x trajectories x grid steps samples plus a
-        # draw buffer of _SUM_ROWS trajectories and 7 step-length words, on it
+        # draw buffer of _SUM_ROWS trajectories and 5 step-length words, on it
         # channels x trajectories x intervals sums plus (2 _SUM_ROWS + 10)
         # step-length vectors; the largest ensemble under the limit is
         # accepted, one more is not; neither allocates anything
@@ -1247,7 +1288,7 @@ class TestScenarioLibrary:
         if name in ("hybrid_dephasing", "four_qubit_blockwise"):  # the diagonal ones
             fits = (values - (2 * _SUM_ROWS + 10) * steps) // (len(sc.channels) * len(grid.ends))
         else:  # the samples, a draw buffer of _SUM_ROWS trajectories and the step law
-            fits = (values - (_SUM_ROWS + 7) * steps) // (len(sc.channels) * steps)
+            fits = (values - (_SUM_ROWS + 5) * steps) // (len(sc.channels) * steps)
         assert fits >= _SUM_ROWS
         assert build_scenario(name, ensemble_size=fits, **knobs).ensemble_size == fits
         with pytest.raises(ValidationError, match="bytes of noise"):
@@ -1268,12 +1309,12 @@ class TestScenarioLibrary:
         # take 3.2 GB of per-step samples, but its diagonal path needs 16 MB of
         # sums and 7 MB of work space, so it is admitted; encoded_spin_boson's
         # 2 channels on the same grid are not diagonal and need 2.15 GB, plus
-        # 3.3 MB of draw buffer (64 trajectories) and 0.36 MB of step law
+        # 3.3 MB of draw buffer (64 trajectories) and 0.26 MB of grid and step law
         knobs = {"ensemble_size": 21000, "max_step": 0.0025}
         sc = build_scenario("hybrid_dephasing", **knobs)
         assert len(_build_grid(sc).durations) == 6400
         assert 8 * len(sc.channels) * sc.ensemble_size * 6400 > _MAX_NOISE_BYTES
-        with pytest.raises(ValidationError, match="run needs 2154035200 bytes of noise"):
+        with pytest.raises(ValidationError, match="run needs 2153932800 bytes of noise"):
             build_scenario("encoded_spin_boson", **knobs)
 
     @pytest.mark.parametrize(
@@ -1290,10 +1331,10 @@ class TestScenarioLibrary:
         # the bytes the size limit counts are all the noise draw allocates: the
         # tensor, the draw buffer of _SUM_ROWS trajectories, each block of
         # which is transposed into the tensor, where the OU recursion runs in
-        # place, and 7 step-length words of grid and step law
+        # place, and 5 step-length words of grid and step law
         sc = build_scenario("hybrid_dephasing", encoded=False, ensemble_size=200, repetitions=16)
         grid = _build_grid(sc)
-        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS + 7) * len(grid.durations) * 8
+        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS + 5) * len(grid.durations) * 8
         assert counted == _noise_bytes(sc.ensemble_size, [_sums_key(sc)], False)
         tracemalloc.start()
         try:
@@ -1305,13 +1346,13 @@ class TestScenarioLibrary:
 
     @pytest.mark.parametrize("n", [1, 4, _SUM_ROWS])
     def test_sampler_off_the_diagonal_path_allocation_is_counted(self, n):
-        # 16000 steps: at small ensembles the grid's durations, the step law's
-        # rho and kick and the float list the OU recursion walks (7 words a
-        # step) outweigh the samples, and the count holds them too
+        # 16000 steps: at small ensembles the grid's durations and the step
+        # law's peak (gap, rho, kick and a temporary: 5 words a step) outweigh
+        # the samples, and the count holds them too
         sc = build_scenario("encoded_spin_boson", pulses=False, max_step=1e-3, ensemble_size=n)
         assert len(_build_grid(sc).durations) == 16000
         counted = _noise_bytes(n, [_sums_key(sc)], False)
-        assert counted == (len(sc.channels) * n + min(n, _SUM_ROWS) + 7) * 16000 * 8
+        assert counted == (len(sc.channels) * n + min(n, _SUM_ROWS) + 5) * 16000 * 8
         sampled(sc, range(1), False)  # numpy's first-call allocations
         tracemalloc.start()
         try:
