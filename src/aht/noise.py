@@ -20,18 +20,19 @@ and the ``PCG64`` state follows from the pool by numpy's own rules (the
 seeding), computed in Python ints and set on one ``PCG64`` reused for
 every row of a draw; numpy keeps both stable across versions (NEP 19).
 One sampler (``_sampled``) draws every seeded run, and one count
-(``_noise_bytes``) sizes what it holds.  A stream's first draws do not
-depend on how many follow, so runs of one seed and ensemble size read the
-same draws whether they run together or apart: the sampler draws each
-stream of a group of runs once, to the longest grid that reads it, and
-each run reads its own prefix under one OU step law, taken from the step
-lengths alone (``_ou_law``).  ``ensemble_coherences`` groups its
-diagonal-path scenarios of one seed and ensemble size; off that path each
-scenario is a group of one.  Off the diagonal path the prefix is
-transposed into the step-major ``(channels, steps, trajectories)`` tensor
-a block at a time, and the OU recursion overwrites it in place; on it, the
-same draws are reduced straight to the interval integrals the state reads
-(below) by that law's weights, with no per-step sample.
+(``_noise_bytes``) sizes what it holds.  A channel is its own stationary
+OU process with an exact step law (Gillespie, PRE 54, 2084 (1996)), so its
+noise is fixed by its law (``_laws``), the seed and the trajectories: the
+sampler holds one array per channel law, shared by reference by every run
+of that law.  A stream's first draws do not depend on how many follow, so
+the sampler draws each stream of a group of runs of one seed and ensemble
+size once, to the longest grid that reads it, and each law reads its own
+prefix under one OU step law (``_ou_law``), as it does apart, bit for bit.
+``ensemble_coherences`` groups its diagonal-path scenarios of one seed and
+ensemble size; off that path each scenario is a group of one.  Off the
+diagonal path the prefix is transposed into the law's per-step samples, which
+the OU recursion overwrites in place; on it, the same draws are reduced
+straight to the interval integrals the state reads (below).
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -57,7 +58,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,7 +146,8 @@ class NoiseScenario:
     to compare runs on a common grid.  The observable must be Hermitian.
     A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
     refused before anything is allocated: the count is ``_noise_bytes`` of
-    the run alone, on its own path (see ``_path``).
+    the run alone, on its own path (see ``_path``).  ``seed``, ``ensemble_size``
+    and ``repetitions`` take whole numbers, not booleans, stored as ints.
 
     The step cap reads every channel's correlation time, a channel of zero
     amplitude included (see ``_intervals``).
@@ -171,7 +173,8 @@ class NoiseScenario:
         dim = self.h_system.dim
         if not self.total_time > 0:
             raise ValidationError("total_time must be positive")
-        _seed("seed", self.seed)
+        for name, whole in (("seed", _seed), ("ensemble_size", _integer), ("repetitions", _integer)):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.ensemble_size < 1:
             raise ValidationError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
         if self.schedule is not None:
@@ -197,7 +200,7 @@ class NoiseScenario:
         if not abs(np.linalg.norm(psi) - 1) <= DEFAULT_TOL.equality:
             raise ValidationError(f"initial state must have norm 1, got {np.linalg.norm(psi)}")
         object.__setattr__(self, "initial_state", psi)
-        size = _noise_bytes(self.ensemble_size, [_sums_key(self)], _path(self, psi[None, :]).diagonal)
+        size = _noise_bytes(self.ensemble_size, [self], _path(self, psi[None, :]).diagonal)
         if size > _MAX_NOISE_BYTES:
             raise ValidationError(f"run needs {size} bytes of noise (limit {_MAX_NOISE_BYTES})")
 
@@ -280,10 +283,14 @@ def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.n
     ``x_k = rho_k x_(k-1) + kick_k xi_k`` (autocorrelation ``amp^2 exp(-|dt|/tau_c)``, no
     bias at any gap), from the step lengths alone: the gap to the sample before is ``(dt_(k-1)
     + dt_k) / 2``, exactly ``dt`` inside an interval, and none is before the first (``rho``
-    0, ``kick`` amp).  The one step law of either path."""
-    gap = (np.concatenate([[np.inf], durations[:-1]]) + durations) / 2
-    rho = np.exp(-gap / tau_c)
-    return rho, amplitude * np.sqrt(1 - rho * rho)
+    0, ``kick`` amp).  The one step law of either path, on two step-length buffers."""
+    rho, kick = np.empty((2, len(durations)))
+    rho[0] = -np.inf  # its exp is 0: no sample before the first
+    # log rho_k = (dt_(k-1) + dt_k) / (-2 tau_c), which is -gap_k / tau_c bit for bit
+    np.divide(np.add(durations[:-1], durations[1:], out=rho[1:]), -2 * tau_c, out=rho[1:])
+    np.exp(rho, out=rho)
+    np.sqrt(np.subtract(1, np.multiply(rho, rho, out=kick), out=kick), out=kick)
+    return rho, np.multiply(kick, amplitude, out=kick)
 
 
 _OU_ROWS = 1024  #: step rows per float list of ``rho`` that ``_ou_in_place`` walks
@@ -361,94 +368,88 @@ def _sum_weights(grid: _Grid, amplitude: float, tau_c: float) -> tuple[np.ndarra
     return w_sum * kick, w_last * kick, w_sum[starts] * rho[starts], w_last[starts] * rho[starts]
 
 
-def _sums_key(scenario: NoiseScenario) -> tuple:
-    """What a run's noise reads besides the seed and the trajectories: the intervals its
-    grid is built from (``_intervals``) and each channel's amplitude and correlation time."""
+def _laws(scenario: NoiseScenario) -> list[tuple]:
+    """Each channel's law, all its noise reads besides the seed and the trajectories: its
+    index, the intervals of the run's grid (``_intervals``), its amplitude and its tau_c."""
     lengths, steps, cycles = _intervals(scenario)
-    laws = tuple((ch.amplitude, ch.correlation_time) for ch in scenario.channels)
-    return tuple(lengths), tuple(steps), cycles, laws
+    return [(c, tuple(lengths), tuple(steps), cycles, ch.amplitude, ch.correlation_time)
+            for c, ch in enumerate(scenario.channels)]
 
 
-def _noise_bytes(n: int, keys: Iterable[tuple], diagonal: bool) -> int:
-    """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs given by their
-    ``_sums_key``, an exact integer counted from the step rule before anything is
-    allocated: the values of each array, one per distinct key (runs of equal noise inputs
-    share one), and a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.
-    On the diagonal path the values are interval sums, with as large a product as the
-    buffer and 10 step-length weights or temporaries per array; off it they are the
-    per-step samples, with 5 step-length words: the grid's ``durations`` and the peak of
-    ``_ou_law``, its ``gap``, ``rho``, ``kick`` and one temporary (``_ou_in_place`` walks
-    ``rho`` a chunk at a time).  A run without channels counts one, for the grid."""
-    arrays = [(max(1, len(laws)) * cycles * (len(steps) if diagonal else sum(steps)),
-               cycles * sum(steps)) for _, steps, cycles, laws in set(keys)]
-    work, buffers = (10, 2) if diagonal else (5, 1)
-    longest = max(steps for _, steps in arrays)
-    return 8 * (sum(values * n + work * steps for values, steps in arrays)
-                + buffers * min(n, _SUM_ROWS) * longest)
+def _noise_bytes(n: int, runs: Sequence[NoiseScenario], diagonal: bool) -> int:
+    """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs, an exact integer
+    counted from the step rule before anything is allocated: one array per distinct channel
+    law (``_laws``), step-length work for each run that brings a new law, and a draw buffer
+    of up to ``_SUM_ROWS`` trajectories on the longest grid.  On the diagonal path an array
+    holds interval sums, with as large a product as the buffer and 10 words of work (the
+    grid's ``durations``, ``_sum_weights`` and its temporaries); off it, per-step samples,
+    with 4: ``durations`` and ``_ou_law``'s ``rho``, ``kick`` and one temporary
+    (``_ou_in_place`` walks ``rho`` a chunk at a time).  A run without channels counts one
+    array, for its grid."""
+    arrays, steps = {}, []
+    for i, sc in enumerate(runs):
+        _, counts, cycles = _intervals(sc)
+        new = [law for law in _laws(sc) or [i] if law not in arrays]
+        arrays.update(dict.fromkeys(new, cycles * (len(counts) if diagonal else sum(counts))))
+        steps.append(cycles * sum(counts) if new else 0)  # a run of held laws has a held grid
+    work, buffers = (10, 2) if diagonal else (4, 1)
+    return 8 * (n * sum(arrays.values()) + work * sum(steps) + buffers * min(n, _SUM_ROWS) * max(steps))
 
 
 def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
-             trajectories: Sequence[int]) -> Iterator[tuple[_Grid, np.ndarray]]:
+             trajectories: Sequence[int]) -> Iterator[tuple[_Grid, list[np.ndarray]]]:
     """The grid and seeded noise of ``trajectories`` that ``_evolve`` reads on the path
-    ``diagonal``, for each of a group of runs of one seed, in order; each array is dropped
-    once yielded, so it lives only while a run still reads it.
+    ``diagonal``, for each of a group of runs of one seed, in order: one array per channel.
 
-    Each stream, channel ``c`` of a trajectory, is drawn once, ``_SUM_ROWS`` trajectories
-    at a time, to the longest grid among the runs that read it (nonzero amplitude), and
-    each run reads its own prefix of the draws under the one step law ``_ou_law``.  Runs
-    of one ``_sums_key`` share one array: the noise does not depend on the couplings.  A
-    channel of one law on grids of equal intervals is sampled or reduced once, into the
-    first array that reads it, and copied into the others.  Off the diagonal path a run's
-    prefix is transposed into its ``(channels, steps, trajectories)`` samples, which the
-    OU recursion overwrites in place after the channel's last block.  On it the prefix is
-    reduced to the ``(channels, trajectories, intervals)`` sums ``sum_k x(m_k) dt_k`` of
-    those samples: sample ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b
-    x_b + sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the
+    One array is held per channel law (``_laws``), read by reference by every run of that
+    law; the laws a run brings that no run before it has are the rows of one new block,
+    which lives while a yielded run reads one of its rows.  Each stream, channel ``c`` of a
+    trajectory, is drawn once, ``_SUM_ROWS`` trajectories at a time, to the longest grid
+    among the laws of channel ``c`` (of nonzero amplitude), and each law reads its own
+    prefix of the draws under the one step law ``_ou_law``.  Off the diagonal path the
+    prefix is transposed into the law's ``(steps, trajectories)`` samples, which the OU
+    recursion overwrites in place after the channel's last block.  On it the prefix is
+    reduced to the ``(trajectories, intervals)`` sums ``sum_k x(m_k) dt_k`` of those
+    samples: sample ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b x_b +
+    sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the
     interval's first ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs
-    ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 - rho) kick_l``, its last sample by
-    ``rho^(n-1-l) kick_l`` (``_sum_weights``).  Against summing the per-step samples this
-    moves states by rounding only.  Every array is the one a run gets on its own, bit for
-    bit."""
-    grids, keys = [_build_grid(sc) for sc in runs], [_sums_key(sc) for sc in runs]
-    arrays = {}  # _sums_key -> (grid, channels, the array of every run that has it)
-    for sc, g, key in zip(runs, grids, keys):
-        if key not in arrays:
-            shape = (len(trajectories), len(g.ends)) if diagonal else (len(g.durations), len(trajectories))
-            arrays[key] = g, sc.channels, np.zeros((len(sc.channels), *shape))
+    ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l)
+    kick_l`` (``_sum_weights``).  Against summing the per-step samples this moves states by
+    rounding only.  Every array is the one a run gets on its own, bit for bit."""
+    grids, held, noise = [_build_grid(sc) for sc in runs], {}, []  # held: law -> (grid, array)
+    for sc, g in zip(runs, grids):
+        laws = _laws(sc)
+        new = [law for law in laws if law not in held]
+        shape = (len(trajectories), len(g.ends)) if diagonal else (len(g.durations), len(trajectories))
+        held.update((law, (g, out)) for law, out in zip(new, np.zeros((len(new), *shape))))
+        noise.append([held[law][1] for law in laws])
     buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for g in grids)))
     for c in range(max(len(sc.channels) for sc in runs)):
-        shared = {}  # (intervals, channel c's law) -> (grid, channel, the arrays that read it)
-        for key, (g, chs, out) in arrays.items():
-            if c < len(chs) and chs[c].amplitude != 0.0:
-                shared.setdefault((key[:3], key[3][c]), (g, chs[c], []))[2].append(out)
-        reads = [(g, ch, outs[0]) for g, ch, outs in shared.values()]  # each computed once
+        reads = [(g, amplitude, tau, out) for (k, *_, amplitude, tau), (g, out) in held.items()
+                 if k == c and amplitude != 0.0]
         if not reads:
             continue
         if diagonal:
-            weights = [_sum_weights(g, ch.amplitude, ch.correlation_time) for g, ch, _ in reads]
-        steps = max(len(g.durations) for g, _, _ in reads)
+            weights = [_sum_weights(g, amplitude, tau) for g, amplitude, tau, _ in reads]
+        steps = max(len(g.durations) for g, *_ in reads)
         for a in range(0, len(trajectories), _SUM_ROWS):
             rows = trajectories[a:a + _SUM_ROWS]
             drawn = buf[:len(rows), :steps]
             _draw(drawn, runs[0].seed, c, rows)
-            for i, (g, _, out) in enumerate(reads):
+            for i, (g, _, _, out) in enumerate(reads):
                 x = drawn[:, :len(g.durations)]
                 if not diagonal:
-                    out[c, :, a:a + len(rows)] = x.T
+                    out[:, a:a + len(rows)] = x.T
                     continue
                 w_sum, w_last, carry_sum, carry_last = weights[i]
                 last = np.zeros(len(rows))
                 for j, (s, e) in enumerate(zip([0, *g.ends[:-1]], g.ends)):
                     # row sums, not a BLAS product: a row's bytes must not depend on the batch
-                    out[c, a:a + len(rows), j] = ((x[:, s:e] * w_sum[s:e]).sum(axis=1)
-                                                  + carry_sum[j] * last)
+                    out[a:a + len(rows), j] = (x[:, s:e] * w_sum[s:e]).sum(axis=1) + carry_sum[j] * last
                     last = (x[:, s:e] * w_last[s:e]).sum(axis=1) + carry_last[j] * last
-        for g, ch, (out, *copies) in shared.values():
-            if not diagonal:
-                _ou_in_place(out[c], *_ou_law(g.durations, ch.amplitude, ch.correlation_time))
-            for copy in copies:
-                copy[c] = out[c]
-    noise = [arrays[key][2] for key in keys]
+        if not diagonal:
+            for g, amplitude, tau, out in reads:
+                _ou_in_place(out, *_ou_law(g.durations, amplitude, tau))
     return ((grid, noise.pop(0)) for grid in grids)
 
 
@@ -513,7 +514,7 @@ def _step_propagators(h: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _steps(plan: _Plan, noise: np.ndarray, dts: np.ndarray) -> Iterator:
+def _steps(plan: _Plan, noise: Sequence[np.ndarray], dts: np.ndarray) -> Iterator:
     """Per step of the grid, what ``_evolve`` applies off the diagonal path, computed
     ``_BATCH_STEPS`` steps at a time across interval boundaries.  On a 2-dim block, ``a, b,
     c, d`` of the update ``psi0, psi1 <- a psi0 - b psi1, c psi0 + d psi1``: ``p, conj(q),
@@ -524,11 +525,9 @@ def _steps(plan: _Plan, noise: np.ndarray, dts: np.ndarray) -> Iterator:
     terms = [((h[0, 0] + h[1, 1]).real / 2, (h[0, 0] - h[1, 1]).real / 2, h[1, 0].real,
               h[1, 0].imag) for h in (plan.h0, *plan.couplings)] if dim == 2 else []
     for a in range(0, len(dts), _BATCH_STEPS):
-        x, dt = noise[:, a:a + _BATCH_STEPS], dts[a:a + _BATCH_STEPS, None]
-        if dim > 2:  # (steps, noise rows, dim, dim) frozen Hamiltonians
-            h = np.broadcast_to(plan.h0, (*x.shape[1:], dim, dim)).copy()
-            for xc, coupling in zip(x, plan.couplings):
-                h += xc[:, :, None, None] * coupling
+        x, dt = [xc[a:a + _BATCH_STEPS] for xc in noise], dts[a:a + _BATCH_STEPS, None]
+        if dim > 2:  # (steps, noise rows, dim, dim) frozen Hamiltonians, or h0 without noise
+            h = sum((xc[:, :, None, None] * coupling for xc, coupling in zip(x, plan.couplings)), plan.h0)
             yield from _step_propagators(h, dt)
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # NaN is refused later
@@ -541,10 +540,10 @@ def _steps(plan: _Plan, noise: np.ndarray, dts: np.ndarray) -> Iterator:
         yield from zip(*coefficients)
 
 
-def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.ndarray:
-    """Evolve state rows through the grid, one interval at a time, reading interval
-    sums ``(channels, rows, intervals)`` of the noise on the diagonal path and samples
-    ``(channels, steps, rows)`` otherwise; returns (n_records, n_traj, len(block)), the
+def _evolve(plan: _Plan, noise: Sequence[np.ndarray], psi: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Evolve state rows through the grid, one interval at a time, reading each channel's
+    noise ``noise[c]``, its interval sums ``(rows, intervals)`` on the diagonal path and its
+    samples ``(steps, rows)`` otherwise; returns (n_records, n_traj, len(block)), the
     rows on the plan's block, the only one propagated (they are zero outside it).  Off
     that path each interval takes its steps from one stream over the whole grid
     (``_steps``)."""
@@ -559,7 +558,7 @@ def _evolve(plan: _Plan, noise: np.ndarray, psi: np.ndarray, grid: _Grid) -> np.
         if plan.diagonal:
             phase = grid.durations[start:done].sum() * d0
             for c in range(len(dc)):
-                phase = phase + noise[c, :, j, None] * dc[c]
+                phase = phase + noise[c][:, j, None] * dc[c]
             psi = psi * np.exp(-1j * phase)
         elif dim == 2:
             psi0, psi1 = psi.T
@@ -701,19 +700,19 @@ def ensemble_coherences(scenarios: Sequence[NoiseScenario]) -> list[DecayCurve]:
     ``config._MAX_NOISE_BYTES``; past it a new group starts.  Off the
     diagonal path a scenario is a group of one: its per-step samples are as
     large as its run, and a group would hold them all at once.  The curves are
-    computed group by group, so one group's noise is held at a time; a group
-    is drawn inside its first scenario's ``ensemble_coherence`` call, and each
-    scenario's noise is freed after its propagation, before its curve is
-    reduced, unless a later scenario of the group reads the same array.
+    computed group by group, so one group's noise is held at a time: one
+    array per channel law, shared by reference and counted once.  A group is
+    drawn inside its first scenario's ``ensemble_coherence`` call; each
+    scenario's arrays are dropped after its propagation, before its curve is
+    reduced, and their block is freed once no later scenario reads a row of it.
     """
     diagonal = [_path(sc, sc.initial_state[None, :]).diagonal for sc in scenarios]
-    keys = [_sums_key(sc) for sc in scenarios]  # each scenario's count, taken once
     groups, open_groups = [], {}  # the last diagonal-path group of each (seed, ensemble size)
     for i, sc in enumerate(scenarios):
         key = (sc.seed, sc.ensemble_size) if diagonal[i] else i
         group = open_groups.get(key)
         if group is None or _noise_bytes(
-                sc.ensemble_size, [keys[k] for k in [*group, i]], diagonal[i]) > _MAX_NOISE_BYTES:
+                sc.ensemble_size, [scenarios[k] for k in [*group, i]], diagonal[i]) > _MAX_NOISE_BYTES:
             group = open_groups[key] = []
             groups.append(group)
         group.append(i)

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aht.codes import build_code
-from aht.config import _MAX_NOISE_BYTES, ValidationError
-from aht.decoupling import named_sequence
+from aht.config import _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError
+from aht.decoupling import cycle_propagator, named_sequence
 from aht.noise import (
     _BATCH_STEPS,
     _SUM_ROWS,
@@ -31,7 +31,6 @@ from aht.noise import (
     _step_propagators,
     _su2_step,
     _sum_weights,
-    _sums_key,
     build_scenario,
     ensemble_coherence,
     ensemble_coherences,
@@ -39,7 +38,7 @@ from aht.noise import (
     propagate_trajectory,
     trajectory_propagator,
 )
-from aht.operators import Operator, expm, single_qubit
+from aht.operators import Operator, PauliString, expm, pauli_sum, single_qubit
 from aht.verify import run_suite
 
 
@@ -149,8 +148,8 @@ def interval_sums(grid, noise):
 def sampled(sc, trajectories, diagonal):
     """The noise ``_sampled`` gives the one run on the path ``diagonal``: per-step samples
     ``(channels, steps, rows)`` off the diagonal path, interval sums ``(channels, rows,
-    intervals)`` on it."""
-    return next(_sampled([sc], diagonal, trajectories))[1]
+    intervals)`` on it, the run's channel arrays stacked."""
+    return np.array(next(_sampled([sc], diagonal, trajectories))[1])
 
 
 def evolve(sc, noise, rows):
@@ -635,7 +634,7 @@ class TestPropagation:
         shapes, evolve_states = [], _evolve
 
         def recorded(plan, noise, psi, grid):
-            shapes.append(noise.shape == (len(plan.couplings), len(psi), len(grid.ends)))
+            shapes.append(np.shape(noise) == (len(plan.couplings), len(psi), len(grid.ends)))
             return evolve_states(plan, noise, psi, grid)
 
         monkeypatch.setattr("aht.noise._ou_in_place", lambda *a: pytest.fail("OU recursion"))
@@ -802,6 +801,29 @@ class TestPropagation:
                 expected = grid.pulses[k + 1] @ expected
         assert np.max(np.abs(u - expected)) < 1e-12
 
+    @pytest.mark.parametrize("name,path", [("hybrid_dephasing", "diagonal"),
+                                           ("encoded_spin_boson", "su2"),
+                                           ("four_qubit_blockwise", "eigh")])
+    def test_run_without_channels(self, name, path):
+        # a run without channels reads no noise array on any of the three paths:
+        # its curve is the observable under k noiseless cycle propagators, and
+        # its propagator the cycle propagator's repetitions-th power
+        sc = build_scenario(name, repetitions=3, ensemble_size=4, seed=3)
+        h = sc.h_system
+        if path == "eigh":  # an exchange between the two dfs2 blocks
+            h = Operator(h.matrix + pauli_sum([PauliString.from_word("XX", [2, 3], 4, 0.3)]).matrix)
+        sc = dataclasses.replace(sc, h_system=h, channels=())
+        plan = _path(sc, sc.initial_state[None, :])
+        assert plan.diagonal == (path == "diagonal") and (len(plan.block) > 2) == (path == "eigh")
+        u = cycle_propagator(h, sc.schedule).matrix
+        states = [np.linalg.matrix_power(u, k) @ sc.initial_state for k in range(sc.repetitions + 1)]
+        expected = [np.vdot(psi, sc.observable.matrix @ psi).real for psi in states]
+        curve = ensemble_coherence(sc)
+        assert np.max(np.abs(curve.mean - expected)) <= DEFAULT_TOL.equality
+        assert np.max(curve.std_error) <= DEFAULT_TOL.equality
+        full = trajectory_propagator(sc, np.zeros((0, len(_build_grid(sc).durations)))).matrix
+        assert np.max(np.abs(full - np.linalg.matrix_power(u, sc.repetitions))) <= DEFAULT_TOL.equality
+
 
 class TestEnsemble:
     def test_flat_curve_without_noise(self):
@@ -894,20 +916,26 @@ class TestEnsemble:
         assert len(lines) == 2 + len(curve.times)
 
 
-#: the encoded-vs-physical pair of ``PINNED_DIGESTS``: equal noise inputs
+#: the encoded-vs-physical pair of ``PINNED_DIGESTS``: equal channel laws
 PINNED_PAIR = ["hybrid_dephasing", "hybrid_dephasing-physical"]
 
 
 def track_noise(monkeypatch) -> list:
-    """Patch ``_sampled`` to add a weak reference to each array it yields to the returned
-    list, as it is yielded; the wrapper holds no array itself."""
+    """Patch ``_sampled`` to add, as each run's noise is yielded, weak references to the
+    blocks its channel arrays are rows of to the returned list, one tuple a run; the
+    wrapper holds no array itself."""
     refs, sampled_noise = [], _sampled
 
     def noted(pair):
-        refs.append(weakref.ref(pair[1]))
+        refs.append(tuple(weakref.ref(x.base) for x in pair[1]))
         return pair
     monkeypatch.setattr("aht.noise._sampled", lambda *args: map(noted, sampled_noise(*args)))
     return refs
+
+
+def alive(refs: list) -> list:
+    """For each run ``track_noise`` saw, whether a block of its noise is still alive."""
+    return [any(ref() is not None for ref in run) for run in refs]
 
 
 def count_draws(monkeypatch) -> list:
@@ -952,8 +980,8 @@ class TestSharedNoise:
         curves = ensemble_coherences(pair)
         assert [digest(c) for c in curves] == [PINNED_DIGESTS[config] for config in PINNED_PAIR]
         assert draws[1] == 3 * 16  # each of the 16 trajectories' 3 streams, drawn once
-        noise = _sampled(pair, True, range(16))
-        assert next(noise)[1] is next(noise)[1]  # all noise inputs equal: one array, read by both
+        first, second = (arrays for _, arrays in _sampled(pair, True, range(16)))
+        assert len(first) == 3 and all(a is b for a, b in zip(first, second))  # equal laws: shared
 
     def test_pinned_configurations_in_one_call_give_their_pinned_digests(self, monkeypatch):
         # the three diagonal ones sample together (6 channels' streams, the first 3
@@ -1032,18 +1060,22 @@ class TestSharedNoise:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, channel, i]))
                 assert np.array_equal(row[:12800], rng.standard_normal(12800))
 
-    @pytest.mark.parametrize("arrays,streams", [(1, 7), (2, 5), (3, 3)])
-    def test_group_splits_past_the_size_limit(self, monkeypatch, arrays, streams):
-        # a limit that admits the first `arrays` of the sums arrays coarse, fine
-        # and the pair's one, no more: the group splits, and every curve keeps
-        # its bytes; the pair counts its shared array once, so it always joins.
-        # Each group draws its own streams: 2 per trajectory for coarse and for
-        # fine (channel 0 is silent), 3 for the pair, 3 for all in one group
+    @pytest.mark.parametrize("runs,streams", [(1, 7), (2, 5), (3, 3)])
+    def test_group_splits_past_the_size_limit(self, monkeypatch, runs, streams):
+        # a limit that admits the first `runs` of coarse, fine and the pair's
+        # encoded run, no more: the group splits, and every curve keeps its bytes.
+        # The count holds one array per channel law: 3 for coarse, 3 for fine, 1
+        # for the encoded run (its slow laws are coarse's) and none for the
+        # physical run (its laws are the encoded run's), so the physical run always
+        # joins. Each group draws its own streams: 2 per trajectory for coarse and
+        # for fine (channel 0 is silent), 3 for the pair, 3 for all in one group
         n = 3
         scenarios = verify_runs(n)
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        limit = _noise_bytes(n, map(_sums_key, scenarios[:arrays]), True)
-        monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
+        held = [_noise_bytes(n, scenarios[:k], True) for k in range(1, 5)]
+        assert held[0] < held[1] < held[2] == held[3]
+        assert _noise_bytes(n, scenarios[2:], True) == _noise_bytes(n, scenarios[2:3], True)
+        monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", held[runs - 1])
         draws = count_draws(monkeypatch)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
         assert draws[1] == streams * n
@@ -1056,16 +1088,16 @@ class TestSharedNoise:
                                     **knobs) for knobs in ({}, {"max_step": 0.02})]
         apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
         draws, refs = count_draws(monkeypatch), track_noise(monkeypatch)
-        alive = []
+        seen = []
 
         def curve(*args):
-            alive.append([ref() is not None for ref in refs])
+            seen.append(alive(refs))
             return DecayCurve(*args)
 
         monkeypatch.setattr("aht.noise.DecayCurve", curve)
         assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
         assert draws[1] == 2 * 2 * n
-        assert alive == [[False], [False, False]]  # the second is drawn after the first is freed
+        assert seen == [[False], [False, False]]  # the second is drawn after the first is freed
 
     def test_group_allocation_is_counted(self):
         # the grouped sampler's peak stays under the count that admits the group
@@ -1075,11 +1107,18 @@ class TestSharedNoise:
         tracemalloc.start()
         try:
             noise = _sampled(scenarios, True, range(n))
+            runs = [next(noise)]  # drawn, whether at the call or at the first next
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * _noise_bytes(n, map(_sums_key, scenarios), True)  # the pair's one array
-        assert len(list(noise)) == 4
+        assert peak <= 1.1 * _noise_bytes(n, scenarios, True)
+        runs += noise
+        # 7 channel arrays, not 9 rows of 3 run arrays: coarse's slow channels are
+        # the pair's, and the pair's runs read the same arrays
+        assert len({id(x) for _, arrays in runs for x in arrays}) == 7
+        (_, coarse), _, (_, encoded), (_, physical) = runs
+        assert coarse[1] is encoded[1] and coarse[2] is encoded[2]
+        assert all(a is b for a, b in zip(encoded, physical))
 
     @pytest.mark.parametrize("knob,value", [("seed", 30), ("ensemble_size", 17)])
     def test_different_seed_or_ensemble_size_samples_apart(self, monkeypatch, knob, value):
@@ -1118,15 +1157,15 @@ class TestSharedNoise:
         assert [digest(c) for c in first] == [digest(c) for c in second]
 
     def test_noise_is_freed_after_the_last_propagation_that_reads_it(self, monkeypatch):
-        # the diagonal group of the first three yields arrays [A, B, A] (the pair's
-        # inputs are all equal); the last two sample on their own, though their
-        # noise inputs are equal (a drift is not one). Each array is alive at a
+        # the diagonal group of the first three yields rows of blocks [A, B, A] (the
+        # pair's laws are all equal); the last two sample on their own, though their
+        # laws are equal (a drift is not part of one). Each block is alive at a
         # curve's reduction only while a later scenario still reads it, and none
         # lives past the call
-        alive = []
+        seen = []
 
         def curve(*args):
-            alive.append([ref() is not None for ref in refs])
+            seen.append(alive(refs))
             return DecayCurve(*args)
 
         refs = track_noise(monkeypatch)
@@ -1136,8 +1175,8 @@ class TestSharedNoise:
                              pinned_scenario("hybrid_dephasing-physical"),
                              pinned_scenario("encoded_spin_boson"),
                              pinned_scenario("encoded_spin_boson", j_drift=0.5)])
-        assert alive == [[True], [True, False], [False] * 3, [False] * 4, [False] * 5]
-        assert all(ref() is None for ref in refs)
+        assert seen == [[True], [True, False], [False] * 3, [False] * 4, [False] * 5]
+        assert not any(alive(refs))
 
     def test_each_curve_is_an_ensemble_coherence_call(self, monkeypatch):
         # a wrapper of the module's ensemble_coherence sees every scenario, in
@@ -1244,10 +1283,14 @@ class TestScenarioLibrary:
         with pytest.raises(ValidationError, match="omegas"):
             build_scenario("four_qubit_blockwise", omegas=omegas)
 
-    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("size", [0, -3, True, 2.5])
     def test_rejects_empty_ensemble(self, size):
+        # as a knob and when built directly: a boolean or a fraction is no size either
         with pytest.raises(ValidationError, match="ensemble_size"):
             build_scenario("hybrid_dephasing", ensemble_size=size)
+        sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=4)
+        with pytest.raises(ValidationError, match="ensemble_size"):
+            dataclasses.replace(sc, ensemble_size=size)
 
     @pytest.mark.parametrize("step", [0, -1.0])
     def test_rejects_nonpositive_max_step(self, step):
@@ -1278,7 +1321,7 @@ class TestScenarioLibrary:
     def test_noise_size_bound(self, name, knobs):
         # the bound counts the bytes of the sampler of the run's path: off the
         # diagonal path channels x trajectories x grid steps samples plus a
-        # draw buffer of _SUM_ROWS trajectories and 5 step-length words, on it
+        # draw buffer of _SUM_ROWS trajectories and 4 step-length words, on it
         # channels x trajectories x intervals sums plus (2 _SUM_ROWS + 10)
         # step-length vectors; the largest ensemble under the limit is
         # accepted, one more is not; neither allocates anything
@@ -1288,7 +1331,7 @@ class TestScenarioLibrary:
         if name in ("hybrid_dephasing", "four_qubit_blockwise"):  # the diagonal ones
             fits = (values - (2 * _SUM_ROWS + 10) * steps) // (len(sc.channels) * len(grid.ends))
         else:  # the samples, a draw buffer of _SUM_ROWS trajectories and the step law
-            fits = (values - (_SUM_ROWS + 5) * steps) // (len(sc.channels) * steps)
+            fits = (values - (_SUM_ROWS + 4) * steps) // (len(sc.channels) * steps)
         assert fits >= _SUM_ROWS
         assert build_scenario(name, ensemble_size=fits, **knobs).ensemble_size == fits
         with pytest.raises(ValidationError, match="bytes of noise"):
@@ -1309,12 +1352,12 @@ class TestScenarioLibrary:
         # take 3.2 GB of per-step samples, but its diagonal path needs 16 MB of
         # sums and 7 MB of work space, so it is admitted; encoded_spin_boson's
         # 2 channels on the same grid are not diagonal and need 2.15 GB, plus
-        # 3.3 MB of draw buffer (64 trajectories) and 0.26 MB of grid and step law
+        # 3.3 MB of draw buffer (64 trajectories) and 0.2 MB of grid and step law
         knobs = {"ensemble_size": 21000, "max_step": 0.0025}
         sc = build_scenario("hybrid_dephasing", **knobs)
         assert len(_build_grid(sc).durations) == 6400
         assert 8 * len(sc.channels) * sc.ensemble_size * 6400 > _MAX_NOISE_BYTES
-        with pytest.raises(ValidationError, match="run needs 2153932800 bytes of noise"):
+        with pytest.raises(ValidationError, match="run needs 2153881600 bytes of noise"):
             build_scenario("encoded_spin_boson", **knobs)
 
     @pytest.mark.parametrize(
@@ -1331,14 +1374,14 @@ class TestScenarioLibrary:
         # the bytes the size limit counts are all the noise draw allocates: the
         # tensor, the draw buffer of _SUM_ROWS trajectories, each block of
         # which is transposed into the tensor, where the OU recursion runs in
-        # place, and 5 step-length words of grid and step law
+        # place, and 4 step-length words of grid and step law
         sc = build_scenario("hybrid_dephasing", encoded=False, ensemble_size=200, repetitions=16)
         grid = _build_grid(sc)
-        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS + 5) * len(grid.durations) * 8
-        assert counted == _noise_bytes(sc.ensemble_size, [_sums_key(sc)], False)
+        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS + 4) * len(grid.durations) * 8
+        assert counted == _noise_bytes(sc.ensemble_size, [sc], False)
         tracemalloc.start()
         try:
-            sampled(sc, range(sc.ensemble_size), False)
+            next(_sampled([sc], False, range(sc.ensemble_size)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1347,16 +1390,16 @@ class TestScenarioLibrary:
     @pytest.mark.parametrize("n", [1, 4, _SUM_ROWS])
     def test_sampler_off_the_diagonal_path_allocation_is_counted(self, n):
         # 16000 steps: at small ensembles the grid's durations and the step
-        # law's peak (gap, rho, kick and a temporary: 5 words a step) outweigh
-        # the samples, and the count holds them too
+        # law's peak (rho, kick and a temporary: 4 words a step) outweigh the
+        # samples, and the count holds them too
         sc = build_scenario("encoded_spin_boson", pulses=False, max_step=1e-3, ensemble_size=n)
         assert len(_build_grid(sc).durations) == 16000
-        counted = _noise_bytes(n, [_sums_key(sc)], False)
-        assert counted == (len(sc.channels) * n + min(n, _SUM_ROWS) + 5) * 16000 * 8
-        sampled(sc, range(1), False)  # numpy's first-call allocations
+        counted = _noise_bytes(n, [sc], False)
+        assert counted == (len(sc.channels) * n + min(n, _SUM_ROWS) + 4) * 16000 * 8
+        next(_sampled([sc], False, range(1)))  # numpy's first-call allocations
         tracemalloc.start()
         try:
-            sampled(sc, range(n), False)
+            next(_sampled([sc], False, range(n)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1372,11 +1415,11 @@ class TestScenarioLibrary:
             grid = _build_grid(sc)
             sums[n] = len(sc.channels) * n * len(grid.ends) * 8
             counted = sums[n] + (2 * min(n, _SUM_ROWS) + 10) * len(grid.durations) * 8
-            assert counted == _noise_bytes(n, [_sums_key(sc)], True)
-            sampled(sc, range(1), True)  # numpy's first-call allocations
+            assert counted == _noise_bytes(n, [sc], True)
+            next(_sampled([sc], True, range(1)))  # numpy's first-call allocations
             tracemalloc.start()
             try:
-                sampled(sc, range(n), True)
+                next(_sampled([sc], True, range(n)))
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1384,12 +1427,27 @@ class TestScenarioLibrary:
         big = 2 * _SUM_ROWS + 3
         assert peaks[big] - peaks[_SUM_ROWS] <= 1.1 * (sums[big] - sums[_SUM_ROWS])
 
-    def test_rejects_negative_seed_when_built_directly(self):
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, 2.5])
+    def test_rejects_negative_seed_when_built_directly(self, seed):
         # build_scenario checks its seed knob; a replaced seed is checked too
         sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=4)
-        for seed in (-1, 1.5, True):
-            with pytest.raises(ValidationError, match="seed"):
-                dataclasses.replace(sc, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            dataclasses.replace(sc, seed=seed)
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_rejects_fractional_repetitions_when_built_directly(self, value):
+        sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=4)
+        with pytest.raises(ValidationError, match="repetitions"):
+            dataclasses.replace(sc, repetitions=value, total_time=float(value) * sc.schedule.cycle_time)
+
+    @pytest.mark.parametrize("field,value", [("seed", 3.0), ("ensemble_size", 4.0), ("repetitions", 2.0)])
+    def test_whole_floats_are_stored_as_ints_when_built_directly(self, field, value):
+        # the seed 3.0, the ensemble size 4.0 and 2.0 repetitions are 3, 4 and 2,
+        # and run as them
+        sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=4, seed=3)
+        replaced = dataclasses.replace(sc, **{field: value})
+        assert type(getattr(replaced, field)) is int and getattr(replaced, field) == value
+        assert digest(ensemble_coherence(replaced)) == digest(ensemble_coherence(sc))
 
     def test_rejects_non_hermitian_observable(self):
         sc = build_scenario("hybrid_dephasing", ensemble_size=1)
