@@ -30,7 +30,6 @@ from aht.noise import (
     _sampled,
     _step_propagators,
     _su2_step,
-    _sum_weights,
     build_scenario,
     ensemble_coherence,
     ensemble_coherences,
@@ -39,7 +38,6 @@ from aht.noise import (
     trajectory_propagator,
 )
 from aht.operators import Operator, PauliString, expm, pauli_sum, single_qubit
-from aht.verify import run_suite
 
 
 #: (gaps between OU samples, steps spanning one correlation time
@@ -108,12 +106,10 @@ PINNED_DIGESTS = {
 }
 
 
-#: configurations whose drift and couplings are diagonal, so that
-#: ``_evolve`` takes one phase update per event interval
-DIAGONAL_CONFIGS = [
-    config for config, (name, _) in CONFIGS.items()
-    if name in ("hybrid_dephasing", "four_qubit_blockwise")
-]
+#: the library scenarios whose drift and couplings are diagonal, so that
+#: ``_evolve`` takes one phase update per event interval, and their configurations
+DIAGONAL_NAMES = ("hybrid_dephasing", "four_qubit_blockwise")
+DIAGONAL_CONFIGS = [config for config, (name, _) in CONFIGS.items() if name in DIAGONAL_NAMES]
 #: the others, whose steps take the exponential of a frozen Hamiltonian
 EIGH_CONFIGS = [config for config in CONFIGS if config not in DIAGONAL_CONFIGS]
 
@@ -717,21 +713,17 @@ class TestPropagation:
             with pytest.raises(ValidationError, match="not finite"):
                 run(sc)
 
-    def test_silent_channel_off_the_diagonal_path_draws_nothing(self, monkeypatch):
-        # encoded_depolarizing with its z channel at amplitude 0 draws only the x
-        # channel's streams, and its curve is the one of a zero z coupling, which
-        # draws both; both runs stay off the diagonal path
+    def test_silent_channel_off_the_diagonal_path_is_a_zero_coupling(self):
+        # encoded_depolarizing with its z channel at amplitude 0 has the curve of a
+        # zero z coupling; both runs stay off the diagonal path
         sc = build_scenario("encoded_depolarizing", repetitions=2, ensemble_size=8, seed=3)
         z, x = sc.channels
         silent = dataclasses.replace(sc, channels=(dataclasses.replace(z, amplitude=0.0), x))
         zeroed = dataclasses.replace(sc, channels=(dataclasses.replace(z, coupling=Operator.zero(4)), x))
-        draws = count_draws(monkeypatch)
         curves = []
-        for run, streams in ((silent, 8), (zeroed, 2 * 8)):
+        for run in (silent, zeroed):
             assert not _path(run, run.initial_state[None, :]).diagonal
-            before = draws[1]
             curves.append(ensemble_coherence(run))
-            assert draws[1] - before == streams
         assert np.max(np.abs(curves[0].mean - curves[1].mean)) < 1e-12
         assert np.max(np.abs(curves[0].std_error - curves[1].std_error)) < 1e-12
 
@@ -920,24 +912,6 @@ class TestEnsemble:
 PINNED_PAIR = ["hybrid_dephasing", "hybrid_dephasing-physical"]
 
 
-def track_noise(monkeypatch) -> list:
-    """Patch ``_sampled`` to add, as each run's noise is yielded, weak references to the
-    blocks its channel arrays are rows of to the returned list, one tuple a run; the
-    wrapper holds no array itself."""
-    refs, sampled_noise = [], _sampled
-
-    def noted(pair):
-        refs.append(tuple(weakref.ref(x.base) for x in pair[1]))
-        return pair
-    monkeypatch.setattr("aht.noise._sampled", lambda *args: map(noted, sampled_noise(*args)))
-    return refs
-
-
-def alive(refs: list) -> list:
-    """For each run ``track_noise`` saw, whether a block of its noise is still alive."""
-    return [any(ref() is not None for ref in run) for run in refs]
-
-
 def count_draws(monkeypatch) -> list:
     """Patch ``_draw`` to add the normals and the streams it draws to the returned pair."""
     counts, draw = [0, 0], _draw
@@ -973,51 +947,156 @@ def verify_runs(n, seed=2024):
             *(build_scenario("hybrid_dephasing", encoded=e, **hybrid) for e in (True, False))]
 
 
-class TestSharedNoise:
-    def test_pair_in_one_call_gives_both_pinned_digests(self, monkeypatch):
-        pair = [pinned_scenario(config) for config in PINNED_PAIR]
-        draws = count_draws(monkeypatch)
-        curves = ensemble_coherences(pair)
-        assert [digest(c) for c in curves] == [PINNED_DIGESTS[config] for config in PINNED_PAIR]
-        assert draws[1] == 3 * 16  # each of the 16 trajectories' 3 streams, drawn once
-        first, second = (arrays for _, arrays in _sampled(pair, True, range(16)))
-        assert len(first) == 3 and all(a is b for a, b in zip(first, second))  # equal laws: shared
+#: ensemble sizes the grouped-sampling property draws: one trajectory, part of a
+#: draw buffer, one full buffer, and past two
+ENSEMBLES = (1, 4, _SUM_ROWS, 2 * _SUM_ROWS + 3)
+#: (repetitions, max_step) of the grids it draws: one or two cycles, one under a step
+#: cap, sixteen cycles, and sixteen of 1000 steps (16,000 steps in all)
+GRIDS = ((1, None), (2, None), (1, 0.0013), (16, None), (16, 1e-3))
 
-    def test_pinned_configurations_in_one_call_give_their_pinned_digests(self, monkeypatch):
-        # the three diagonal ones sample together (6 channels' streams, the first 3
-        # read by all); the two off it sample apart, 2 channels' streams each
-        scenarios = [pinned_scenario(config) for config in PINNED_DIGESTS]
-        draws = count_draws(monkeypatch)
+
+@st.composite
+def scenario_lists(draw) -> list:
+    """1-4 library scenarios, on either path: each on one of ``GRIDS``, pulses on or off,
+    hybrid_dephasing encoded or physical, slow amplitude 0.1 or 0.3 and up to two
+    channels silent (amplitude 0, correlation time kept); each takes the list's seed and
+    ensemble size, or seed 7 and an ensemble size of its own."""
+    shared = draw(st.sampled_from([3, 2**32 + 5])), draw(st.sampled_from(ENSEMBLES))
+    scenarios = []
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(SCENARIO_NAMES))
+        repetitions, max_step = draw(st.sampled_from(GRIDS))
+        seed, n = shared if draw(st.booleans()) else (7, draw(st.sampled_from(ENSEMBLES)))
+        knobs = {"seed": seed, "ensemble_size": n,
+                 "repetitions": repetitions, "pulses": draw(st.booleans()),
+                 "slow_amplitude": draw(st.sampled_from([0.1, 0.3]))}
+        if max_step is not None:
+            knobs["max_step"] = max_step
+        if name == "hybrid_dephasing":
+            knobs["encoded"] = draw(st.booleans())
+        sc = build_scenario(name, **knobs)
+        silent = draw(st.sets(st.sampled_from(range(len(sc.channels))), max_size=2))
+        channels = [dataclasses.replace(ch, amplitude=0.0) if c in silent else ch
+                    for c, ch in enumerate(sc.channels)]
+        scenarios.append(dataclasses.replace(sc, channels=tuple(channels)))
+    return scenarios
+
+
+def sampling_groups(scenarios, limit) -> list:
+    """The groups ``ensemble_coherences`` samples together, by its documented rule: a
+    scenario off the diagonal path alone; one on it in the last group of its seed and
+    ensemble size, while ``_noise_bytes`` of that group stays within ``limit``."""
+    groups, last = [], {}
+    for i, sc in enumerate(scenarios):
+        key = (sc.seed, sc.ensemble_size) if sc.name in DIAGONAL_NAMES else i
+        if key not in last or _noise_bytes(sc.ensemble_size, [*last[key], sc], True) > limit:
+            last[key] = []
+            groups.append(last[key])
+        last[key].append(sc)
+    return groups
+
+
+def watched_call(patch, scenarios) -> tuple:
+    """``ensemble_coherences(scenarios)`` with ``patch`` wrapping ``_draw``, ``_sampled``
+    and ``DecayCurve``: the curves; the streams seeded (rows drawn); for each group, the
+    ``tracemalloc`` peak of its sampling, from the ``_sampled`` call to its first run; for
+    each run, the blocks its noise arrays are rows of, as weak references by id; and at
+    each curve's reduction, the ids of those blocks then alive."""
+    streams, peaks, reads, alive = [0], [], [], []
+    draw, sample, curve = _draw, _sampled, DecayCurve
+
+    def drawn(out, *args):
+        streams[0] += len(out)
+        draw(out, *args)
+
+    def group(*args):
+        tracemalloc.start()
+        return map(read, sample(*args))
+
+    def read(pair):
+        if tracemalloc.is_tracing():  # the group's first run: its sampling is done
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        blocks = [x if x.base is None else x.base for x in pair[1]]
+        reads.append({id(b): weakref.ref(b) for b in blocks})
+        return pair
+
+    def reduced(*args):
+        alive.append({i for run in reads for i, ref in run.items() if ref() is not None})
+        return curve(*args)
+
+    patch.setattr("aht.noise._draw", drawn)
+    patch.setattr("aht.noise._sampled", group)
+    patch.setattr("aht.noise.DecayCurve", reduced)
+    try:
         curves = ensemble_coherences(scenarios)
+    finally:
+        tracemalloc.stop()
+    return curves, streams[0], peaks, reads, alive
+
+
+def uncounted(diagonal: bool) -> int:
+    """A bound on what a group's sampling was measured to allocate beside the arrays,
+    buffers and step-length work ``_noise_bytes`` counts: on the diagonal path up to about
+    11 KiB of interpreter objects and temporaries; off it also the buffer of up to 8192
+    doubles numpy takes to scale the draws by the OU kicks in place."""
+    return 16 * 1024 if diagonal else 72 * 1024
+
+
+def curve_bytes(curve) -> tuple:
+    """A curve's times, mean and standard error as bytes, and its trajectory count."""
+    return curve.times.tobytes(), curve.mean.tobytes(), curve.std_error.tobytes(), curve.n_traj
+
+
+class TestSharedNoise:
+    def test_pinned_configurations_in_one_call_give_their_pinned_digests(self):
+        # the three diagonal ones sample together, the two off it apart
+        curves = ensemble_coherences([pinned_scenario(config) for config in PINNED_DIGESTS])
         assert [digest(c) for c in curves] == list(PINNED_DIGESTS.values())
-        assert draws[1] == (6 + 2 + 2) * 16
 
-    def test_verify_runs_in_one_call_match_separate_calls(self, monkeypatch):
-        # coarse and the pair read the first 6400 normals of the streams fine
-        # draws to 12800; channel 0 is read by the pair only. Coarse and the
-        # pair have equal intervals and equal slow laws, so each slow channel's
-        # sums are reduced once for both: 1 + 2 + 2 reductions, not 1 + 3 + 3
-        n = 9
-        scenarios = verify_runs(n)
-        assert [len(_build_grid(sc).durations) for sc in scenarios] == [6400, 12800, 6400, 6400]
-        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        draws, weights = count_draws(monkeypatch), []
-
-        def counted(*args):
-            weights.append(args)
-            return _sum_weights(*args)
-        monkeypatch.setattr("aht.noise._sum_weights", counted)
-        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert draws == [2 * n * 12800 + n * 6400, 3 * n]
-        assert len(weights) == 5
-
-    def test_verify_suite_draws_each_stream_once(self, monkeypatch):
-        # at ensemble n: the 3 n streams above and the 4 one-trajectory
-        # invariance runs of 1600 steps on one channel
-        n = 5
-        draws = count_draws(monkeypatch)
-        run_suite(2024, n)
-        assert draws == [2 * n * 12800 + n * 6400 + 4 * 1600, 3 * n + 4]
+    @given(scenarios=scenario_lists(), split=st.none() | st.integers(1, 4))
+    @example(scenarios=verify_runs(2 * _SUM_ROWS + 3), split=None)
+    @example(scenarios=[pinned_scenario(PINNED_PAIR[0]), pinned_scenario("encoded_spin_boson"),
+                        pinned_scenario(PINNED_PAIR[1]), pinned_scenario(PINNED_PAIR[1], seed=30),
+                        pinned_scenario(PINNED_PAIR[1], ensemble_size=17)], split=None)
+    @example(scenarios=[pinned_scenario("hybrid_dephasing"),
+                        pinned_scenario("hybrid_dephasing", max_step=0.002),
+                        pinned_scenario("hybrid_dephasing-physical"),
+                        pinned_scenario("encoded_spin_boson"),
+                        pinned_scenario("encoded_spin_boson", j_drift=0.5)], split=None)
+    @example(scenarios=verify_runs(3), split=1)
+    @example(scenarios=[build_scenario("encoded_spin_boson", pulses=False, max_step=1e-3,
+                                       ensemble_size=1)], split=None)
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_grouped_curves_keep_the_sampling_contract(self, scenarios, split):
+        # ensemble_coherences' contract, whatever the sampler does inside: `split` sets
+        # the size limit to the count of the first `split` scenarios as one group
+        # (None keeps it); the groups follow from public fields and _noise_bytes
+        limit = _MAX_NOISE_BYTES if split is None else _noise_bytes(
+            scenarios[0].ensemble_size, scenarios[:split], True)
+        apart = [curve_bytes(ensemble_coherence(sc)) for sc in scenarios]  # also warms numpy up
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
+            curves, streams, peaks, reads, alive = watched_call(patch, scenarios)
+        groups = sampling_groups(scenarios, limit)
+        # (a) each curve is the one it has apart, byte for byte
+        assert [curve_bytes(c) for c in curves] == apart
+        # (b) a group seeds each (seed, channel, trajectory) stream a run of it draws
+        # once: its trajectories times its channels of nonzero amplitude in some run
+        assert streams == sum(g[0].ensemble_size * len(
+            {c for sc in g for c, ch in enumerate(sc.channels) if ch.amplitude}) for g in groups)
+        # (c) a group's sampling peaks within 1.1 times the count that admits it,
+        # wherever the peak is ten times what the count leaves out
+        assert len(peaks) == len(groups)
+        for g, peak in zip(groups, peaks):
+            diagonal = g[0].name in DIAGONAL_NAMES
+            count = _noise_bytes(g[0].ensemble_size, g, diagonal)
+            assert peak <= 1.1 * count or peak < 10 * uncounted(diagonal)
+        # (d) at a curve's reduction a block is alive only if a later run reads it,
+        # and none outlives the call
+        for k, ids in enumerate(alive):
+            assert ids <= set().union(*reads[k + 1:])
+        assert not any(ref() is not None for run in reads for ref in run.values())
 
     def test_draw_is_the_seed_sequence_of_the_list(self):
         # _draw hands SeedSequence the uint32 words numpy makes of [seed, channel,
@@ -1059,124 +1138,6 @@ class TestSharedNoise:
             for row, i in zip(wide, trajectories):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, channel, i]))
                 assert np.array_equal(row[:12800], rng.standard_normal(12800))
-
-    @pytest.mark.parametrize("runs,streams", [(1, 7), (2, 5), (3, 3)])
-    def test_group_splits_past_the_size_limit(self, monkeypatch, runs, streams):
-        # a limit that admits the first `runs` of coarse, fine and the pair's
-        # encoded run, no more: the group splits, and every curve keeps its bytes.
-        # The count holds one array per channel law: 3 for coarse, 3 for fine, 1
-        # for the encoded run (its slow laws are coarse's) and none for the
-        # physical run (its laws are the encoded run's), so the physical run always
-        # joins. Each group draws its own streams: 2 per trajectory for coarse and
-        # for fine (channel 0 is silent), 3 for the pair, 3 for all in one group
-        n = 3
-        scenarios = verify_runs(n)
-        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        held = [_noise_bytes(n, scenarios[:k], True) for k in range(1, 5)]
-        assert held[0] < held[1] < held[2] == held[3]
-        assert _noise_bytes(n, scenarios[2:], True) == _noise_bytes(n, scenarios[2:3], True)
-        monkeypatch.setattr("aht.noise._MAX_NOISE_BYTES", held[runs - 1])
-        draws = count_draws(monkeypatch)
-        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert draws[1] == streams * n
-
-    def test_scenarios_off_the_diagonal_path_sample_apart(self, monkeypatch):
-        # two encoded_spin_boson runs of one seed and ensemble size, on 320 and
-        # 800 steps: each draws its 2 channels' streams, and holds only its own samples
-        n = 5
-        scenarios = [build_scenario("encoded_spin_boson", repetitions=4, ensemble_size=n, seed=6,
-                                    **knobs) for knobs in ({}, {"max_step": 0.02})]
-        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        draws, refs = count_draws(monkeypatch), track_noise(monkeypatch)
-        seen = []
-
-        def curve(*args):
-            seen.append(alive(refs))
-            return DecayCurve(*args)
-
-        monkeypatch.setattr("aht.noise.DecayCurve", curve)
-        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert draws[1] == 2 * 2 * n
-        assert seen == [[False], [False, False]]  # the second is drawn after the first is freed
-
-    def test_group_allocation_is_counted(self):
-        # the grouped sampler's peak stays under the count that admits the group
-        n = 2 * _SUM_ROWS + 3
-        scenarios = verify_runs(n)
-        next(_sampled(scenarios, True, range(1)))  # numpy's first-call allocations
-        tracemalloc.start()
-        try:
-            noise = _sampled(scenarios, True, range(n))
-            runs = [next(noise)]  # drawn, whether at the call or at the first next
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * _noise_bytes(n, scenarios, True)
-        runs += noise
-        # 7 channel arrays, not 9 rows of 3 run arrays: coarse's slow channels are
-        # the pair's, and the pair's runs read the same arrays
-        assert len({id(x) for _, arrays in runs for x in arrays}) == 7
-        (_, coarse), _, (_, encoded), (_, physical) = runs
-        assert coarse[1] is encoded[1] and coarse[2] is encoded[2]
-        assert all(a is b for a, b in zip(encoded, physical))
-
-    @pytest.mark.parametrize("knob,value", [("seed", 30), ("ensemble_size", 17)])
-    def test_different_seed_or_ensemble_size_samples_apart(self, monkeypatch, knob, value):
-        encoded = pinned_scenario(PINNED_PAIR[0])
-        physical = pinned_scenario(PINNED_PAIR[1], **{knob: value})
-        apart = digest(ensemble_coherence(physical))
-        draws = count_draws(monkeypatch)
-        curves = ensemble_coherences([encoded, physical])
-        assert draws[1] == 3 * 16 + 3 * physical.ensemble_size  # no stream is shared
-        assert [digest(c) for c in curves] == [PINNED_DIGESTS[PINNED_PAIR[0]], apart]
-
-    def test_different_grid_shares_the_streams(self, monkeypatch):
-        # 800 and 1000 steps: each stream is drawn once, to 1000 normals
-        encoded = pinned_scenario(PINNED_PAIR[0])
-        physical = pinned_scenario(PINNED_PAIR[1], max_step=0.002)
-        apart = digest(ensemble_coherence(physical))
-        draws = count_draws(monkeypatch)
-        curves = ensemble_coherences([encoded, physical])
-        assert draws == [3 * 16 * 1000, 3 * 16]
-        assert [digest(c) for c in curves] == [PINNED_DIGESTS[PINNED_PAIR[0]], apart]
-
-    def test_non_diagonal_scenario_between_diagonal_ones(self, monkeypatch):
-        # the middle one samples on its own; the third joins the first's group
-        scenarios = [pinned_scenario(c) for c in ["hybrid_dephasing", "encoded_spin_boson",
-                                                  "hybrid_dephasing-physical"]]
-        apart = [digest(ensemble_coherence(sc)) for sc in scenarios]
-        draws = count_draws(monkeypatch)
-        assert [digest(c) for c in ensemble_coherences(scenarios)] == apart
-        assert draws[1] == (3 + 2) * 16
-
-    def test_no_noise_is_kept_between_calls(self, monkeypatch):
-        draws = count_draws(monkeypatch)
-        scenarios = [pinned_scenario(config) for config in PINNED_PAIR]
-        first, second = ensemble_coherences(scenarios), ensemble_coherences(scenarios)
-        assert draws[1] == 2 * 3 * 16  # each call draws the pair's streams anew
-        assert [digest(c) for c in first] == [digest(c) for c in second]
-
-    def test_noise_is_freed_after_the_last_propagation_that_reads_it(self, monkeypatch):
-        # the diagonal group of the first three yields rows of blocks [A, B, A] (the
-        # pair's laws are all equal); the last two sample on their own, though their
-        # laws are equal (a drift is not part of one). Each block is alive at a
-        # curve's reduction only while a later scenario still reads it, and none
-        # lives past the call
-        seen = []
-
-        def curve(*args):
-            seen.append(alive(refs))
-            return DecayCurve(*args)
-
-        refs = track_noise(monkeypatch)
-        monkeypatch.setattr("aht.noise.DecayCurve", curve)
-        ensemble_coherences([pinned_scenario("hybrid_dephasing"),
-                             pinned_scenario("hybrid_dephasing", max_step=0.002),
-                             pinned_scenario("hybrid_dephasing-physical"),
-                             pinned_scenario("encoded_spin_boson"),
-                             pinned_scenario("encoded_spin_boson", j_drift=0.5)])
-        assert seen == [[True], [True, False], [False] * 3, [False] * 4, [False] * 5]
-        assert not any(alive(refs))
 
     def test_each_curve_is_an_ensemble_coherence_call(self, monkeypatch):
         # a wrapper of the module's ensemble_coherence sees every scenario, in
@@ -1369,63 +1330,6 @@ class TestScenarioLibrary:
         # step counts past any grid, also where a float count would overflow
         with pytest.raises(ValidationError, match="bytes of noise"):
             build_scenario("hybrid_dephasing", **knobs)
-
-    def test_noise_allocation_is_the_counted_tensor(self):
-        # the bytes the size limit counts are all the noise draw allocates: the
-        # tensor, the draw buffer of _SUM_ROWS trajectories, each block of
-        # which is transposed into the tensor, where the OU recursion runs in
-        # place, and 4 step-length words of grid and step law
-        sc = build_scenario("hybrid_dephasing", encoded=False, ensemble_size=200, repetitions=16)
-        grid = _build_grid(sc)
-        counted = (len(sc.channels) * sc.ensemble_size + _SUM_ROWS + 4) * len(grid.durations) * 8
-        assert counted == _noise_bytes(sc.ensemble_size, [sc], False)
-        tracemalloc.start()
-        try:
-            next(_sampled([sc], False, range(sc.ensemble_size)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * counted
-
-    @pytest.mark.parametrize("n", [1, 4, _SUM_ROWS])
-    def test_sampler_off_the_diagonal_path_allocation_is_counted(self, n):
-        # 16000 steps: at small ensembles the grid's durations and the step
-        # law's peak (rho, kick and a temporary: 4 words a step) outweigh the
-        # samples, and the count holds them too
-        sc = build_scenario("encoded_spin_boson", pulses=False, max_step=1e-3, ensemble_size=n)
-        assert len(_build_grid(sc).durations) == 16000
-        counted = _noise_bytes(n, [sc], False)
-        assert counted == (len(sc.channels) * n + min(n, _SUM_ROWS) + 4) * 16000 * 8
-        next(_sampled([sc], False, range(1)))  # numpy's first-call allocations
-        tracemalloc.start()
-        try:
-            next(_sampled([sc], False, range(n)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * counted
-
-    def test_interval_sampler_allocation_is_counted(self):
-        # the interval sampler's peak stays under what the size limit counts
-        # for it, and grows with the ensemble only by its (channels,
-        # trajectories, intervals) sums, not by the steps
-        peaks, sums = {}, {}
-        for n in (1, _SUM_ROWS, 2 * _SUM_ROWS + 3):
-            sc = build_scenario("hybrid_dephasing", pulses=False, ensemble_size=n)
-            grid = _build_grid(sc)
-            sums[n] = len(sc.channels) * n * len(grid.ends) * 8
-            counted = sums[n] + (2 * min(n, _SUM_ROWS) + 10) * len(grid.durations) * 8
-            assert counted == _noise_bytes(n, [sc], True)
-            next(_sampled([sc], True, range(1)))  # numpy's first-call allocations
-            tracemalloc.start()
-            try:
-                next(_sampled([sc], True, range(n)))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peaks[n] <= 1.1 * counted
-        big = 2 * _SUM_ROWS + 3
-        assert peaks[big] - peaks[_SUM_ROWS] <= 1.1 * (sums[big] - sums[_SUM_ROWS])
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, 2.5])
     def test_rejects_negative_seed_when_built_directly(self, seed):
