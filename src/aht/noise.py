@@ -24,10 +24,12 @@ One sampler (``_sampled``) draws every seeded run, and one count
 OU process with an exact step law (Gillespie, PRE 54, 2084 (1996)), so its
 noise is fixed by its law (``_laws``), the seed and the trajectories: the
 sampler holds one array per channel law, shared by reference by every run
-of that law.  A stream's first draws do not depend on how many follow, so
-the sampler draws each stream of a group of runs of one seed and ensemble
-size once, to the longest grid that reads it, and each law reads its own
-prefix under one OU step law (``_ou_law``), as it does apart, bit for bit.
+of that law; a law of zero amplitude draws nothing and reads a read-only
+zero view, which holds no memory.  A stream's first draws do not depend on
+how many follow, so the sampler draws each stream of a group of runs of one
+seed and ensemble size once, to the longest grid that reads it, and each
+law reads its own prefix under one OU step law (``_ou_law``), as it does
+apart, bit for bit.
 ``ensemble_coherences`` groups its diagonal-path scenarios of one seed and
 ensemble size; off that path each scenario is a group of one.  Off the
 diagonal path the prefix is transposed into the law's per-step samples, which
@@ -146,8 +148,10 @@ class NoiseScenario:
     to compare runs on a common grid.  The observable must be Hermitian.
     A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
     refused before anything is allocated: the count is ``_noise_bytes`` of
-    the run alone, on its own path (see ``_path``).  ``seed``, ``ensemble_size``
-    and ``repetitions`` take whole numbers, not booleans, stored as ints.
+    the run alone, on its own path (see ``_path``), in which a channel of zero
+    amplitude holds nothing.  ``seed``, ``ensemble_size`` and ``repetitions``
+    take whole numbers, stored as ints, and ``total_time`` and ``max_step``
+    finite numbers, stored as floats; none takes a boolean.
 
     The step cap reads every channel's correlation time, a channel of zero
     amplitude included (see ``_intervals``).
@@ -171,6 +175,7 @@ class NoiseScenario:
 
     def __post_init__(self):
         dim = self.h_system.dim
+        object.__setattr__(self, "total_time", _real("total_time", self.total_time))
         if not self.total_time > 0:
             raise ValidationError("total_time must be positive")
         for name, whole in (("seed", _seed), ("ensemble_size", _integer), ("repetitions", _integer)):
@@ -192,8 +197,10 @@ class NoiseScenario:
             raise ValidationError("observable dimension does not match the system")
         if not self.observable.is_hermitian():
             raise ValidationError("observable must be Hermitian")
-        if self.max_step is not None and not self.max_step > 0:
-            raise ValidationError(f"max_step must be positive, got {self.max_step}")
+        if self.max_step is not None:
+            object.__setattr__(self, "max_step", _real("max_step", self.max_step))
+            if not self.max_step > 0:
+                raise ValidationError(f"max_step must be positive, got {self.max_step}")
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != dim:
             raise ValidationError("initial state dimension does not match the system")
@@ -379,17 +386,18 @@ def _laws(scenario: NoiseScenario) -> list[tuple]:
 def _noise_bytes(n: int, runs: Sequence[NoiseScenario], diagonal: bool) -> int:
     """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs, an exact integer
     counted from the step rule before anything is allocated: one array per distinct channel
-    law (``_laws``), step-length work for each run that brings a new law, and a draw buffer
-    of up to ``_SUM_ROWS`` trajectories on the longest grid.  On the diagonal path an array
-    holds interval sums, with as large a product as the buffer and 10 words of work (the
-    grid's ``durations``, ``_sum_weights`` and its temporaries); off it, per-step samples,
-    with 4: ``durations`` and ``_ou_law``'s ``rho``, ``kick`` and one temporary
-    (``_ou_in_place`` walks ``rho`` a chunk at a time).  A run without channels counts one
-    array, for its grid."""
+    law (``_laws``) of nonzero amplitude, step-length work for each run that brings a new
+    one, and a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.  On the
+    diagonal path an array holds interval sums, with as large a product as the buffer and
+    10 words of work (the grid's ``durations``, ``_sum_weights`` and its temporaries); off
+    it, per-step samples, with 4: ``durations`` and ``_ou_law``'s ``rho``, ``kick`` and one
+    temporary (``_ou_in_place`` walks ``rho`` a chunk at a time).  A run without a channel
+    of nonzero amplitude counts one array, for its grid."""
     arrays, steps = {}, []
     for i, sc in enumerate(runs):
         _, counts, cycles = _intervals(sc)
-        new = [law for law in _laws(sc) or [i] if law not in arrays]
+        drawn = [law for law in _laws(sc) if law[4]]  # by amplitude: a silent law holds nothing
+        new = [law for law in drawn or [i] if law not in arrays]
         arrays.update(dict.fromkeys(new, cycles * (len(counts) if diagonal else sum(counts))))
         steps.append(cycles * sum(counts) if new else 0)  # a run of held laws has a held grid
     work, buffers = (10, 2) if diagonal else (4, 1)
@@ -402,9 +410,11 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
     ``diagonal``, for each of a group of runs of one seed, in order: one array per channel.
 
     One array is held per channel law (``_laws``), read by reference by every run of that
-    law; the laws a run brings that no run before it has are the rows of one new block,
-    which lives while a yielded run reads one of its rows.  Each stream, channel ``c`` of a
-    trajectory, is drawn once, ``_SUM_ROWS`` trajectories at a time, to the longest grid
+    law; the laws of nonzero amplitude a run brings that no run before it has are the rows
+    of one new block, which lives while a yielded run reads one of its rows, and a law of
+    zero amplitude reads a read-only ``np.broadcast_to(0.0, shape)`` view: ``_evolve`` adds
+    its ``+0.0`` as before, and nothing is allocated for it.  Each stream, channel ``c`` of
+    a trajectory, is drawn once, ``_SUM_ROWS`` trajectories at a time, to the longest grid
     among the laws of channel ``c`` (of nonzero amplitude), and each law reads its own
     prefix of the draws under the one step law ``_ou_law``.  Off the diagonal path the
     prefix is transposed into the law's ``(steps, trajectories)`` samples, which the OU
@@ -421,7 +431,9 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
         laws = _laws(sc)
         new = [law for law in laws if law not in held]
         shape = (len(trajectories), len(g.ends)) if diagonal else (len(g.durations), len(trajectories))
-        held.update((law, (g, out)) for law, out in zip(new, np.zeros((len(new), *shape))))
+        loud = [law for law in new if law[4]]  # by amplitude: a silent law reads a zero view
+        held.update((law, (g, out)) for law, out in zip(loud, np.zeros((len(loud), *shape))))
+        held.update((law, (g, np.broadcast_to(0.0, shape))) for law in new if law not in held)
         noise.append([held[law][1] for law in laws])
     buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for g in grids)))
     for c in range(max(len(sc.channels) for sc in runs)):

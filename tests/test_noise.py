@@ -538,6 +538,21 @@ class TestPropagation:
         with pytest.raises(ValidationError):
             trajectory_propagator(sc, np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("name", ["hybrid_dephasing", "encoded_spin_boson"])
+    def test_explicit_noise_on_silent_channels_acts(self, name):
+        # the amplitude scales only the seeded noise: explicit samples on channels of
+        # amplitude 0 act as they do at amplitude 1, on either path, where the seeded
+        # noise of those channels is zero
+        sc = build_scenario(name, repetitions=2, ensemble_size=1, seed=3)
+        silent, loud = (dataclasses.replace(sc, channels=tuple(
+            dataclasses.replace(ch, amplitude=a) for ch in sc.channels)) for a in (0.0, 1.0))
+        noise = np.random.default_rng(4).normal(0, 0.5, (len(sc.channels), len(_build_grid(sc).durations)))
+        states = propagate_trajectory(silent, noise).states
+        assert np.array_equal(states, propagate_trajectory(loud, noise).states)
+        assert np.array_equal(trajectory_propagator(silent, noise).matrix,
+                              trajectory_propagator(loud, noise).matrix)
+        assert np.max(np.abs(states - propagate_trajectory(silent).states)) > 1e-3
+
     @pytest.mark.parametrize("value", [-1, 2.5, True])
     @pytest.mark.parametrize("name", ["hybrid_dephasing", "encoded_spin_boson"])
     def test_trajectory_must_be_a_whole_number_at_least_0(self, name, value):
@@ -1253,10 +1268,14 @@ class TestScenarioLibrary:
         with pytest.raises(ValidationError, match="ensemble_size"):
             dataclasses.replace(sc, ensemble_size=size)
 
-    @pytest.mark.parametrize("step", [0, -1.0])
+    @pytest.mark.parametrize("step", [0, -1.0, True, "x"])
     def test_rejects_nonpositive_max_step(self, step):
+        # as a knob and when built directly: a boolean or a string is no step either
         with pytest.raises(ValidationError, match="max_step"):
             build_scenario("hybrid_dephasing", max_step=step)
+        sc = build_scenario("hybrid_dephasing", ensemble_size=1, pulses=False)
+        with pytest.raises(ValidationError, match="max_step"):
+            dataclasses.replace(sc, max_step=step)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -1268,10 +1287,14 @@ class TestScenarioLibrary:
         with pytest.raises(ValidationError, match=field):
             dataclasses.replace(ch, **{field: value})
 
-    def test_rejects_nan_total_time(self):
+    @pytest.mark.parametrize("value", [float("nan"), True, "x"])
+    def test_rejects_nan_total_time(self, value):
+        # nor a boolean or a string; a number is stored as a float
         sc = build_scenario("hybrid_dephasing", ensemble_size=1, pulses=False)
         with pytest.raises(ValidationError, match="total_time"):
-            dataclasses.replace(sc, total_time=float("nan"))
+            dataclasses.replace(sc, total_time=value)
+        replaced = dataclasses.replace(sc, total_time=2, max_step=1)
+        assert type(replaced.total_time) is float and type(replaced.max_step) is float
 
     @pytest.mark.parametrize(
         "knobs",
