@@ -38,6 +38,7 @@ from aht.noise import (
     trajectory_propagator,
 )
 from aht.operators import Operator, PauliString, expm, pauli_sum, single_qubit
+from aht.verify import run_suite
 
 
 #: (gaps between OU samples, steps spanning one correlation time
@@ -1063,6 +1064,39 @@ def curve_bytes(curve) -> tuple:
     return curve.times.tobytes(), curve.mean.tobytes(), curve.std_error.tobytes(), curve.n_traj
 
 
+def assert_sampling_contract(scenarios, split=None) -> list:
+    """Assert ``ensemble_coherences``' contract on ``scenarios``, whatever the sampler
+    does inside, and return its curves. ``split`` sets the size limit to the count of
+    the first ``split`` scenarios as one group (None keeps it); the groups follow from
+    public fields and ``_noise_bytes``."""
+    limit = _MAX_NOISE_BYTES if split is None else _noise_bytes(
+        scenarios[0].ensemble_size, scenarios[:split], True)
+    apart = [curve_bytes(ensemble_coherence(sc)) for sc in scenarios]  # also warms numpy up
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
+        curves, streams, peaks, reads, alive = watched_call(patch, scenarios)
+    groups = sampling_groups(scenarios, limit)
+    # (a) each curve is the one it has apart, byte for byte
+    assert [curve_bytes(c) for c in curves] == apart
+    # (b) a group seeds each (seed, channel, trajectory) stream a run of it draws
+    # once: its trajectories times its channels of nonzero amplitude in some run
+    assert streams == sum(g[0].ensemble_size * len(
+        {c for sc in g for c, ch in enumerate(sc.channels) if ch.amplitude}) for g in groups)
+    # (c) a group's sampling peaks within 1.1 times the count that admits it,
+    # wherever the peak is ten times what the count leaves out
+    assert len(peaks) == len(groups)
+    for g, peak in zip(groups, peaks):
+        diagonal = g[0].name in DIAGONAL_NAMES
+        count = _noise_bytes(g[0].ensemble_size, g, diagonal)
+        assert peak <= 1.1 * count or peak < 10 * uncounted(diagonal)
+    # (d) at a curve's reduction a block is alive only if a later run reads it,
+    # and none outlives the call
+    for k, ids in enumerate(alive):
+        assert ids <= set().union(*reads[k + 1:])
+    assert not any(ref() is not None for run in reads for ref in run.values())
+    return curves
+
+
 class TestSharedNoise:
     def test_pinned_configurations_in_one_call_give_their_pinned_digests(self):
         # the three diagonal ones sample together, the two off it apart
@@ -1084,34 +1118,76 @@ class TestSharedNoise:
                                        ensemble_size=1)], split=None)
     @settings(max_examples=5, deadline=None, derandomize=True)
     def test_grouped_curves_keep_the_sampling_contract(self, scenarios, split):
-        # ensemble_coherences' contract, whatever the sampler does inside: `split` sets
-        # the size limit to the count of the first `split` scenarios as one group
-        # (None keeps it); the groups follow from public fields and _noise_bytes
-        limit = _MAX_NOISE_BYTES if split is None else _noise_bytes(
-            scenarios[0].ensemble_size, scenarios[:split], True)
-        apart = [curve_bytes(ensemble_coherence(sc)) for sc in scenarios]  # also warms numpy up
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("aht.noise._MAX_NOISE_BYTES", limit)
-            curves, streams, peaks, reads, alive = watched_call(patch, scenarios)
-        groups = sampling_groups(scenarios, limit)
-        # (a) each curve is the one it has apart, byte for byte
-        assert [curve_bytes(c) for c in curves] == apart
-        # (b) a group seeds each (seed, channel, trajectory) stream a run of it draws
-        # once: its trajectories times its channels of nonzero amplitude in some run
-        assert streams == sum(g[0].ensemble_size * len(
-            {c for sc in g for c, ch in enumerate(sc.channels) if ch.amplitude}) for g in groups)
-        # (c) a group's sampling peaks within 1.1 times the count that admits it,
-        # wherever the peak is ten times what the count leaves out
-        assert len(peaks) == len(groups)
-        for g, peak in zip(groups, peaks):
-            diagonal = g[0].name in DIAGONAL_NAMES
-            count = _noise_bytes(g[0].ensemble_size, g, diagonal)
-            assert peak <= 1.1 * count or peak < 10 * uncounted(diagonal)
-        # (d) at a curve's reduction a block is alive only if a later run reads it,
-        # and none outlives the call
-        for k, ids in enumerate(alive):
-            assert ids <= set().union(*reads[k + 1:])
-        assert not any(ref() is not None for run in reads for ref in run.values())
+        assert_sampling_contract(scenarios, split)
+
+    # named configurations of the contract: each asserts (a)-(d), and pinned digests
+    # where the run is a pinned one
+
+    def test_pair_in_one_call_gives_both_pinned_digests(self):
+        curves = assert_sampling_contract([pinned_scenario(config) for config in PINNED_PAIR])
+        assert [digest(c) for c in curves] == [PINNED_DIGESTS[config] for config in PINNED_PAIR]
+
+    def test_verify_runs_in_one_call_match_separate_calls(self):
+        # coarse and the pair read the first 6400 normals of the streams fine draws to 12800
+        scenarios = verify_runs(9)
+        assert [len(_build_grid(sc).durations) for sc in scenarios] == [6400, 12800, 6400, 6400]
+        assert_sampling_contract(scenarios)
+
+    def test_verify_suite_draws_each_stream_once(self, monkeypatch):
+        # at ensemble n: 3 streams a trajectory for the verify runs above (channel 0 is
+        # silent in coarse and fine, not in the pair), and one for each of the 4
+        # one-trajectory invariance runs on one channel
+        n = 5
+        draws = count_draws(monkeypatch)
+        run_suite(2024, n)
+        assert draws[1] == 3 * n + 4
+
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    def test_group_splits_past_the_size_limit(self, split):
+        # a limit that admits the first `split` of coarse, fine and the pair's encoded
+        # run as one group, no more: the group splits, and every curve keeps its bytes
+        assert_sampling_contract(verify_runs(3), split)
+
+    def test_scenarios_off_the_diagonal_path_sample_apart(self):
+        # two encoded_spin_boson runs of one seed and ensemble size, on 320 and 800
+        # steps: each draws its own streams, and the first's noise is freed before
+        # the second's is drawn
+        assert_sampling_contract([
+            build_scenario("encoded_spin_boson", repetitions=4, ensemble_size=5, seed=6, **knobs)
+            for knobs in ({}, {"max_step": 0.02})])
+
+    @pytest.mark.parametrize("knob,value", [("seed", 30), ("ensemble_size", 17)])
+    def test_different_seed_or_ensemble_size_samples_apart(self, knob, value):
+        curves = assert_sampling_contract([pinned_scenario(PINNED_PAIR[0]),
+                                           pinned_scenario(PINNED_PAIR[1], **{knob: value})])
+        assert digest(curves[0]) == PINNED_DIGESTS[PINNED_PAIR[0]]
+
+    def test_different_grid_shares_the_streams(self):
+        # 800 and 1000 steps in one group
+        curves = assert_sampling_contract([pinned_scenario(PINNED_PAIR[0]),
+                                           pinned_scenario(PINNED_PAIR[1], max_step=0.002)])
+        assert digest(curves[0]) == PINNED_DIGESTS[PINNED_PAIR[0]]
+
+    def test_non_diagonal_scenario_between_diagonal_ones(self):
+        # the middle one samples on its own; the third joins the first's group
+        configs = ["hybrid_dephasing", "encoded_spin_boson", "hybrid_dephasing-physical"]
+        curves = assert_sampling_contract([pinned_scenario(c) for c in configs])
+        assert [digest(c) for c in curves] == [PINNED_DIGESTS[c] for c in configs]
+
+    def test_no_noise_is_kept_between_calls(self):
+        # each call seeds the pair's streams anew, and frees them
+        scenarios = [pinned_scenario(config) for config in PINNED_PAIR]
+        first, second = assert_sampling_contract(scenarios), assert_sampling_contract(scenarios)
+        assert [curve_bytes(c) for c in first] == [curve_bytes(c) for c in second]
+
+    def test_noise_is_freed_after_the_last_propagation_that_reads_it(self):
+        # the diagonal group of the first three; the last two sample on their own,
+        # though their laws are equal (a drift is not part of one)
+        assert_sampling_contract([pinned_scenario("hybrid_dephasing"),
+                                  pinned_scenario("hybrid_dephasing", max_step=0.002),
+                                  pinned_scenario("hybrid_dephasing-physical"),
+                                  pinned_scenario("encoded_spin_boson"),
+                                  pinned_scenario("encoded_spin_boson", j_drift=0.5)])
 
     def test_draw_is_the_seed_sequence_of_the_list(self):
         # _draw hands SeedSequence the uint32 words numpy makes of [seed, channel,
