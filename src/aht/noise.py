@@ -387,21 +387,23 @@ def _noise_bytes(n: int, runs: Sequence[NoiseScenario], diagonal: bool) -> int:
     """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs, an exact integer
     counted from the step rule before anything is allocated: one array per distinct channel
     law (``_laws``) of nonzero amplitude, step-length work for each run that brings a new
-    one, and a draw buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.  On the
-    diagonal path an array holds interval sums, with as large a product as the buffer and
-    10 words of work (the grid's ``durations``, ``_sum_weights`` and its temporaries); off
-    it, per-step samples, with 4: ``durations`` and ``_ou_law``'s ``rho``, ``kick`` and one
-    temporary (``_ou_in_place`` walks ``rho`` a chunk at a time).  A run without a channel
-    of nonzero amplitude counts one array, for its grid."""
-    arrays, steps = {}, []
+    one, its grid's ``durations`` (one word a step) for each run of held laws, and a draw
+    buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.  On the diagonal path
+    an array holds interval sums, with as large a product as the buffer and 10 words of
+    work (the grid's ``durations``, ``_sum_weights`` and its temporaries); off it, per-step
+    samples, with 4: ``durations`` and ``_ou_law``'s ``rho``, ``kick`` and one temporary
+    (``_ou_in_place`` walks ``rho`` a chunk at a time).  A run without a channel of nonzero
+    amplitude counts one array, for its grid."""
+    arrays, steps, grids = {}, [], []
     for i, sc in enumerate(runs):
         _, counts, cycles = _intervals(sc)
         drawn = [law for law in _laws(sc) if law[4]]  # by amplitude: a silent law holds nothing
         new = [law for law in drawn or [i] if law not in arrays]
         arrays.update(dict.fromkeys(new, cycles * (len(counts) if diagonal else sum(counts))))
-        steps.append(cycles * sum(counts) if new else 0)  # a run of held laws has a held grid
+        (steps if new else grids).append(cycles * sum(counts))  # held laws: only a grid
     work, buffers = (10, 2) if diagonal else (4, 1)
-    return 8 * (n * sum(arrays.values()) + work * sum(steps) + buffers * min(n, _SUM_ROWS) * max(steps))
+    return 8 * (n * sum(arrays.values()) + work * sum(steps) + sum(grids)
+                + buffers * min(n, _SUM_ROWS) * max(steps))
 
 
 def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
@@ -433,7 +435,7 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
         shape = (len(trajectories), len(g.ends)) if diagonal else (len(g.durations), len(trajectories))
         loud = [law for law in new if law[4]]  # by amplitude: a silent law reads a zero view
         held.update((law, (g, out)) for law, out in zip(loud, np.zeros((len(loud), *shape))))
-        held.update((law, (g, np.broadcast_to(0.0, shape))) for law in new if law not in held)
+        held.update((law, (g, np.broadcast_to(0.0, shape))) for law in new if not law[4])
         noise.append([held[law][1] for law in laws])
     buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for g in grids)))
     for c in range(max(len(sc.channels) for sc in runs)):
