@@ -69,11 +69,8 @@ DEFAULT_TOL = Tolerances()
 #: Largest noise allocation a noise scenario, or a group of them sampled
 #: together (diagonal-path runs of one seed and ensemble size), may ask for,
 #: checked before any of it is allocated: the count is ``noise._noise_bytes``
-#: of the one sampler on the runs' path, one array per channel law of nonzero
-#: amplitude shared by reference by every run of that law (off the diagonal path a
-#: channel's steps x trajectories samples, on it its interval sums; a silent law
-#: holds nothing) and the sampler's work space.  ``aht verify`` at its default
-#: ensemble of 500 counts at most 15 MB a run.
+#: of what ``noise._sampled`` holds (see its docstring).  ``aht verify`` at
+#: its default ensemble of 500 counts at most 15 MB a run.
 _MAX_NOISE_BYTES = 2 * 1024**3
 
 

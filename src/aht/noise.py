@@ -19,22 +19,13 @@ and the ``PCG64`` state follows from the pool by numpy's own rules (the
 ``generate_state`` output stage, then ``pcg64_set_seed``, O'Neill's PCG
 seeding), computed in Python ints and set on one ``PCG64`` reused for
 every row of a draw; numpy keeps both stable across versions (NEP 19).
-One sampler (``_sampled``) draws every seeded run, and one count
-(``_noise_bytes``) sizes what it holds.  A channel is its own stationary
-OU process with an exact step law (Gillespie, PRE 54, 2084 (1996)), so its
-noise is fixed by its law (``_laws``), the seed and the trajectories: the
-sampler holds one array per channel law, shared by reference by every run
-of that law; a law of zero amplitude draws nothing and reads a read-only
-zero view, which holds no memory.  A stream's first draws do not depend on
-how many follow, so the sampler draws each stream of a group of runs of one
-seed and ensemble size once, to the longest grid that reads it, and each
-law reads its own prefix under one OU step law (``_ou_law``), as it does
-apart, bit for bit.
-``ensemble_coherences`` groups its diagonal-path scenarios of one seed and
-ensemble size; off that path each scenario is a group of one.  Off the
-diagonal path the prefix is transposed into the law's per-step samples, which
-the OU recursion overwrites in place; on it, the same draws are reduced
-straight to the interval integrals the state reads (below).
+A channel is its own stationary OU process with an exact step law (Gillespie,
+PRE 54, 2084 (1996)).  One sampler, ``_sampled``, draws every seeded run: its
+docstring states what a group of runs shares and holds, which ``_noise_bytes``
+counts before anything is allocated.  One pipeline, ``_run``, takes a run's path
+(``_path``), reads or draws its noise and evolves its rows on their block
+(``_evolve``); ``ensemble_coherence`` reduces those states, and
+``propagate_trajectory`` and ``trajectory_propagator`` put them on the full space.
 
 Simulation steps honor ``dt <= min(tau_c / 20, T_c / 20, max_step)``,
 where ``T_c`` is the pulse cycle time (the whole run without pulses),
@@ -150,8 +141,10 @@ class NoiseScenario:
     refused before anything is allocated: the count is ``_noise_bytes`` of
     the run alone, on its own path (see ``_path``), in which a channel of zero
     amplitude holds nothing.  ``seed``, ``ensemble_size`` and ``repetitions``
-    take whole numbers, stored as ints, and ``total_time`` and ``max_step``
-    finite numbers, stored as floats; none takes a boolean.
+    take whole numbers, stored as ints (``repetitions`` from 0 to
+    ``_MAX_NOISE_BYTES // 8``, checked before its product with the cycle
+    time), and ``total_time`` and ``max_step`` finite numbers, stored as
+    floats; none takes a boolean.
 
     The step cap reads every channel's correlation time, a channel of zero
     amplitude included (see ``_intervals``).
@@ -180,6 +173,8 @@ class NoiseScenario:
             raise ValidationError("total_time must be positive")
         for name, whole in (("seed", _seed), ("ensemble_size", _integer), ("repetitions", _integer)):
             object.__setattr__(self, name, whole(name, getattr(self, name)))
+        if not 0 <= self.repetitions <= _MAX_NOISE_BYTES // 8:  # before a float product
+            raise ValidationError(f"repetitions must be from 0 to {_MAX_NOISE_BYTES // 8}")
         if self.ensemble_size < 1:
             raise ValidationError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
         if self.schedule is not None:
@@ -300,20 +295,15 @@ def _ou_law(durations: np.ndarray, amplitude: float, tau_c: float) -> tuple[np.n
     return rho, np.multiply(kick, amplitude, out=kick)
 
 
-_OU_ROWS = 1024  #: step rows per float list of ``rho`` that ``_ou_in_place`` walks
-
-
 def _ou_in_place(x: np.ndarray, rho: np.ndarray, kick: np.ndarray) -> None:
     """Overwrite the standard-normal draws ``x`` ``(steps, n_traj)`` with the OU samples of
-    the law ``rho``, ``kick``: the kicks in one product, then two ufuncs per step row, with
-    ``rho`` read as Python floats ``_OU_ROWS`` rows at a time."""
+    the law ``rho``, ``kick``: the kicks in one product, then two ufuncs per step row."""
     x *= kick[:, None]
     tmp, prev = np.empty(x.shape[1]), np.zeros(x.shape[1])  # no sample before the first
-    for a in range(0, len(rho), _OU_ROWS):
-        for row, r in zip(x[a:a + _OU_ROWS], rho[a:a + _OU_ROWS].tolist()):
-            np.multiply(r, prev, out=tmp)
-            np.add(tmp, row, out=row)
-            prev = row
+    for row, r in zip(x, rho):
+        np.multiply(r, prev, out=tmp)
+        np.add(tmp, row, out=row)
+        prev = row
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +374,9 @@ def _laws(scenario: NoiseScenario) -> list[tuple]:
 
 
 def _noise_bytes(n: int, runs: Sequence[NoiseScenario], diagonal: bool) -> int:
-    """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs, an exact integer
-    counted from the step rule before anything is allocated: one array per distinct channel
-    law (``_laws``) of nonzero amplitude, step-length work for each run that brings a new
-    one, its grid's ``durations`` (one word a step) for each run of held laws, and a draw
-    buffer of up to ``_SUM_ROWS`` trajectories on the longest grid.  On the diagonal path
-    an array holds interval sums, with as large a product as the buffer and 10 words of
-    work (the grid's ``durations``, ``_sum_weights`` and its temporaries); off it, per-step
-    samples, with 4: ``durations`` and ``_ou_law``'s ``rho``, ``kick`` and one temporary
-    (``_ou_in_place`` walks ``rho`` a chunk at a time).  A run without a channel of nonzero
-    amplitude counts one array, for its grid."""
+    """Bytes ``_sampled`` holds for ``n`` trajectories of a group of runs on the path
+    ``diagonal``, counted as ``_sampled``'s docstring states: an exact integer, from the
+    step rule, before anything is allocated."""
     arrays, steps, grids = {}, [], []
     for i, sc in enumerate(runs):
         _, counts, cycles = _intervals(sc)
@@ -411,23 +394,35 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
     """The grid and seeded noise of ``trajectories`` that ``_evolve`` reads on the path
     ``diagonal``, for each of a group of runs of one seed, in order: one array per channel.
 
-    One array is held per channel law (``_laws``), read by reference by every run of that
-    law; the laws of nonzero amplitude a run brings that no run before it has are the rows
-    of one new block, which lives while a yielded run reads one of its rows, and a law of
-    zero amplitude reads a read-only ``np.broadcast_to(0.0, shape)`` view: ``_evolve`` adds
-    its ``+0.0`` as before, and nothing is allocated for it.  Each stream, channel ``c`` of
-    a trajectory, is drawn once, ``_SUM_ROWS`` trajectories at a time, to the longest grid
+    One array is held per channel law (``_laws``): a channel's noise is fixed by its law,
+    the seed and the trajectories.  Every run of that law reads it by reference; the laws
+    of nonzero amplitude a run brings that no run before it has are the rows of one new
+    block, which lives while a yielded run reads one of its rows, and a law of zero
+    amplitude reads a read-only ``np.broadcast_to(0.0, shape)`` view: ``_evolve`` adds its
+    ``+0.0`` as before, and nothing is allocated for it.  Each stream, channel ``c`` of a
+    trajectory, is drawn once, ``_SUM_ROWS`` trajectories at a time, to the longest grid
     among the laws of channel ``c`` (of nonzero amplitude), and each law reads its own
-    prefix of the draws under the one step law ``_ou_law``.  Off the diagonal path the
-    prefix is transposed into the law's ``(steps, trajectories)`` samples, which the OU
-    recursion overwrites in place after the channel's last block.  On it the prefix is
-    reduced to the ``(trajectories, intervals)`` sums ``sum_k x(m_k) dt_k`` of those
-    samples: sample ``j`` of an interval of ``n`` steps of ``dt`` is ``rho^j rho_b x_b +
-    sum_{l<=j} rho^(j-l) kick_l xi_l``, ``x_b`` the sample before it, ``rho_b`` the
-    interval's first ``rho`` and ``rho = exp(-dt/tau_c)`` the others; so its sum weighs
-    ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 - rho) kick_l``, its last sample by ``rho^(n-1-l)
-    kick_l`` (``_sum_weights``).  Against summing the per-step samples this moves states by
-    rounding only.  Every array is the one a run gets on its own, bit for bit."""
+    prefix of the draws under the one step law ``_ou_law``: a stream's first draws do not
+    depend on how many follow.  Off the diagonal path the prefix is transposed into the
+    law's ``(steps, trajectories)`` samples, which the OU recursion overwrites in place
+    after the channel's last block.  On it the prefix is reduced to the ``(trajectories,
+    intervals)`` sums ``sum_k x(m_k) dt_k`` of those samples: sample ``j`` of an interval
+    of ``n`` steps of ``dt`` is ``rho^j rho_b x_b + sum_{l<=j} rho^(j-l) kick_l xi_l``,
+    ``x_b`` the sample before it, ``rho_b`` the interval's first ``rho`` and ``rho =
+    exp(-dt/tau_c)`` the others; so its sum weighs ``xi_l`` by ``dt (1 - rho^(n-l)) / (1 -
+    rho) kick_l``, its last sample by ``rho^(n-1-l) kick_l`` (``_sum_weights``).  Against
+    summing the per-step samples this moves states by rounding only.  Every array is the
+    one a run gets on its own, bit for bit.
+
+    ``_noise_bytes`` counts what this holds: one array per law of nonzero amplitude, of
+    interval sums on the diagonal path and per-step samples off it; step-length work for
+    each run that brings a new one, 10 words on the diagonal path (the grid's
+    ``durations``, ``_sum_weights`` and its temporaries) and 4 off it (``durations`` and
+    ``_ou_law``'s ``rho``, ``kick`` and one temporary); the grid's ``durations`` (one word
+    a step) for each run of held laws; and a draw buffer of up to ``_SUM_ROWS``
+    trajectories on the longest grid, with as large a product on the diagonal path.  A run
+    without a channel of nonzero amplitude counts one array, for its grid; the buffer
+    held is only as long as the longest grid a law draws to, and empty if none does."""
     grids, held, noise = [_build_grid(sc) for sc in runs], {}, []  # held: law -> (grid, array)
     for sc, g in zip(runs, grids):
         laws = _laws(sc)
@@ -437,7 +432,8 @@ def _sampled(runs: Sequence[NoiseScenario], diagonal: bool,
         held.update((law, (g, out)) for law, out in zip(loud, np.zeros((len(loud), *shape))))
         held.update((law, (g, np.broadcast_to(0.0, shape))) for law in new if not law[4])
         noise.append([held[law][1] for law in laws])
-    buf = np.empty((min(len(trajectories), _SUM_ROWS), max(len(g.durations) for g in grids)))
+    longest = max((len(g.durations) for law, (g, _) in held.items() if law[4]), default=0)
+    buf = np.empty((min(len(trajectories), _SUM_ROWS), longest))  # empty if no law draws
     for c in range(max(len(sc.channels) for sc in runs)):
         reads = [(g, amplitude, tau, out) for (k, *_, amplitude, tau), (g, out) in held.items()
                  if k == c and amplitude != 0.0]
@@ -606,15 +602,16 @@ def _noise(scenario: NoiseScenario, plan: _Plan, noise_values) -> tuple[_Grid, n
 
 
 def _run(scenario: NoiseScenario, psi: np.ndarray, trajectories: Sequence[int] = (),
-         noise_values=None) -> tuple[_Grid, np.ndarray]:
-    """The grid, and the states of the rows ``psi`` under the seeded noise of
-    ``trajectories`` or, if given, ``noise_values``, zero off the block ``_evolve`` runs."""
+         noise_values=None, shared: Iterator | None = None) -> tuple[_Plan, _Grid, np.ndarray]:
+    """The one pipeline: the plan of the rows ``psi`` (``_path``), the grid, and their states
+    on the plan's block (``_evolve``) under ``noise_values`` if given, shared by every row,
+    else the seeded noise of ``trajectories``, read from the ``_sampled`` group ``shared``
+    (by default a group of one).  The noise is freed on return, unless a later run of
+    ``shared`` reads it."""
     plan = _path(scenario, psi)
-    grid, noise = (next(_sampled([scenario], plan.diagonal, trajectories)) if noise_values is None
-                   else _noise(scenario, plan, noise_values))
-    states = np.zeros((len(grid.times), *psi.shape), dtype=complex)
-    states[..., plan.block] = _evolve(plan, noise, psi, grid)
-    return grid, states
+    grid, noise = (_noise(scenario, plan, noise_values) if noise_values is not None
+                   else next(shared or _sampled([scenario], plan.diagonal, trajectories)))
+    return plan, grid, _evolve(plan, noise, psi, grid)
 
 
 @dataclass(frozen=True)
@@ -639,18 +636,20 @@ def propagate_trajectory(
     drift overflowed), raises :class:`ValidationError`.
     """
     trajectory = _seed("trajectory", trajectory)
-    grid, states = _run(scenario, scenario.initial_state[None, :].copy(), [trajectory], noise_values)
+    plan, grid, block = _run(scenario, scenario.initial_state[None, :], [trajectory], noise_values)
+    states = np.zeros((len(grid.times), scenario.h_system.dim), dtype=complex)
+    states[:, plan.block] = block[:, 0]  # zero off the block
     if not np.isfinite(states).all():
         raise ValidationError("trajectory is not finite: the noise or drift overflowed")
-    return TrajectoryResult(grid.times, states[:, 0, :])
+    return TrajectoryResult(grid.times, states)
 
 
 def trajectory_propagator(scenario: NoiseScenario, noise_values: np.ndarray) -> Operator:
     """Exact propagator of one noise realization (pulses included), checked
     to be unitary to within ``DEFAULT_TOL.equality``, 1e-10."""
-    # one noise row, broadcast by _evolve across the dim basis-vector rows
-    _, rows = _run(scenario, np.eye(scenario.h_system.dim, dtype=complex), noise_values=noise_values)
-    # rows holds the image of each basis vector; columns of U are those images
+    # one noise row, broadcast by _evolve across the dim basis-vector rows, which reach
+    # every index: their block is the whole space, and row i the image of basis vector i
+    _, _, rows = _run(scenario, np.eye(scenario.h_system.dim, dtype=complex), noise_values=noise_values)
     u = rows[-1].T
     defect = _unitarity_defect(u)
     if not defect <= DEFAULT_TOL.equality:
@@ -690,10 +689,7 @@ def ensemble_coherence(scenario: NoiseScenario, *,
     scenario is a group of one.
     """
     n = scenario.ensemble_size
-    plan = _path(scenario, scenario.initial_state[None, :])
-    grid, noise = next(_shared or _sampled([scenario], plan.diagonal, range(n)))
-    states = _evolve(plan, noise, np.tile(scenario.initial_state, (n, 1)), grid)
-    del noise  # freed before the reduction, unless a later run of the group reads it
+    plan, grid, states = _run(scenario, np.tile(scenario.initial_state, (n, 1)), range(n), shared=_shared)
     obs = scenario.observable.matrix[np.ix_(plan.block, plan.block)]
     expect = np.einsum("rti,ij,rtj->rt", states.conj(), obs, states).real
     mean = expect.mean(axis=1)

@@ -417,15 +417,19 @@ class TestImport:
         # through numpy's eigh and transformer_reach solves its least squares
         # in numpy.  In a fresh interpreter, none is loaded by aht.cli (which
         # pulls in every module of the package), by a verify run, by the
-        # transformer reach or by the two document kinds that take a log
+        # transformer reach or by the two document kinds that take a log (two propagate
+        # documents); scipy is installed here, so a load would show
+        import scipy  # noqa: F401
+
         src = str(Path(aht.__file__).resolve().parent.parent)
         propagate = {"kind": "propagate", "n_qubits": 2, "cycle_time": 0.4,
                      "hamiltonian": {"terms": ["0.7 XX 1 2", "0.3 Z 1", "0.2 Y 2"]},
                      "sequence": {"name": "cp_x"}}
+        two_terms = {**propagate, "hamiltonian": {"terms": ["0.7 XX 1 2", "0.3 Z 1"]}}
         scan = {"kind": "scan", "n_qubits": 2, "target": "magnus_defect", "sweep": [0.4, 0.2],
                 "hamiltonian": {"terms": ["0.7 XX 1 2", "0.3 Z 1"]}, "sequence": {"name": "cp_x_symmetric"}}
-        docs = [tmp_path / "propagate.json", tmp_path / "scan.json"]
-        for path, doc in zip(docs, (propagate, scan)):
+        docs = [tmp_path / f"{name}.json" for name in ("propagate", "two_terms", "scan")]
+        for path, doc in zip(docs, (propagate, two_terms, scan)):
             path.write_text(json.dumps(doc))
         code = textwrap.dedent("""
             import contextlib, io, sys
@@ -448,4 +452,4 @@ class TestImport:
             [sys.executable, "-c", code, src, *map(str, docs)], capture_output=True, text=True,
             check=True, timeout=120,
         ).stdout
-        assert out.splitlines() == [f"{step} []" for step in ("import", "verify", "run", "run", "reach")]
+        assert out.splitlines() == [f"{step} []" for step in ("import", "verify", "run", "run", "run", "reach")]

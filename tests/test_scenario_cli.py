@@ -753,15 +753,18 @@ class TestJsonOutput:
     def test_every_json_kind_writes_canonical_json(self, doc):
         assert_json_round_trip(Scenario.from_dict(doc).run())
 
-    def test_algebra_benchmark_inputs_write_canonical_json(self, monkeypatch):
+    def test_algebra_benchmark_inputs_write_canonical_json(self, monkeypatch, tmp_path):
+        # every op of the benchmark's algebra workload, run through main from its
+        # scenario file: exit 0, and every output but the scan sweeps' is canonical JSON
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
-        from perfbench.workloads import generate
+        from perfbench.workloads import generate, materialize
 
-        written = 0
-        for op in generate("algebra", 2024):
-            scenario = Scenario.from_dict(op.scenario)
-            if scenario.output_format == "json":
-                assert_json_round_trip(scenario.run())
+        ops, written = generate("algebra", 2024), 0
+        for op, argv in zip(ops, materialize(ops, tmp_path)):
+            code, out, _ = in_process(argv)
+            assert code == 0, op.name
+            if op.scenario["kind"] != "scan":
+                assert_json_round_trip(out)
                 written += 1
         assert written == 43
 
