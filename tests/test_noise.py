@@ -170,25 +170,44 @@ def digest(curve):
 def with_trace_part(sc):
     """``sc`` with a drift offset 0.7 and a trace part 0.3 on its first coupling."""
     first, *rest = sc.channels
-    offset = dataclasses.replace(first, coupling=Operator(first.coupling.matrix + 0.3 * np.eye(4)))
-    return dataclasses.replace(sc, h_system=Operator(sc.h_system.matrix + 0.7 * np.eye(4)),
+    one = np.eye(sc.h_system.dim)
+    offset = dataclasses.replace(first, coupling=Operator(first.coupling.matrix + 0.3 * one))
+    return dataclasses.replace(sc, h_system=Operator(sc.h_system.matrix + 0.7 * one),
                                channels=(offset, *rest))
+
+
+#: an exchange between the two dfs2 blocks of four_qubit_blockwise, which joins them
+#: into one block the batched eigh propagates
+EXCHANGE = pauli_sum([PauliString.from_word("XX", [2, 3], 4, 0.3)]).matrix
 
 
 #: the cases of the propagation oracle besides ``CONFIGS``, built by ``path_case``:
 #: cp_x_symmetric's unequal intervals, on the SU(2) path in steps of two lengths and on
-#: the diagonal path; a drift offset and a trace part on the SU(2) path
-#: (``with_trace_part``); record intervals of 50 steps, more than three batches; and a
-#: state on all 4 basis states of encoded_spin_boson, which takes the batched eigh
+#: the diagonal path, there also in steps of two lengths; a drift offset and a trace
+#: part (``with_trace_part``) on each path; record intervals of 50 steps, more than
+#: three batches, on the SU(2) and diagonal paths; a state on all 4 basis states of the two encoded
+#: scenarios, which takes the batched eigh on the whole space; and ``EXCHANGE`` on
+#: four_qubit_blockwise, which takes it on an 8-dim block of the 16-dim space
 PATH_CASES = {
     "cp_x_symmetric": ("encoded_spin_boson", {"max_step": 0.013}),
     "cp_x_symmetric-diagonal": ("hybrid_dephasing", {}),
+    "cp_x_symmetric-diagonal-max_step": ("hybrid_dephasing", {"max_step": 0.0013}),
     "trace": ("encoded_spin_boson", {}),
     "trace-free": ("encoded_spin_boson", {"pulses": False}),
+    "trace-depolarizing": ("encoded_depolarizing", {}),
+    "trace-diagonal": ("hybrid_dephasing", {}),
+    "trace-diagonal-free": ("hybrid_dephasing", {"pulses": False}),
     "long-interval": ("encoded_spin_boson", {"pulses": False, "max_step": 2e-3}),
     "long-interval-depolarizing": ("encoded_depolarizing", {"pulses": False, "max_step": 2e-3}),
+    "long-interval-diagonal": ("hybrid_dephasing", {"pulses": False, "max_step": 2e-3}),
     "four-dim": ("encoded_spin_boson", {"max_step": 0.0125}),
     "four-dim-free": ("encoded_spin_boson", {"pulses": False, "max_step": 0.0125}),
+    "four-dim-trace": ("encoded_spin_boson", {"max_step": 0.0125}),
+    "four-dim-depolarizing": ("encoded_depolarizing", {"max_step": 0.0125}),
+    "four-dim-depolarizing-free": ("encoded_depolarizing", {"pulses": False, "max_step": 0.0125}),
+    "exchange": ("four_qubit_blockwise", {}),
+    "exchange-free": ("four_qubit_blockwise", {"pulses": False}),
+    "exchange-trace": ("four_qubit_blockwise", {}),
 }
 
 
@@ -197,11 +216,13 @@ def path_case(case):
     name, knobs = {**CONFIGS, **PATH_CASES}[case]
     sc = build_scenario(name, repetitions=2, ensemble_size=1, seed=3, **knobs)
     if case.startswith("cp_x_symmetric"):
-        return dataclasses.replace(sc, schedule=named_sequence(
+        sc = dataclasses.replace(sc, schedule=named_sequence(
             "cp_x_symmetric", code=sc.code, cycle_time=1.0, physical=True))
-    if case.startswith("trace"):
-        return with_trace_part(sc)
-    return dataclasses.replace(sc, initial_state=np.full(4, 0.5)) if case.startswith("four-dim") else sc
+    if case.startswith("four-dim"):
+        sc = dataclasses.replace(sc, initial_state=np.full(4, 0.5))
+    if case.startswith("exchange"):
+        sc = dataclasses.replace(sc, h_system=Operator(sc.h_system.matrix + EXCHANGE))
+    return with_trace_part(sc) if "trace" in case else sc
 
 
 def step_exponentials(sc, noise):
@@ -749,7 +770,7 @@ class TestPropagation:
         sc = build_scenario(name, repetitions=3, ensemble_size=4, seed=3)
         h = sc.h_system
         if path == "eigh":  # an exchange between the two dfs2 blocks
-            h = Operator(h.matrix + pauli_sum([PauliString.from_word("XX", [2, 3], 4, 0.3)]).matrix)
+            h = Operator(h.matrix + EXCHANGE)
         sc = dataclasses.replace(sc, h_system=h, channels=())
         plan = _path(sc, sc.initial_state[None, :])
         assert plan.diagonal == (path == "diagonal") and (len(plan.block) > 2) == (path == "eigh")
