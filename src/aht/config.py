@@ -1,6 +1,13 @@
 """Numerical tolerances, error types, input-value checks and the noise-run
 size limit shared across the package.
 
+Each input rule is one checker here, returning the value as a Python scalar
+or raising :class:`ValidationError` naming the field: ``_integer``, ``_seed``
+(at least 0), ``_repetitions`` (0 to ``_MAX_NOISE_BYTES // 8``), ``_real``,
+``_positive``, ``_nonnegative`` (all finite) and ``_boolean``; no numeric one
+takes a boolean.  Every numeric field of the dataclasses built from input, and
+every knob, reads them; ``operators._unitary`` is the one raising unitarity check.
+
 Operator comparisons -- equality, also up to a global phase, unitarity,
 Hermiticity, the log branch cut and rank decisions -- read the one fixed
 tolerance record :data:`DEFAULT_TOL` directly; no function takes its own,
@@ -28,6 +35,7 @@ up to ten ulps of ``||a||_1`` times the larger dimension of its design
 """
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -86,9 +94,6 @@ class BranchCutError(ToleranceError):
     """A unitary eigenphase sits too close to +/- pi for an unambiguous log."""
 
 
-# Scalar input checks for values read from scenario files: each returns the
-# value as a Python scalar or raises ValidationError naming the field.
-
 def _integer(name: str, value) -> int:
     """A number with no fractional part (not a boolean), as an int."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -106,14 +111,34 @@ def _seed(name: str, value) -> int:
     return seed
 
 
-def _real(name: str, value) -> float:
-    """A finite real number (not a boolean), as a float."""
+def _repetitions(name: str, value) -> int:
+    """A whole number of pulse cycles from 0 to ``_MAX_NOISE_BYTES // 8``, as an int;
+    each cycle takes an 8-byte sample, and the count is checked before any float product."""
+    count = _integer(name, value)
+    if not 0 <= count <= _MAX_NOISE_BYTES // 8:
+        raise ValidationError(f"{name} must be from 0 to {_MAX_NOISE_BYTES // 8}, each cycle "
+                              f"taking 8 bytes of noise, got {value!r}")
+    return count
+
+
+def _real(name: str, value, low: float = -sys.float_info.max, rule: str = "a finite number") -> float:
+    """A real number (not a boolean) from ``low`` to the largest float, as a float."""
     # the range test fails for NaN, +-Infinity and integers too large for a float
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        -sys.float_info.max <= value <= sys.float_info.max
+        low <= value <= sys.float_info.max
     ):
         return float(value)
-    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _positive(name: str, value) -> float:
+    """A finite number above 0, as a float (at least the least positive float, so never stored as 0)."""
+    return _real(name, value, math.ulp(0.0), "positive and finite")
+
+
+def _nonnegative(name: str, value) -> float:
+    """A finite number of at least 0, as a float."""
+    return _real(name, value, 0.0, "nonnegative and finite")
 
 
 def _boolean(name: str, value) -> bool:

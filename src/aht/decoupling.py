@@ -33,13 +33,13 @@ from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ValidationError
+from .config import DEFAULT_TOL, ValidationError, _nonnegative, _positive
 from .operators import (
     Operator,
     MatrixLike,
     _eigh_hermitian,
     _exp_decomposed,
-    _unitarity_defect,
+    _unitary,
     collective,
     equal_up_to_phase,
     expm,
@@ -108,10 +108,7 @@ def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[
     if not gens:
         raise ValidationError("need at least one generator")
     dim = len(mat(gens[0]))
-    gens = [mat(g, dim) for g in gens]
-    for g in gens:
-        if not _unitarity_defect(g) <= DEFAULT_TOL.equality:
-            raise ValidationError("generators must be unitary")
+    gens = [_unitary("generator", mat(g, dim)) for g in gens]
     found = np.empty((16, dim, dim), dtype=complex)  # doubled when full
     found[0] = np.eye(dim)
     count = 1
@@ -141,8 +138,9 @@ def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[
 class DecouplingScheme:
     """One bang-bang control cycle: pulses plus relative interval lengths.
 
-    Invariants: every duration is positive and they sum to one; the full
-    pulse product is the identity up to a global phase (cyclicity).
+    Invariants: the cycle time and the durations are positive finite floats,
+    the durations sum to one, and the unitary pulses multiply to the
+    identity up to a global phase (cyclicity).
     """
 
     pulses: tuple[Operator, ...]
@@ -158,21 +156,16 @@ class DecouplingScheme:
                 f"{len(self.pulses)} pulses take {len(self.pulses)} or "
                 f"{len(self.pulses) + 1} durations, got {len(self.durations)}"
             )
-        if not 0 < self.cycle_time < np.inf:
-            raise ValidationError(f"cycle_time must be positive and finite, got {self.cycle_time}")
-        if not all(t > 0 for t in self.durations):
-            raise ValidationError("all durations must be positive")
+        object.__setattr__(self, "cycle_time", _positive("cycle_time", self.cycle_time))
+        object.__setattr__(self, "durations", tuple(_positive("durations entry", t) for t in self.durations))
         if not abs(sum(self.durations) - 1.0) <= 1e-12:
             raise ValidationError(f"durations sum to {sum(self.durations)!r}, expected 1")
         dims = {p.dim for p in self.pulses}
         if len(dims) > 1:
             raise ValidationError("pulses must share a dimension")
-        for p in self.pulses:
-            if not p.is_unitary():
-                raise ValidationError("pulses must be unitary")
         total = np.eye(self.dim, dtype=complex)
         for p in self.pulses:
-            total = p.matrix @ total
+            total = _unitary("pulse", p.matrix) @ total
         if not equal_up_to_phase(total, np.eye(self.dim)):
             raise ValidationError("pulse cycle does not close to the identity (up to phase)")
 
@@ -188,7 +181,8 @@ class DecouplingSet:
     :attr:`is_group` tells whether, modulo global phase, the distinct
     frames form a group with equal total weight per element; it is
     computed on first read.  :meth:`group` builds a uniformly weighted
-    set and rejects one that is not a group.
+    set and rejects one that is not a group.  The weights are nonnegative
+    finite floats summing to one.
     """
 
     frames: tuple[Operator, ...]
@@ -199,8 +193,7 @@ class DecouplingSet:
             raise ValidationError("frames and weights must align")
         if not self.frames:
             raise ValidationError("empty decoupling set")
-        if not all(w >= 0 for w in self.weights):
-            raise ValidationError("weights must be nonnegative")
+        object.__setattr__(self, "weights", tuple(_nonnegative("weights entry", w) for w in self.weights))
         if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValidationError("weights must sum to 1")
         dims = {f.dim for f in self.frames}
@@ -267,7 +260,7 @@ def frames_from_scheme(scheme: DecouplingScheme) -> DecouplingSet:
         acc = p.matrix @ acc
         frames.append(Operator(acc))
     frames = frames[: len(scheme.durations)]
-    return DecouplingSet(tuple(frames), tuple(float(w) for w in scheme.durations))
+    return DecouplingSet(tuple(frames), scheme.durations)
 
 
 def average_zeroth(h: MatrixLike, frames: DecouplingSet) -> Operator:

@@ -57,10 +57,11 @@ import numpy as np
 
 from .codes import Code, build_code
 from .config import (
-    _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _known_keys, _real, _seed,
+    _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _known_keys, _nonnegative,
+    _positive, _real, _repetitions, _seed,
 )
 from .decoupling import DecouplingScheme, named_sequence
-from .operators import Operator, PauliString, _unitarity_defect, pauli_sum, single_qubit
+from .operators import Operator, PauliString, _unitary, pauli_sum, single_qubit
 
 __all__ = [
     "DephasingChannel",
@@ -101,8 +102,8 @@ _SCENARIOS = {
                              {"fast_amplitude": _real, "slow_amplitude": _real, "omegas": _omegas}),
 }
 _SHARED_KNOBS = {
-    "cycle_time": _real, "repetitions": _integer, "ensemble_size": _integer, "seed": _seed,
-    "pulses": _boolean, "max_step": _real, "tau_fast": _real, "tau_slow": _real,
+    "cycle_time": _positive, "repetitions": _repetitions, "ensemble_size": _integer, "seed": _seed,
+    "pulses": _boolean, "max_step": _positive, "tau_fast": _positive, "tau_slow": _positive,
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
@@ -119,10 +120,8 @@ class DephasingChannel:
     kind: str
 
     def __post_init__(self):
-        if not 0 < self.correlation_time < math.inf:
-            raise ValidationError("correlation_time must be positive and finite")
-        if not 0 <= self.amplitude < math.inf:
-            raise ValidationError("amplitude must be finite and nonnegative")
+        for name, check in (("correlation_time", _positive), ("amplitude", _nonnegative)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         if self.kind not in CHANNEL_KINDS:
             raise ValidationError(f"unknown channel kind {self.kind!r}")
         if not self.coupling.is_hermitian():
@@ -134,17 +133,17 @@ class NoiseScenario:
     """Full description of one stochastic run.
 
     ``total_time`` must equal ``repetitions * schedule.cycle_time``
-    whenever a pulse schedule is attached.  ``max_step``, if given, must be
-    positive; it caps the step below the default ``min(tau_c, T_c) / 20``,
-    to compare runs on a common grid.  The observable must be Hermitian.
+    whenever a pulse schedule is attached.  ``max_step``, if given, caps
+    the step below the default ``min(tau_c, T_c) / 20``, to compare runs
+    on a common grid.  The observable must be Hermitian.
     A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
     refused before anything is allocated: the count is ``_noise_bytes`` of
     the run alone, on its own path (see ``_path``), in which a channel of zero
     amplitude holds nothing.  ``seed``, ``ensemble_size`` and ``repetitions``
-    take whole numbers, stored as ints (``repetitions`` from 0 to
-    ``_MAX_NOISE_BYTES // 8``, checked before its product with the cycle
-    time), and ``total_time`` and ``max_step`` finite numbers, stored as
-    floats; none takes a boolean.
+    take whole numbers, stored as ints, and ``total_time`` and ``max_step``
+    positive finite numbers, stored as floats; none takes a boolean.
+    ``repetitions`` obeys the one rule of the ``build_scenario`` knob,
+    ``config._repetitions``: from 0 to ``_MAX_NOISE_BYTES // 8``.
 
     The step cap reads every channel's correlation time, a channel of zero
     amplitude included (see ``_intervals``).
@@ -168,13 +167,9 @@ class NoiseScenario:
 
     def __post_init__(self):
         dim = self.h_system.dim
-        object.__setattr__(self, "total_time", _real("total_time", self.total_time))
-        if not self.total_time > 0:
-            raise ValidationError("total_time must be positive")
-        for name, whole in (("seed", _seed), ("ensemble_size", _integer), ("repetitions", _integer)):
+        object.__setattr__(self, "total_time", _positive("total_time", self.total_time))
+        for name, whole in (("seed", _seed), ("ensemble_size", _integer), ("repetitions", _repetitions)):
             object.__setattr__(self, name, whole(name, getattr(self, name)))
-        if not 0 <= self.repetitions <= _MAX_NOISE_BYTES // 8:  # before a float product
-            raise ValidationError(f"repetitions must be from 0 to {_MAX_NOISE_BYTES // 8}")
         if self.ensemble_size < 1:
             raise ValidationError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
         if self.schedule is not None:
@@ -193,9 +188,7 @@ class NoiseScenario:
         if not self.observable.is_hermitian():
             raise ValidationError("observable must be Hermitian")
         if self.max_step is not None:
-            object.__setattr__(self, "max_step", _real("max_step", self.max_step))
-            if not self.max_step > 0:
-                raise ValidationError(f"max_step must be positive, got {self.max_step}")
+            object.__setattr__(self, "max_step", _positive("max_step", self.max_step))
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
         if psi.shape[0] != dim:
             raise ValidationError("initial state dimension does not match the system")
@@ -650,11 +643,7 @@ def trajectory_propagator(scenario: NoiseScenario, noise_values: np.ndarray) -> 
     # one noise row, broadcast by _evolve across the dim basis-vector rows, which reach
     # every index: their block is the whole space, and row i the image of basis vector i
     _, _, rows = _run(scenario, np.eye(scenario.h_system.dim, dtype=complex), noise_values=noise_values)
-    u = rows[-1].T
-    defect = _unitarity_defect(u)
-    if not defect <= DEFAULT_TOL.equality:
-        raise ValidationError(f"trajectory propagator lost unitarity ({defect:.2e})")
-    return Operator(u)
+    return Operator(_unitary("trajectory propagator", rows[-1].T))
 
 
 @dataclass(frozen=True)
@@ -769,11 +758,12 @@ def build_scenario(name: str, **params) -> NoiseScenario:
 
     Values are type-checked, also raising :class:`ValidationError`:
     ``repetitions``, ``ensemble_size`` and ``seed`` take whole numbers
-    (``seed`` at least 0, ``repetitions`` at most ``_MAX_NOISE_BYTES //
-    8``: each cycle needs one 8-byte sample, and without pulses only the
-    product with ``cycle_time`` counts), ``pulses`` and ``encoded`` take
-    booleans, ``omegas`` takes four numbers and every other knob takes a
-    number.  Booleans and ``None`` are not numbers.
+    (``seed`` at least 0, ``repetitions`` from 0 to ``_MAX_NOISE_BYTES //
+    8`` by :class:`NoiseScenario`'s one rule, also without pulses),
+    ``cycle_time``, ``max_step``, ``tau_fast`` and ``tau_slow`` positive
+    numbers, ``pulses`` and ``encoded`` booleans, ``omegas`` four numbers
+    and every other knob a number.  Numbers are finite; booleans and
+    ``None`` are not numbers.
 
     ``hybrid_dephasing`` (``encoded``, ``fast_amplitude``,
     ``slow_amplitude``, ``omega1``, ``omega2``)
@@ -807,9 +797,6 @@ def build_scenario(name: str, **params) -> NoiseScenario:
     p = {k: v for k, v in params.items() if k not in _SHARED_KNOBS}
     cycle_time = knob("cycle_time", 1.0)
     repetitions = knob("repetitions", 16)
-    # each cycle needs an 8-byte sample; compared as integers, before a float product
-    if repetitions > _MAX_NOISE_BYTES // 8:
-        raise ValidationError(f"over {_MAX_NOISE_BYTES // 8} repetitions need too many bytes of noise")
     ensemble_size = knob("ensemble_size", 500)
     seed = knob("seed", 2024)
     use_pulses = knob("pulses", True)

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOL, BranchCutError, ValidationError
+from .config import DEFAULT_TOL, BranchCutError, ValidationError, _positive
 
 __all__ = [
     "Operator",
@@ -100,6 +100,14 @@ def _is_power_of_two(k: int) -> bool:
 def _unitarity_defect(u: np.ndarray) -> float:
     """Max-norm distance ``||U U^dag - 1||_max`` of a square matrix from unitarity."""
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+
+
+def _unitary(what: str, u: np.ndarray) -> np.ndarray:
+    """``u`` if :meth:`Operator.is_unitary` would hold, else a ValidationError naming ``what``."""
+    defect = _unitarity_defect(u)
+    if not defect <= DEFAULT_TOL.equality:
+        raise ValidationError(f"{what} is not unitary (unitarity defect {defect:.2e})")
+    return u
 
 
 class Operator:
@@ -269,9 +277,7 @@ def conjugate(h: MatrixLike, u: MatrixLike) -> Operator:
     um = mat(u, len(hm))
     if not np.max(np.abs(hm)) < np.inf:
         raise ValidationError("conjugated operator must be finite")
-    defect = _unitarity_defect(um)
-    if not defect <= DEFAULT_TOL.equality:
-        raise ValidationError(f"conjugating operator is not unitary (defect {defect:.2e})")
+    _unitary("conjugating operator", um)
     return Operator(um.conj().T @ hm @ um)
 
 
@@ -319,14 +325,11 @@ def logm_effective(u: MatrixLike, t_total: float) -> Operator:
     non-finite.  ``A`` grows as ``1 / d``, ``d`` the distance of the
     nearest eigenphase from the cut, and so does the error of the result:
     about ``2e-16 / d`` (2e-13 at ``d = 1e-3``).  ``u`` must be unitary to
-    within ``DEFAULT_TOL.equality``, 1e-10.
+    within ``DEFAULT_TOL.equality``, 1e-10, and ``t_total`` positive and finite.
     """
     um = mat(u)
-    if not t_total > 0:
-        raise ValidationError("logm_effective needs T > 0")
-    defect = _unitarity_defect(um)
-    if not defect <= DEFAULT_TOL.equality:
-        raise ValidationError(f"logm_effective input is not unitary (defect {defect:.2e})")
+    t_total = _positive("logm_effective time", t_total)
+    _unitary("logm_effective input", um)
     eye = np.eye(len(um))
     try:
         cayley = np.linalg.solve(eye + um, 1j * (eye - um))

@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .codes import CODE_NAMES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
-from .config import ValidationError, _boolean, _integer, _known_keys, _real, _seed
+from .config import ValidationError, _boolean, _integer, _known_keys, _positive, _real, _seed
 from .decoupling import (
     _ENCODED_ONLY, DecouplingScheme, _defect_sweep, average_zeroth,
     cycle_propagator, frames_from_scheme, named_sequence, project_group,
@@ -132,14 +132,6 @@ _OPTIONAL_FIELD_TYPES = {
 }
 
 
-def _positive(name: str, value) -> float:
-    """A positive finite number, as a float."""
-    x = _real(name, value)
-    if not x > 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One validated scenario file."""
@@ -230,7 +222,7 @@ class Scenario:
         spec = self.sequence
         if isinstance(spec, str):
             spec = {"name": spec}
-        cycle_time = _positive("sequence cycle_time", spec.get("cycle_time", self.cycle_time))
+        cycle_time = spec.get("cycle_time", self.cycle_time)  # checked by the scheme
         if "name" in spec:
             _known_keys("named sequence keys", spec, ("name", "cycle_time", "code", "physical"))
             name = spec["name"]
@@ -258,7 +250,6 @@ class Scenario:
                 _known_keys("pulse keys", p, ("terms", "angle"))
                 generator = parse_hamiltonian({"terms": p.get("terms", [])}, self.n_qubits)
                 pulses.append(expm(generator, _real("pulse angle", p.get("angle", np.pi / 2))))
-            durations = tuple(_real("sequence duration", x) for x in durations)
             return DecouplingScheme(tuple(pulses), durations, cycle_time, label="explicit")
         raise ValidationError("sequence block needs a 'name' or explicit 'pulses'")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceError, ValidationError
 from .decoupling import DecouplingSet, close_group
-from .operators import SIGMA, Operator, MatrixLike, _unitarity_defect, expm, mat
+from .operators import SIGMA, Operator, MatrixLike, _unitary, expm, mat
 
 __all__ = [
     "LieBasis",
@@ -145,11 +145,9 @@ def cp_split(h: MatrixLike, pi_pulse: MatrixLike) -> tuple[Operator, Operator]:
     two-element group average over ``{1, P}`` and ``H_a`` flipping sign
     under conjugation.  The pulse must be involutive up to phase.
     """
-    pm = mat(pi_pulse)
+    pm = _unitary("pi pulse", mat(pi_pulse))
     hm = mat(h, len(pm))
     eps = DEFAULT_TOL.equality
-    if not _unitarity_defect(pm) <= eps:
-        raise ValidationError("pi pulse must be unitary")
     square = pm @ pm
     phase = np.trace(square) / pm.shape[0]
     if not (abs(abs(phase) - 1) <= eps

@@ -69,23 +69,28 @@ class TestSchemeValidation:
         with pytest.raises(ValidationError):
             DecouplingScheme((px, px), (1.0, 0.0))
 
-    # NaN fails every comparison, so each check must be written to fail on it
-    def test_rejects_nan_cycle_time(self):
+    # NaN fails every comparison, so each check must be written to fail on it;
+    # a string, None or a boolean is no number either
+    @pytest.mark.parametrize("cycle_time", [float("nan"), "x", None, True])
+    def test_rejects_nan_cycle_time(self, cycle_time):
         px = expm(X, np.pi / 2)
         with pytest.raises(ValidationError, match="cycle_time"):
-            DecouplingScheme((px, px), (0.5, 0.5), cycle_time=float("nan"))
+            DecouplingScheme((px, px), (0.5, 0.5), cycle_time=cycle_time)
 
-    def test_rejects_nan_durations(self):
+    @pytest.mark.parametrize("durations", [(float("nan"), float("nan")), ("x", 0.5)], ids=["nan", "x"])
+    def test_rejects_nan_durations(self, durations):
         px = expm(X, np.pi / 2)
         with pytest.raises(ValidationError, match="durations"):
-            DecouplingScheme((px, px), (float("nan"), float("nan")))
+            DecouplingScheme((px, px), durations)
 
-    def test_rejects_nan_weights(self):
+    @pytest.mark.parametrize(
+        "weights", [(float("nan"), float("nan")), (float("nan"), 1.0), ("x", 1.0), (True, 0.0)],
+        ids=["nan", "nan-one", "x", "True"],
+    )
+    def test_rejects_nan_weights(self, weights):
         frames = (Operator(I2), Operator(X))
         with pytest.raises(ValidationError, match="weights"):
-            DecouplingSet(frames, (float("nan"), float("nan")))
-        with pytest.raises(ValidationError, match="weights"):
-            DecouplingSet(frames, (float("nan"), 1.0))
+            DecouplingSet(frames, weights)
 
 
 class TestFrames:

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import tracemalloc
 import weakref
 
@@ -1305,12 +1306,10 @@ class TestScenarioLibrary:
         with pytest.raises(ValidationError, match="max_step"):
             dataclasses.replace(sc, max_step=step)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("correlation_time", float("nan")), ("correlation_time", np.inf),
-         ("amplitude", float("nan")), ("amplitude", np.inf)],
-    )
+    @pytest.mark.parametrize("value", [float("nan"), np.inf, "x", None, True])
+    @pytest.mark.parametrize("field", ["correlation_time", "amplitude"])
     def test_channel_rejects_nonfinite(self, field, value):
+        # nor a string, None or a boolean
         ch = build_scenario("hybrid_dephasing", ensemble_size=1).channels[0]
         with pytest.raises(ValidationError, match=field):
             dataclasses.replace(ch, **{field: value})
@@ -1396,8 +1395,11 @@ class TestScenarioLibrary:
         # nor a count past _MAX_NOISE_BYTES // 8, the knob's bound, refused before its float
         # product with the cycle time overflows, nor one below 0, also without a schedule
         sc = build_scenario("hybrid_dephasing", repetitions=2, ensemble_size=4, pulses=pulses)
-        with pytest.raises(ValidationError, match="repetitions must"):
+        with pytest.raises(ValidationError, match="repetitions must") as direct:
             dataclasses.replace(sc, repetitions=value)
+        # the knob reads the same rule: the same message
+        with pytest.raises(ValidationError, match=re.escape(str(direct.value))):
+            build_scenario("hybrid_dephasing", repetitions=value, ensemble_size=4, pulses=pulses)
 
     @pytest.mark.parametrize("field,value", [("seed", 3.0), ("ensemble_size", 4.0), ("repetitions", 2.0)])
     def test_whole_floats_are_stored_as_ints_when_built_directly(self, field, value):

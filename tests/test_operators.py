@@ -365,8 +365,9 @@ class TestLogmEffective:
         assert np.max(np.abs(logm_effective(u, 0.3).matrix - schur_log(u, 0.3))) < 1e-11
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            logm_effective(np.eye(2), 0.0)
+        for t_total in (0.0, np.inf, True):  # an infinite or boolean time is no time either
+            with pytest.raises(ValidationError, match="logm_effective time"):
+                logm_effective(np.eye(2), t_total)
         with pytest.raises(ValidationError):
             logm_effective(2 * np.eye(2), 1.0)
 

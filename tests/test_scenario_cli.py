@@ -788,17 +788,26 @@ def fresh(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+#: a noise run off the diagonal path (encoded_spin_boson), written as CSV
+SPIN_BOSON_DOC = {"kind": "noise", "seed": 5, "output": {"format": "csv"},
+                  "noise": {"name": "encoded_spin_boson", "repetitions": 4, "ensemble_size": 50}}
+
+
 class TestRepeatedCalls:
     def test_calls_in_one_process_match_fresh_interpreters(self, tmp_path, monkeypatch):
-        # the parser is built once: a bad argv, a --seed, its absence (the file's
-        # own seed) and the other commands each give what a new process gives
+        # the parser is built once and the Pauli-matrix cache carries nothing from one
+        # call to the next: a bad argv, a --seed, its absence (the file's own seed),
+        # the verify suite and the other commands, each made twice in this process,
+        # give what a new process gives
         monkeypatch.chdir(tmp_path)
-        write_scenario(tmp_path, {**NOISE_DOC, "seed": 5})
+        write_scenario(tmp_path, SPIN_BOSON_DOC)
         calls = [["run"], ["run", "scenario.json", "--seed", "7"], ["run", "scenario.json"],
-                 ["verify", "--ensemble", "8"], ["list"]]
-        for argv in calls:
-            assert in_process(argv) == fresh(argv), argv
-        seeded, own = (json.loads(in_process(argv)[1])["scenario"]["seed"] for argv in calls[1:3])
+                 ["verify", "--seed", "11", "--ensemble", "50"], ["list"]]
+        expected = [fresh(argv) for argv in calls]
+        for argv, result in zip(calls, expected):
+            assert [in_process(argv), in_process(argv)] == [result, result], argv
+        headers = (result[1].splitlines()[0] for result in expected[1:3])
+        seeded, own = (json.loads(header.removeprefix("# "))["seed"] for header in headers)
         assert (seeded, own) == (7, 5)
 
 
