@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ValidationError, _integer, _real
+from .config import DEFAULT_TOL, ValidationError, _integer, _known, _real
 from .operators import (
     SIGMA,
     Operator,
@@ -363,9 +363,7 @@ CODE_NAMES = tuple(_CODES)
 
 def build_code(name: str) -> Code:
     """Construct one of the named codes: ``ns3``, ``dfs2`` or ``dfs2x2``."""
-    if name not in CODE_NAMES:  # a tuple, so an unhashable name compares unequal
-        raise ValidationError(f"unknown code {name!r}; known: {', '.join(CODE_NAMES)}")
-    return _CODES[name][1]()
+    return _known("code", name, _CODES)[1]()
 
 
 # ---------------------------------------------------------------------------

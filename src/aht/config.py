@@ -1,18 +1,18 @@
 """Numerical tolerances, error types, input-value checks and the noise-run
 size limit shared across the package.
 
-Each input rule is one checker here, returning the value as a Python scalar
-or raising :class:`ValidationError` naming the field: ``_integer``, ``_seed``
-(at least 0), ``_repetitions`` (0 to ``_MAX_NOISE_BYTES // 8``), ``_real``,
-``_positive``, ``_nonnegative`` (all finite) and ``_boolean``; no numeric one
-takes a boolean.  Every numeric field of the dataclasses built from input, and
-every knob, reads them; ``operators._unitary`` is the one raising unitarity check.
+Each input rule is one checker, returning the value it accepts or raising
+:class:`ValidationError` naming the field; every input field, knob and operand
+reads it.  Here: ``_integer``, ``_seed`` (at least 0), ``_repetitions`` (0 to
+``_MAX_NOISE_BYTES // 8``), ``_real``, ``_positive``, ``_nonnegative`` (all
+finite, none a boolean), ``_boolean``, ``_entries`` (a non-empty list) and
+``_known`` (a catalog name); in ``operators``: ``_unitary``, ``_hermitian``,
+``_finite`` and ``_operators`` (a non-empty list of operands of one side).
 
-Operator comparisons -- equality, also up to a global phase, unitarity,
-Hermiticity, the log branch cut and rank decisions -- read the one fixed
-tolerance record :data:`DEFAULT_TOL` directly; no function takes its own,
-so "equal" or "unitary" means the same everywhere.  Each of these checks
-is written so that a NaN defect fails it (``not defect <= limit``), since
+Operator comparisons read the four values of :data:`DEFAULT_TOL`, and no
+function takes its own: ``equality`` (1e-10; also unitarity and Hermiticity),
+``unitarity`` (1e-12, a code's isometry), ``branch_cut`` and ``rank``.  Each
+check is written so that a NaN defect fails it (``not defect <= limit``), since
 ``defect > limit`` is false for NaN.  A few fixed thresholds stay literal
 where they are used: the checks that weights and durations sum to one
 (1e-12), the equal-weight test of a decoupling group (1e-9), the match of
@@ -49,12 +49,11 @@ class Tolerances:
     Attributes
     ----------
     equality : float
-        Max-norm tolerance for operator equality checks.
+        Max-norm tolerance for operator equality checks, and for unitarity
+        (``operators._unitary``) and Hermiticity (``operators._hermitian``).
     unitarity : float
         Max-norm tolerance on ``V^dag V - 1`` for the isometry of a
         built-in code.
-    hermiticity : float
-        Max-norm tolerance on ``H - H.conj().T``.
     branch_cut : float
         Distance (in radians) of a unitary eigenphase from the log
         branch cut at +/- pi below which the effective Hamiltonian is
@@ -66,7 +65,6 @@ class Tolerances:
 
     equality: float = 1e-10
     unitarity: float = 1e-12
-    hermiticity: float = 1e-12
     branch_cut: float = 1e-8
     rank: float = 1e-8
 
@@ -146,6 +144,20 @@ def _boolean(name: str, value) -> bool:
     if isinstance(value, bool):
         return value
     raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
+def _entries(name: str, value) -> tuple:
+    """A non-empty list or tuple, as a tuple."""
+    if isinstance(value, (list, tuple)) and value:
+        return tuple(value)
+    raise ValidationError(f"{name} must be a non-empty list, got {value!r}")
+
+
+def _known(what: str, name, table: Mapping):
+    """The row of ``table`` under ``name``, looked up in a tuple: an unhashable name is unknown."""
+    if name not in tuple(table):
+        raise ValidationError(f"unknown {what} {name!r}; known: {', '.join(table)}")
+    return table[name]
 
 
 def _known_keys(what: str, block: Mapping, known: Iterable[str]) -> None:

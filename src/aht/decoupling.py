@@ -29,16 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ValidationError, _nonnegative, _positive
+from .config import DEFAULT_TOL, ValidationError, _entries, _known, _nonnegative, _positive
 from .operators import (
     Operator,
     MatrixLike,
     _eigh_hermitian,
     _exp_decomposed,
+    _operators,
     _unitary,
     collective,
     equal_up_to_phase,
@@ -93,7 +94,7 @@ _ENCODED_ONLY = tuple(name for name, (_, axes, _, _) in _SEQUENCES.items()
                       if max(map(len, axes)) == 2)
 
 
-def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[Operator]:
+def close_group(generators: Sequence[MatrixLike], max_order: int = 256) -> list[Operator]:
     """Close a set of unitaries under multiplication.
 
     Elements are counted as distinct matrices, equal when they agree to
@@ -104,11 +105,8 @@ def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[
     identity first; raises if closure is not reached within ``max_order``
     elements.
     """
-    gens = list(generators)
-    if not gens:
-        raise ValidationError("need at least one generator")
-    dim = len(mat(gens[0]))
-    gens = [_unitary("generator", mat(g, dim)) for g in gens]
+    gens = [_unitary("generator", g.matrix) for g in _operators("generators", generators)]
+    dim = len(gens[0])
     found = np.empty((16, dim, dim), dtype=complex)  # doubled when full
     found[0] = np.eye(dim)
     count = 1
@@ -138,9 +136,9 @@ def close_group(generators: Iterable[MatrixLike], max_order: int = 256) -> list[
 class DecouplingScheme:
     """One bang-bang control cycle: pulses plus relative interval lengths.
 
-    Invariants: the cycle time and the durations are positive finite floats,
-    the durations sum to one, and the unitary pulses multiply to the
-    identity up to a global phase (cyclicity).
+    Invariants: the pulses are operators of one side, the cycle time and the
+    durations positive finite floats, the durations sum to one, and the
+    unitary pulses multiply to the identity up to a global phase (cyclicity).
     """
 
     pulses: tuple[Operator, ...]
@@ -149,20 +147,15 @@ class DecouplingScheme:
     label: str | None = None
 
     def __post_init__(self):
-        if not self.pulses:
-            raise ValidationError("a scheme needs at least one pulse (identity counts)")
-        if len(self.durations) not in (len(self.pulses), len(self.pulses) + 1):
-            raise ValidationError(
-                f"{len(self.pulses)} pulses take {len(self.pulses)} or "
-                f"{len(self.pulses) + 1} durations, got {len(self.durations)}"
-            )
+        object.__setattr__(self, "pulses", _operators("pulses", self.pulses))
+        object.__setattr__(self, "durations", _entries("durations", self.durations))
+        n = len(self.pulses)
+        if len(self.durations) not in (n, n + 1):
+            raise ValidationError(f"{n} pulses take {n} or {n + 1} durations, got {len(self.durations)}")
         object.__setattr__(self, "cycle_time", _positive("cycle_time", self.cycle_time))
         object.__setattr__(self, "durations", tuple(_positive("durations entry", t) for t in self.durations))
         if not abs(sum(self.durations) - 1.0) <= 1e-12:
             raise ValidationError(f"durations sum to {sum(self.durations)!r}, expected 1")
-        dims = {p.dim for p in self.pulses}
-        if len(dims) > 1:
-            raise ValidationError("pulses must share a dimension")
         total = np.eye(self.dim, dtype=complex)
         for p in self.pulses:
             total = _unitary("pulse", p.matrix) @ total
@@ -181,24 +174,21 @@ class DecouplingSet:
     :attr:`is_group` tells whether, modulo global phase, the distinct
     frames form a group with equal total weight per element; it is
     computed on first read.  :meth:`group` builds a uniformly weighted
-    set and rejects one that is not a group.  The weights are nonnegative
-    finite floats summing to one.
+    set and rejects one that is not a group.  The frames are operators of one
+    side and the weights nonnegative finite floats summing to one.
     """
 
     frames: tuple[Operator, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.frames) != len(self.weights):
+        object.__setattr__(self, "frames", _operators("frames", self.frames))
+        weights = _entries("weights", self.weights)
+        if len(self.frames) != len(weights):
             raise ValidationError("frames and weights must align")
-        if not self.frames:
-            raise ValidationError("empty decoupling set")
-        object.__setattr__(self, "weights", tuple(_nonnegative("weights entry", w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(_nonnegative("weights entry", w) for w in weights))
         if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValidationError("weights must sum to 1")
-        dims = {f.dim for f in self.frames}
-        if len(dims) > 1:
-            raise ValidationError("frames must share a dimension")
 
     @property
     def dim(self) -> int:
@@ -232,9 +222,8 @@ class DecouplingSet:
 
     @classmethod
     def group(cls, elements: Sequence[MatrixLike]) -> "DecouplingSet":
-        ops = tuple(map(Operator, elements))
-        w = 1.0 / len(ops)
-        s = cls(ops, (w,) * len(ops))
+        ops = _operators("frames", elements)
+        s = cls(ops, (1.0 / len(ops),) * len(ops))
         if not s.is_group:
             raise ValidationError("frame set is not a uniformly weighted group (mod phase)")
         return s
@@ -425,9 +414,7 @@ def named_sequence(
     are taken from the code's realization table instead, so the scheme
     evolves the full physical register.
     """
-    if name not in SEQUENCE_NAMES:  # a tuple, so an unhashable name compares unequal
-        raise ValidationError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCE_NAMES)}")
-    _, axes, durations, signs = _SEQUENCES[name]
+    _, axes, durations, signs = _known("sequence", name, _SEQUENCES)
     if signs is not None and code is not None:
         raise ValidationError(f"{name} is a physical (collective-pulse) sequence")
     if name in _ENCODED_ONLY and code is None:

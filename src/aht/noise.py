@@ -57,11 +57,11 @@ import numpy as np
 
 from .codes import Code, build_code
 from .config import (
-    _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _known_keys, _nonnegative,
-    _positive, _real, _repetitions, _seed,
+    _MAX_NOISE_BYTES, DEFAULT_TOL, ValidationError, _boolean, _integer, _known, _known_keys,
+    _nonnegative, _positive, _real, _repetitions, _seed,
 )
 from .decoupling import DecouplingScheme, named_sequence
-from .operators import Operator, PauliString, _unitary, pauli_sum, single_qubit
+from .operators import Operator, PauliString, _hermitian, _operators, _unitary, pauli_sum, single_qubit
 
 __all__ = [
     "DephasingChannel",
@@ -92,14 +92,15 @@ def _omegas(name: str, value) -> tuple:
 #: each with the check that reads its value; any other knob is rejected.
 _SCENARIOS = {
     "hybrid_dephasing": ("fast collective + slow independent dephasing on two qubits",
-                         {"encoded": _boolean, "fast_amplitude": _real, "slow_amplitude": _real,
-                          "omega1": _real, "omega2": _real}),
+                         {"encoded": _boolean, "fast_amplitude": _nonnegative,
+                          "slow_amplitude": _nonnegative, "omega1": _real, "omega2": _real}),
     "encoded_spin_boson": ("dfs2 qubit with logical drift under slow dephasing",
-                           {"delta_omega": _real, "j_drift": _real, "slow_amplitude": _real}),
+                           {"delta_omega": _real, "j_drift": _real, "slow_amplitude": _nonnegative}),
     "encoded_depolarizing": ("dfs2 qubit with slow noise on both logical axes",
-                             {"slow_amplitude": _real}),
+                             {"slow_amplitude": _nonnegative}),
     "four_qubit_blockwise": ("two dfs2 blocks under blockwise-correlated fast dephasing",
-                             {"fast_amplitude": _real, "slow_amplitude": _real, "omegas": _omegas}),
+                             {"fast_amplitude": _nonnegative, "slow_amplitude": _nonnegative,
+                              "omegas": _omegas}),
 }
 _SHARED_KNOBS = {
     "cycle_time": _positive, "repetitions": _repetitions, "ensemble_size": _integer, "seed": _seed,
@@ -112,7 +113,8 @@ CHANNEL_KINDS = ("collective_fast", "independent_slow", "logical")
 
 @dataclass(frozen=True)
 class DephasingChannel:
-    """One classical noise line: Hermitian coupling times an OU process."""
+    """One classical noise line: a Hermitian coupling (``operators._hermitian``,
+    read as ``operators._operators`` reads an operand) times an OU process."""
 
     coupling: Operator
     correlation_time: float
@@ -122,10 +124,9 @@ class DephasingChannel:
     def __post_init__(self):
         for name, check in (("correlation_time", _positive), ("amplitude", _nonnegative)):
             object.__setattr__(self, name, check(name, getattr(self, name)))
-        if self.kind not in CHANNEL_KINDS:
-            raise ValidationError(f"unknown channel kind {self.kind!r}")
-        if not self.coupling.is_hermitian():
-            raise ValidationError("coupling operator must be Hermitian")
+        _known("channel kind", self.kind, dict.fromkeys(CHANNEL_KINDS))
+        object.__setattr__(self, "coupling", _operators("coupling", [self.coupling])[0])
+        _hermitian("coupling operator", self.coupling.matrix)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class NoiseScenario:
     ``total_time`` must equal ``repetitions * schedule.cycle_time``
     whenever a pulse schedule is attached.  ``max_step``, if given, caps
     the step below the default ``min(tau_c, T_c) / 20``, to compare runs
-    on a common grid.  The observable must be Hermitian.
+    on a common grid.  The observable must be Hermitian (``operators._hermitian``).
     A run whose noise would take more than ``config._MAX_NOISE_BYTES`` is
     refused before anything is allocated: the count is ``_noise_bytes`` of
     the run alone, on its own path (see ``_path``), in which a channel of zero
@@ -185,8 +186,7 @@ class NoiseScenario:
                 raise ValidationError("channel coupling dimension does not match the system")
         if self.observable.dim != dim:
             raise ValidationError("observable dimension does not match the system")
-        if not self.observable.is_hermitian():
-            raise ValidationError("observable must be Hermitian")
+        _hermitian("observable", self.observable.matrix)
         if self.max_step is not None:
             object.__setattr__(self, "max_step", _positive("max_step", self.max_step))
         psi = np.asarray(self.initial_state, dtype=complex).reshape(-1)
@@ -785,9 +785,7 @@ def build_scenario(name: str, **params) -> NoiseScenario:
         block-collective dephasing plus slow per-qubit dephasing;
         encoded collective pi_x decoupling on both logical qubits.
     """
-    if name not in SCENARIO_NAMES:
-        raise ValidationError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    known = {**_SHARED_KNOBS, **_SCENARIOS[name][1]}
+    known = {**_SHARED_KNOBS, **_known("scenario", name, _SCENARIOS)[1]}
     _known_keys(f"knobs for scenario {name!r}:", params, known)
 
     def knob(key: str, default):

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOL, BranchCutError, ValidationError, _positive
+from .config import DEFAULT_TOL, BranchCutError, ValidationError, _entries, _positive
 
 __all__ = [
     "Operator",
@@ -93,6 +93,34 @@ def mat(op: MatrixLike, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def _operators(what: str, entries) -> tuple[Operator, ...]:
+    """A non-empty list of operands of one side, as Operators: each entry is read through
+    :func:`mat` at the first entry's side; an :class:`Operator` is kept, label and all."""
+    entries = _entries(what, entries)
+    dim = len(mat(entries[0]))
+    return tuple(e if isinstance(e, Operator) and e.dim == dim else Operator(mat(e, dim)) for e in entries)
+
+
+def _finite(what: str, m: np.ndarray) -> np.ndarray:
+    """``m`` if every entry is finite, else a ValidationError naming ``what``."""
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} must be finite")
+    return m
+
+
+def _hermiticity_defect(h: np.ndarray) -> float:
+    """Max-norm distance ``||H - H^dag||_max`` of a square matrix from Hermiticity."""
+    return float(np.max(np.abs(h - h.conj().T)))
+
+
+def _hermitian(what: str, h: np.ndarray) -> np.ndarray:
+    """``h`` if :meth:`Operator.is_hermitian` would hold, else a ValidationError naming ``what``."""
+    defect = _hermiticity_defect(h)
+    if not defect <= DEFAULT_TOL.equality:
+        raise ValidationError(f"{what} must be Hermitian (Hermiticity defect {defect:.2e})")
+    return h
+
+
 def _is_power_of_two(k: int) -> bool:
     return k > 0 and (k & (k - 1)) == 0
 
@@ -147,8 +175,8 @@ class Operator:
         return complex(np.trace(self.matrix))
 
     def is_hermitian(self) -> bool:
-        """``||H - H^dag||_max <= DEFAULT_TOL.hermiticity``, 1e-12."""
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= DEFAULT_TOL.hermiticity)
+        """``||H - H^dag||_max <= DEFAULT_TOL.equality``, 1e-10."""
+        return _hermiticity_defect(self.matrix) <= DEFAULT_TOL.equality
 
     def is_unitary(self) -> bool:
         """``||U U^dag - 1||_max <= DEFAULT_TOL.equality``, 1e-10."""
@@ -269,15 +297,12 @@ def exchange(j: int, k: int, n: int) -> Operator:
 def conjugate(h: MatrixLike, u: MatrixLike) -> Operator:
     """Toggling-frame conjugation ``U^dag H U``.
 
-    Preserves spectra and Hermiticity.  ``h`` must be finite and ``u``
-    unitary to within ``DEFAULT_TOL.equality``, 1e-10, loose enough that
-    long pulse products still pass.
+    Preserves spectra and Hermiticity.  ``h`` must be finite (``_finite``)
+    and ``u`` unitary to within ``DEFAULT_TOL.equality``, 1e-10 (``_unitary``),
+    loose enough that long pulse products still pass.
     """
-    hm = mat(h)
-    um = mat(u, len(hm))
-    if not np.max(np.abs(hm)) < np.inf:
-        raise ValidationError("conjugated operator must be finite")
-    _unitary("conjugating operator", um)
+    hm = _finite("conjugated operator", mat(h))
+    um = _unitary("conjugating operator", mat(u, len(hm)))
     return Operator(um.conj().T @ hm @ um)
 
 
@@ -285,8 +310,8 @@ def expm(h: MatrixLike, t: float) -> Operator:
     """Unitary ``exp(-i H t)`` of a Hermitian generator.
 
     Uses an eigendecomposition, so the result is unitary to rounding.
-    ``h`` must be Hermitian to within ``DEFAULT_TOL.equality``, 1e-10,
-    and ``t`` finite.  Each call diagonalizes ``h``; callers that
+    ``h`` must be Hermitian to within ``DEFAULT_TOL.equality``, 1e-10
+    (``_hermitian``), and ``t`` finite.  Each call diagonalizes ``h``; callers that
     exponentiate one generator at many times (the cycle propagator, the
     defect sweep) diagonalize it once and reuse the decomposition.
     """
@@ -295,9 +320,7 @@ def expm(h: MatrixLike, t: float) -> Operator:
 
 def _eigh_hermitian(hm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(eigenvalues, eigenvectors, their adjoint)`` of ``hm``, checked Hermitian as :func:`expm` checks it."""
-    if not np.max(np.abs(hm - hm.conj().T)) <= DEFAULT_TOL.equality:
-        raise ValidationError("expm generator must be Hermitian")
-    evals, vecs = np.linalg.eigh(hm)
+    evals, vecs = np.linalg.eigh(_hermitian("expm generator", hm))
     return evals, vecs, vecs.conj().T
 
 

@@ -30,8 +30,8 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .codes import CODE_NAMES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
-from .config import ValidationError, _boolean, _integer, _known_keys, _positive, _real, _seed
+from .codes import _CODES, build_code, logical_action, nmr_hamiltonian, weak_coupling_truncation
+from .config import ValidationError, _boolean, _entries, _integer, _known, _known_keys, _positive, _real, _seed
 from .decoupling import (
     _ENCODED_ONLY, DecouplingScheme, _defect_sweep, average_zeroth,
     cycle_propagator, frames_from_scheme, named_sequence, project_group,
@@ -96,10 +96,7 @@ def parse_hamiltonian(spec: Mapping[str, Any], n_qubits: int) -> Operator:
         if not isinstance(block, Mapping):
             raise ValidationError(f"nmr block must be an object, got {block!r}")
         _known_keys("nmr keys", block, ("nu", "j", "species", "weak_coupling"))
-        nu = block.get("nu")
-        if not isinstance(nu, (list, tuple)):
-            raise ValidationError(f"nmr block needs a list of chemical shifts 'nu', got {nu!r}")
-        nu = [_real("nmr shift", v) for v in nu]
+        nu = [_real("nmr shift", v) for v in _entries("nmr chemical shifts 'nu'", block.get("nu"))]
         terms = nmr_hamiltonian(nu, block.get("j", {}), n=n_qubits)
         if _boolean("nmr weak_coupling", block.get("weak_coupling", False)):
             species = block.get("species")
@@ -150,7 +147,7 @@ class Scenario:
     output: Mapping[str, Any] | None = None
 
     def __post_init__(self):
-        row = _row(self.kind)
+        row = _known("scenario kind", self.kind, KINDS)
         for key, types in _OPTIONAL_FIELD_TYPES.items():
             value = getattr(self, key)
             if value is not None and not isinstance(value, types):
@@ -163,8 +160,8 @@ class Scenario:
         _positive("cycle_time", self.cycle_time)
         for tc in self.sweep or ():
             _positive("sweep entry", tc)
-        if self.code is not None and self.code not in CODE_NAMES:
-            raise ValidationError(f"unknown code {self.code!r}")
+        if self.code is not None:
+            _known("code", self.code, _CODES)
         _known_keys("output fields", self.output or {}, ("path", "format"))
         if self.output and "path" in self.output:
             path = self.output["path"]
@@ -200,7 +197,7 @@ class Scenario:
     def from_dict(cls, d: Mapping[str, Any]) -> "Scenario":
         if "kind" not in d:
             raise ValidationError("scenario needs a 'kind'")
-        row = _row(d["kind"])
+        row = _known("scenario kind", d["kind"], KINDS)
         _known_keys(f"fields for kind {d['kind']!r}", d, ("kind", "seed", "output", *row.needs, *row.reads))
         return cls(**d)
 
@@ -240,17 +237,14 @@ class Scenario:
             )
         if "pulses" in spec:
             _known_keys("explicit sequence keys", spec, ("pulses", "durations", "cycle_time"))
-            pulse_specs, durations = spec["pulses"], spec.get("durations", ())
-            if not isinstance(pulse_specs, (list, tuple)) or not isinstance(durations, (list, tuple)):
-                raise ValidationError("explicit 'pulses' and 'durations' must be lists")
             pulses = []
-            for p in pulse_specs:
+            for p in _entries("sequence pulses", spec["pulses"]):
                 if not isinstance(p, Mapping):
                     raise ValidationError(f"an explicit pulse must be an object, got {p!r}")
                 _known_keys("pulse keys", p, ("terms", "angle"))
                 generator = parse_hamiltonian({"terms": p.get("terms", [])}, self.n_qubits)
                 pulses.append(expm(generator, _real("pulse angle", p.get("angle", np.pi / 2))))
-            return DecouplingScheme(tuple(pulses), durations, cycle_time, label="explicit")
+            return DecouplingScheme(tuple(pulses), spec.get("durations", ()), cycle_time, label="explicit")
         raise ValidationError("sequence block needs a 'name' or explicit 'pulses'")
 
 
@@ -376,9 +370,3 @@ KINDS = {
     ),
 }
 
-
-def _row(kind) -> _Kind:
-    """The table row of ``kind``, or a ValidationError naming the known kinds."""
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise ValidationError(f"unknown scenario kind {kind!r}; known: {', '.join(KINDS)}")
-    return KINDS[kind]

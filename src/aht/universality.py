@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceError, ValidationError
 from .decoupling import DecouplingSet, close_group
-from .operators import SIGMA, Operator, MatrixLike, _unitary, expm, mat
+from .operators import SIGMA, Operator, MatrixLike, _finite, _hermitian, _operators, _unitary, expm, mat
 
 __all__ = [
     "LieBasis",
@@ -73,22 +73,17 @@ def lie_closure(
     u(d), or su(d) when every generator is traceless to
     ``DEFAULT_TOL.equality``.  The result is independent of generator order
     and invariant under simultaneous unitary conjugation of all generators,
-    which must be finite and anti-Hermitian to ``DEFAULT_TOL.equality``,
-    1e-10, after scaling.
+    which must be operators of one side, finite (``operators._finite``) and
+    anti-Hermitian after scaling: ``i G`` passes ``operators._hermitian``.
     """
-    given = list(generators)
-    if not given:
-        raise ValidationError("need at least one generator")
-    dim = len(mat(given[0]))
-    given = [mat(g, dim) for g in given]
+    given = _operators("generators", generators)
+    dim = given[0].dim
     mats = []  # each nonzero generator scaled to a unit largest entry
     for g in given:
-        if not np.all(np.isfinite(g)):
-            raise ValidationError("lie_closure needs finite generators")
+        g = _finite("lie_closure generator", g.matrix)
         peak = np.max(np.abs(g))
         g = g / peak if peak > 0 else g
-        if not np.max(np.abs(g + g.conj().T)) <= DEFAULT_TOL.equality:
-            raise ValidationError("lie_closure expects anti-Hermitian generators (apply i first)")
+        _hermitian("i times a lie_closure generator", 1j * g)
         mats.append(g)
 
     # Commutators are traceless, so traceless generators stay in su(d).  At
@@ -131,7 +126,7 @@ def lie_closure(
         i += 1
 
     return LieBasis(
-        generators=tuple(Operator(g) for g in given),
+        generators=given,
         basis=tuple(Operator(scale * b) for b in ops[:k]),
         dimension=k,
         truncated=truncated,
@@ -219,14 +214,13 @@ def transformer_reach(
     means the residual, relative to the target's Frobenius norm, falls
     below ``DEFAULT_TOL.rank``, 1e-8.  The weights are one nonnegative
     solution; a group's conjugates are linearly dependent, so others may
-    exist.  Non-finite entries and an exactly zero ``a`` or ``target``
-    raise :class:`ValidationError`.
+    exist.  Non-finite entries (``operators._finite``) and an exactly zero
+    ``a`` or ``target`` raise :class:`ValidationError`.
     """
     if not group.is_group:
         raise ValidationError("transformer_reach expects a decoupling group")
-    am, tm = mat(a, group.dim), mat(target, group.dim)
-    if not (np.all(np.isfinite(am)) and np.all(np.isfinite(tm))):
-        raise ValidationError("transformer_reach needs finite Hamiltonians")
+    am = _finite("starting Hamiltonian", mat(a, group.dim))
+    tm = _finite("target", mat(target, group.dim))
     peak_a = np.max(np.abs(am))
     peak_t = np.max(np.abs(tm))
     if peak_a == 0:
@@ -266,7 +260,7 @@ def generate_group(
     which is all that conjugation averages can see.
     """
     elements = close_group(generators, max_order=max_order)
-    return DecouplingSet.group([e.matrix for e in elements])
+    return DecouplingSet.group(elements)
 
 
 def transformer_generators() -> list[Operator]:

@@ -2,6 +2,8 @@
 import dataclasses
 import importlib
 import inspect
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from aht.decoupling import (
     project_group,
 )
 from aht.noise import DephasingChannel, build_scenario
+from aht.scenario import Scenario
 from aht.operators import (
     SIGMA,
     Operator,
@@ -149,7 +152,8 @@ BOUNDARY_CALLS = {
     "DecouplingScheme durations": (
         lambda: DecouplingScheme((Operator(PI_X), Operator(PI_X)), (1.0,)), "durations"),
     "DecouplingScheme mixed dimensions": (
-        lambda: DecouplingScheme((Operator(PI_X), Operator(np.eye(4))), (0.5, 0.5)), "dimension"),
+        lambda: DecouplingScheme((Operator(PI_X), Operator(np.eye(4))), (0.5, 0.5)),
+        re.escape("operator must be a square matrix of side 2, got shape (4, 4)")),
     "DecouplingScheme non-unitary pulse": (
         lambda: DecouplingScheme((Operator(2 * X), Operator(X / 2)), (0.5, 0.5)), "unitary"),
     "DecouplingSet misaligned": (
@@ -181,3 +185,106 @@ def test_bad_arguments_raise_validation_error(name):
     call, word = BOUNDARY_CALLS[name]
     with pytest.raises(ValidationError, match=word):
         call()
+
+
+# One checker per operand rule: each table lists every site that applies the rule.
+
+#: Every site that checks a Hermitian operand (operators._hermitian), as a call on
+#: a one-qubit H; lie_closure reads the anti-Hermitian i H.
+HERMITIAN_SITES = {
+    "expm": lambda h: expm(h, 0.3),
+    "cycle_propagator": lambda h: cycle_propagator(h, CP_X),
+    "effective_defect": lambda h: effective_defect(h, CP_X),
+    "lie_closure": lambda h: lie_closure([1j * h, 1j * SIGMA["Y"]]),
+    "DephasingChannel.coupling": lambda h: dataclasses.replace(QUBIT_CHANNEL, coupling=Operator(h)),
+    "NoiseScenario.observable": lambda h: dataclasses.replace(
+        NOISE_RUN, observable=Operator(np.kron(h, np.eye(2)))),
+}
+
+
+#: ||H - H^dag||_max = 2e-11 passes and 2e-9 fails DEFAULT_TOL.equality (1e-10)
+NEAR_HERMITIAN, FAR_FROM_HERMITIAN = X + 1e-11j * np.eye(2), X + 1e-9j * np.eye(2)
+
+
+@pytest.mark.parametrize("name", HERMITIAN_SITES)
+def test_hermitian_is_one_rule(name):
+    HERMITIAN_SITES[name](NEAR_HERMITIAN)
+    with pytest.raises(ValidationError, match="must be Hermitian"):
+        HERMITIAN_SITES[name](FAR_FROM_HERMITIAN)
+
+
+def test_is_hermitian_reads_the_same_rule():
+    assert Operator(NEAR_HERMITIAN).is_hermitian() and not Operator(FAR_FROM_HERMITIAN).is_hermitian()
+
+
+#: Every site that checks a finite operand (operators._finite), as a call on one
+#: one-qubit operand and the name its message gives it.
+FINITE_SITES = {
+    "conjugate": (lambda m: conjugate(m, PI_X), "conjugated operator"),
+    "lie_closure": (lambda m: lie_closure([1j * SIGMA["Y"], m]), "lie_closure generator"),
+    "transformer_reach a": (lambda m: transformer_reach(CP_X_GROUP, m, X), "starting Hamiltonian"),
+    "transformer_reach target": (lambda m: transformer_reach(CP_X_GROUP, X, m), "target"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FINITE_SITES)
+def test_finite_is_one_rule(name, value):
+    call, what = FINITE_SITES[name]
+    m = 1j * X
+    m[0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{what} must be finite$"):
+            call(m)
+
+
+#: Every site that reads a non-empty list of operators of one side
+#: (operators._operators), and the name its message gives the list.
+OPERAND_LIST_SITES = {
+    "close_group": (close_group, "generators"),
+    "generate_group": (generate_group, "generators"),
+    "lie_closure": (lie_closure, "generators"),
+    "DecouplingScheme pulses": (lambda ops: DecouplingScheme(ops, (1.0,)), "pulses"),
+    "DecouplingSet frames": (lambda ops: DecouplingSet(ops, (1.0,)), "frames"),
+    "DecouplingSet.group": (DecouplingSet.group, "frames"),
+}
+#: (the value, the start of the message refusing it)
+OPERAND_LISTS = {
+    "empty": ([], "{what} must be a non-empty list, got []"),
+    "not a list": (PI_X, "{what} must be a non-empty list, got array("),
+    "mixed sides": ([PI_X, np.eye(4)], "operator must be a square matrix of side 2, got shape (4, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", OPERAND_LISTS)
+@pytest.mark.parametrize("name", OPERAND_LIST_SITES)
+def test_operand_list_is_one_rule(name, case):
+    call, what = OPERAND_LIST_SITES[name]
+    value, message = OPERAND_LISTS[case]
+    with pytest.raises(ValidationError, match=re.escape(message.format(what=what))):
+        call(value)
+
+
+#: Every site that looks a name up in a catalog (config._known), and the name
+#: its message gives the catalog.
+CATALOG_SITES = {
+    "build_scenario": (build_scenario, "scenario"),
+    "named_sequence": (named_sequence, "sequence"),
+    "build_code": (build_code, "code"),
+    "Scenario kind": (lambda name: Scenario(kind=name), "scenario kind"),
+    "Scenario.from_dict kind": (lambda name: Scenario.from_dict({"kind": name}), "scenario kind"),
+    "Scenario code": (lambda name: Scenario(kind="logical", code=name), "code"),
+    "DephasingChannel kind": (lambda name: dataclasses.replace(QUBIT_CHANNEL, kind=name), "channel kind"),
+}
+
+
+@pytest.mark.parametrize("name", ["teleport", ["cp_x"]], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("site", CATALOG_SITES)
+def test_catalog_name_is_one_rule(site, name):
+    # an unhashable name is refused, not a TypeError; Scenario's field type check
+    # refuses a list code first, naming it too
+    call, what = CATALOG_SITES[site]
+    message = f"unknown {what} {name!r}; known: " if isinstance(name, str) else repr(name)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(name)

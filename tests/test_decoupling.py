@@ -77,20 +77,31 @@ class TestSchemeValidation:
         with pytest.raises(ValidationError, match="cycle_time"):
             DecouplingScheme((px, px), (0.5, 0.5), cycle_time=cycle_time)
 
-    @pytest.mark.parametrize("durations", [(float("nan"), float("nan")), ("x", 0.5)], ids=["nan", "x"])
+    @pytest.mark.parametrize("durations", [(float("nan"), float("nan")), ("x", 0.5), 1.0],
+                             ids=["nan", "x", "not-a-list"])
     def test_rejects_nan_durations(self, durations):
         px = expm(X, np.pi / 2)
         with pytest.raises(ValidationError, match="durations"):
             DecouplingScheme((px, px), durations)
 
     @pytest.mark.parametrize(
-        "weights", [(float("nan"), float("nan")), (float("nan"), 1.0), ("x", 1.0), (True, 0.0)],
-        ids=["nan", "nan-one", "x", "True"],
+        "weights", [(float("nan"), float("nan")), (float("nan"), 1.0), ("x", 1.0), (True, 0.0), 1.0],
+        ids=["nan", "nan-one", "x", "True", "not-a-list"],
     )
     def test_rejects_nan_weights(self, weights):
         frames = (Operator(I2), Operator(X))
         with pytest.raises(ValidationError, match="weights"):
             DecouplingSet(frames, weights)
+
+
+    def test_matrix_pulses_read_as_operators(self):
+        # a matrix pulse becomes an Operator of the same entries, an Operator stays itself
+        cp = named_sequence("cp_x")
+        from_matrices = replace(cp, pulses=[p.matrix for p in cp.pulses])
+        assert replace(cp, label="again").pulses[0] is cp.pulses[0]
+        h = Z + 0.5 * X
+        assert (cycle_propagator(h, from_matrices).matrix.tobytes()
+                == cycle_propagator(h, cp).matrix.tobytes())
 
 
 class TestFrames:

@@ -1297,14 +1297,21 @@ class TestScenarioLibrary:
         with pytest.raises(ValidationError, match="ensemble_size"):
             dataclasses.replace(sc, ensemble_size=size)
 
-    @pytest.mark.parametrize("step", [0, -1.0, True, "x"])
-    def test_rejects_nonpositive_max_step(self, step):
-        # as a knob and when built directly: a boolean or a string is no step either
-        with pytest.raises(ValidationError, match="max_step"):
-            build_scenario("hybrid_dephasing", max_step=step)
-        sc = build_scenario("hybrid_dephasing", ensemble_size=1, pulses=False)
-        with pytest.raises(ValidationError, match="max_step"):
-            dataclasses.replace(sc, max_step=step)
+    @pytest.mark.parametrize(
+        "knob,step",
+        [*(("max_step", step) for step in (0, -1.0, True, "x")),
+         ("slow_amplitude", -1), ("fast_amplitude", -1)],
+        ids=["0", "-1.0", "True", "x", "slow_amplitude", "fast_amplitude"],
+    )
+    def test_rejects_nonpositive_max_step(self, knob, step):
+        # as a knob and when built directly: a boolean or a string is no step either;
+        # a negative amplitude knob is refused under the knob's name, not the channel's
+        with pytest.raises(ValidationError, match=f"{knob} must be"):
+            build_scenario("hybrid_dephasing", **{knob: step})
+        if knob == "max_step":
+            sc = build_scenario("hybrid_dephasing", ensemble_size=1, pulses=False)
+            with pytest.raises(ValidationError, match="max_step"):
+                dataclasses.replace(sc, max_step=step)
 
     @pytest.mark.parametrize("value", [float("nan"), np.inf, "x", None, True])
     @pytest.mark.parametrize("field", ["correlation_time", "amplitude"])
@@ -1313,6 +1320,16 @@ class TestScenarioLibrary:
         ch = build_scenario("hybrid_dephasing", ensemble_size=1).channels[0]
         with pytest.raises(ValidationError, match=field):
             dataclasses.replace(ch, **{field: value})
+
+    def test_channel_reads_a_matrix_coupling(self):
+        # a matrix is read as an Operator of its entries; an Operator is kept, label and all
+        ch = build_scenario("hybrid_dephasing", ensemble_size=1).channels[0]
+        assert dataclasses.replace(ch, amplitude=0.5).coupling is ch.coupling
+        from_matrix = dataclasses.replace(ch, coupling=ch.coupling.matrix).coupling
+        assert from_matrix.label is None and np.array_equal(from_matrix.matrix, ch.coupling.matrix)
+        for bad in ("x", np.ones((2, 4)), None):
+            with pytest.raises(ValidationError, match="operator must be a square matrix"):
+                dataclasses.replace(ch, coupling=bad)
 
     @pytest.mark.parametrize("value", [float("nan"), True, "x"])
     def test_rejects_nan_total_time(self, value):

@@ -110,7 +110,7 @@ class TestLieClosure:
             g = np.full((2, 2), np.nan, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="finite generators"):
+            with pytest.raises(ValidationError, match="lie_closure generator must be finite"):
                 lie_closure([1j * Y, g])
 
     def test_rejects_hermitian_input(self):
