@@ -189,6 +189,8 @@ def test_bad_arguments_raise_validation_error(name):
 
 # One checker per operand rule: each table lists every site that applies the rule.
 
+#: ||H - H^dag||_max = 2e-11 passes and 2e-9 fails DEFAULT_TOL.equality (1e-10)
+NEAR_HERMITIAN, FAR_FROM_HERMITIAN = X + 1e-11j * np.eye(2), X + 1e-9j * np.eye(2)
 #: Every site that checks a Hermitian operand (operators._hermitian), as a call on
 #: a one-qubit H; lie_closure reads the anti-Hermitian i H.
 HERMITIAN_SITES = {
@@ -200,10 +202,6 @@ HERMITIAN_SITES = {
     "NoiseScenario.observable": lambda h: dataclasses.replace(
         NOISE_RUN, observable=Operator(np.kron(h, np.eye(2)))),
 }
-
-
-#: ||H - H^dag||_max = 2e-11 passes and 2e-9 fails DEFAULT_TOL.equality (1e-10)
-NEAR_HERMITIAN, FAR_FROM_HERMITIAN = X + 1e-11j * np.eye(2), X + 1e-9j * np.eye(2)
 
 
 @pytest.mark.parametrize("name", HERMITIAN_SITES)
